@@ -1,18 +1,19 @@
 """Lifelong test-time adaptation engine and baselines.
 
-The self-training methods (``petal``, ``cotta``) keep a student model and an
-exponential-moving-average teacher. Each batch: the teacher emits pseudo-label
-probability rows (averaged over randomized augmentations when the frozen
-source model is unconfident on the input), the student takes one optimizer
-step on a cross-entropy objective (``petal`` adds a source-posterior
-log-density anchor weighted by alpha), the teacher is EMA-updated, and a
-subset of student parameters is restored to the source values, chosen either
-at random or as the coordinates with the smallest squared loss gradient.
+Every adapting method takes the same step: a taped objective, one optimizer
+step on the student's parameter vector, and, for the self-training methods
+(``petal``, ``cotta``), an exponential-moving-average teacher update and a
+restore. Those two keep a teacher that emits pseudo-label probability rows
+(averaged over randomized augmentations when the frozen source model is
+unconfident on the input); the student minimizes the cross-entropy to them
+(``petal`` adds a source-posterior log-density anchor weighted by alpha), and
+then a subset of student parameters is restored to the source values, chosen
+either at random or as the coordinates with the smallest squared loss
+gradient. ``tent`` (entropy minimization) and ``pseudo_label`` (hard
+self-labels) have no teacher and move only the BN affine parameters.
 
-Baselines behind the same step interface: ``source`` (no adaptation),
-``bn_adapt`` (batch-statistics refresh only), ``pseudo_label`` (hard
-self-labels, BN affine parameters only), ``tent`` (entropy minimization, BN
-affine parameters only).
+``source`` (no adaptation) and ``bn_adapt`` (batch-statistics refresh only)
+take no gradient step; the BN mode set at initialization tells them apart.
 
 All per-batch predictions are emitted before the update that uses that
 batch's gradient; evaluation is strictly online.
@@ -22,11 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -292,7 +289,6 @@ class StepReport:
     predictions: Array  # (B, C) probability rows, emitted online
     restored: int
     loss: float
-    wall_time: float
 
     def __post_init__(self) -> None:
         rows = self.predictions
@@ -302,19 +298,6 @@ class StepReport:
 
 # ---------------------------------------------------------------------------
 # pseudo-labels and losses
-
-
-def _teacher_probs(model: MlpClassifier, batches: Sequence[Array]) -> list[Array]:
-    # batch-statistics normalization without touching the teacher's buffers,
-    # so the K forwards are pure and may run on threads
-    def run(batch: Array) -> Array:
-        return softmax(model.forward(batch, update_stats=False)).data
-
-    workers = int(os.environ.get("PETAL_THREADS", "1") or "1")
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, batches))
-    return [run(batch) for batch in batches]
 
 
 def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> Array:
@@ -330,10 +313,12 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
+    # all draws first: measured faster than alternating draws and forwards
     draws = [augment(images, state.rng_augment, cfg.augment) for _ in range(cfg.k_aug)]
     total = np.zeros_like(direct)
-    for probs in _teacher_probs(state.teacher, draws):
-        total += probs
+    for draw in draws:
+        # batch-statistics normalization without touching the teacher's buffers
+        total += softmax(state.teacher.forward(draw, update_stats=False)).data
     averaged = total / cfg.k_aug
     return np.where(needs_averaging[:, None], averaged, direct)
 
@@ -374,8 +359,7 @@ def ema_update(teacher: MlpClassifier, student: MlpClassifier, pi: float) -> Non
     BN running statistics are replaced by the student's."""
     if teacher.param_names != student.param_names:
         raise ValueError("teacher/student registry mismatch")
-    for name in teacher.param_names:
-        teacher.params[name] = pi * teacher.params[name] + (1.0 - pi) * student.params[name]
+    teacher.theta[:] = pi * teacher.theta + (1.0 - pi) * student.theta
     teacher.stats = {i: s.copy() for i, s in student.stats.items()}
 
 
@@ -423,8 +407,8 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
         mask = fim_mask(fim_diag(grad_vec), cfg.delta)
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
-    flat = state.student.flatten()
-    state.student.load(restore(flat, state.source, mask))
+    theta = state.student.theta
+    theta[:] = restore(state.source.with_values(theta), state.source, mask).values
     if cfg.reset_optimizer_state:
         state.opt.m[mask] = 0.0
         state.opt.v[mask] = 0.0
@@ -435,66 +419,59 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
 # adaptation steps
 
 
-def _grad_vector(model: MlpClassifier, wrapped: dict, grads: dict) -> Array:
-    blocks = []
-    for name in model.param_names:
-        g = grads.get(wrapped[name])
-        blocks.append(g.ravel() if g is not None else np.zeros(model.params[name].size))
-    return np.concatenate(blocks)
-
-
-def _descend(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> None:
-    flat = state.student.flatten()
-    if cfg.optimizer == "adam":
-        delta = adam_delta(state.opt, grad_vec, cfg.eta)
-    else:
-        delta = cfg.eta * grad_vec
-    state.student.load(flat.with_values(flat.values - delta))
-
-
-def _check_finite_loss(value: float, state: AdaptState, what: str) -> None:
-    if not math.isfinite(value):
-        raise NonFiniteLossError(f"{what} became non-finite at step {state.step}")
-
-
-def _petal_step(state: AdaptState, images: Array, posterior: SwagDiagPosterior, cfg: PetalConfig) -> StepReport:
-    start = time.perf_counter()
-    tape = Tape()
-    try:
-        pseudo = teacher_pseudo_label(state, images, cfg)
-        loss, wrapped, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
-    except FloatingPointError as exc:
-        raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
-    loss_value = loss.item()
-    _check_finite_loss(loss_value, state, "adaptation loss")
-    grad_vec = _grad_vector(state.student, wrapped, backward(loss, tape))
-    _descend(state, grad_vec, cfg)
-    ema_update(state.teacher, state.student, cfg.pi)
-    restored = _apply_restore(state, grad_vec, cfg)
-    state.step += 1
-    preds = pseudo if cfg.predict_from == "teacher" else softmax(logits).data
-    return StepReport(preds, restored, loss_value, time.perf_counter() - start)
-
-
-def _cotta_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
-    # student-teacher cross-entropy only; no posterior anchor
-    start = time.perf_counter()
-    tape = Tape()
-    try:
-        pseudo = teacher_pseudo_label(state, images, cfg)
-        logits, wrapped = state.student.taped_forward(images, tape)
+def _objective(
+    state: AdaptState,
+    images: Array,
+    pseudo: Array | None,
+    posterior: SwagDiagPosterior | None,
+    cfg: PetalConfig,
+    tape: Tape,
+):
+    """The method's taped loss; returns (loss node, parameter tensors, logits)."""
+    if cfg.method == "petal":
+        return petal_loss(state, images, pseudo, posterior, cfg, tape)
+    logits, wrapped = state.student.taped_forward(images, tape)
+    if cfg.method == "cotta":  # student-teacher cross-entropy only; no posterior anchor
         loss = soft_cross_entropy(Tensor(pseudo), logits, tape)
+    elif cfg.method == "tent":
+        loss = softmax_entropy_mean(logits, tape)
+    else:  # pseudo_label
+        hard = softmax(logits).data.argmax(axis=1)
+        loss = soft_cross_entropy(Tensor(one_hot(hard, logits.shape[1])), logits, tape)
+    return loss, wrapped, logits
+
+
+def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None, cfg: PetalConfig) -> StepReport:
+    """The one gradient step of every adapting method.
+
+    ``petal``/``cotta`` learn from teacher pseudo-labels, then EMA-update the
+    teacher and restore; ``tent``/``pseudo_label`` have no teacher and move
+    only the BN affine parameters.
+    """
+    has_teacher = cfg.method in ADAPT_METHODS
+    tape = Tape()
+    try:
+        pseudo = teacher_pseudo_label(state, images, cfg) if has_teacher else None
+        loss, wrapped, logits = _objective(state, images, pseudo, posterior, cfg, tape)
     except FloatingPointError as exc:
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
     loss_value = loss.item()
-    _check_finite_loss(loss_value, state, "adaptation loss")
-    grad_vec = _grad_vector(state.student, wrapped, backward(loss, tape))
-    _descend(state, grad_vec, cfg)
-    ema_update(state.teacher, state.student, cfg.pi)
-    restored = _apply_restore(state, grad_vec, cfg)
+    if not math.isfinite(loss_value):
+        raise NonFiniteLossError(f"{cfg.method} loss became non-finite at step {state.step}")
+    grad_vec = state.student.grad_vector(wrapped, backward(loss, tape))
+    if not has_teacher:
+        grad_vec[~param_mask(state.source, bn_affine_filter)] = 0.0
+    if cfg.optimizer == "adam":
+        state.student.theta -= adam_delta(state.opt, grad_vec, cfg.eta)
+    else:
+        state.student.theta -= cfg.eta * grad_vec
+    restored = 0
+    if has_teacher:
+        ema_update(state.teacher, state.student, cfg.pi)
+        restored = _apply_restore(state, grad_vec, cfg)
     state.step += 1
-    preds = pseudo if cfg.predict_from == "teacher" else softmax(logits).data
-    return StepReport(preds, restored, loss_value, time.perf_counter() - start)
+    preds = pseudo if has_teacher and cfg.predict_from == "teacher" else softmax(logits).data
+    return StepReport(preds, restored, loss_value)
 
 
 def adapt_step(
@@ -505,43 +482,20 @@ def adapt_step(
 ) -> StepReport:
     """One online self-training step; predictions are computed before the
     update that uses this batch's gradient."""
-    if cfg.method == "petal":
-        return _petal_step(state, images, posterior, cfg)
-    if cfg.method == "cotta":
-        return _cotta_step(state, images, cfg)
-    raise ValueError(f"adapt_step does not handle method {cfg.method!r}")
+    if cfg.method not in ADAPT_METHODS:
+        raise ValueError(f"adapt_step does not handle method {cfg.method!r}")
+    return _step(state, images, posterior, cfg)
 
 
 def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
     """One step of a comparison baseline."""
-    start = time.perf_counter()
-    if cfg.method == "source":
+    if cfg.method in ("source", "bn_adapt"):
+        # eval-mode BN (source) ignores the stats update; train mode refreshes it
         preds = softmax(state.student.forward(images)).data
         state.step += 1
-        return StepReport(preds, 0, float("nan"), time.perf_counter() - start)
-    if cfg.method == "bn_adapt":
-        preds = softmax(state.student.forward(images, update_stats=True)).data
-        state.step += 1
-        return StepReport(preds, 0, float("nan"), time.perf_counter() - start)
+        return StepReport(preds, 0, float("nan"))
     if cfg.method in ("tent", "pseudo_label"):
-        tape = Tape()
-        try:
-            logits, wrapped = state.student.taped_forward(images, tape)
-            preds = softmax(logits).data
-            if cfg.method == "tent":
-                loss = softmax_entropy_mean(logits, tape)
-            else:
-                hard = one_hot(preds.argmax(axis=1), preds.shape[1])
-                loss = soft_cross_entropy(Tensor(hard), logits, tape)
-        except FloatingPointError as exc:
-            raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
-        loss_value = loss.item()
-        _check_finite_loss(loss_value, state, f"{cfg.method} loss")
-        grad_vec = _grad_vector(state.student, wrapped, backward(loss, tape))
-        grad_vec[~param_mask(state.source, bn_affine_filter)] = 0.0
-        _descend(state, grad_vec, cfg)
-        state.step += 1
-        return StepReport(preds, 0, loss_value, time.perf_counter() - start)
+        return _step(state, images, None, cfg)
     raise ValueError(f"unknown baseline method {cfg.method!r}")
 
 

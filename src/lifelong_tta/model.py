@@ -1,14 +1,17 @@
-"""Batch-normalized MLP classifier with a named, flattenable parameter registry.
+"""Batch-normalized MLP classifier: one contiguous parameter vector with named views.
 
-Trainable parameters carry stable dotted names (``hidden0.weight``,
-``hidden0.gamma``, ..., ``out.bias``) in a deterministic registry order; BN
-running statistics are serialized with the model but are not trainables and
-never enter ``FlatParams``.
+All trainables live in one float64 vector ``theta``. Each stable dotted name
+(``hidden0.weight``, ``hidden0.gamma``, ..., ``out.bias``, in a deterministic
+registry order) maps to a reshaped view of it in ``params``, so an optimizer
+step, an EMA update or a restore is one in-place expression on ``theta``.
+``flatten`` returns a copied snapshot. BN running statistics are serialized
+with the model but are not trainables and never enter ``FlatParams``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,21 +83,22 @@ class MlpClassifier:
         self.sizes = sizes
         self.bn_mode = "train"
         names, shapes = _registry_layout(sizes)
-        self._names = names
-        self._shapes = dict(zip(names, shapes))
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.params: dict[str, Array] = {}
+        offsets = tuple(accumulate((int(np.prod(shape)) for shape in shapes), initial=0))
+        # theta with its layout; params hold views of it, built once
+        self._flat = FlatParams(names, shapes, offsets[:-1], np.zeros(offsets[-1]))
+        self.theta = self._flat.values
+        self.params: dict[str, Array] = {name: self._flat.slice(name) for name in names}
         self.stats: dict[int, RunningStats] = {}
+        rng = np.random.Generator(np.random.PCG64(seed))
         for i, (fan_in, width) in enumerate(zip(sizes[:-2], sizes[1:-1])):
             bound = 1.0 / np.sqrt(fan_in)
-            self.params[f"hidden{i}.weight"] = rng.uniform(-bound, bound, (fan_in, width))
-            self.params[f"hidden{i}.bias"] = rng.uniform(-bound, bound, width)
-            self.params[f"hidden{i}.gamma"] = np.ones(width)
-            self.params[f"hidden{i}.beta"] = np.zeros(width)
+            self.params[f"hidden{i}.weight"][...] = rng.uniform(-bound, bound, (fan_in, width))
+            self.params[f"hidden{i}.bias"][...] = rng.uniform(-bound, bound, width)
+            self.params[f"hidden{i}.gamma"][...] = 1.0
             self.stats[i] = RunningStats(np.zeros(width), np.ones(width))
         bound = 1.0 / np.sqrt(sizes[-2])
-        self.params["out.weight"] = rng.uniform(-bound, bound, (sizes[-2], sizes[-1]))
-        self.params["out.bias"] = rng.uniform(-bound, bound, sizes[-1])
+        self.params["out.weight"][...] = rng.uniform(-bound, bound, (sizes[-2], sizes[-1]))
+        self.params["out.bias"][...] = rng.uniform(-bound, bound, sizes[-1])
 
     @property
     def n_hidden(self) -> int:
@@ -102,7 +106,7 @@ class MlpClassifier:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return self._names
+        return self._flat.names
 
     def set_bn_mode(self, mode: str) -> None:
         if mode not in ("train", "eval"):
@@ -115,7 +119,7 @@ class MlpClassifier:
         h = x if isinstance(x, Tensor) else Tensor(x)
         if h.data.ndim != 2 or h.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {h.shape}")
-        wrapped = {name: Tensor(self.params[name]) for name in self._names}
+        wrapped = {name: Tensor(view) for name, view in self.params.items()}
         for i in range(self.n_hidden):
             h = linear(h, wrapped[f"hidden{i}.weight"], wrapped[f"hidden{i}.bias"], tape)
             h = batch_norm(
@@ -147,27 +151,27 @@ class MlpClassifier:
     # -- parameter registry ---------------------------------------------------
 
     def flatten(self) -> FlatParams:
-        shapes = tuple(self._shapes[n] for n in self._names)
-        offsets = []
-        cursor = 0
-        for shape in shapes:
-            offsets.append(cursor)
-            cursor += int(np.prod(shape))
-        values = np.concatenate([self.params[n].ravel() for n in self._names])
-        return FlatParams(self._names, shapes, tuple(offsets), values)
+        """A copy of ``theta`` with its layout; later updates never reach it."""
+        return self._flat.copy()
 
     def load(self, flat: FlatParams) -> None:
-        if flat.names != self._names:
+        if not flat.same_layout(self._flat):
             raise ValueError("parameter registry mismatch")
-        for name in self._names:
-            block = flat.slice(name)
-            if block.shape != self._shapes[name]:
-                raise ValueError(f"shape mismatch for {name}")
-            self.params[name] = block.copy()
+        self.theta[:] = flat.values
+
+    def grad_vector(self, wrapped: dict[str, Tensor], grads: dict) -> Array:
+        """The tape's gradients of the ``taped_forward`` parameter tensors as
+        one vector in ``theta``'s layout; zeros where no gradient reached."""
+        out = self._flat.with_values(np.zeros(self.theta.size))
+        for name, tensor in wrapped.items():
+            grad = grads.get(tensor)
+            if grad is not None:
+                out.slice(name)[...] = grad
+        return out.values
 
     def clone(self) -> "MlpClassifier":
         other = MlpClassifier(self.sizes, seed=0)
-        other.load(self.flatten())
+        other.theta[:] = self.theta
         other.stats = {i: s.copy() for i, s in self.stats.items()}
         other.bn_mode = self.bn_mode
         return other
@@ -175,7 +179,7 @@ class MlpClassifier:
     # -- checkpointing ---------------------------------------------------------
 
     def state_arrays(self) -> dict[str, Array]:
-        entries = {name: self.params[name] for name in self._names}
+        entries = dict(self.params)
         for i in range(self.n_hidden):
             entries[f"hidden{i}.running_mean"] = self.stats[i].mean
             entries[f"hidden{i}.running_var"] = self.stats[i].var
@@ -196,18 +200,22 @@ class MlpClassifier:
             raise CheckpointError("checkpoint does not hold an MLP state")
         sizes = (hidden[0][0],) + tuple(s[1] for s in hidden) + (entries["out.weight"].shape[1],)
         model = cls(sizes, seed=0)
-        for name in model._names:
-            if name not in entries:
-                raise CheckpointError(f"checkpoint missing parameter {name}")
-            if entries[name].shape != model._shapes[name]:
-                raise CheckpointError(f"checkpoint shape mismatch for {name}")
-            model.params[name] = entries[name].copy()
-        for i in range(model.n_hidden):
+        for name, view in model.params.items():
+            view[...] = _entry(entries, name, view.shape)
+        for i, stats in model.stats.items():
             model.stats[i] = RunningStats(
-                entries[f"hidden{i}.running_mean"].copy(),
-                entries[f"hidden{i}.running_var"].copy(),
+                _entry(entries, f"hidden{i}.running_mean", stats.mean.shape).copy(),
+                _entry(entries, f"hidden{i}.running_var", stats.var.shape).copy(),
             )
         return model
+
+
+def _entry(entries: dict[str, Array], name: str, shape: tuple[int, ...]) -> Array:
+    if name not in entries:
+        raise CheckpointError(f"checkpoint missing entry {name}")
+    if entries[name].shape != shape:
+        raise CheckpointError(f"checkpoint shape mismatch for {name}")
+    return entries[name]
 
 
 def init_model(seed: int, sizes: Sequence[int]) -> MlpClassifier:

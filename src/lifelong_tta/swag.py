@@ -117,6 +117,10 @@ class SwagDiagPosterior:
         layout = (tuple(names), tuple(shapes), tuple(offsets))
         mu = FlatParams(*layout, np.concatenate(mu_blocks))
         sigma2 = FlatParams(*layout, np.concatenate(s2_blocks))
+        if not np.isfinite(mu.values).all():
+            raise CheckpointError("posterior mean is not finite")
+        if not (np.isfinite(sigma2.values).all() and sigma2.values.min() >= VARIANCE_FLOOR):
+            raise CheckpointError(f"posterior variance must be finite and >= {VARIANCE_FLOOR}")
         return cls(mu=mu, sigma2=sigma2, count=int(entries["swag.count"][0]))
 
 
@@ -150,7 +154,7 @@ def train_source(
     n_classes = model.sizes[-1]
     targets = one_hot(labels, n_classes)
     estimator = SwagDiagEstimator(model.flatten())
-    velocity = np.zeros(model.flatten().dim)
+    velocity = np.zeros(model.theta.size)
     history: list[dict] = []
     model.set_bn_mode("train")
     for epoch in range(epochs):
@@ -168,13 +172,8 @@ def train_source(
                 raise RuntimeError(f"training diverged at epoch {epoch}") from exc
             if not math.isfinite(loss.item()):
                 raise RuntimeError(f"training diverged at epoch {epoch}")
-            grads = backward(loss, tape)
-            flat = model.flatten()
-            grad_vec = np.concatenate(
-                [grads[wrapped[name]].ravel() for name in model.param_names]
-            )
-            velocity = momentum * velocity + grad_vec
-            model.load(flat.with_values(flat.values - lr * velocity))
+            velocity = momentum * velocity + model.grad_vector(wrapped, backward(loss, tape))
+            model.theta -= lr * velocity
             losses.append(loss.item())
         if epoch >= epochs - swag_epochs:
             estimator.collect(model.flatten())

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lifelong_tta.checkpoint import read_checkpoint, write_checkpoint
 from lifelong_tta.cli import (
+    MODEL_CHECKPOINT,
+    POSTERIOR_CHECKPOINT,
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
@@ -218,3 +222,38 @@ def test_cli_nonzero_exit_on_non_finite_loss(trained_dir, tmp_path, capsys):
         code = main(["adapt", "--config", str(config_path), "--method", "petal"])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+
+# checkpoint edits that must fail at load time: (file, entry, new value or
+# None to delete the entry)
+BAD_CHECKPOINT_EDITS = {
+    "missing_running_mean": (MODEL_CHECKPOINT, "hidden0.running_mean", None),
+    "missing_running_var": (MODEL_CHECKPOINT, "hidden0.running_var", None),
+    "short_running_var": (MODEL_CHECKPOINT, "hidden0.running_var", lambda a: a[:-1]),
+    "zero_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: 0.0 * a),
+    "negative_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: -a),
+    "nan_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: np.nan * a),
+    "inf_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: np.inf * a),
+    "nan_mean": (POSTERIOR_CHECKPOINT, "swag.mu.out.bias", lambda a: np.nan * a),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_CHECKPOINT_EDITS))
+def test_cli_rejects_bad_checkpoint_entries(trained_dir, tmp_path, capsys, edit):
+    out, cfg = trained_dir
+    leaf, key, change = BAD_CHECKPOINT_EDITS[edit]
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    entries = read_checkpoint(tmp_path / leaf)
+    if change is None:
+        del entries[key]
+    else:
+        entries[key] = change(entries[key])
+    write_checkpoint(tmp_path / leaf, entries)
+    config_path = tmp_path / "config.json"
+    doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), "--method", "petal"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
