@@ -117,11 +117,31 @@ def _from_dict(cls, data, path="config"):
         nested = _nested_dataclass(fields[name])
         if nested is not None:
             kwargs[name] = _from_dict(nested, value, f"{path}.{name}")
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+            continue
+        _check_leaf(value, fields[name].default, f"{path}.{name}")
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
+
+
+def _check_leaf(value, default, path):
+    """Reject a JSON value whose type is not the field default's. A bool is
+    not an int, an int is a float, and a tuple default checks a list item by
+    item against its first element."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {type(value).__name__}")
+        for i, item in enumerate(value):
+            _check_leaf(item, default[0], f"{path}[{i}]")
+        return
+    if default is None:  # schedule.order_seed
+        expected = (int, type(None))
+    elif type(default) is float:
+        expected = (int, float)
+    else:
+        expected = (type(default),)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in expected)
+        raise ValueError(f"{path} must be {names}, got {type(value).__name__}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -300,12 +320,48 @@ def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
     return run_dirs
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_report(doc, path: Path) -> str:
+    """Reject a report.json that ``cmd_report`` cannot read, naming the file;
+    return its method label."""
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"malformed report {path}: {what}")
+
+    require(isinstance(doc, dict), "not a JSON object")
+    label = doc.get("method_label", doc.get("method"))
+    require(isinstance(label, str), "no method name")
+    require("schedule" in doc, "no schedule")
+    overall = doc.get("overall")
+    require(
+        isinstance(overall, dict) and all(_is_number(overall.get(k)) for k in ("error", "nll", "brier")),
+        "overall needs numeric error, nll and brier",
+    )
+    segments = doc.get("segments")
+    require(
+        isinstance(segments, list)
+        and all(
+            isinstance(s, dict) and {"segment", "kind", "severity"} <= s.keys() and _is_number(s.get("error"))
+            for s in segments
+        ),
+        "each segment needs segment, kind, severity and a numeric error",
+    )
+    return label
+
+
 def _collect_reports(run_dirs: list[str]) -> dict:
     by_method: dict[str, list[dict]] = {}
     for root in run_dirs:
         for path in sorted(Path(root).rglob("report.json")):
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            by_method.setdefault(doc.get("method_label", doc["method"]), []).append(doc)
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"malformed report {path}: {exc}") from exc
+            by_method.setdefault(_check_report(doc, path), []).append(doc)
     if not by_method:
         raise ValueError("no report.json found under the given directories")
     schedules = {

@@ -238,6 +238,7 @@ class AdaptState:
     teacher: MlpClassifier
     source_model: MlpClassifier  # frozen, eval BN; used for the confidence gate
     source: FlatParams  # theta_0, the restore target
+    frozen: Array  # coordinates tent/pseudo_label never move: all but the BN affine ones
     step: int
     opt: AdamState
     rng_augment: np.random.Generator
@@ -273,6 +274,7 @@ def init_adapt_state(
         teacher=teacher,
         source_model=gate,
         source=theta0,
+        frozen=~param_mask(theta0, bn_affine_filter),
         step=0,
         opt=AdamState.zeros(theta0.dim),
         rng_augment=rng_augment,
@@ -374,15 +376,22 @@ def fim_diag(grad: Array) -> Array:
 
 def fim_mask(fim: Array, delta: float) -> Array:
     """Select exactly floor(delta * D) coordinates with the smallest values;
-    ties break toward the lower index."""
+    ties break toward the lower index.
+
+    O(D): a partition finds the keep-th smallest value ``cut``; every value
+    below it is selected, then the lowest-index values equal to it fill the
+    rest. For input without NaN this is the mask of
+    ``argsort(fim, kind="stable")[:keep]``.
+    """
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
-    dim = fim.size
-    keep = int(math.floor(delta * dim))
-    mask = np.zeros(dim, dtype=bool)
-    if keep:
-        order = np.argsort(fim, kind="stable")
-        mask[order[:keep]] = True
+    keep = int(math.floor(delta * fim.size))
+    if not keep:
+        return np.zeros(fim.size, dtype=bool)
+    cut = np.partition(fim, keep - 1)[keep - 1]
+    mask = fim < cut
+    ties = np.flatnonzero(fim == cut)
+    mask[ties[: keep - int(mask.sum())]] = True
     return mask
 
 
@@ -460,7 +469,7 @@ def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None,
         raise NonFiniteLossError(f"{cfg.method} loss became non-finite at step {state.step}")
     grad_vec = state.student.grad_vector(wrapped, backward(loss, tape))
     if not has_teacher:
-        grad_vec[~param_mask(state.source, bn_affine_filter)] = 0.0
+        grad_vec[state.frozen] = 0.0
     if cfg.optimizer == "adam":
         state.student.theta -= adam_delta(state.opt, grad_vec, cfg.eta)
     else:

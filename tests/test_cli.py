@@ -71,6 +71,37 @@ def test_config_validates_ranges():
         config_from_dict({"model": {"sizes": [64, 8]}})
 
 
+# config documents whose leaf values have the wrong JSON type
+BAD_CONFIG_TYPES = {
+    "k_aug_string": {"adapt": {"k_aug": "x"}},
+    "tau_string": {"adapt": {"tau": "0.5"}},
+    "flag_as_int": {"adapt": {"reset_optimizer_state": 1}},
+    "seeds_string": {"seeds": "abc"},
+    "seed_float": {"seeds": [0, 1.5]},
+    "seed_bool": {"seeds": [True]},
+    "size_string": {"model": {"sizes": [64, "24", 8]}},
+    "count_bool": {"dataset": {"n_per_class": True}},
+    "order_seed_string": {"schedule": {"order_seed": "3"}},
+    "out_dir_number": {"out_dir": 5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_TYPES))
+def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, case):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(BAD_CONFIG_TYPES[case]), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), "--dump-config"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.") and err.count("\n") == 1
+
+
+def test_config_type_check_accepts_ints_as_floats_and_null_order_seed():
+    assert config_from_dict({"adapt": {"tau": 1, "alpha": 0}}).adapt.tau == 1.0
+    assert config_from_dict({"schedule": {"order_seed": None}}).schedule.order_seed is None
+    assert config_from_dict({"schedule": {"order_seed": 3}}).schedule.order_seed == 3
+    assert config_from_dict({"seeds": [7, 8]}).seeds == (7, 8)
+
+
 def test_resolve_method_aliases():
     assert resolve_method("petal_fim") == ("petal", "fim")
     assert resolve_method("petal_sres") == ("petal", "stochastic")
@@ -257,3 +288,28 @@ def test_cli_rejects_bad_checkpoint_entries(trained_dir, tmp_path, capsys, edit)
     assert main(["adapt", "--config", str(config_path), "--method", "petal"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# edits of a valid report.json that `report` must reject with one line
+MALFORMED_REPORTS = {
+    "missing_schedule": lambda doc: {k: v for k, v in doc.items() if k != "schedule"},
+    "json_list": lambda doc: [doc],
+    "null_overall": lambda doc: {**doc, "overall": None},
+    "segment_without_error": lambda doc: {
+        **doc,
+        "segments": [{k: v for k, v in s.items() if k != "error"} for s in doc["segments"]],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_cli_report_rejects_malformed_report(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    (run_dir,) = cmd_adapt(cfg, ["source"])
+    doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "source" / "seed0" / "report.json"
+    bad.parent.mkdir(parents=True)
+    bad.write_text(json.dumps(MALFORMED_REPORTS[case](doc)), encoding="utf-8")
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err

@@ -292,11 +292,34 @@ def test_fim_mask_tie_break_prefers_lower_index():
     assert np.array_equal(mask, [False, True, True, False])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.floats(0.0, 1.0))
-def test_fim_mask_cardinality(seed, dim, delta):
-    values = np.random.default_rng(seed).random(dim)
-    assert fim_mask(values, delta).sum() == math.floor(delta * dim)
+def _stable_argsort_mask(values, delta):
+    keep = math.floor(delta * values.size)
+    mask = np.zeros(values.size, dtype=bool)
+    mask[np.argsort(values, kind="stable")[:keep]] = True
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 200),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+    st.sampled_from(["uniform", "small_ints", "zeros", "with_inf"]),
+)
+def test_fim_mask_cardinality(seed, dim, delta, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        values = rng.random(dim)
+    elif kind == "small_ints":  # heavy ties
+        values = rng.integers(0, 4, dim).astype(np.float64)
+    elif kind == "zeros":
+        values = np.zeros(dim)
+    else:
+        values = rng.integers(0, 3, dim).astype(np.float64)
+        values[rng.random(dim) < 0.3] = np.inf
+    mask = fim_mask(values, delta)
+    assert mask.sum() == math.floor(delta * dim)
+    assert np.array_equal(mask, _stable_argsort_mask(values, delta))
 
 
 def test_stochastic_mask_extremes():
