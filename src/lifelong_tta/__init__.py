@@ -18,8 +18,8 @@ from .engine import (
     init_adapt_state,
     run_lifelong,
 )
-from .metrics import MetricAccumulator, brier, error_rate, nll
-from .model import FlatParams, MlpClassifier, init_model
+from .metrics import MetricAccumulator, per_sample_scores
+from .model import FlatParams, MlpClassifier
 from .streams import (
     CorruptionSpec,
     StreamSchedule,

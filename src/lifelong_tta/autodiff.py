@@ -305,11 +305,10 @@ def gaussian_log_density(
 
 def weighted_sum(
     terms: Sequence[tuple[float, Tensor]],
-    offset: float = 0.0,
     tape: Tape | None = None,
 ) -> Tensor:
-    """offset + sum of coefficient * scalar-tensor terms."""
-    total = offset
+    """Sum of coefficient * scalar-tensor terms."""
+    total = 0.0
     for coef, term in terms:
         if term.shape != ():
             raise ValueError("weighted_sum terms must be scalar tensors")

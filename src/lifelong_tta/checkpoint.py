@@ -8,6 +8,7 @@ unknown magic or versions.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,13 +56,20 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             cursor += 1
             shape = struct.unpack_from(f"<{rank}I", blob, cursor)
             cursor += 4 * rank
-            size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            if len(blob) - cursor < 8 * size:
-                raise CheckpointError("truncated checkpoint payload")
-            payload = np.frombuffer(blob, dtype="<f8", count=size, offset=cursor)
-            cursor += 8 * size
         except struct.error as exc:
             raise CheckpointError("truncated checkpoint") from exc
+        except UnicodeDecodeError as exc:
+            raise CheckpointError("checkpoint entry name is not UTF-8") from exc
+        if name in entries:
+            raise CheckpointError(f"duplicate checkpoint entry {name!r}")
+        size = math.prod(shape)  # a Python int, so no product of extents overflows
+        if len(blob) - cursor < 8 * size:
+            raise CheckpointError("truncated checkpoint payload")
+        # numpy sizes an array by its non-zero extents, even when another is zero
+        if 8 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+            raise CheckpointError("checkpoint extents exceed the addressable size")
+        payload = np.frombuffer(blob, dtype="<f8", count=size, offset=cursor)
+        cursor += 8 * size
         entries[name] = payload.astype(np.float64).reshape(shape)
     if cursor != len(blob):
         raise CheckpointError("trailing bytes after last checkpoint entry")

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .engine import (
     ADAPT_METHODS,
     BASELINE_METHODS,
@@ -285,7 +286,14 @@ def load_checkpoints(cfg: ExperimentConfig) -> tuple[MlpClassifier, SwagDiagPost
         raise FileNotFoundError(
             f"missing checkpoints under {out}; run train-source first"
         )
-    return MlpClassifier.load_checkpoint(model_path), SwagDiagPosterior.load(posterior_path)
+    model = MlpClassifier.load_checkpoint(model_path)
+    posterior = SwagDiagPosterior.load(posterior_path)
+    shapes = tuple(view.shape for view in model.params.values())
+    if posterior.mu.names != model.param_names or posterior.mu.shapes != shapes:
+        raise CheckpointError(
+            f"posterior {posterior_path} does not match the parameter layout of {model_path}"
+        )
+    return model, posterior
 
 
 def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
@@ -309,7 +317,7 @@ def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
             report, _ = run_lifelong(schedule, dataset, posterior, model, petal_cfg, seed)
             run_dir = Path(cfg.out_dir) / name / f"seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            doc = json.loads(report.to_json())
+            doc = report.to_document()
             doc["method_label"] = name
             doc["experiment"] = config_to_dict(cfg)
             (run_dir / "report.json").write_text(
@@ -353,25 +361,29 @@ def _check_report(doc, path: Path) -> str:
     return label
 
 
-def _collect_reports(run_dirs: list[str]) -> dict:
+def _collect_reports(run_dirs: list[str]) -> tuple[dict, list[tuple]]:
+    """Reports by method label, and the (segment, kind, severity) list that
+    every one of them must share with the first."""
     by_method: dict[str, list[dict]] = {}
+    first = None
     for root in run_dirs:
         for path in sorted(Path(root).rglob("report.json")):
             try:
                 doc = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed report {path}: {exc}") from exc
-            by_method.setdefault(_check_report(doc, path), []).append(doc)
-    if not by_method:
+            label = _check_report(doc, path)
+            keys = [(s["segment"], s["kind"], s["severity"]) for s in doc["segments"]]
+            if first is None:
+                first = (doc["schedule"], keys)
+            elif doc["schedule"] != first[0]:
+                raise ValueError("run directories mix different schedules")
+            elif keys != first[1]:
+                raise ValueError(f"report {path} does not have the segments of the first report")
+            by_method.setdefault(label, []).append(doc)
+    if first is None:
         raise ValueError("no report.json found under the given directories")
-    schedules = {
-        json.dumps(doc["schedule"], sort_keys=True)
-        for docs in by_method.values()
-        for doc in docs
-    }
-    if len(schedules) != 1:
-        raise ValueError("run directories mix different schedules")
-    return by_method
+    return by_method, first[1]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -388,9 +400,7 @@ def cmd_report(run_dirs: list[str]) -> tuple[str, str]:
     Segment columns appear in arrival order; the best (lowest) mean error per
     column is flagged with ``*``.
     """
-    by_method = _collect_reports(run_dirs)
-    any_doc = next(iter(by_method.values()))[0]
-    segment_keys = [(s["segment"], s["kind"], s["severity"]) for s in any_doc["segments"]]
+    by_method, segment_keys = _collect_reports(run_dirs)
     columns = [f"err@{kind}:{severity}" for _, kind, severity in segment_keys]
     columns += ["mean_err", "nll", "brier"]
     cells: dict[str, dict[str, tuple[float, float]]] = {}

@@ -21,7 +21,6 @@ batch's gradient; evaluation is strictly online.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -71,10 +70,6 @@ class AugmentParams:
     blur_prob: float = 0.3
     flip_prob: float = 0.5
     noise_std: float = 0.02
-
-    @classmethod
-    def identity(cls) -> "AugmentParams":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -150,14 +145,12 @@ def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array) -> Array:
     return top * (1.0 - fr) + bottom * fr
 
 
-def augment(images: Array, rng: np.random.Generator, params: AugmentParams | None = None) -> Array:
+def augment(images: Array, rng: np.random.Generator, params: AugmentParams = AugmentParams()) -> Array:
     """One randomized draw of the augmentation pipeline, clipped to [0, 1].
 
     Accepts (B, 64) or (B, 8, 8); the output matches the input shape. With all
     magnitudes zero the input comes back bit-identical.
     """
-    if params is None:
-        params = AugmentParams()
     shape_in = images.shape
     if images.ndim == 2:
         if images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
@@ -292,11 +285,6 @@ class StepReport:
     restored: int
     loss: float
 
-    def __post_init__(self) -> None:
-        rows = self.predictions
-        if rows.ndim != 2 or (np.abs(rows.sum(axis=1) - 1.0) > 1e-6).any() or (rows < 0).any():
-            raise ValueError("prediction rows must be probability distributions")
-
 
 # ---------------------------------------------------------------------------
 # pseudo-labels and losses
@@ -402,11 +390,12 @@ def stochastic_mask(dim: int, rho: float, rng: np.random.Generator) -> Array:
     return rng.random(dim) < rho
 
 
-def restore(theta: FlatParams, theta0: FlatParams, mask: Array) -> FlatParams:
-    """mask selects coordinates reset to theta0; the rest keep theta."""
-    if theta.dim != theta0.dim or mask.shape != (theta.dim,):
+def restore(theta: Array, theta0: Array, mask: Array) -> None:
+    """In place: the coordinates mask selects are reset to theta0; the rest
+    keep theta."""
+    if theta.shape != theta0.shape or mask.shape != theta.shape:
         raise ValueError("restore dimension mismatch")
-    return theta.with_values(np.where(mask, theta0.values, theta.values))
+    np.copyto(theta, theta0, where=mask)
 
 
 def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
@@ -416,8 +405,7 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
         mask = fim_mask(fim_diag(grad_vec), cfg.delta)
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
-    theta = state.student.theta
-    theta[:] = restore(state.source.with_values(theta), state.source, mask).values
+    restore(state.student.theta, state.source.values, mask)
     if cfg.reset_optimizer_state:
         state.opt.m[mask] = 0.0
         state.opt.v[mask] = 0.0
@@ -534,16 +522,16 @@ class RunReport:
     overall: dict | None
     rows: list[dict]
 
-    def to_json(self) -> str:
-        doc = {
+    def to_document(self) -> dict:
+        """The report.json content, before the CLI adds its own keys."""
+        return {
             "seed": self.seed,
             "method": self.method,
             "config": self.config,
             "schedule": self.schedule,
-            "segments": [vars(s) for s in self.segments],
+            "segments": [asdict(s) for s in self.segments],
             "overall": self.overall,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def rows_to_csv(self) -> str:
         lines = ["step,segment,error,nll,brier,loss,restored"]
@@ -553,19 +541,6 @@ class RunReport:
                 f"{row['brier']!r},{row['loss']!r},{row['restored']}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _schedule_document(schedule: StreamSchedule) -> dict:
-    try:
-        return schedule.to_document()
-    except ValueError:
-        return {
-            "segments": [
-                {"kind": spec.kind, "severity": spec.severity, "batches": count}
-                for spec, count in schedule.segments
-            ],
-            "batch_size": schedule.batch_size,
-        }
 
 
 def _reset_to_source(state: AdaptState) -> None:
@@ -613,8 +588,7 @@ def run_lifelong(
             report = adapt_step(state, batch.images, posterior, cfg)
         else:
             report = baseline_step(state, batch.images, cfg)
-        err, nll_values, brier_values = per_sample_scores(report.predictions, labels)
-        acc.update(batch.segment, report.predictions, labels)
+        err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
         rows.append(
             {
                 "step": len(rows),
@@ -658,7 +632,7 @@ def run_lifelong(
         seed=seed,
         method=cfg.method,
         config=asdict(cfg),
-        schedule=_schedule_document(schedule),
+        schedule=schedule.to_document(),
         segments=segments,
         overall=overall,
         rows=rows,

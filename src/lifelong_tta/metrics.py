@@ -1,9 +1,10 @@
 """Proper-scoring evaluation of online predictions.
 
-Error rate (percent), negative log-likelihood, and Brier score, plus an
-accumulator that keeps per-segment and overall means. Predicted probabilities
-are clamped at 1e-12 before taking logs so NLL stays finite under confident
-mistakes; argmax ties break toward the lowest class index.
+Per-sample error indicator, negative log-likelihood and Brier score, and an
+accumulator that keeps per-segment and overall means (error in percent).
+Predicted probabilities are clamped at 1e-12 before taking logs so NLL stays
+finite under confident mistakes; argmax ties break toward the lowest class
+index.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ Array = np.ndarray
 LOG_CLAMP = 1e-12
 
 
-def _check_inputs(preds: Array, labels: Array) -> None:
-    preds = np.asarray(preds)
+def per_sample_scores(preds: Array, labels: Array) -> tuple[Array, Array, Array]:
+    """Per-sample (error indicator, NLL, Brier) contributions."""
+    preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise ValueError("predictions must be a non-empty (N, C) array")
@@ -27,13 +29,6 @@ def _check_inputs(preds: Array, labels: Array) -> None:
         raise ValueError("labels must be (N,)")
     if (preds < 0.0).any() or (np.abs(preds.sum(axis=1) - 1.0) > 1e-6).any():
         raise ValueError("prediction rows must be probability distributions")
-
-
-def per_sample_scores(preds: Array, labels: Array) -> tuple[Array, Array, Array]:
-    """Per-sample (error indicator, NLL, Brier) contributions."""
-    _check_inputs(preds, labels)
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels)
     err = (preds.argmax(axis=1) != labels).astype(np.float64)
     picked = np.maximum(preds[np.arange(labels.size), labels], LOG_CLAMP)
     nll_values = -np.log(picked)
@@ -41,21 +36,6 @@ def per_sample_scores(preds: Array, labels: Array) -> tuple[Array, Array, Array]
     one_hot[np.arange(labels.size), labels] = 1.0
     brier_values = ((preds - one_hot) ** 2).sum(axis=1)
     return err, nll_values, brier_values
-
-
-def error_rate(preds: Array, labels: Array) -> float:
-    err, _, _ = per_sample_scores(preds, labels)
-    return 100.0 * float(err.mean())
-
-
-def nll(preds: Array, labels: Array) -> float:
-    _, values, _ = per_sample_scores(preds, labels)
-    return float(values.mean())
-
-
-def brier(preds: Array, labels: Array) -> float:
-    _, _, values = per_sample_scores(preds, labels)
-    return float(values.mean())
 
 
 @dataclass(frozen=True)
@@ -69,8 +49,8 @@ class MetricSummary:
 class MetricAccumulator:
     """Single-writer accumulator of per-sample scores, split by segment.
 
-    Means use ``math.fsum`` so merging accumulators is associative and
-    commutative: the result depends only on the multiset of samples.
+    Means use ``math.fsum``, so a summary depends only on the multiset of
+    samples in it, not on the order in which batches arrived.
     """
 
     def __init__(self) -> None:
@@ -78,11 +58,13 @@ class MetricAccumulator:
         self._nll: dict[int, list[float]] = {}
         self._brier: dict[int, list[float]] = {}
 
-    def update(self, segment: int, preds: Array, labels: Array) -> None:
+    def update(self, segment: int, preds: Array, labels: Array) -> tuple[Array, Array, Array]:
+        """Add a batch to ``segment``; returns its ``per_sample_scores``."""
         err, nll_values, brier_values = per_sample_scores(preds, labels)
         self._err.setdefault(segment, []).extend(err.tolist())
         self._nll.setdefault(segment, []).extend(nll_values.tolist())
         self._brier.setdefault(segment, []).extend(brier_values.tolist())
+        return err, nll_values, brier_values
 
     @property
     def count(self) -> int:
@@ -110,12 +92,3 @@ class MetricAccumulator:
         nll_values = [x for s in self.segments() for x in self._nll[s]]
         brier_values = [x for s in self.segments() for x in self._brier[s]]
         return self._summary(err, nll_values, brier_values)
-
-    def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
-        merged = MetricAccumulator()
-        for acc in (self, other):
-            for segment in acc.segments():
-                merged._err.setdefault(segment, []).extend(acc._err[segment])
-                merged._nll.setdefault(segment, []).extend(acc._nll[segment])
-                merged._brier.setdefault(segment, []).extend(acc._brier[segment])
-        return merged

@@ -218,19 +218,11 @@ def _entry(entries: dict[str, Array], name: str, shape: tuple[int, ...]) -> Arra
     return entries[name]
 
 
-def init_model(seed: int, sizes: Sequence[int]) -> MlpClassifier:
-    return MlpClassifier(sizes, seed=seed)
-
-
 # -- parameter filters ----------------------------------------------------------
 
 
 def bn_affine_filter(name: str) -> bool:
     return name.endswith(".gamma") or name.endswith(".beta")
-
-
-def all_trainable_filter(name: str) -> bool:
-    return True
 
 
 def param_mask(flat: FlatParams, predicate: Callable[[str], bool]) -> Array:

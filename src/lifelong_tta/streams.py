@@ -190,8 +190,7 @@ class StreamSchedule:
 
     segments: tuple[tuple[CorruptionSpec, int], ...]
     batch_size: int
-    shuffle_seed: int = 0
-    # builder provenance, needed only for JSON round-trips
+    # builder provenance, echoed into each run's report
     kinds: tuple[str, ...] | None = None
     mode: str | None = None
     order_seed: int | None = None
@@ -261,25 +260,6 @@ def build_schedule(
     )
 
 
-def schedule_from_document(doc: dict) -> StreamSchedule:
-    expected = {"kinds", "mode", "order_seed", "batches_per_segment", "batch_size"}
-    if set(doc) != expected:
-        raise ValueError(f"schedule document must have exactly the keys {sorted(expected)}")
-    # the builder re-applies order_seed, so pass kinds in their original order
-    kinds = doc["kinds"]
-    if doc["order_seed"] is not None:
-        rng = np.random.Generator(np.random.PCG64(doc["order_seed"]))
-        inverse = np.argsort(rng.permutation(len(kinds)))
-        kinds = [kinds[i] for i in inverse]
-    return build_schedule(
-        kinds,
-        doc["mode"],
-        doc["batches_per_segment"],
-        doc["batch_size"],
-        order_seed=doc["order_seed"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # streaming
 
@@ -295,7 +275,7 @@ class StreamBatch:
 def stream_batches(
     schedule: StreamSchedule,
     dataset: SyntheticDataset,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> Iterator[tuple[StreamBatch, Array]]:
     """Yield (engine-facing batch, ground-truth labels) pairs.
 
@@ -304,8 +284,6 @@ def stream_batches(
     """
     if schedule.batch_size > len(dataset):
         raise ValueError("batch_size exceeds dataset size")
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(schedule.shuffle_seed))
     n = len(dataset)
     for segment_id, (spec, n_batches) in enumerate(schedule.segments):
         pool: list[int] = []

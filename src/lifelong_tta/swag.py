@@ -1,10 +1,11 @@
 """Diagonal-Gaussian posterior over flattened parameters, fitted from SGD iterates.
 
 The estimator keeps running first and second moments of collected iterates;
-the fitted posterior evaluates its log-density and gradient, and exposes the
-mean as the maximum-a-posteriori initialization. Variances are floored at
-1e-8 so the density stays finite and its gradient bounded even when few
-iterates were collected.
+the fitted posterior holds the mean (the maximum-a-posteriori initialization)
+and the variances, and saves and loads them as a checkpoint. Its
+log-density is ``autodiff.gaussian_log_density`` over ``mu``/``sigma2``.
+Variances are floored at 1e-8 so that density stays finite and its gradient
+bounded even when few iterates were collected.
 """
 
 from __future__ import annotations
@@ -64,26 +65,6 @@ class SwagDiagPosterior:
     sigma2: FlatParams
     count: int
 
-    @property
-    def dim(self) -> int:
-        return self.mu.dim
-
-    def _check(self, theta: FlatParams) -> None:
-        if not theta.same_layout(self.mu):
-            raise ValueError("theta layout does not match the posterior")
-
-    def log_density(self, theta: FlatParams) -> float:
-        self._check(theta)
-        diff = theta.values - self.mu.values
-        s2 = self.sigma2.values
-        return float(
-            -(diff**2 / (2.0 * s2)).sum() - 0.5 * np.log(2.0 * math.pi * s2).sum()
-        )
-
-    def grad_log_density(self, theta: FlatParams) -> FlatParams:
-        self._check(theta)
-        return theta.with_values(-(theta.values - self.mu.values) / self.sigma2.values)
-
     def map_params(self) -> FlatParams:
         return self.mu.copy()
 
@@ -140,7 +121,7 @@ def train_source(
     momentum: float = 0.9,
     batch_size: int = 64,
     swag_epochs: int = 5,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[SwagDiagPosterior, list[dict]]:
     """SGD-with-momentum training on clean data, collecting one posterior
     iterate at the end of each of the final ``swag_epochs`` epochs.
@@ -148,8 +129,6 @@ def train_source(
     ``images`` is (N, input_dim) in [0, 1]; ``labels`` is (N,) class ids.
     Returns the fitted posterior and per-epoch loss/accuracy history.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(0))
     n = images.shape[0]
     n_classes = model.sizes[-1]
     targets = one_hot(labels, n_classes)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lifelong_tta.autodiff import Tape, backward, finite_diff_gradient
+from lifelong_tta.autodiff import Tape, Tensor, backward, finite_diff_gradient, gaussian_log_density
 from lifelong_tta.cli import ExperimentConfig, cmd_adapt, cmd_train_source
 from lifelong_tta.cli import DatasetConfig, ModelConfig, ScheduleConfig, SourceTrainConfig
 from lifelong_tta.engine import (
@@ -23,8 +23,8 @@ from lifelong_tta.engine import (
     init_adapt_state,
     petal_loss,
 )
-from lifelong_tta.metrics import brier, nll
-from lifelong_tta.model import FlatParams, MlpClassifier, init_model
+from lifelong_tta.metrics import per_sample_scores
+from lifelong_tta.model import FlatParams, MlpClassifier
 from lifelong_tta.streams import build_schedule, gradual_severities, make_source_dataset, stream_batches
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior
 
@@ -49,7 +49,7 @@ def _random_case(seed):
         int(rng.integers(4, 17)),
         int(rng.integers(2, 9)),
     )
-    model = init_model(seed, sizes)
+    model = MlpClassifier(sizes, seed=seed)
     flat = model.flatten()
     posterior = SwagDiagPosterior(
         mu=flat.with_values(rng.normal(scale=0.3, size=flat.dim)),
@@ -149,7 +149,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     # 200-step stochastic run on a compact model: per-step and total counts
     # must sit within six sigma of the binomial
     dataset = make_source_dataset(3, 40)
-    model = init_model(0, (64, 32, 8))
+    model = MlpClassifier((64, 32, 8), seed=0)
     est = SwagDiagEstimator(model.flatten())
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -220,6 +220,12 @@ def _simplex_argmin(score):
 
 
 def test_criterion_5_metric_oracles():
+    def nll(preds, labels):
+        return float(per_sample_scores(preds, labels)[1].mean())
+
+    def brier(preds, labels):
+        return float(per_sample_scores(preds, labels)[2].mean())
+
     uniform10 = np.full((1, 10), 0.1)
     brier_ok = abs(brier(uniform10, np.array([3])) - 0.90) < 1e-12
     nll_ok = abs(nll(uniform10, np.array([3])) - math.log(10.0)) < 1e-9
@@ -261,11 +267,16 @@ def test_criterion_6_swag_fidelity():
     stacked = np.stack(iterates)
     mu_ok = np.abs(post.mu.values - stacked.mean(axis=0)).max() < 1e-10
     var_ok = np.abs(post.sigma2.values - stacked.var(axis=0)).max() < 1e-10
-    probe = template.with_values(post.mu.values + np.array([0.2, -0.1]))
-    numeric = finite_diff_gradient(
-        lambda v: post.log_density(template.with_values(v)), probe.values, 1e-5
-    )
-    analytic = post.grad_log_density(probe).values
+    probe = post.mu.values + np.array([0.2, -0.1])
+
+    def log_q(theta, tape=None):
+        # the posterior term of petal_loss
+        return gaussian_log_density([theta], [post.mu.values], [post.sigma2.values], tape)
+
+    numeric = finite_diff_gradient(lambda v: log_q(Tensor(v)).item(), probe, 1e-5)
+    tape = Tape()
+    theta = Tensor(probe)
+    analytic = backward(log_q(theta, tape), tape)[theta]
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
     check(6, "fitted moments match the iterate set and the density gradient is exact",
           mu_ok and var_ok and rel.max() < 1e-5,

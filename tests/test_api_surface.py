@@ -1,0 +1,70 @@
+"""Every public function, class and method of the package is used by the
+program itself.
+
+A name counts as used when some module of ``src/``, ``scripts/`` or
+``perfbench/`` (other than ``lifelong_tta/__init__.py`` and the tests)
+mentions it as a name, an attribute or a string constant; the string form
+covers ``perfbench/layers.py``, which hooks functions by their names. Code
+that only its own tests call is deleted, and the property those tests check
+moves into a test of the code that remains.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lifelong_tta"
+
+# public names kept although nothing in the program calls them, with the reason
+ALLOWED = {
+    "finite_diff_gradient": "the central-difference reference the gradient tests compare against",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name) of each public module-level function and
+    class, and of each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _mentions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _program_files():
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            parts = path.relative_to(ROOT).parts
+            if path.name == "__init__.py" or "tests" in parts:
+                continue
+            yield path
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_public_name_is_used_by_the_program():
+    used = {name for path in _program_files() for name in _mentions(_parse(path))}
+    defined = [
+        (f"{path.stem}.{qualified}", bare)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for qualified, bare in _definitions(_parse(path))
+    ]
+    assert [q for q, bare in defined if bare not in used and bare not in ALLOWED] == []
+    # the allowlist holds only names that still exist and are still unused
+    for name in ALLOWED:
+        assert name in {bare for _, bare in defined} and name not in used, name

@@ -313,3 +313,45 @@ def test_cli_report_rejects_malformed_report(trained_dir, tmp_path, capsys, case
     assert main(["report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+
+# edits of the second of two report.json files whose segment list then
+# differs from the first's
+SEGMENT_EDITS = {
+    "fewer_segments": lambda segments: segments[:-1],
+    "more_segments": lambda segments: segments + [{**segments[-1], "segment": len(segments)}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEGMENT_EDITS))
+def test_cli_report_rejects_reports_with_other_segments(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    (run_dir,) = cmd_adapt(cfg, ["source"])
+    doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    first = tmp_path / "a" / "report.json"
+    bad = tmp_path / "b" / "report.json"
+    for path in (first, bad):
+        path.parent.mkdir()
+    first.write_text(json.dumps(doc), encoding="utf-8")
+    bad.write_text(
+        json.dumps({**doc, "segments": SEGMENT_EDITS[case](doc["segments"])}), encoding="utf-8"
+    )
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+
+def test_cli_rejects_posterior_of_another_model(trained_dir, tmp_path, capsys):
+    out, cfg = trained_dir
+    other = dataclasses.replace(
+        cfg, model=ModelConfig(sizes=(64, 16, 8)), out_dir=str(tmp_path / "other")
+    )
+    cmd_train_source(other)
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(Path(out) / MODEL_CHECKPOINT, run / MODEL_CHECKPOINT)
+    shutil.copy(tmp_path / "other" / POSTERIOR_CHECKPOINT, run / POSTERIOR_CHECKPOINT)
+    assert main(["adapt", "--out", str(run), "--method", "source", "--seeds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(run / POSTERIOR_CHECKPOINT) in err and str(run / MODEL_CHECKPOINT) in err

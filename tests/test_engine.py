@@ -26,7 +26,7 @@ from lifelong_tta.engine import (
     stochastic_mask,
     teacher_pseudo_label,
 )
-from lifelong_tta.model import MlpClassifier, init_model
+from lifelong_tta.model import MlpClassifier
 from lifelong_tta.streams import (
     CorruptionSpec,
     StreamSchedule,
@@ -41,7 +41,7 @@ from lifelong_tta.swag import SwagDiagEstimator, train_source
 def small_bundle():
     """Source model + posterior on a small dataset, shared by engine tests."""
     dataset = make_source_dataset(0, 30)
-    model = init_model(0, (64, 32, 8))
+    model = MlpClassifier((64, 32, 8), seed=0)
     posterior, _ = train_source(
         model,
         dataset.images.reshape(len(dataset), -1),
@@ -52,6 +52,10 @@ def small_bundle():
         rng=np.random.default_rng(1),
     )
     return dataset, model, posterior
+
+
+# every magnitude zero: each augmentation draw returns its input
+NO_AUGMENT = AugmentParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def fast_cfg(**overrides):
@@ -78,7 +82,7 @@ def batch_from(dataset, n=16, severity=0, seed=0):
 def test_augment_identity_config_is_bit_exact():
     rng = np.random.default_rng(0)
     images = rng.random((5, 64))
-    out = augment(images, rng, AugmentParams.identity())
+    out = augment(images, rng, NO_AUGMENT)
     assert np.array_equal(out, images)
 
 
@@ -124,7 +128,7 @@ def test_gate_always_passes_at_tau_zero(small_bundle):
 def test_gate_never_passes_above_one(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    cfg = fast_cfg(tau=2.0, k_aug=2, augment=AugmentParams.identity())
+    cfg = fast_cfg(tau=2.0, k_aug=2, augment=NO_AUGMENT)
     state = init_adapt_state(model, posterior, cfg, seed=0)
     direct = softmax(state.teacher.forward(images, update_stats=False)).data
     preds = teacher_pseudo_label(state, images, cfg)
@@ -174,10 +178,11 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     from lifelong_tta.autodiff import Tensor, soft_cross_entropy
 
     ce = soft_cross_entropy(Tensor(pseudo), logits).item()
-    log_q = posterior.log_density(state.student.flatten())
+    assert np.array_equal(state.student.theta, posterior.mu.values)
+    # at theta = mu the quadratic term is zero: log q is the normalizer alone
+    log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2.values).sum()
     expected = ce - 1.0 * log_q
     assert abs(loss.item() - expected) < 1e-9
-    assert abs(log_q - (-0.5 * np.log(2 * np.pi * posterior.sigma2.values).sum())) < 1e-9
 
 
 def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
@@ -202,7 +207,7 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
 def test_petal_loss_rejects_mismatched_posterior(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    other = init_model(0, (64, 16, 8))
+    other = MlpClassifier((64, 16, 8), seed=0)
     est = SwagDiagEstimator(other.flatten())
     est.collect(other.flatten())
     wrong = est.finalize()
@@ -229,8 +234,8 @@ def test_ema_extremes(small_bundle):
 
 
 def test_ema_arithmetic():
-    teacher = init_model(0, (4, 4, 2))
-    student = init_model(0, (4, 4, 2))
+    teacher = MlpClassifier((4, 4, 2), seed=0)
+    student = MlpClassifier((4, 4, 2), seed=0)
     ones = teacher.flatten().with_values(np.ones(teacher.flatten().dim))
     zeros = ones.with_values(np.zeros(ones.dim))
     teacher.load(ones)
@@ -241,8 +246,8 @@ def test_ema_arithmetic():
 
 def test_ema_contraction_with_frozen_student():
     # with the student at zero, each update multiplies the gap by pi exactly
-    teacher = init_model(1, (4, 4, 2))
-    student = init_model(1, (4, 4, 2))
+    teacher = MlpClassifier((4, 4, 2), seed=1)
+    student = MlpClassifier((4, 4, 2), seed=1)
     student.load(student.flatten().with_values(np.zeros(student.flatten().dim)))
     pi = 0.9
     for _ in range(3):
@@ -252,8 +257,8 @@ def test_ema_contraction_with_frozen_student():
 
 
 def test_ema_copies_student_stats():
-    teacher = init_model(2, (4, 4, 2))
-    student = init_model(2, (4, 4, 2))
+    teacher = MlpClassifier((4, 4, 2), seed=2)
+    student = MlpClassifier((4, 4, 2), seed=2)
     student.stats[0].mean[:] = 7.0
     ema_update(teacher, student, pi=0.5)
     assert np.array_equal(teacher.stats[0].mean, student.stats[0].mean)
@@ -263,7 +268,7 @@ def test_ema_copies_student_stats():
 
 def test_ema_registry_mismatch():
     with pytest.raises(ValueError):
-        ema_update(init_model(0, (4, 4, 2)), init_model(0, (4, 5, 2)), 0.9)
+        ema_update(MlpClassifier((4, 4, 2), seed=0), MlpClassifier((4, 5, 2), seed=0), 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +341,22 @@ def test_stochastic_mask_binomial_bound():
 
 def test_restore_semantics(small_bundle):
     _, model, _ = small_bundle
-    flat = model.flatten()
-    theta0 = flat.with_values(np.full(flat.dim, 5.0))
-    theta = flat.with_values(np.full(flat.dim, 7.0))
-    none = restore(theta, theta0, np.zeros(flat.dim, dtype=bool))
-    assert np.array_equal(none.values, theta.values)
-    full = restore(theta, theta0, np.ones(flat.dim, dtype=bool))
-    assert np.array_equal(full.values, theta0.values)
-    mask = np.zeros(flat.dim, dtype=bool)
+    dim = model.theta.size
+    theta0 = np.full(dim, 5.0)
+    theta = np.full(dim, 7.0)
+    restore(theta, theta0, np.zeros(dim, dtype=bool))
+    assert np.array_equal(theta, np.full(dim, 7.0))
+    mask = np.zeros(dim, dtype=bool)
     mask[0] = True
-    mixed = restore(theta, theta0, mask)
-    assert mixed.values[0] == 5.0 and mixed.values[1] == 7.0
+    restore(theta, theta0, mask)  # in place
+    assert theta[0] == 5.0 and np.array_equal(theta[1:], np.full(dim - 1, 7.0))
+    restore(theta, theta0, np.ones(dim, dtype=bool))
+    assert np.array_equal(theta, theta0)
+    assert np.array_equal(theta0, np.full(dim, 5.0))  # the target is never written
     with pytest.raises(ValueError):
         restore(theta, theta0, np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError):
+        restore(theta, theta0[:-1], np.zeros(dim, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +497,10 @@ def test_source_baseline_matches_offline_eval(small_bundle):
     probe.set_bn_mode("eval")
     expected = softmax(probe.forward(images)).data
     assert np.array_equal(report.predictions, expected)
-    from lifelong_tta.metrics import error_rate
+    from lifelong_tta.metrics import per_sample_scores
 
     offline = evaluate_model(probe, images.reshape(-1, 8, 8), labels)
-    assert error_rate(report.predictions, labels) == offline.error
+    assert 100.0 * float(per_sample_scores(report.predictions, labels)[0].mean()) == offline.error
 
 
 def test_source_baseline_mutates_nothing(small_bundle):
@@ -564,7 +572,9 @@ def test_unknown_baseline_method(small_bundle):
 
 def test_empty_schedule_gives_empty_report(small_bundle):
     dataset, model, posterior = small_bundle
-    schedule = StreamSchedule(segments=(), batch_size=8)
+    schedule = StreamSchedule(
+        segments=(), batch_size=8, kinds=(), mode="continual5", order_seed=None, batches_per_segment=1
+    )
     cfg = fast_cfg()
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     assert report.segments == [] and report.rows == [] and report.overall is None
@@ -605,7 +615,7 @@ def test_run_is_deterministic(small_bundle):
     cfg = fast_cfg()
     a, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=3)
     b, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=3)
-    assert a.to_json() == b.to_json()
+    assert a.to_document() == b.to_document()
     assert a.rows_to_csv() == b.rows_to_csv()
 
 
@@ -624,7 +634,13 @@ def test_run_report_has_config_echo_and_segments(small_bundle):
     cfg = fast_cfg()
     report, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     assert report.config["alpha"] == cfg.alpha
-    assert report.schedule["mode"] == "continual5"
+    assert report.schedule == {
+        "kinds": ["contrast"],
+        "mode": "continual5",
+        "order_seed": None,
+        "batches_per_segment": 2,
+        "batch_size": 8,
+    }
     assert [s.kind for s in report.segments] == ["contrast"]
     csv_text = report.rows_to_csv()
     assert csv_text.splitlines()[0] == "step,segment,error,nll,brier,loss,restored"

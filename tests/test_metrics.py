@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.metrics import MetricAccumulator, brier, error_rate, nll
+from lifelong_tta.metrics import MetricAccumulator, per_sample_scores
+
+
+def error_rate(preds, labels):
+    return 100.0 * float(per_sample_scores(preds, labels)[0].mean())
+
+
+def nll(preds, labels):
+    return float(per_sample_scores(preds, labels)[1].mean())
+
+
+def brier(preds, labels):
+    return float(per_sample_scores(preds, labels)[2].mean())
 
 
 def one_hot_rows(labels, n_classes):
@@ -143,13 +155,24 @@ def test_aggregation_linearity():
         assert abs(getattr(overall, key) - weighted[key] / total) < 1e-12
 
 
-def test_merge_is_commutative_and_matches_multiset():
+def test_accumulator_is_independent_of_batch_order():
     rng = np.random.default_rng(2)
-    a, b = MetricAccumulator(), MetricAccumulator()
-    for acc, segment in ((a, 0), (a, 1), (b, 1), (b, 2)):
-        preds, labels = _random_batch(rng, 12)
-        acc.update(segment, preds, labels)
-    ab = a.merge(b).overall()
-    ba = b.merge(a).overall()
-    assert ab == ba  # fsum over the same multiset is order-independent
-    assert a.merge(b).count == a.count + b.count
+    batches = [(segment, *_random_batch(rng, 12)) for segment in (0, 1, 1, 2, 0, 2)]
+    forward, backward = MetricAccumulator(), MetricAccumulator()
+    for segment, preds, labels in batches:
+        forward.update(segment, preds, labels)
+    for segment, preds, labels in reversed(batches):
+        backward.update(segment, preds, labels)
+    # fsum over the same multiset is order-independent, so equality is exact
+    assert forward.overall() == backward.overall()
+    assert forward.segments() == backward.segments() == [0, 1, 2]
+    for segment in forward.segments():
+        assert forward.segment_summary(segment) == backward.segment_summary(segment)
+    assert forward.count == len(batches) * 12
+
+
+def test_update_returns_the_per_sample_scores_it_adds():
+    preds, labels = _random_batch(np.random.default_rng(3), 9)
+    returned = MetricAccumulator().update(4, preds, labels)
+    for got, expected in zip(returned, per_sample_scores(preds, labels), strict=True):
+        assert np.array_equal(got, expected)

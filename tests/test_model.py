@@ -1,33 +1,31 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lifelong_tta.autodiff import softmax
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from lifelong_tta.model import (
-    MlpClassifier,
-    all_trainable_filter,
-    bn_affine_filter,
-    init_model,
-    param_mask,
-)
+from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 
 
 def test_init_is_deterministic():
-    a = init_model(7, (2, 4, 3)).flatten()
-    b = init_model(7, (2, 4, 3)).flatten()
+    a = MlpClassifier((2, 4, 3), seed=7).flatten()
+    b = MlpClassifier((2, 4, 3), seed=7).flatten()
     assert np.array_equal(a.values, b.values)
 
 
 def test_different_seeds_differ():
-    a = init_model(1, (2, 4, 3)).flatten()
-    b = init_model(2, (2, 4, 3)).flatten()
+    a = MlpClassifier((2, 4, 3), seed=1).flatten()
+    b = MlpClassifier((2, 4, 3), seed=2).flatten()
     assert not np.array_equal(a.values, b.values)
 
 
 def test_registry_dimension_counts():
     # W0 (2*4) + b0 (4) + gamma (4) + beta (4) + W1 (4*3) + b1 (3); BN running
     # stats stay out of the trainables
-    flat = init_model(0, (2, 4, 3)).flatten()
+    flat = MlpClassifier((2, 4, 3), seed=0).flatten()
     sizes = {n: int(np.prod(s)) for n, s in zip(flat.names, flat.shapes)}
     assert sizes == {
         "hidden0.weight": 8,
@@ -41,7 +39,7 @@ def test_registry_dimension_counts():
 
 
 def test_registry_order_invariance():
-    assert init_model(0, (5, 7, 7, 2)).param_names == init_model(9, (5, 7, 7, 2)).param_names
+    assert MlpClassifier((5, 7, 7, 2), seed=0).param_names == MlpClassifier((5, 7, 7, 2), seed=9).param_names
 
 
 def test_invalid_sizes():
@@ -54,7 +52,7 @@ def test_invalid_sizes():
 
 
 def test_zero_final_layer_gives_uniform_softmax():
-    model = init_model(0, (3, 5, 4))
+    model = MlpClassifier((3, 5, 4), seed=0)
     flat = model.flatten()
     values = flat.values.copy()
     for name in ("out.weight", "out.bias"):
@@ -67,7 +65,7 @@ def test_zero_final_layer_gives_uniform_softmax():
 
 
 def test_eval_forward_is_pure_and_deterministic():
-    model = init_model(3, (4, 6, 3))
+    model = MlpClassifier((4, 6, 3), seed=3)
     model.set_bn_mode("eval")
     x = np.random.default_rng(1).random((5, 4))
     before_mean = model.stats[0].mean.copy()
@@ -78,7 +76,7 @@ def test_eval_forward_is_pure_and_deterministic():
 
 
 def test_train_forward_updates_running_stats():
-    model = init_model(3, (4, 6, 3))
+    model = MlpClassifier((4, 6, 3), seed=3)
     x = np.random.default_rng(2).random((8, 4))
     model.set_bn_mode("eval")
     eval_before = model.forward(x).data
@@ -90,7 +88,7 @@ def test_train_forward_updates_running_stats():
 
 
 def test_flatten_load_round_trip_is_bit_identical():
-    model = init_model(5, (4, 8, 8, 3))
+    model = MlpClassifier((4, 8, 8, 3), seed=5)
     flat = model.flatten()
     model.load(flat)
     again = model.flatten()
@@ -99,7 +97,7 @@ def test_flatten_load_round_trip_is_bit_identical():
 
 
 def test_load_zeros_gives_constant_logits_per_row():
-    model = init_model(5, (4, 6, 3))
+    model = MlpClassifier((4, 6, 3), seed=5)
     flat = model.flatten()
     model.load(flat.with_values(np.zeros(flat.dim)))
     logits = model.forward(np.random.default_rng(3).random((4, 4)), update_stats=False).data
@@ -107,7 +105,7 @@ def test_load_zeros_gives_constant_logits_per_row():
 
 
 def test_perturbing_one_entry_touches_only_that_tensor():
-    model = init_model(5, (4, 6, 3))
+    model = MlpClassifier((4, 6, 3), seed=5)
     flat = model.flatten()
     values = flat.values.copy()
     i = flat.names.index("hidden0.beta")
@@ -121,14 +119,14 @@ def test_perturbing_one_entry_touches_only_that_tensor():
 
 
 def test_load_rejects_registry_mismatch():
-    model = init_model(0, (4, 6, 3))
-    other = init_model(0, (4, 7, 3)).flatten()
+    model = MlpClassifier((4, 6, 3), seed=0)
+    other = MlpClassifier((4, 7, 3), seed=0).flatten()
     with pytest.raises(ValueError):
         model.load(other)
 
 
 def test_bn_filter_selects_exactly_the_affine_names():
-    flat = init_model(0, (4, 6, 6, 3)).flatten()
+    flat = MlpClassifier((4, 6, 6, 3), seed=0).flatten()
     mask = param_mask(flat, bn_affine_filter)
     for name, shape, offset in zip(flat.names, flat.shapes, flat.offsets):
         block = mask[offset : offset + int(np.prod(shape))]
@@ -136,11 +134,11 @@ def test_bn_filter_selects_exactly_the_affine_names():
             assert block.all()
         else:
             assert not block.any()
-    assert param_mask(flat, all_trainable_filter).all()
+    assert param_mask(flat, lambda name: True).all()
 
 
 def test_clone_is_independent():
-    model = init_model(0, (4, 6, 3))
+    model = MlpClassifier((4, 6, 3), seed=0)
     twin = model.clone()
     twin.params["out.bias"][0] += 5.0
     twin.stats[0].mean[0] += 1.0
@@ -149,7 +147,7 @@ def test_clone_is_independent():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = init_model(11, (4, 6, 3))
+    model = MlpClassifier((4, 6, 3), seed=11)
     model.forward(np.random.default_rng(0).random((6, 4)))  # move the stats
     path = tmp_path / "model.ptta"
     model.save(path)
@@ -220,3 +218,80 @@ def test_checkpoint_preserves_order_and_values(tmp_path):
     assert list(loaded) == ["z.second", "a.first"]
     for key in entries:
         assert np.array_equal(loaded[key], entries[key])
+
+
+def _encode(entries, count=None):
+    """Checkpoint bytes of (name bytes, extents, values) triples, and the
+    (offset, struct format) of every header field after the magic; unlike
+    ``write_checkpoint`` it can write any name, extent or entry count."""
+    blob = bytearray(b"PTTA")
+    fields = [(4, "<I"), (8, "<I")]  # version, entry count
+    blob += struct.pack("<II", 1, len(entries) if count is None else count)
+    for name, extents, values in entries:
+        fields.append((len(blob), "<H"))
+        blob += struct.pack("<H", len(name)) + name
+        fields.append((len(blob), "<B"))
+        blob += struct.pack("<B", len(extents))
+        for extent in extents:
+            fields.append((len(blob), "<I"))
+            blob += struct.pack("<I", extent)
+        blob += np.asarray(values, dtype="<f8").tobytes()
+    return bytes(blob), fields
+
+
+def _read(path, blob):
+    path.write_bytes(blob)
+    return read_checkpoint(path)
+
+
+_checkpoints = st.lists(
+    st.tuples(st.text(min_size=1, max_size=6), st.lists(st.integers(0, 3), min_size=1, max_size=3)),
+    min_size=2,
+    max_size=3,
+    unique_by=lambda entry: entry[0],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_checkpoints, data=st.data())
+def test_checkpoint_reader_returns_or_raises_checkpoint_error(tmp_path_factory, spec, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ptta"
+    arrays = {name: np.arange(float(np.prod(shape))).reshape(shape) for name, shape in spec}
+    blob, fields = _encode(
+        [(name.encode("utf-8"), a.shape, a.ravel()) for name, a in arrays.items()]
+    )
+    write_checkpoint(path, arrays)
+    assert path.read_bytes() == blob
+    loaded = read_checkpoint(path)
+    assert list(loaded) == list(arrays)
+    for cut in range(len(blob)):
+        with pytest.raises(CheckpointError):
+            _read(path, blob[:cut])
+    flipped = bytearray(blob)
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    edited = bytearray(blob)
+    offset, fmt = data.draw(st.sampled_from(fields), label="field")
+    top = 2 ** (8 * struct.calcsize(fmt)) - 1
+    struct.pack_into(fmt, edited, offset, data.draw(st.integers(0, top), label="value"))
+    for mutant in (flipped, edited):
+        try:
+            _read(path, bytes(mutant))
+        except CheckpointError:
+            pass
+
+
+BAD_CHECKPOINTS = {
+    "name_not_utf8": ([(b"\xff\xfe", (1,), [0.0])], "UTF-8"),
+    "extents_overflow_int64": ([(b"a", (2**16,) * 4, [])], "truncated"),  # 2**64 wraps to 0
+    "extents_too_big_for_numpy": ([(b"a", (0,) + (2**32 - 1,) * 3, [])], "addressable"),
+    "duplicate_name": ([(b"a", (1,), [1.0]), (b"a", (1,), [2.0])], "duplicate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_checkpoint_rejects_malformed_entries(tmp_path, case):
+    entries, message = BAD_CHECKPOINTS[case]
+    blob, _ = _encode(entries)
+    with pytest.raises(CheckpointError, match=message):
+        _read(tmp_path / "bad.ptta", blob)
