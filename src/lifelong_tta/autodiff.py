@@ -181,9 +181,11 @@ def batch_norm(
         if n < 2:
             raise ValueError("batch_norm train mode needs a batch of at least 2")
         batch_mean = x.data.mean(axis=0)
-        batch_var = x.data.var(axis=0)
+        centered = x.data - batch_mean
+        # numpy's own variance formula, so batch_var equals x.var(axis=0) bit for bit
+        batch_var = np.multiply(centered, centered).sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
-        x_hat = (x.data - batch_mean) * inv_std
+        x_hat = centered * inv_std
         if update_stats:
             m = BN_MOMENTUM
             stats.mean = (1.0 - m) * stats.mean + m * batch_mean

@@ -26,7 +26,8 @@ def write_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
     """Write named arrays in the given order."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(entries))]
     for name, values in entries.items():
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        # np.ascontiguousarray would turn a 0-d array into shape (1,)
+        arr = np.array(values, dtype=np.float64, order="C")
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)

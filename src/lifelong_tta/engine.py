@@ -120,28 +120,39 @@ class PetalConfig:
 # augmentation
 
 
+# output-pixel offsets from the image center, by row (_RR) and by column (_CC)
+_CENTER = (IMAGE_SIDE - 1) / 2.0
+_OFFSETS = np.arange(IMAGE_SIDE) - _CENTER
+_RR, _CC = np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij")
+
+
 def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array) -> Array:
-    """Per-sample rotation + shift with bilinear resampling, replicate border."""
+    """Per-sample rotation + shift with bilinear resampling, replicate border.
+
+    ``images`` is (B, IMAGE_SIDE, IMAGE_SIDE).
+    """
     b, side, _ = images.shape
-    center = (side - 1) / 2.0
-    rows, cols = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-    rr = rows[None] - center
-    cc = cols[None] - center
     cos = np.cos(theta)[:, None, None]
     sin = np.sin(theta)[:, None, None]
-    src_r = cos * rr + sin * cc + center - dy[:, None, None]
-    src_c = -sin * rr + cos * cc + center - dx[:, None, None]
-    src_r = np.clip(src_r, 0.0, side - 1.0)
-    src_c = np.clip(src_c, 0.0, side - 1.0)
-    r0 = np.floor(src_r).astype(np.intp)
-    c0 = np.floor(src_c).astype(np.intp)
+    src_r = cos * _RR + sin * _CC + _CENTER - dy[:, None, None]
+    src_c = -sin * _RR + cos * _CC + _CENTER - dx[:, None, None]
+    np.clip(src_r, 0.0, side - 1.0, out=src_r)
+    np.clip(src_c, 0.0, side - 1.0, out=src_c)
+    # the clip leaves every coordinate >= 0, where truncation equals floor
+    r0 = src_r.astype(np.intp)
+    c0 = src_c.astype(np.intp)
     r1 = np.minimum(r0 + 1, side - 1)
     c1 = np.minimum(c0 + 1, side - 1)
     fr = src_r - r0
     fc = src_c - c0
-    bidx = np.arange(b)[:, None, None]
-    top = images[bidx, r0, c0] * (1.0 - fc) + images[bidx, r0, c1] * fc
-    bottom = images[bidx, r1, c0] * (1.0 - fc) + images[bidx, r1, c1] * fc
+    # gather from the flat buffer: pixel (i, r, c) sits at i*side^2 + r*side + c
+    flat = images.reshape(-1)
+    base = (np.arange(b) * (side * side))[:, None, None]
+    row0 = base + r0 * side
+    row1 = base + r1 * side
+    wc = 1.0 - fc
+    top = flat.take(row0 + c0) * wc + flat.take(row0 + c1) * fc
+    bottom = flat.take(row1 + c0) * wc + flat.take(row1 + c1) * fc
     return top * (1.0 - fr) + bottom * fr
 
 
@@ -156,7 +167,7 @@ def augment(images: Array, rng: np.random.Generator, params: AugmentParams = Aug
         if images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
             raise ValueError("flattened images must have 64 columns")
         batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    elif images.ndim == 3:
+    elif images.shape[1:] == (IMAGE_SIDE, IMAGE_SIDE):
         batch = images
     else:
         raise ValueError("augment expects (B, 64) or (B, 8, 8)")
@@ -168,7 +179,7 @@ def augment(images: Array, rng: np.random.Generator, params: AugmentParams = Aug
         out = 0.5 + factors[:, None, None] * (out - 0.5)
         changed = True
     if params.brightness:
-        out = out + rng.uniform(-params.brightness, params.brightness, b)[:, None, None]
+        out += rng.uniform(-params.brightness, params.brightness, b)[:, None, None]
         changed = True
     if params.max_shift_px or params.max_rot_deg:
         dx = rng.uniform(-params.max_shift_px, params.max_shift_px, b)
@@ -186,10 +197,10 @@ def augment(images: Array, rng: np.random.Generator, params: AugmentParams = Aug
         out[flags] = out[flags, :, ::-1]
         changed = True
     if params.noise_std:
-        out = out + rng.normal(0.0, params.noise_std, out.shape)
+        out += rng.normal(0.0, params.noise_std, out.shape)
         changed = True
     if changed:
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
     return out.reshape(shape_in)
 
 

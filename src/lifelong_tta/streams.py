@@ -135,12 +135,30 @@ def make_source_dataset(seed: int, n_per_class: int) -> SyntheticDataset:
 
 
 def _box_blur(images: Array, kernel: int, passes: int) -> Array:
+    """Mean over each ``kernel`` x ``kernel`` window (odd, >= 3), edges
+    replicated, applied ``passes`` times to a (B, H, W) batch.
+
+    Each window row is summed left to right, then the row sums top to bottom,
+    then divided by kernel**2: the order numpy sums a window in
+    ``sliding_window_view(...).mean(axis=(-2, -1))``, so the result is
+    bit-identical to that mean. Summing columns first differs in the last bit.
+    """
     pad = kernel // 2
+    _, h, w = images.shape
     out = images
     for _ in range(passes):
         padded = np.pad(out, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
-        out = windows.mean(axis=(-2, -1))
+        total = None
+        for i in range(kernel):
+            window_row = padded[:, i : h + i]
+            row_sum = window_row[:, :, 0:w] + window_row[:, :, 1 : w + 1]
+            for j in range(2, kernel):
+                row_sum += window_row[:, :, j : w + j]
+            if total is None:
+                total = row_sum
+            else:
+                total += row_sum
+        out = total / (kernel * kernel)
     return out
 
 

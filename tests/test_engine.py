@@ -109,6 +109,8 @@ def test_augment_preserves_shape_conventions():
     assert augment(square, np.random.default_rng(0)).shape == (4, 8, 8)
     with pytest.raises(ValueError):
         augment(rng.random((4, 63)), rng)
+    with pytest.raises(ValueError):
+        augment(rng.random((4, 7, 7)), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -211,12 +211,18 @@ def test_checkpoint_wire_format_decodes_by_hand(tmp_path):
 
 def test_checkpoint_preserves_order_and_values(tmp_path):
     rng = np.random.default_rng(4)
-    entries = {"z.second": rng.normal(size=(2, 3)), "a.first": rng.normal(size=5)}
+    entries = {
+        "z.second": rng.normal(size=(2, 3)),
+        "a.first": rng.normal(size=3),
+        "scalar": np.asarray(2.5),
+        "empty": np.zeros(0),
+    }
     path = tmp_path / "arrays.ptta"
     write_checkpoint(path, entries)
     loaded = read_checkpoint(path)
-    assert list(loaded) == ["z.second", "a.first"]
+    assert list(loaded) == ["z.second", "a.first", "scalar", "empty"]
     for key in entries:
+        assert loaded[key].shape == entries[key].shape
         assert np.array_equal(loaded[key], entries[key])
 
 
