@@ -1,7 +1,11 @@
 """Grid search for the posterior-anchor weight alpha on the held-out tuning
 corruption (impulse noise), which stays out of the headline schedule.
 
-    python3 scripts/tune_regularizer.py
+Reads the source model and posterior that ``train-source`` wrote to the same
+directory:
+
+    lifelong-tta train-source --out runs/benchmark
+    python3 scripts/tune_regularizer.py --out runs/benchmark
 """
 
 import argparse
@@ -12,36 +16,27 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lifelong_tta.cli import ExperimentConfig, HELD_OUT_KIND  # noqa: E402
+from lifelong_tta.cli import ExperimentConfig, HELD_OUT_KIND, load_checkpoints, validate_config  # noqa: E402
 from lifelong_tta.engine import PetalConfig, run_lifelong  # noqa: E402
-from lifelong_tta.model import MlpClassifier  # noqa: E402
 from lifelong_tta.streams import build_schedule, make_source_dataset  # noqa: E402
-from lifelong_tta.swag import train_source  # noqa: E402
 
 GRID = (1e-6, 1e-7, 1e-9, 1e-10, 5e-10, 1e-11, 5e-11, 1e-12)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="runs", help="directory holding the train-source checkpoints")
     parser.add_argument("--seeds", default="0,1,2,3,4")
     args = parser.parse_args()
-    seeds = tuple(int(s) for s in args.seeds.split(","))
 
-    cfg = ExperimentConfig()
-    train_set = make_source_dataset(cfg.dataset.seed, cfg.dataset.n_per_class)
+    try:
+        cfg = ExperimentConfig(seeds=tuple(int(s) for s in args.seeds.split(",")), out_dir=args.out)
+        validate_config(cfg)
+        model, posterior = load_checkpoints(cfg)
+    except (ValueError, FileNotFoundError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     eval_set = make_source_dataset(cfg.dataset.seed + 1, cfg.dataset.n_per_class)
-    model = MlpClassifier(cfg.model.sizes, seed=cfg.model.init_seed)
-    posterior, _ = train_source(
-        model,
-        train_set.images.reshape(len(train_set), -1),
-        train_set.labels,
-        epochs=cfg.source.epochs,
-        lr=cfg.source.lr,
-        momentum=cfg.source.momentum,
-        batch_size=cfg.source.batch_size,
-        swag_epochs=cfg.source.swag_epochs,
-        rng=np.random.Generator(np.random.PCG64(cfg.source.shuffle_seed)),
-    )
     schedule = build_schedule(
         (HELD_OUT_KIND,),
         "continual5",
@@ -52,7 +47,7 @@ def main() -> int:
     for alpha in GRID:
         petal_cfg = PetalConfig(method="petal", restore="fim", alpha=alpha)
         errors = []
-        for seed in seeds:
+        for seed in cfg.seeds:
             report, _ = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)
             errors.append(report.overall["error"])
         mean = float(np.mean(errors))

@@ -152,7 +152,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _check_finite(section, path: str) -> None:
+    """Reject a NaN or infinite float anywhere in a config, naming the field."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        where = f"{path}.{f.name}"
+        if dataclasses.is_dataclass(value):
+            _check_finite(value, where)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value}")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    _check_finite(cfg, "config")
     if cfg.dataset.n_per_class < 1:
         raise ValueError("dataset.n_per_class must be >= 1")
     if len(cfg.model.sizes) < 3 or cfg.model.sizes[-1] < 2 or min(cfg.model.sizes) < 1:
@@ -178,6 +190,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("adapt.tau must be in [0, 1]")
     if not cfg.seeds:
         raise ValueError("seeds must be non-empty")
+    if min(cfg.seeds) < 0 or len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ValueError(f"seeds must be distinct non-negative integers, got {list(cfg.seeds)}")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -216,7 +230,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "schedule", None) is not None:
         updates["schedule"] = dataclasses.replace(cfg.schedule, mode=args.schedule)
     if getattr(args, "seeds", None) is not None:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        try:
+            updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if getattr(args, "out", None) is not None:
         updates["out_dir"] = args.out
     cfg = dataclasses.replace(cfg, **updates)
@@ -254,7 +271,7 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
     posterior.save(out / POSTERIOR_CHECKPOINT)
     eval_set = make_source_dataset(_eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     probe = model.clone()
-    probe.load(posterior.map_params())
+    probe.load(posterior.mu)
     clean = evaluate_model(probe, eval_set.images, eval_set.labels)
     summary = {
         "epochs": cfg.source.epochs,
@@ -499,6 +516,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "adapt":
             methods = [m.strip() for m in args.method.split(",") if m.strip()]
+            if not methods or len(set(methods)) != len(methods):
+                raise ValueError(f"--method must name distinct methods, got {args.method!r}")
             for name in methods:
                 resolve_method(name)
             run_dirs = cmd_adapt(cfg, methods)

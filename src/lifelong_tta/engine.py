@@ -15,6 +15,10 @@ self-labels) have no teacher and move only the BN affine parameters.
 ``source`` (no adaptation) and ``bn_adapt`` (batch-statistics refresh only)
 take no gradient step; the BN mode set at initialization tells them apart.
 
+One frozen, eval-BN source model holds the posterior mode theta_0: it gates
+augmentation, is the restore target and is what the oracle ``tent_online``
+reset reloads. Only the methods that read a teacher or Adam moments get them.
+
 All per-batch predictions are emitted before the update that uses that
 batch's gradient; evaluation is strictly online.
 """
@@ -37,7 +41,7 @@ from .autodiff import (
     weighted_sum,
 )
 from .metrics import MetricAccumulator, MetricSummary, per_sample_scores
-from .model import FlatParams, MlpClassifier, bn_affine_filter, param_mask
+from .model import MlpClassifier, bn_affine_filter, param_mask
 from .streams import IMAGE_SIDE, StreamSchedule, SyntheticDataset, _box_blur, stream_batches
 from .swag import SwagDiagPosterior, one_hot
 
@@ -45,6 +49,7 @@ Array = np.ndarray
 
 ADAPT_METHODS = ("petal", "cotta")
 BASELINE_METHODS = ("source", "bn_adapt", "pseudo_label", "tent")
+FORWARD_ONLY_METHODS = ("source", "bn_adapt")  # no gradient step
 RESTORE_MODES = ("none", "stochastic", "fim")
 
 # winner of the regularizer-weight grid on the held-out tuning corruption
@@ -238,13 +243,17 @@ def adam_delta(opt: AdamState, grad: Array, lr: float) -> Array:
 
 @dataclass(eq=False)
 class AdaptState:
+    """What a run carries between steps. ``source_model`` (frozen, eval BN)
+    is the only theta_0: the gate's weights and the restore target.
+    ``teacher`` is None except for petal/cotta; ``opt`` is None for
+    source/bn_adapt."""
+
     student: MlpClassifier
-    teacher: MlpClassifier
-    source_model: MlpClassifier  # frozen, eval BN; used for the confidence gate
-    source: FlatParams  # theta_0, the restore target
+    teacher: MlpClassifier | None
+    source_model: MlpClassifier
     frozen: Array  # coordinates tent/pseudo_label never move: all but the BN affine ones
     step: int
-    opt: AdamState
+    opt: AdamState | None
     rng_augment: np.random.Generator
     rng_restore: np.random.Generator
 
@@ -258,32 +267,40 @@ def init_adapt_state(
     rng_augment: np.random.Generator | None = None,
     rng_restore: np.random.Generator | None = None,
 ) -> AdaptState:
-    """Student and teacher both start from the posterior mode."""
-    student = source_model.clone()
-    student.load(posterior.map_params())
-    gate = student.clone()
-    gate.set_bn_mode("eval")
-    teacher = student.clone()
-    teacher.set_bn_mode("train")
+    """The frozen source model, the student and (for ``petal``/``cotta``) the
+    teacher all start from the posterior mode."""
+    frozen_source = source_model.clone()
+    frozen_source.load(posterior.mu)
+    frozen_source.set_bn_mode("eval")
+    student = frozen_source.clone()
     student.set_bn_mode("eval" if cfg.method == "source" else "train")
+    teacher = None
+    if cfg.method in ADAPT_METHODS:
+        teacher = frozen_source.clone()
+        teacher.set_bn_mode("train")
     if rng_augment is None or rng_restore is None:
         children = np.random.SeedSequence(0 if seed is None else seed).spawn(2)
         if rng_augment is None:
             rng_augment = np.random.Generator(np.random.PCG64(children[0]))
         if rng_restore is None:
             rng_restore = np.random.Generator(np.random.PCG64(children[1]))
-    theta0 = student.flatten()
     return AdaptState(
         student=student,
         teacher=teacher,
-        source_model=gate,
-        source=theta0,
-        frozen=~param_mask(theta0, bn_affine_filter),
+        source_model=frozen_source,
+        frozen=~param_mask(posterior.mu, bn_affine_filter),
         step=0,
-        opt=AdamState.zeros(theta0.dim),
+        opt=_fresh_optimizer(student, cfg),
         rng_augment=rng_augment,
         rng_restore=rng_restore,
     )
+
+
+def _fresh_optimizer(student: MlpClassifier, cfg: PetalConfig) -> AdamState | None:
+    """Zero Adam moments, or None for the methods that take no gradient step."""
+    if cfg.method in FORWARD_ONLY_METHODS:
+        return None
+    return AdamState.zeros(student.theta.size)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +433,7 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
         mask = fim_mask(fim_diag(grad_vec), cfg.delta)
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
-    restore(state.student.theta, state.source.values, mask)
+    restore(state.student.theta, state.source_model.theta, mask)
     if cfg.reset_optimizer_state:
         state.opt.m[mask] = 0.0
         state.opt.v[mask] = 0.0
@@ -497,7 +514,7 @@ def adapt_step(
 
 def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
     """One step of a comparison baseline."""
-    if cfg.method in ("source", "bn_adapt"):
+    if cfg.method in FORWARD_ONLY_METHODS:
         # eval-mode BN (source) ignores the stats update; train mode refreshes it
         preds = softmax(state.student.forward(images)).data
         state.step += 1
@@ -554,10 +571,10 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _reset_to_source(state: AdaptState) -> None:
-    state.student.load(state.source)
+def _reset_to_source(state: AdaptState, cfg: PetalConfig) -> None:
+    state.student.theta[:] = state.source_model.theta
     state.student.stats = {i: s.copy() for i, s in state.source_model.stats.items()}
-    state.opt = AdamState.zeros(state.source.dim)
+    state.opt = _fresh_optimizer(state.student, cfg)
 
 
 def run_lifelong(
@@ -593,7 +610,7 @@ def run_lifelong(
             and previous_segment is not None
             and batch.segment != previous_segment
         ):
-            _reset_to_source(state)
+            _reset_to_source(state, cfg)
         previous_segment = batch.segment
         if cfg.method in ADAPT_METHODS:
             report = adapt_step(state, batch.images, posterior, cfg)

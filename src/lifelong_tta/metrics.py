@@ -1,7 +1,9 @@
 """Proper-scoring evaluation of online predictions.
 
 Per-sample error indicator, negative log-likelihood and Brier score, and an
-accumulator that keeps per-segment and overall means (error in percent).
+accumulator that keeps per-segment and overall means (error in percent). The
+accumulator stores one float64 array of scores per batch and sums them exactly
+(``math.fsum``) only when a summary is asked for.
 Predicted probabilities are clamped at 1e-12 before taking logs so NLL stays
 finite under confident mistakes; argmax ties break toward the lowest class
 index.
@@ -49,34 +51,34 @@ class MetricSummary:
 class MetricAccumulator:
     """Single-writer accumulator of per-sample scores, split by segment.
 
+    Each segment keeps one (3, B) array per batch: error, NLL and Brier rows.
     Means use ``math.fsum``, so a summary depends only on the multiset of
     samples in it, not on the order in which batches arrived.
     """
 
     def __init__(self) -> None:
-        self._err: dict[int, list[float]] = {}
-        self._nll: dict[int, list[float]] = {}
-        self._brier: dict[int, list[float]] = {}
+        self._batches: dict[int, list[Array]] = {}
 
     def update(self, segment: int, preds: Array, labels: Array) -> tuple[Array, Array, Array]:
         """Add a batch to ``segment``; returns its ``per_sample_scores``."""
-        err, nll_values, brier_values = per_sample_scores(preds, labels)
-        self._err.setdefault(segment, []).extend(err.tolist())
-        self._nll.setdefault(segment, []).extend(nll_values.tolist())
-        self._brier.setdefault(segment, []).extend(brier_values.tolist())
-        return err, nll_values, brier_values
+        scores = per_sample_scores(preds, labels)
+        self._batches.setdefault(segment, []).append(np.array(scores))
+        return scores
 
     @property
     def count(self) -> int:
-        return sum(len(v) for v in self._err.values())
+        return sum(batch.shape[1] for batches in self._batches.values() for batch in batches)
 
     def segments(self) -> list[int]:
-        return sorted(self._err)
+        return sorted(self._batches)
 
-    def _summary(self, err, nll_values, brier_values) -> MetricSummary:
-        n = len(err)
-        if n == 0:
+    @staticmethod
+    def _summary(batches: list[Array]) -> MetricSummary:
+        if not batches:
             raise ValueError("no samples accumulated")
+        # fsum is exact, so summing the joined rows gives the same bits in any batch order
+        err, nll_values, brier_values = np.concatenate(batches, axis=1).tolist()
+        n = len(err)
         return MetricSummary(
             count=n,
             error=100.0 * math.fsum(err) / n,
@@ -85,10 +87,7 @@ class MetricAccumulator:
         )
 
     def segment_summary(self, segment: int) -> MetricSummary:
-        return self._summary(self._err[segment], self._nll[segment], self._brier[segment])
+        return self._summary(self._batches[segment])
 
     def overall(self) -> MetricSummary:
-        err = [x for s in self.segments() for x in self._err[s]]
-        nll_values = [x for s in self.segments() for x in self._nll[s]]
-        brier_values = [x for s in self.segments() for x in self._brier[s]]
-        return self._summary(err, nll_values, brier_values)
+        return self._summary([batch for s in self.segments() for batch in self._batches[s]])

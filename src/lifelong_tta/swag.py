@@ -65,9 +65,6 @@ class SwagDiagPosterior:
     sigma2: FlatParams
     count: int
 
-    def map_params(self) -> FlatParams:
-        return self.mu.copy()
-
     def save(self, path) -> None:
         entries = {}
         for name in self.mu.names:

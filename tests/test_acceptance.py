@@ -163,7 +163,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     for batch, _ in stream_batches(schedule, dataset, np.random.default_rng(1)):
         report = adapt_step(state, batch.images, posterior, cfg)
         counts.append(report.restored)
-    d_small = state.source.dim
+    d_small = state.source_model.theta.size
     mean = d_small * 0.01
     sigma = math.sqrt(d_small * 0.01 * 0.99)
     per_step_ok = all(abs(c - mean) <= 6 * sigma for c in counts)
@@ -176,7 +176,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     full_state = init_adapt_state(model, posterior, full_cfg, seed=0)
     batch, _ = next(stream_batches(schedule, dataset, np.random.default_rng(2)))
     adapt_step(full_state, batch.images, posterior, full_cfg)
-    full_reset = np.array_equal(full_state.student.flatten().values, full_state.source.values)
+    full_reset = np.array_equal(full_state.student.flatten().values, full_state.source_model.theta)
 
     check(
         3,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -254,6 +255,65 @@ def test_cli_nonzero_exit_on_non_finite_loss(trained_dir, tmp_path, capsys):
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
 
+
+
+# non-finite config floats, from the file or a flag: (command, edit of the
+# config document, extra flags, the field the message must name)
+NON_FINITE_INPUTS = {
+    "alpha_nan_in_file": ("adapt", lambda d: d["adapt"].update(alpha=math.nan), [], "config.adapt.alpha"),
+    "eta_inf_in_file": ("adapt", lambda d: d["adapt"].update(eta=math.inf), [], "config.adapt.eta"),
+    "augment_noise_inf_in_file": (
+        "adapt",
+        lambda d: d["adapt"]["augment"].update(noise_std=math.inf),
+        [],
+        "config.adapt.augment.noise_std",
+    ),
+    "lr_nan_in_file": ("train-source", lambda d: d["source"].update(lr=math.nan), [], "config.source.lr"),
+    "alpha_nan_flag": ("adapt", lambda d: None, ["--method", "tent", "--alpha", "nan"], "config.adapt.alpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INPUTS))
+def test_cli_rejects_non_finite_config_floats(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    command, edit, flags, field_name = NON_FINITE_INPUTS[case]
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+    edit(doc)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")  # NaN/Infinity literals
+    assert main([command, "--config", str(config_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field_name} must be finite") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*/seed*"))
+
+
+# adapt argument lists refused before any run writes a file: (flags, the
+# name the message must contain)
+REFUSED_RUN_LISTS = {
+    "negative_seed": (["--method", "source", "--seeds", "0,-1"], "seeds"),
+    "duplicate_seed": (["--method", "source", "--seeds", "0,0"], "seeds"),
+    "non_integer_seed": (["--method", "source", "--seeds", "0,x"], "seeds"),
+    "duplicate_method": (["--method", "source,bn_adapt,source", "--seeds", "0"], "--method"),
+    "no_method": (["--method", ",", "--seeds", "0"], "--method"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_RUN_LISTS))
+def test_cli_refuses_bad_seeds_and_method_lists(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    flags, named = REFUSED_RUN_LISTS[case]
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    config_path = tmp_path / "config.json"
+    doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err and captured.err.count("\n") == 1
+    assert not list(tmp_path.glob("*/seed*"))
 
 
 # checkpoint edits that must fail at load time: (file, entry, new value or

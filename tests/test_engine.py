@@ -374,22 +374,28 @@ def test_parameter_views_and_source_survive_steps(small_bundle, method):
     dataset, model, posterior = small_bundle
     cfg = fast_cfg(method=method, tau=2.0)
     state = init_adapt_state(model, posterior, cfg, seed=0)
+    has_teacher = method in ("petal", "cotta")
+    # each method holds only the state its step reads
+    assert (state.teacher is not None) == has_teacher
+    assert (state.opt is not None) == (method not in ("source", "bn_adapt"))
+    nets = [state.student, state.source_model] + ([state.teacher] if has_teacher else [])
     for seed in range(3):
         images, _ = batch_from(dataset, severity=3, seed=seed)
-        if method in ("petal", "cotta"):
+        if has_teacher:
             adapt_step(state, images, posterior, cfg)
         else:
             baseline_step(state, images, cfg)
-        for net in (state.student, state.teacher, state.source_model):
+        for net in nets:
             flat = net.flatten()
             assert not np.shares_memory(flat.values, net.theta)
             for name, view in net.params.items():
                 assert np.shares_memory(view, net.theta)
                 assert np.array_equal(view, flat.slice(name))
-        assert not np.shares_memory(state.source.values, state.student.theta)
-        assert np.array_equal(state.source.values, posterior.mu.values)
+        # the frozen source model is theta_0: never moved, never aliased
+        assert not np.shares_memory(state.source_model.theta, state.student.theta)
+        assert np.array_equal(state.source_model.theta, posterior.mu.values)
     if method not in ("source", "bn_adapt"):
-        assert not np.array_equal(state.student.theta, state.source.values)
+        assert not np.array_equal(state.student.theta, state.source_model.theta)
 
 
 def test_zero_lr_no_restore_leaves_parameters_fixed(small_bundle):
@@ -421,7 +427,7 @@ def test_fim_restore_count_is_exact_every_step(small_bundle):
     dataset, model, posterior = small_bundle
     cfg = fast_cfg(restore="fim", delta=0.03)
     state = init_adapt_state(model, posterior, cfg, seed=0)
-    dim = state.source.dim
+    dim = state.source_model.theta.size
     for seed in range(5):
         images, _ = batch_from(dataset, severity=5, seed=seed)
         report = adapt_step(state, images, posterior, cfg)
@@ -434,7 +440,7 @@ def test_delta_one_resets_student_to_source(small_bundle):
     cfg = fast_cfg(restore="fim", delta=1.0)
     state = init_adapt_state(model, posterior, cfg, seed=0)
     adapt_step(state, images, posterior, cfg)
-    assert np.array_equal(state.student.flatten().values, state.source.values)
+    assert np.array_equal(state.student.flatten().values, state.source_model.theta)
 
 
 def test_reset_optimizer_state_clears_restored_moments(small_bundle):
@@ -443,7 +449,7 @@ def test_reset_optimizer_state_clears_restored_moments(small_bundle):
     cfg = fast_cfg(restore="fim", delta=1.0, reset_optimizer_state=True)
     state = init_adapt_state(model, posterior, cfg, seed=0)
     adapt_step(state, images, posterior, cfg)
-    assert np.array_equal(state.opt.m, np.zeros(state.source.dim))
+    assert np.array_equal(state.opt.m, np.zeros(state.source_model.theta.size))
 
 
 def test_cotta_equals_petal_with_alpha_zero(small_bundle):
@@ -495,7 +501,7 @@ def test_source_baseline_matches_offline_eval(small_bundle):
     state = init_adapt_state(model, posterior, cfg, seed=0)
     report = baseline_step(state, images, cfg)
     probe = model.clone()
-    probe.load(posterior.map_params())
+    probe.load(posterior.mu)
     probe.set_bn_mode("eval")
     expected = softmax(probe.forward(images)).data
     assert np.array_equal(report.predictions, expected)
@@ -581,7 +587,7 @@ def test_empty_schedule_gives_empty_report(small_bundle):
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     assert report.segments == [] and report.rows == [] and report.overall is None
     assert state.step == 0
-    assert np.array_equal(state.student.flatten().values, state.source.values)
+    assert np.array_equal(state.student.flatten().values, state.source_model.theta)
 
 
 def test_single_batch_run_equals_one_step(small_bundle):
