@@ -157,6 +157,58 @@ class RunningStats:
         return RunningStats(self.mean.copy(), self.var.copy())
 
 
+def batch_norm_arrays(
+    x: Array,
+    gamma: Array,
+    beta: Array,
+    stats: RunningStats,
+    mode: str = "train",
+    update_stats: bool = True,
+) -> tuple[Array, Array, Array]:
+    """The batch-normalization arithmetic on plain arrays; returns
+    (out, x_hat, inv_std).
+
+    ``x`` is one batch (B, F) or a stack of G batches (G, B, F). Train mode
+    normalizes each batch by its own mean/variance (biased) and, when
+    ``update_stats``, folds them into ``stats`` with momentum 0.1 (variance
+    stored unbiased); only a single batch may update them. Eval mode
+    normalizes by ``stats``. eps = 1e-5.
+    """
+    if x.ndim not in (2, 3):
+        raise ValueError("batch norm expects a (B, F) or (G, B, F) input")
+    n, features = x.shape[-2:]
+    if gamma.shape != (features,) or beta.shape != (features,):
+        raise ValueError("gamma/beta must be (F,)")
+    if mode == "train":
+        if n < 2:
+            raise ValueError("batch_norm train mode needs a batch of at least 2")
+        if update_stats and x.size != n * features:
+            raise ValueError("only a single batch may update the running statistics")
+        batch_mean = x.mean(axis=-2, keepdims=True)
+        x_hat = x - batch_mean
+        # numpy's own variance formula, so batch_var equals x.var(axis=-2) bit
+        # for bit; the squares' buffer takes the output below
+        out = np.multiply(x_hat, x_hat)
+        batch_var = out.sum(axis=-2, keepdims=True) / n
+        inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
+        x_hat *= inv_std
+        if update_stats:
+            m = BN_MOMENTUM
+            stats.mean = (1.0 - m) * stats.mean + m * batch_mean.reshape(features)
+            stats.var = (1.0 - m) * stats.var + m * batch_var.reshape(features) * n / (n - 1)
+    elif mode == "eval":
+        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
+        x_hat = x - stats.mean
+        x_hat *= inv_std
+        out = np.empty_like(x_hat)
+    else:
+        raise ValueError(f"unknown batch_norm mode {mode!r}")
+    # in place where the values allow: the same operations, fewer buffers
+    np.multiply(gamma, x_hat, out=out)
+    out += beta
+    return out, x_hat, inv_std
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -166,52 +218,28 @@ def batch_norm(
     tape: Tape | None = None,
     update_stats: bool = True,
 ) -> Tensor:
-    """Batch normalization over the batch axis.
-
-    Train mode normalizes by the batch mean/variance (biased) and, when
-    ``update_stats``, folds them into ``stats`` with momentum 0.1 (variance
-    stored unbiased). Eval mode normalizes by ``stats``. eps = 1e-5.
-    """
+    """Batch normalization of a (B, F) tensor over the batch axis, by
+    ``batch_norm_arrays``."""
     if x.data.ndim != 2:
         raise ValueError("batch_norm expects a (B, F) input")
-    n, features = x.shape
-    if gamma.shape != (features,) or beta.shape != (features,):
-        raise ValueError("gamma/beta must be (F,)")
-    if mode == "train":
-        if n < 2:
-            raise ValueError("batch_norm train mode needs a batch of at least 2")
-        batch_mean = x.data.mean(axis=0)
-        centered = x.data - batch_mean
-        # numpy's own variance formula, so batch_var equals x.var(axis=0) bit for bit
-        batch_var = np.multiply(centered, centered).sum(axis=0) / n
-        inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
-        x_hat = centered * inv_std
-        if update_stats:
-            m = BN_MOMENTUM
-            stats.mean = (1.0 - m) * stats.mean + m * batch_mean
-            stats.var = (1.0 - m) * stats.var + m * batch_var * n / (n - 1)
-        out = Tensor(gamma.data * x_hat + beta.data)
-        if tape is not None:
-            def grad_fn(g, gamma=gamma, x_hat=x_hat, inv_std=inv_std, n=n):
+    values, x_hat, inv_std = batch_norm_arrays(
+        x.data, gamma.data, beta.data, stats, mode, update_stats
+    )
+    out = Tensor(values)
+    if tape is not None:
+        if mode == "train":
+            def grad_fn(g, gamma=gamma, x_hat=x_hat, inv_std=inv_std, n=x.shape[0]):
                 g_hat = g * gamma.data
                 g_x = (inv_std / n) * (
                     n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
                 )
                 return g_x, (g * x_hat).sum(axis=0), g.sum(axis=0)
-
-            tape.record("batch_norm", (x, gamma, beta), out, grad_fn)
-        return out
-    if mode == "eval":
-        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
-        x_hat = (x.data - stats.mean) * inv_std
-        out = Tensor(gamma.data * x_hat + beta.data)
-        if tape is not None:
+        else:
             def grad_fn(g, gamma=gamma, x_hat=x_hat, inv_std=inv_std):
                 return g * gamma.data * inv_std, (g * x_hat).sum(axis=0), g.sum(axis=0)
 
-            tape.record("batch_norm", (x, gamma, beta), out, grad_fn)
-        return out
-    raise ValueError(f"unknown batch_norm mode {mode!r}")
+        tape.record("batch_norm", (x, gamma, beta), out, grad_fn)
+    return out
 
 
 def _log_softmax(logits: Array) -> Array:

@@ -527,7 +527,7 @@ def main(argv=None) -> int:
     except NonFiniteLossError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # OSError: unusable --out paths too
         sys.stderr.write(f"error: {exc}\n")
         return 2
     raise AssertionError("unreachable")

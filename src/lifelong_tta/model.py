@@ -6,17 +6,21 @@ registry order) maps to a reshaped view of it in ``params``, so an optimizer
 step, an EMA update or a restore is one in-place expression on ``theta``.
 ``flatten`` returns a copied snapshot. BN running statistics are serialized
 with the model but are not trainables and never enter ``FlatParams``.
+``forward`` is the untaped inference path on plain arrays, for one batch or
+a stack of equal batches; ``taped_forward`` records ``Tensor`` ops for the
+gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import RunningStats, Tape, Tensor, batch_norm, linear, relu
+from .autodiff import RunningStats, Tape, Tensor, batch_norm, batch_norm_arrays, linear, relu
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 Array = np.ndarray
@@ -34,7 +38,7 @@ class FlatParams:
     def __post_init__(self) -> None:
         if self.values.ndim != 1 or self.values.dtype != np.float64:
             raise ValueError("FlatParams values must be a 1-D float64 vector")
-        total = self.offsets[-1] + int(np.prod(self.shapes[-1])) if self.names else 0
+        total = self.offsets[-1] + math.prod(self.shapes[-1]) if self.names else 0
         if self.values.size != total:
             raise ValueError("FlatParams values length does not match layout")
 
@@ -44,7 +48,7 @@ class FlatParams:
 
     def slice(self, name: str) -> Array:
         i = self.names.index(name)
-        size = int(np.prod(self.shapes[i]))
+        size = math.prod(self.shapes[i])
         return self.values[self.offsets[i] : self.offsets[i] + size].reshape(self.shapes[i])
 
     def with_values(self, values: Array) -> "FlatParams":
@@ -83,11 +87,8 @@ class MlpClassifier:
         self.sizes = sizes
         self.bn_mode = "train"
         names, shapes = _registry_layout(sizes)
-        offsets = tuple(accumulate((int(np.prod(shape)) for shape in shapes), initial=0))
-        # theta with its layout; params hold views of it, built once
-        self._flat = FlatParams(names, shapes, offsets[:-1], np.zeros(offsets[-1]))
-        self.theta = self._flat.values
-        self.params: dict[str, Array] = {name: self._flat.slice(name) for name in names}
+        offsets = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
+        self._bind(FlatParams(names, shapes, offsets[:-1], np.zeros(offsets[-1])))
         self.stats: dict[int, RunningStats] = {}
         rng = np.random.Generator(np.random.PCG64(seed))
         for i, (fan_in, width) in enumerate(zip(sizes[:-2], sizes[1:-1])):
@@ -113,10 +114,57 @@ class MlpClassifier:
             raise ValueError(f"unknown BN mode {mode!r}")
         self.bn_mode = mode
 
+    def _bind(self, flat: FlatParams) -> None:
+        """Adopt ``flat``'s vector as theta; params become views of it."""
+        self._flat = flat
+        self.theta = flat.values
+        self.params: dict[str, Array] = {name: flat.slice(name) for name in flat.names}
+
     # -- forward ------------------------------------------------------------
 
-    def _run(self, x, mode: str, tape: Tape | None, update_stats: bool):
-        h = x if isinstance(x, Tensor) else Tensor(x)
+    def forward(self, x, update_stats: bool | None = None, draws: int = 1) -> Tensor:
+        """Inference logits under the model's BN mode, with no tape.
+
+        ``x`` may stack ``draws`` equal batches along its rows; in train mode
+        each is normalized by its own batch statistics, so the logits equal
+        those of ``draws`` separate calls, one row per input row. Only a
+        single batch may update the running statistics. Raises
+        ``FloatingPointError`` on a NaN/Inf in the input, in theta, or in a
+        linear or batch-norm output.
+        """
+        mode = self.bn_mode
+        if update_stats is None:
+            update_stats = mode == "train"
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
+            raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
+        if draws < 1 or x.shape[0] % draws:
+            raise ValueError(f"{x.shape[0]} rows do not split into {draws} equal batches")
+        # (draws, B, F) throughout: matmul runs one product per batch, so
+        # each draw's rows are bit-identical to a call of its own
+        h = _finite(x, "input").reshape(draws, -1, self.sizes[0])
+        _finite(self.theta, "parameters")
+        p = self.params
+        for i in range(self.n_hidden):
+            h = h @ p[f"hidden{i}.weight"]
+            h += p[f"hidden{i}.bias"]
+            h, _, _ = batch_norm_arrays(
+                _finite(h, "linear output"),
+                p[f"hidden{i}.gamma"],
+                p[f"hidden{i}.beta"],
+                self.stats[i],
+                mode,
+                update_stats,
+            )
+            np.maximum(_finite(h, "batch norm output"), 0.0, out=h)
+        logits = h @ p["out.weight"]
+        logits += p["out.bias"]
+        return Tensor(logits.reshape(x.shape[0], -1))
+
+    def taped_forward(self, x, tape: Tape, update_stats: bool = True):
+        """Train-mode logits recorded on ``tape``; returns the parameter
+        tensors so gradients can be mapped back by name."""
+        h = Tensor(x)
         if h.data.ndim != 2 or h.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {h.shape}")
         wrapped = {name: Tensor(view) for name, view in self.params.items()}
@@ -127,26 +175,11 @@ class MlpClassifier:
                 wrapped[f"hidden{i}.gamma"],
                 wrapped[f"hidden{i}.beta"],
                 self.stats[i],
-                mode=mode,
                 tape=tape,
                 update_stats=update_stats,
             )
             h = relu(h, tape)
-        h = linear(h, wrapped["out.weight"], wrapped["out.bias"], tape)
-        return h, wrapped
-
-    def forward(self, x, update_stats: bool | None = None) -> Tensor:
-        """Inference logits under the model's BN mode."""
-        mode = self.bn_mode
-        if update_stats is None:
-            update_stats = mode == "train"
-        logits, _ = self._run(x, mode, None, update_stats)
-        return logits
-
-    def taped_forward(self, x, tape: Tape, update_stats: bool = True):
-        """Train-mode logits recorded on ``tape``; returns the parameter
-        tensors so gradients can be mapped back by name."""
-        return self._run(x, "train", tape, update_stats)
+        return linear(h, wrapped["out.weight"], wrapped["out.bias"], tape), wrapped
 
     # -- parameter registry ---------------------------------------------------
 
@@ -170,8 +203,9 @@ class MlpClassifier:
         return out.values
 
     def clone(self) -> "MlpClassifier":
-        other = MlpClassifier(self.sizes, seed=0)
-        other.theta[:] = self.theta
+        other = MlpClassifier.__new__(MlpClassifier)  # no random init to overwrite
+        other.sizes = self.sizes
+        other._bind(self._flat.copy())
         other.stats = {i: s.copy() for i, s in self.stats.items()}
         other.bn_mode = self.bn_mode
         return other
@@ -210,6 +244,12 @@ class MlpClassifier:
         return model
 
 
+def _finite(values: Array, what: str) -> Array:
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} contains NaN or Inf")
+    return values
+
+
 def _entry(entries: dict[str, Array], name: str, shape: tuple[int, ...]) -> Array:
     if name not in entries:
         raise CheckpointError(f"checkpoint missing entry {name}")
@@ -230,5 +270,5 @@ def param_mask(flat: FlatParams, predicate: Callable[[str], bool]) -> Array:
     mask = np.zeros(flat.dim, dtype=bool)
     for name, shape, offset in zip(flat.names, flat.shapes, flat.offsets):
         if predicate(name):
-            mask[offset : offset + int(np.prod(shape))] = True
+            mask[offset : offset + math.prod(shape)] = True
     return mask

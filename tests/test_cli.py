@@ -415,3 +415,24 @@ def test_cli_rejects_posterior_of_another_model(trained_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(run / POSTERIOR_CHECKPOINT) in err and str(run / MODEL_CHECKPOINT) in err
+
+
+@pytest.mark.parametrize("case", ["train_source_out_is_a_file", "adapt_run_dir_under_a_file"])
+def test_cli_unusable_output_paths_exit_2_with_one_line(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    if case == "train_source_out_is_a_file":  # was a FileExistsError traceback
+        blocker = tmp_path / "regular"
+        args = ["train-source", "--out", str(blocker)]
+    else:  # OUT/source is a file: was a NotADirectoryError traceback
+        run = tmp_path / "run"
+        run.mkdir()
+        for leaf in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+            shutil.copy(Path(out) / leaf, run / leaf)
+        blocker = run / "source"
+        config_path = tmp_path / "tiny.json"
+        config_path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+        args = ["adapt", "--config", str(config_path), "--out", str(run), "--method", "source"]
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err

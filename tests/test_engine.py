@@ -148,6 +148,56 @@ def test_pseudo_labels_are_distributions(small_bundle):
     assert np.abs(preds.sum(axis=1) - 1.0).max() < 1e-9
 
 
+def per_draw_teacher_pseudo_label(state, images, cfg):
+    """The loop the blocked teacher replaced: one augment call and one teacher
+    forward per draw, every draw taken before the first forward."""
+    source_probs = softmax(state.source_model.forward(images)).data
+    confidence = source_probs.max(axis=1)
+    direct = softmax(state.teacher.forward(images, update_stats=False)).data
+    needs_averaging = confidence < cfg.tau
+    if not needs_averaging.any():
+        return direct
+    draws = [augment(images, state.rng_augment, cfg.augment) for _ in range(cfg.k_aug)]
+    total = np.zeros_like(direct)
+    for draw in draws:
+        total += softmax(state.teacher.forward(draw, update_stats=False)).data
+    averaged = total / cfg.k_aug
+    return np.where(needs_averaging[:, None], averaged, direct)
+
+
+@pytest.mark.parametrize("k_aug", [1, 3, 4, 5, 32])
+def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
+    dataset, model, posterior = small_bundle
+    # 19 rows: no block boundary falls on a multiple of 4 rows
+    images, _ = batch_from(dataset, n=19, severity=5)
+    cfg = fast_cfg(k_aug=k_aug, tau=0.9)
+    expected_state = init_adapt_state(model, posterior, cfg, seed=3)
+    state = init_adapt_state(model, posterior, cfg, seed=3)
+    # one step moves the teacher off the source model and its BN buffers
+    for s in (expected_state, state):
+        adapt_step(s, images, posterior, cfg)
+    stats = {i: s.copy() for i, s in state.teacher.stats.items()}
+    confidence = softmax(state.source_model.forward(images)).data.max(axis=1)
+    assert 0 < (confidence < cfg.tau).sum() < images.shape[0]  # the gate splits the batch
+    expected = per_draw_teacher_pseudo_label(expected_state, images, cfg)
+    assert np.array_equal(teacher_pseudo_label(state, images, cfg), expected)
+    assert state.rng_augment.random() == expected_state.rng_augment.random()
+    for i, s in stats.items():
+        assert np.array_equal(state.teacher.stats[i].mean, s.mean)
+        assert np.array_equal(state.teacher.stats[i].var, s.var)
+
+
+@pytest.mark.parametrize("name, value", [("hidden0.weight", np.nan), ("hidden0.beta", -np.inf)])
+def test_non_finite_teacher_parameter_aborts_the_step(small_bundle, name, value):
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset)
+    cfg = fast_cfg(tau=2.0)  # the gate opens on every sample
+    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state.teacher.params[name].flat[0] = value
+    with pytest.raises(NonFiniteLossError):
+        adapt_step(state, images, posterior, cfg)
+
+
 # ---------------------------------------------------------------------------
 # loss
 

@@ -2,8 +2,9 @@
 
 Each reference below is the straightforward formulation the fast kernel
 replaced (3-array fancy-index gathers, a ``sliding_window_view`` mean,
-``x.var``). The fast kernels run the same floating-point operations in the
-same order, so every comparison is exact: ``np.array_equal``, no tolerance.
+``x.var``, one augmentation draw per call). The fast kernels run the same
+floating-point operations in the same order, so every comparison is exact:
+``np.array_equal``, no tolerance.
 """
 
 import dataclasses
@@ -182,3 +183,32 @@ def test_augment_equals_reference_pipeline(params):
             expected = reference_augment(images, np.random.default_rng(seed), params)
             out = augment(images, np.random.default_rng(seed), params)
             assert np.array_equal(out, expected)
+
+
+MAGNITUDES = [f.name for f in dataclasses.fields(AugmentParams)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=SEEDS,
+    b=st.integers(1, 130),
+    draws=st.integers(1, 5),
+    enabled=st.lists(st.booleans(), min_size=len(MAGNITUDES), max_size=len(MAGNITUDES)),
+    square=st.booleans(),
+)
+def test_block_augment_equals_sequential_reference_draws(seed, b, draws, enabled, square):
+    params = dataclasses.replace(
+        _ZERO, **{name: getattr(_DEFAULT, name) for name, on in zip(MAGNITUDES, enabled) if on}
+    )
+    images = np.random.default_rng(seed).random((b, IMAGE_SIDE * IMAGE_SIDE))
+    if square:
+        images = images.reshape(b, IMAGE_SIDE, IMAGE_SIDE)
+    before = images.copy()
+    reference_rng = np.random.default_rng(seed + 1)
+    expected = np.concatenate([reference_augment(images, reference_rng, params) for _ in range(draws)])
+    rng = np.random.default_rng(seed + 1)
+    out = augment(images, rng, params, draws)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(images, before)
+    # the block consumed exactly the random numbers of the sequential draws
+    assert rng.random() == reference_rng.random()

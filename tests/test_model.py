@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.autodiff import softmax
+from lifelong_tta.autodiff import Tape, softmax
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 
@@ -144,6 +144,100 @@ def test_clone_is_independent():
     twin.stats[0].mean[0] += 1.0
     assert model.params["out.bias"][0] != twin.params["out.bias"][0]
     assert model.stats[0].mean[0] != twin.stats[0].mean[0]
+
+
+def test_clone_views_its_own_theta_and_copies_every_value():
+    model = MlpClassifier((4, 6, 5, 3), seed=4)
+    model.forward(np.random.default_rng(0).random((6, 4)))  # move the stats
+    model.set_bn_mode("eval")
+    twin = model.clone()
+    assert twin.sizes == model.sizes and twin.bn_mode == "eval"
+    assert np.array_equal(twin.theta, model.theta)
+    assert twin.param_names == model.param_names
+    for name, view in twin.params.items():
+        assert np.shares_memory(view, twin.theta)
+        assert not np.shares_memory(view, model.theta)
+        assert np.array_equal(view, model.params[name])
+    for i, stats in model.stats.items():
+        assert np.array_equal(twin.stats[i].mean, stats.mean)
+        assert np.array_equal(twin.stats[i].var, stats.var)
+        assert not np.shares_memory(twin.stats[i].mean, stats.mean)
+    twin.theta += 1.0
+    assert np.array_equal(twin.params["out.bias"], model.params["out.bias"] + 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(2, 40),
+    draws=st.integers(1, 5),
+    widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    classes=st.integers(2, 12),
+)
+def test_block_forward_equals_per_draw_and_taped_forwards(seed, b, draws, widths, classes):
+    rng = np.random.default_rng(seed)
+    model = MlpClassifier((9, *widths, classes), seed=seed % 1000)
+    model.forward(rng.random((b, 9)) * 3.0)  # running stats away from (0, 1)
+    x = rng.normal(0.5, 2.0, (draws * b, 9))
+    stats = {i: s.copy() for i, s in model.stats.items()}
+    batches = [x[k * b : (k + 1) * b] for k in range(draws)]
+    block = model.forward(x, update_stats=False, draws=draws).data
+    assert block.shape == (draws * b, classes)
+    per_draw = [model.forward(batch, update_stats=False).data for batch in batches]
+    taped = [model.taped_forward(batch, Tape(), update_stats=False)[0].data for batch in batches]
+    assert np.array_equal(block, np.concatenate(per_draw))
+    assert np.array_equal(block, np.concatenate(taped))
+    for i, s in stats.items():  # no forward above touched the running buffers
+        assert np.array_equal(model.stats[i].mean, s.mean)
+        assert np.array_equal(model.stats[i].var, s.var)
+    model.set_bn_mode("eval")
+    eval_block = model.forward(x, draws=draws).data
+    assert np.array_equal(eval_block, np.concatenate([model.forward(batch).data for batch in batches]))
+
+
+def test_block_forward_refuses_to_update_stats_and_ragged_blocks():
+    model = MlpClassifier((4, 6, 3), seed=0)
+    x = np.random.default_rng(0).random((8, 4))
+    mean, var = model.stats[0].mean.copy(), model.stats[0].var.copy()
+    with pytest.raises(ValueError):
+        model.forward(x, draws=2)  # train mode updates the stats by default
+    with pytest.raises(ValueError):
+        model.forward(x, update_stats=False, draws=3)
+    with pytest.raises(ValueError):
+        model.forward(x, update_stats=False, draws=0)
+    assert np.array_equal(model.stats[0].mean, mean) and np.array_equal(model.stats[0].var, var)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize(
+    "where, name, value",
+    [
+        ("input", None, np.nan),
+        ("theta", "hidden0.weight", np.nan),
+        ("theta", "out.bias", np.inf),
+        # ReLU maps a -inf BN output to 0, so only the theta check sees this one
+        ("theta", "hidden0.beta", -np.inf),
+    ],
+)
+def test_forward_rejects_non_finite_input_and_parameters(mode, where, name, value):
+    model = MlpClassifier((4, 6, 3), seed=0)
+    model.set_bn_mode(mode)
+    x = np.random.default_rng(0).random((6, 4))
+    if where == "input":
+        x[2, 1] = value
+    else:
+        model.params[name].flat[0] = value
+    with pytest.raises(FloatingPointError):
+        model.forward(x, update_stats=False)
+    with pytest.raises(FloatingPointError):
+        model.forward(np.concatenate([x, x]), update_stats=False, draws=2)
+
+
+def test_forward_rejects_an_overflowing_linear_output():
+    model = MlpClassifier((4, 6, 3), seed=0)
+    model.params["hidden0.weight"][...] = 1e308
+    with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+        model.forward(np.full((6, 4), 10.0), update_stats=False)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
