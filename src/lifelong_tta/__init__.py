@@ -19,7 +19,7 @@ from .engine import (
     run_lifelong,
 )
 from .metrics import MetricAccumulator, per_sample_scores
-from .model import FlatParams, MlpClassifier
+from .model import MlpClassifier
 from .streams import (
     CorruptionSpec,
     StreamSchedule,

@@ -135,17 +135,6 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    out = Tensor(np.asarray(x.data.sum()))
-    if tape is not None:
-        def grad_fn(g, shape=x.shape):
-            return (np.broadcast_to(g, shape).copy(),)
-
-        tape.record("sum_all", (x,), out, grad_fn)
-    return out
-
-
 @dataclass(eq=False)
 class RunningStats:
     """Mutable per-feature running mean/variance for batch norm."""

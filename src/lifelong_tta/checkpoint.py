@@ -75,3 +75,12 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     if cursor != len(blob):
         raise CheckpointError("trailing bytes after last checkpoint entry")
     return entries
+
+
+def require_entry(entries: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``entries[name]``, which must exist and have ``shape``."""
+    if name not in entries:
+        raise CheckpointError(f"checkpoint missing entry {name}")
+    if entries[name].shape != shape:
+        raise CheckpointError(f"checkpoint shape mismatch for {name}")
+    return entries[name]

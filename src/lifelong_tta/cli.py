@@ -169,8 +169,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("dataset.n_per_class must be >= 1")
     if len(cfg.model.sizes) < 3 or cfg.model.sizes[-1] < 2 or min(cfg.model.sizes) < 1:
         raise ValueError("model.sizes must be (input, hidden..., classes>=2)")
-    if cfg.source.epochs < 0:
-        raise ValueError("source.epochs must be >= 0")
+    if cfg.source.epochs < 1:
+        raise ValueError("source.epochs must be >= 1")
     if cfg.source.lr <= 0 or not 0 <= cfg.source.momentum < 1:
         raise ValueError("source.lr must be positive and momentum in [0, 1)")
     if cfg.source.batch_size < 2:
@@ -268,7 +268,7 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
         rng=np.random.Generator(np.random.PCG64(cfg.source.shuffle_seed)),
     )
     model.save(out / MODEL_CHECKPOINT)
-    posterior.save(out / POSTERIOR_CHECKPOINT)
+    posterior.save(out / POSTERIOR_CHECKPOINT, model)
     eval_set = make_source_dataset(_eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     probe = model.clone()
     probe.load(posterior.mu)
@@ -303,13 +303,14 @@ def load_checkpoints(cfg: ExperimentConfig) -> tuple[MlpClassifier, SwagDiagPost
         raise FileNotFoundError(
             f"missing checkpoints under {out}; run train-source first"
         )
-    model = MlpClassifier.load_checkpoint(model_path)
-    posterior = SwagDiagPosterior.load(posterior_path)
-    shapes = tuple(view.shape for view in model.params.values())
-    if posterior.mu.names != model.param_names or posterior.mu.shapes != shapes:
-        raise CheckpointError(
-            f"posterior {posterior_path} does not match the parameter layout of {model_path}"
-        )
+    try:
+        model = MlpClassifier.load_checkpoint(model_path)
+    except ValueError as exc:  # a CheckpointError, or layer sizes no model can have
+        raise CheckpointError(f"{model_path}: {exc}") from exc
+    try:
+        posterior = SwagDiagPosterior.load(posterior_path, model)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{posterior_path}, the posterior of {model_path}: {exc}") from exc
     return model, posterior
 
 

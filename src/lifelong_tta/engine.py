@@ -312,7 +312,7 @@ def init_adapt_state(
         student=student,
         teacher=teacher,
         source_model=frozen_source,
-        frozen=~param_mask(posterior.mu, bn_affine_filter),
+        frozen=~param_mask(frozen_source, bn_affine_filter),
         step=0,
         opt=_fresh_optimizer(student, cfg),
         rng_augment=rng_augment,
@@ -400,13 +400,11 @@ def petal_loss(
     ce = soft_cross_entropy(Tensor(pseudo), logits, tape)
     if cfg.alpha == 0.0:
         return ce, wrapped, logits
-    names = state.student.param_names
-    if posterior.mu.names != names:
-        raise ValueError("posterior layout does not match the student registry")
+    mu = state.student.views(posterior.mu)
     log_q = gaussian_log_density(
-        [wrapped[n] for n in names],
-        [posterior.mu.slice(n) for n in names],
-        [posterior.sigma2.slice(n) for n in names],
+        [wrapped[name] for name in mu],
+        list(mu.values()),
+        list(state.student.views(posterior.sigma2).values()),
         tape,
     )
     loss = weighted_sum([(1.0, ce), (-cfg.alpha, log_q)], tape=tape)
@@ -414,12 +412,10 @@ def petal_loss(
 
 
 def ema_update(teacher: MlpClassifier, student: MlpClassifier, pi: float) -> None:
-    """theta' <- pi * theta' + (1 - pi) * theta over trainables; the teacher's
-    BN running statistics are replaced by the student's."""
-    if teacher.param_names != student.param_names:
-        raise ValueError("teacher/student registry mismatch")
+    """theta' <- pi * theta' + (1 - pi) * theta over trainables. The teacher's
+    BN running statistics are left alone: its forwards run train-mode BN on
+    batch statistics and never read or update them."""
     teacher.theta[:] = pi * teacher.theta + (1.0 - pi) * student.theta
-    teacher.stats = {i: s.copy() for i, s in student.stats.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +611,8 @@ class RunReport:
 def _reset_to_source(state: AdaptState, cfg: PetalConfig) -> None:
     state.student.theta[:] = state.source_model.theta
     state.student.stats = {i: s.copy() for i, s in state.source_model.stats.items()}
+    if state.teacher is not None:  # the teacher makes petal's and cotta's predictions
+        state.teacher.theta[:] = state.source_model.theta
     state.opt = _fresh_optimizer(state.student, cfg)
 
 

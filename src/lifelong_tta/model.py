@@ -1,11 +1,14 @@
 """Batch-normalized MLP classifier: one contiguous parameter vector with named views.
 
-All trainables live in one float64 vector ``theta``. Each stable dotted name
-(``hidden0.weight``, ``hidden0.gamma``, ..., ``out.bias``, in a deterministic
-registry order) maps to a reshaped view of it in ``params``, so an optimizer
-step, an EMA update or a restore is one in-place expression on ``theta``.
-``flatten`` returns a copied snapshot. BN running statistics are serialized
-with the model but are not trainables and never enter ``FlatParams``.
+All trainables live in one float64 vector ``theta``, and the model is the one
+owner of its layout: each stable dotted name (``hidden0.weight``,
+``hidden0.gamma``, ..., ``out.bias``, in a deterministic registry order) is
+a contiguous slice. ``views`` reshapes any vector of that length into named
+views; ``params`` holds theta's own, so an optimizer step, an EMA update or
+a restore is one in-place expression on ``theta``, and a posterior's mean and
+variances or a gradient are plain vectors read through ``views``. ``flatten``
+returns a copied snapshot. BN running statistics are serialized with the
+model but are not trainables and are not part of theta.
 ``forward`` is the untaped inference path on plain arrays, for one batch or
 a stack of equal batches; ``taped_forward`` records ``Tensor`` ops for the
 gradient.
@@ -14,55 +17,19 @@ gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import RunningStats, Tape, Tensor, batch_norm, batch_norm_arrays, linear, relu
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, require_entry, write_checkpoint
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class FlatParams:
-    """Ordered, named view of all trainables as one contiguous vector."""
-
-    names: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]
-    values: Array
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1 or self.values.dtype != np.float64:
-            raise ValueError("FlatParams values must be a 1-D float64 vector")
-        total = self.offsets[-1] + math.prod(self.shapes[-1]) if self.names else 0
-        if self.values.size != total:
-            raise ValueError("FlatParams values length does not match layout")
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-    def slice(self, name: str) -> Array:
-        i = self.names.index(name)
-        size = math.prod(self.shapes[i])
-        return self.values[self.offsets[i] : self.offsets[i] + size].reshape(self.shapes[i])
-
-    def with_values(self, values: Array) -> "FlatParams":
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        return FlatParams(self.names, self.shapes, self.offsets, values)
-
-    def copy(self) -> "FlatParams":
-        return self.with_values(self.values.copy())
-
-    def same_layout(self, other: "FlatParams") -> bool:
-        return self.names == other.names and self.shapes == other.shapes
-
-
-def _registry_layout(sizes: Sequence[int]) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+def _registry_layout(sizes: Sequence[int]) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """``(name, shape, start, end)`` of each trainable, in registry order."""
     names: list[str] = []
     shapes: list[tuple[int, ...]] = []
     for i, (fan_in, width) in enumerate(zip(sizes[:-2], sizes[1:-1])):
@@ -70,13 +37,28 @@ def _registry_layout(sizes: Sequence[int]) -> tuple[tuple[str, ...], tuple[tuple
         shapes += [(fan_in, width), (width,), (width,), (width,)]
     names += ["out.weight", "out.bias"]
     shapes += [(sizes[-2], sizes[-1]), (sizes[-1],)]
-    return tuple(names), tuple(shapes)
+    ends = tuple(accumulate(math.prod(shape) for shape in shapes))
+    return tuple(zip(names, shapes, (0,) + ends[:-1], ends))
 
 
 class MlpClassifier:
     """linear -> batch norm -> ReLU per hidden layer, then a linear head."""
 
     def __init__(self, sizes: Sequence[int], seed: int = 0) -> None:
+        self._allocate(sizes)
+        sizes = self.sizes
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for i, (fan_in, width) in enumerate(zip(sizes[:-2], sizes[1:-1])):
+            bound = 1.0 / np.sqrt(fan_in)
+            self.params[f"hidden{i}.weight"][...] = rng.uniform(-bound, bound, (fan_in, width))
+            self.params[f"hidden{i}.bias"][...] = rng.uniform(-bound, bound, width)
+            self.params[f"hidden{i}.gamma"][...] = 1.0
+        bound = 1.0 / np.sqrt(sizes[-2])
+        self.params["out.weight"][...] = rng.uniform(-bound, bound, (sizes[-2], sizes[-1]))
+        self.params["out.bias"][...] = rng.uniform(-bound, bound, sizes[-1])
+
+    def _allocate(self, sizes: Sequence[int]) -> None:
+        """Check ``sizes`` and bind a zero theta and running statistics (0, 1)."""
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 3:
             raise ValueError("need at least (input, one hidden, classes)")
@@ -86,39 +68,30 @@ class MlpClassifier:
             raise ValueError("layer sizes must be positive")
         self.sizes = sizes
         self.bn_mode = "train"
-        names, shapes = _registry_layout(sizes)
-        offsets = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
-        self._bind(FlatParams(names, shapes, offsets[:-1], np.zeros(offsets[-1])))
-        self.stats: dict[int, RunningStats] = {}
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for i, (fan_in, width) in enumerate(zip(sizes[:-2], sizes[1:-1])):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.params[f"hidden{i}.weight"][...] = rng.uniform(-bound, bound, (fan_in, width))
-            self.params[f"hidden{i}.bias"][...] = rng.uniform(-bound, bound, width)
-            self.params[f"hidden{i}.gamma"][...] = 1.0
-            self.stats[i] = RunningStats(np.zeros(width), np.ones(width))
-        bound = 1.0 / np.sqrt(sizes[-2])
-        self.params["out.weight"][...] = rng.uniform(-bound, bound, (sizes[-2], sizes[-1]))
-        self.params["out.bias"][...] = rng.uniform(-bound, bound, sizes[-1])
+        self._layout = _registry_layout(sizes)
+        self._bind(np.zeros(self._layout[-1][3]))
+        self.stats = {i: RunningStats(np.zeros(w), np.ones(w)) for i, w in enumerate(sizes[1:-1])}
 
     @property
     def n_hidden(self) -> int:
         return len(self.sizes) - 2
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return self._flat.names
 
     def set_bn_mode(self, mode: str) -> None:
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown BN mode {mode!r}")
         self.bn_mode = mode
 
-    def _bind(self, flat: FlatParams) -> None:
-        """Adopt ``flat``'s vector as theta; params become views of it."""
-        self._flat = flat
-        self.theta = flat.values
-        self.params: dict[str, Array] = {name: flat.slice(name) for name in flat.names}
+    def _bind(self, theta: Array) -> None:
+        """Adopt ``theta``; params become views of it."""
+        self.theta = theta
+        self.params: dict[str, Array] = self.views(theta)
+
+    def views(self, vector: Array) -> dict[str, Array]:
+        """Named views, in registry order, of a vector in theta's layout."""
+        dim = self._layout[-1][3]
+        if vector.shape != (dim,):
+            raise ValueError(f"expected a vector of {dim} parameters, got shape {vector.shape}")
+        return {name: vector[start:end].reshape(shape) for name, shape, start, end in self._layout}
 
     # -- forward ------------------------------------------------------------
 
@@ -183,29 +156,31 @@ class MlpClassifier:
 
     # -- parameter registry ---------------------------------------------------
 
-    def flatten(self) -> FlatParams:
-        """A copy of ``theta`` with its layout; later updates never reach it."""
-        return self._flat.copy()
+    def flatten(self) -> Array:
+        """A copy of ``theta``; later updates never reach it."""
+        return self.theta.copy()
 
-    def load(self, flat: FlatParams) -> None:
-        if not flat.same_layout(self._flat):
-            raise ValueError("parameter registry mismatch")
-        self.theta[:] = flat.values
+    def load(self, values: Array) -> None:
+        if values.shape != self.theta.shape:
+            raise ValueError(f"expected {self.theta.size} parameters, got shape {values.shape}")
+        self.theta[:] = values
 
     def grad_vector(self, wrapped: dict[str, Tensor], grads: dict) -> Array:
         """The tape's gradients of the ``taped_forward`` parameter tensors as
         one vector in ``theta``'s layout; zeros where no gradient reached."""
-        out = self._flat.with_values(np.zeros(self.theta.size))
+        out = np.zeros_like(self.theta)
+        views = self.views(out)
         for name, tensor in wrapped.items():
             grad = grads.get(tensor)
             if grad is not None:
-                out.slice(name)[...] = grad
-        return out.values
+                views[name][...] = grad
+        return out
 
     def clone(self) -> "MlpClassifier":
         other = MlpClassifier.__new__(MlpClassifier)  # no random init to overwrite
         other.sizes = self.sizes
-        other._bind(self._flat.copy())
+        other._layout = self._layout
+        other._bind(self.theta.copy())
         other.stats = {i: s.copy() for i, s in self.stats.items()}
         other.bn_mode = self.bn_mode
         return other
@@ -225,22 +200,21 @@ class MlpClassifier:
     @classmethod
     def load_checkpoint(cls, path) -> "MlpClassifier":
         entries = read_checkpoint(path)
-        hidden = []
-        i = 0
-        while f"hidden{i}.weight" in entries:
-            hidden.append(entries[f"hidden{i}.weight"].shape)
-            i += 1
-        if not hidden or "out.weight" not in entries:
+        shapes = []
+        while f"hidden{len(shapes)}.weight" in entries:
+            shapes.append(entries[f"hidden{len(shapes)}.weight"].shape)
+        if not shapes or "out.weight" not in entries:
             raise CheckpointError("checkpoint does not hold an MLP state")
-        sizes = (hidden[0][0],) + tuple(s[1] for s in hidden) + (entries["out.weight"].shape[1],)
-        model = cls(sizes, seed=0)
+        shapes.append(entries["out.weight"].shape)
+        if any(len(shape) != 2 for shape in shapes):
+            raise CheckpointError("checkpoint weights must be matrices")
+        model = cls.__new__(cls)  # no random init to overwrite
+        model._allocate((shapes[0][0],) + tuple(shape[1] for shape in shapes))
         for name, view in model.params.items():
-            view[...] = _entry(entries, name, view.shape)
+            view[...] = require_entry(entries, name, view.shape)
         for i, stats in model.stats.items():
-            model.stats[i] = RunningStats(
-                _entry(entries, f"hidden{i}.running_mean", stats.mean.shape).copy(),
-                _entry(entries, f"hidden{i}.running_var", stats.var.shape).copy(),
-            )
+            stats.mean[...] = require_entry(entries, f"hidden{i}.running_mean", stats.mean.shape)
+            stats.var[...] = require_entry(entries, f"hidden{i}.running_var", stats.var.shape)
         return model
 
 
@@ -250,14 +224,6 @@ def _finite(values: Array, what: str) -> Array:
     return values
 
 
-def _entry(entries: dict[str, Array], name: str, shape: tuple[int, ...]) -> Array:
-    if name not in entries:
-        raise CheckpointError(f"checkpoint missing entry {name}")
-    if entries[name].shape != shape:
-        raise CheckpointError(f"checkpoint shape mismatch for {name}")
-    return entries[name]
-
-
 # -- parameter filters ----------------------------------------------------------
 
 
@@ -265,10 +231,10 @@ def bn_affine_filter(name: str) -> bool:
     return name.endswith(".gamma") or name.endswith(".beta")
 
 
-def param_mask(flat: FlatParams, predicate: Callable[[str], bool]) -> Array:
-    """Boolean mask over the flat vector selecting parameters by name."""
-    mask = np.zeros(flat.dim, dtype=bool)
-    for name, shape, offset in zip(flat.names, flat.shapes, flat.offsets):
+def param_mask(model: MlpClassifier, predicate: Callable[[str], bool]) -> Array:
+    """Boolean mask over theta selecting parameters by name."""
+    mask = np.zeros(model.theta.size, dtype=bool)
+    for name, view in model.views(mask).items():
         if predicate(name):
-            mask[offset : offset + math.prod(shape)] = True
+            view[...] = True
     return mask

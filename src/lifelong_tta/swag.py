@@ -1,11 +1,12 @@
-"""Diagonal-Gaussian posterior over flattened parameters, fitted from SGD iterates.
+"""Diagonal-Gaussian posterior over the model's parameters, fitted from SGD iterates.
 
 The estimator keeps running first and second moments of collected iterates;
-the fitted posterior holds the mean (the maximum-a-posteriori initialization)
-and the variances, and saves and loads them as a checkpoint. Its
-log-density is ``autodiff.gaussian_log_density`` over ``mu``/``sigma2``.
-Variances are floored at 1e-8 so that density stays finite and its gradient
-bounded even when few iterates were collected.
+the fitted posterior holds the mean ``mu`` (the maximum-a-posteriori
+initialization) and the variances ``sigma2`` as plain vectors in the model's
+theta layout, and saves and loads them as a checkpoint through the model's
+``views``. Its log-density is ``autodiff.gaussian_log_density`` over
+``mu``/``sigma2``. Variances are floored at 1e-8 so that density stays finite
+and its gradient bounded even when few iterates were collected.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor, backward, soft_cross_entropy, softmax
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from .model import FlatParams, MlpClassifier
+from .checkpoint import CheckpointError, read_checkpoint, require_entry, write_checkpoint
+from .model import MlpClassifier
 
 Array = np.ndarray
 
@@ -27,22 +28,21 @@ VARIANCE_FLOOR = 1e-8
 class SwagDiagEstimator:
     """Accumulates parameter iterates into mean / diagonal-variance moments."""
 
-    def __init__(self, template: FlatParams) -> None:
-        self._template = template
+    def __init__(self, dim: int) -> None:
         self._count = 0
-        self._sum = np.zeros(template.dim)
-        self._sum_sq = np.zeros(template.dim)
+        self._sum = np.zeros(dim)
+        self._sum_sq = np.zeros(dim)
 
     @property
     def count(self) -> int:
         return self._count
 
-    def collect(self, iterate: FlatParams) -> "SwagDiagEstimator":
-        if not iterate.same_layout(self._template):
-            raise ValueError("iterate layout does not match the estimator")
+    def collect(self, iterate: Array) -> "SwagDiagEstimator":
+        if iterate.shape != self._sum.shape:
+            raise ValueError("iterate length does not match the estimator")
         self._count += 1
-        self._sum += iterate.values
-        self._sum_sq += iterate.values**2
+        self._sum += iterate
+        self._sum_sq += iterate**2
         return self
 
     def finalize(self, variance_floor: float = VARIANCE_FLOOR) -> "SwagDiagPosterior":
@@ -50,56 +50,47 @@ class SwagDiagEstimator:
             raise RuntimeError("no iterates collected")
         mu = self._sum / self._count
         sigma2 = np.maximum(self._sum_sq / self._count - mu**2, variance_floor)
-        return SwagDiagPosterior(
-            mu=self._template.with_values(mu),
-            sigma2=self._template.with_values(sigma2),
-            count=self._count,
-        )
+        return SwagDiagPosterior(mu=mu, sigma2=sigma2, count=self._count)
 
 
 @dataclass(eq=False)
 class SwagDiagPosterior:
-    """Fitted per-parameter Gaussian: mean mu, variance sigma2 (floored)."""
+    """Fitted per-parameter Gaussian: mean mu, variance sigma2 (floored),
+    both vectors in the model's theta layout."""
 
-    mu: FlatParams
-    sigma2: FlatParams
+    mu: Array
+    sigma2: Array
     count: int
 
-    def save(self, path) -> None:
-        entries = {}
-        for name in self.mu.names:
-            entries[f"swag.mu.{name}"] = self.mu.slice(name)
-        for name in self.mu.names:
-            entries[f"swag.sigma2.{name}"] = self.sigma2.slice(name)
+    def save(self, path, model: MlpClassifier) -> None:
+        entries = {f"swag.mu.{name}": view for name, view in model.views(self.mu).items()}
+        for name, view in model.views(self.sigma2).items():
+            entries[f"swag.sigma2.{name}"] = view
         entries["swag.count"] = np.asarray([float(self.count)])
         write_checkpoint(path, entries)
 
     @classmethod
-    def load(cls, path) -> "SwagDiagPosterior":
+    def load(cls, path, model: MlpClassifier) -> "SwagDiagPosterior":
+        """Read a posterior of ``model``: exactly one ``swag.mu.``/``swag.sigma2.``
+        entry of the registered shape per trainable, plus ``swag.count``."""
         entries = read_checkpoint(path)
-        names = [k[len("swag.mu.") :] for k in entries if k.startswith("swag.mu.")]
-        if not names or "swag.count" not in entries:
-            raise CheckpointError("checkpoint does not hold a fitted posterior")
-        shapes, offsets, mu_blocks, s2_blocks = [], [], [], []
-        cursor = 0
-        for name in names:
-            s2_key = f"swag.sigma2.{name}"
-            if s2_key not in entries:
-                raise CheckpointError(f"checkpoint missing variance for {name}")
-            block = entries[f"swag.mu.{name}"]
-            shapes.append(block.shape)
-            offsets.append(cursor)
-            cursor += block.size
-            mu_blocks.append(block.ravel())
-            s2_blocks.append(entries[s2_key].ravel())
-        layout = (tuple(names), tuple(shapes), tuple(offsets))
-        mu = FlatParams(*layout, np.concatenate(mu_blocks))
-        sigma2 = FlatParams(*layout, np.concatenate(s2_blocks))
-        if not np.isfinite(mu.values).all():
+        mu, sigma2 = np.zeros(model.theta.size), np.zeros(model.theta.size)
+        expected = {"swag.count"}
+        for prefix, vector in (("swag.mu.", mu), ("swag.sigma2.", sigma2)):
+            for name, view in model.views(vector).items():
+                view[...] = require_entry(entries, prefix + name, view.shape)
+                expected.add(prefix + name)
+        extra = [name for name in entries if name not in expected]
+        if extra:
+            raise CheckpointError(f"checkpoint entry {extra[0]} has no place in the model")
+        count = float(require_entry(entries, "swag.count", (1,))[0])
+        if not count.is_integer() or count < 1:
+            raise CheckpointError("posterior count must be a positive integer")
+        if not np.isfinite(mu).all():
             raise CheckpointError("posterior mean is not finite")
-        if not (np.isfinite(sigma2.values).all() and sigma2.values.min() >= VARIANCE_FLOOR):
+        if not (np.isfinite(sigma2).all() and sigma2.min() >= VARIANCE_FLOOR):
             raise CheckpointError(f"posterior variance must be finite and >= {VARIANCE_FLOOR}")
-        return cls(mu=mu, sigma2=sigma2, count=int(entries["swag.count"][0]))
+        return cls(mu=mu, sigma2=sigma2, count=int(count))
 
 
 def one_hot(labels: Array, n_classes: int) -> Array:
@@ -129,7 +120,7 @@ def train_source(
     n = images.shape[0]
     n_classes = model.sizes[-1]
     targets = one_hot(labels, n_classes)
-    estimator = SwagDiagEstimator(model.flatten())
+    estimator = SwagDiagEstimator(model.theta.size)
     velocity = np.zeros(model.theta.size)
     history: list[dict] = []
     model.set_bn_mode("train")

@@ -24,7 +24,7 @@ from lifelong_tta.engine import (
     petal_loss,
 )
 from lifelong_tta.metrics import per_sample_scores
-from lifelong_tta.model import FlatParams, MlpClassifier
+from lifelong_tta.model import MlpClassifier
 from lifelong_tta.streams import build_schedule, gradual_severities, make_source_dataset, stream_batches
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior
 
@@ -50,10 +50,10 @@ def _random_case(seed):
         int(rng.integers(2, 9)),
     )
     model = MlpClassifier(sizes, seed=seed)
-    flat = model.flatten()
+    dim = model.theta.size
     posterior = SwagDiagPosterior(
-        mu=flat.with_values(rng.normal(scale=0.3, size=flat.dim)),
-        sigma2=flat.with_values(rng.uniform(0.05, 1.0, flat.dim)),
+        mu=rng.normal(scale=0.3, size=dim),
+        sigma2=rng.uniform(0.05, 1.0, dim),
         count=5,
     )
     images = rng.random((4, sizes[0]))
@@ -63,8 +63,7 @@ def _random_case(seed):
     cfg = PetalConfig(method="petal", k_aug=2, alpha=alpha)
     state = init_adapt_state(model, posterior, cfg, seed=seed)
     # move the student off the posterior mode so the anchor gradient is live
-    start = state.student.flatten()
-    state.student.load(start.with_values(start.values + rng.normal(scale=0.05, size=start.dim)))
+    state.student.load(state.student.flatten() + rng.normal(scale=0.05, size=state.student.theta.size))
     return state, images, pseudo, posterior, cfg
 
 
@@ -75,17 +74,15 @@ def test_criterion_1_gradient_correctness():
         state, images, pseudo, posterior, cfg = _random_case(seed)
 
         def loss_at(values):
-            state.student.load(state.student.flatten().with_values(values))
+            state.student.load(values)
             loss, _, _ = petal_loss(state, images, pseudo, posterior, cfg, Tape())
             return loss.item()
 
-        theta = state.student.flatten().values.copy()
+        theta = state.student.flatten()
         tape = Tape()
         loss, wrapped, _ = petal_loss(state, images, pseudo, posterior, cfg, tape)
         grads = backward(loss, tape)
-        auto = np.concatenate(
-            [grads[wrapped[n]].ravel() for n in state.student.param_names]
-        )
+        auto = np.concatenate([grads[tensor].ravel() for tensor in wrapped.values()])
         numeric = finite_diff_gradient(loss_at, theta, 1e-5)
         rel = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)
         worst = max(worst, float(rel.max()))
@@ -116,10 +113,10 @@ def test_criterion_2_cotta_reduction(default_bundle):
         adapt_step(petal_state, batch.images, bundle.posterior, petal_cfg)
         adapt_step(cotta_state, batch.images, bundle.posterior, cotta_cfg)
         identical &= np.array_equal(
-            petal_state.student.flatten().values, cotta_state.student.flatten().values
+            petal_state.student.flatten(), cotta_state.student.flatten()
         )
         identical &= np.array_equal(
-            petal_state.teacher.flatten().values, cotta_state.teacher.flatten().values
+            petal_state.teacher.flatten(), cotta_state.teacher.flatten()
         )
         steps += 1
         if steps == 50 or not identical:
@@ -137,7 +134,7 @@ def test_criterion_2_cotta_reduction(default_bundle):
 
 
 def test_criterion_3_restore_semantics(headline_runs, default_bundle):
-    dim = default_bundle.model.flatten().dim
+    dim = default_bundle.model.theta.size
     expected = math.floor(0.03 * dim)
     fim_counts = [
         row["restored"]
@@ -150,11 +147,10 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     # must sit within six sigma of the binomial
     dataset = make_source_dataset(3, 40)
     model = MlpClassifier((64, 32, 8), seed=0)
-    est = SwagDiagEstimator(model.flatten())
+    est = SwagDiagEstimator(model.theta.size)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        flat = model.flatten()
-        est.collect(flat.with_values(flat.values + rng.normal(scale=1e-3, size=flat.dim)))
+        est.collect(model.flatten() + rng.normal(scale=1e-3, size=model.theta.size))
     posterior = est.finalize()
     cfg = PetalConfig(method="petal", restore="stochastic", rho=0.01, k_aug=2)
     state = init_adapt_state(model, posterior, cfg, seed=0)
@@ -176,7 +172,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     full_state = init_adapt_state(model, posterior, full_cfg, seed=0)
     batch, _ = next(stream_batches(schedule, dataset, np.random.default_rng(2)))
     adapt_step(full_state, batch.images, posterior, full_cfg)
-    full_reset = np.array_equal(full_state.student.flatten().values, full_state.source_model.theta)
+    full_reset = np.array_equal(full_state.student.flatten(), full_state.source_model.theta)
 
     check(
         3,
@@ -255,23 +251,22 @@ def test_criterion_6_swag_fidelity():
     curvature = np.array([[2.0, 0.3], [0.3, 1.0]])
     target = np.array([1.5, -0.5])
     theta = np.zeros(2)
-    template = FlatParams(("theta",), ((2,),), (0,), theta)
-    est = SwagDiagEstimator(template)
+    est = SwagDiagEstimator(2)
     iterates = []
     for _ in range(40):
         grad = curvature @ (theta - target) + rng.normal(scale=0.3, size=2)
         theta = theta - 0.1 * grad
         iterates.append(theta.copy())
-        est.collect(template.with_values(theta))
+        est.collect(theta)
     post = est.finalize()
     stacked = np.stack(iterates)
-    mu_ok = np.abs(post.mu.values - stacked.mean(axis=0)).max() < 1e-10
-    var_ok = np.abs(post.sigma2.values - stacked.var(axis=0)).max() < 1e-10
-    probe = post.mu.values + np.array([0.2, -0.1])
+    mu_ok = np.abs(post.mu - stacked.mean(axis=0)).max() < 1e-10
+    var_ok = np.abs(post.sigma2 - stacked.var(axis=0)).max() < 1e-10
+    probe = post.mu + np.array([0.2, -0.1])
 
     def log_q(theta, tape=None):
         # the posterior term of petal_loss
-        return gaussian_log_density([theta], [post.mu.values], [post.sigma2.values], tape)
+        return gaussian_log_density([theta], [post.mu], [post.sigma2], tape)
 
     numeric = finite_diff_gradient(lambda v: log_q(Tensor(v)).item(), probe, 1e-5)
     tape = Tape()

@@ -3,10 +3,10 @@ program itself.
 
 A name counts as used when some module of ``src/``, ``scripts/`` or
 ``perfbench/`` (other than ``lifelong_tta/__init__.py`` and the tests)
-mentions it as a name, an attribute or a string constant; the string form
-covers ``perfbench/layers.py``, which hooks functions by their names. Code
-that only its own tests call is deleted, and the property those tests check
-moves into a test of the code that remains.
+mentions it as a name, an attribute or a string constant outside the name's
+own definition; the string form covers ``perfbench/layers.py``, which hooks
+functions by their names. Code that only its own tests call is deleted, and
+the property those tests check moves into a test of the code that remains.
 """
 
 import ast
@@ -33,14 +33,23 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _mentions(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+def _mentions(node, enclosing=frozenset()):
+    """Names mentioned under ``node``, except a name mentioned inside its own
+    definition: a function whose body names itself (a tape label, a
+    recursive call) does not keep itself alive."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    name = None
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    if name is not None and name not in enclosing:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _mentions(child, enclosing)
 
 
 def _program_files():
@@ -68,3 +77,10 @@ def test_every_public_name_is_used_by_the_program():
     # the allowlist holds only names that still exist and are still unused
     for name in ALLOWED:
         assert name in {bare for _, bare in defined} and name not in used, name
+
+
+def test_a_mention_inside_its_own_definition_does_not_count():
+    self_only = ast.parse("def f(tape):\n    tape.record('f', f)\n")
+    assert "f" not in set(_mentions(self_only))
+    called = ast.parse("def f(tape):\n    return tape\n\nf(None)\n")
+    assert "f" in set(_mentions(called))

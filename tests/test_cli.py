@@ -134,6 +134,16 @@ def test_train_source_with_zero_epochs_errors(tmp_path):
         cmd_train_source(cfg)
 
 
+def test_cli_refuses_zero_source_epochs_before_writing(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"source": {"epochs": 0}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train-source", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: source.epochs must be >= 1\n"
+    assert not out.exists()
+
+
 def test_adapt_without_checkpoints_errors(tmp_path):
     cfg = tiny_config(tmp_path / "empty")
     with pytest.raises(FileNotFoundError, match="train-source"):
@@ -322,11 +332,15 @@ BAD_CHECKPOINT_EDITS = {
     "missing_running_mean": (MODEL_CHECKPOINT, "hidden0.running_mean", None),
     "missing_running_var": (MODEL_CHECKPOINT, "hidden0.running_var", None),
     "short_running_var": (MODEL_CHECKPOINT, "hidden0.running_var", lambda a: a[:-1]),
+    "vector_weight": (MODEL_CHECKPOINT, "hidden0.weight", lambda a: a.ravel()),
     "zero_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: 0.0 * a),
     "negative_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: -a),
     "nan_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: np.nan * a),
     "inf_variance": (POSTERIOR_CHECKPOINT, "swag.sigma2.out.bias", lambda a: np.inf * a),
     "nan_mean": (POSTERIOR_CHECKPOINT, "swag.mu.out.bias", lambda a: np.nan * a),
+    "missing_posterior_mean": (POSTERIOR_CHECKPOINT, "swag.mu.hidden0.weight", None),
+    "extra_posterior_entry": (POSTERIOR_CHECKPOINT, "swag.mu.hidden1.weight", lambda a: np.zeros((24, 8))),
+    "empty_count": (POSTERIOR_CHECKPOINT, "swag.count", lambda a: a[:0]),
 }
 
 
@@ -340,14 +354,36 @@ def test_cli_rejects_bad_checkpoint_entries(trained_dir, tmp_path, capsys, edit)
     if change is None:
         del entries[key]
     else:
-        entries[key] = change(entries[key])
+        entries[key] = change(entries.get(key))
     write_checkpoint(tmp_path / leaf, entries)
     config_path = tmp_path / "config.json"
     doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["adapt", "--config", str(config_path), "--method", "petal"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / leaf) in err
+    assert not list(tmp_path.glob("*/seed*"))
+
+
+# byte-level damage to one checkpoint: (file, edit of its bytes)
+DAMAGED_CHECKPOINTS = {
+    "model_bad_magic": (MODEL_CHECKPOINT, lambda blob: b"NOPE" + blob[4:]),
+    "model_truncated": (MODEL_CHECKPOINT, lambda blob: blob[:-9]),
+    "posterior_bad_magic": (POSTERIOR_CHECKPOINT, lambda blob: b"NOPE" + blob[4:]),
+    "posterior_truncated": (POSTERIOR_CHECKPOINT, lambda blob: blob[:-9]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_CHECKPOINTS))
+def test_cli_malformed_checkpoint_message_names_the_file(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    leaf, damage = DAMAGED_CHECKPOINTS[case]
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    (tmp_path / leaf).write_bytes(damage((tmp_path / leaf).read_bytes()))
+    assert main(["adapt", "--out", str(tmp_path), "--method", "source", "--seeds", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / leaf) in err
 
 
 # edits of a valid report.json that `report` must reject with one line

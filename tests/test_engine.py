@@ -230,9 +230,9 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     from lifelong_tta.autodiff import Tensor, soft_cross_entropy
 
     ce = soft_cross_entropy(Tensor(pseudo), logits).item()
-    assert np.array_equal(state.student.theta, posterior.mu.values)
+    assert np.array_equal(state.student.theta, posterior.mu)
     # at theta = mu the quadratic term is zero: log q is the normalizer alone
-    log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2.values).sum()
+    log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2).sum()
     expected = ce - 1.0 * log_q
     assert abs(loss.item() - expected) < 1e-9
 
@@ -249,20 +249,14 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
 
     loss = soft_cross_entropy(Tensor(pseudo), logits, tape)
     grads = backward(loss, tape)
-    flat = np.concatenate(
-        [grads.get(wrapped[n], np.zeros(state.student.params[n].shape)).ravel()
-         for n in state.student.param_names]
-    )
-    assert np.abs(flat).max() < 1e-8
+    assert np.abs(state.student.grad_vector(wrapped, grads)).max() < 1e-8
 
 
 def test_petal_loss_rejects_mismatched_posterior(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     other = MlpClassifier((64, 16, 8), seed=0)
-    est = SwagDiagEstimator(other.flatten())
-    est.collect(other.flatten())
-    wrong = est.finalize()
+    wrong = SwagDiagEstimator(other.theta.size).collect(other.flatten()).finalize()
     cfg = fast_cfg(alpha=1e-3)
     state = init_adapt_state(model, posterior, cfg, seed=0)
     with pytest.raises(ValueError):
@@ -277,45 +271,55 @@ def test_ema_extremes(small_bundle):
     _, model, posterior = small_bundle
     cfg = fast_cfg()
     state = init_adapt_state(model, posterior, cfg, seed=0)
-    before = state.teacher.flatten().values.copy()
-    state.student.load(state.student.flatten().with_values(before + 1.0))
+    before = state.teacher.flatten()
+    state.student.load(before + 1.0)
     ema_update(state.teacher, state.student, pi=1.0)
-    assert np.array_equal(state.teacher.flatten().values, before)
+    assert np.array_equal(state.teacher.flatten(), before)
     ema_update(state.teacher, state.student, pi=0.0)
-    assert np.array_equal(state.teacher.flatten().values, state.student.flatten().values)
+    assert np.array_equal(state.teacher.flatten(), state.student.flatten())
 
 
 def test_ema_arithmetic():
     teacher = MlpClassifier((4, 4, 2), seed=0)
     student = MlpClassifier((4, 4, 2), seed=0)
-    ones = teacher.flatten().with_values(np.ones(teacher.flatten().dim))
-    zeros = ones.with_values(np.zeros(ones.dim))
-    teacher.load(ones)
-    student.load(zeros)
+    teacher.load(np.ones(teacher.theta.size))
+    student.load(np.zeros(student.theta.size))
     ema_update(teacher, student, pi=0.999)
-    assert np.abs(teacher.flatten().values - 0.999).max() < 1e-15
+    assert np.abs(teacher.flatten() - 0.999).max() < 1e-15
 
 
 def test_ema_contraction_with_frozen_student():
     # with the student at zero, each update multiplies the gap by pi exactly
     teacher = MlpClassifier((4, 4, 2), seed=1)
     student = MlpClassifier((4, 4, 2), seed=1)
-    student.load(student.flatten().with_values(np.zeros(student.flatten().dim)))
+    student.load(np.zeros(student.theta.size))
     pi = 0.9
     for _ in range(3):
-        expected = pi * teacher.flatten().values
+        expected = pi * teacher.flatten()
         ema_update(teacher, student, pi=pi)
-        assert np.array_equal(teacher.flatten().values, expected)
+        assert np.array_equal(teacher.flatten(), expected)
 
 
-def test_ema_copies_student_stats():
-    teacher = MlpClassifier((4, 4, 2), seed=2)
-    student = MlpClassifier((4, 4, 2), seed=2)
-    student.stats[0].mean[:] = 7.0
-    ema_update(teacher, student, pi=0.5)
-    assert np.array_equal(teacher.stats[0].mean, student.stats[0].mean)
-    student.stats[0].mean[0] = -1.0
-    assert teacher.stats[0].mean[0] == 7.0  # a copy, not a view
+def test_teacher_running_stats_are_never_read(small_bundle):
+    # the teacher runs train-mode BN on batch statistics with no update, so
+    # garbage in its running buffers leaves its pseudo-labels bit-identical;
+    # this is why ema_update copies no statistics
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset, severity=5)
+    cfg = fast_cfg(tau=0.99)
+    clean = init_adapt_state(model, posterior, cfg, seed=3)
+    garbage = init_adapt_state(model, posterior, cfg, seed=3)
+    rng = np.random.default_rng(0)
+    for stats in garbage.teacher.stats.values():
+        stats.mean[...] = rng.normal(scale=1e3, size=stats.mean.shape)
+        stats.var[...] = rng.uniform(1e-6, 1e3, size=stats.var.shape)
+    buffers = [(s.mean.copy(), s.var.copy()) for s in garbage.teacher.stats.values()]
+    expected = teacher_pseudo_label(clean, images, cfg)
+    assert np.array_equal(teacher_pseudo_label(garbage, images, cfg), expected)
+    assert not np.array_equal(expected, softmax(clean.teacher.forward(images, update_stats=False)).data)
+    ema_update(garbage.teacher, garbage.student, cfg.pi)
+    for (mean, var), stats in zip(buffers, garbage.teacher.stats.values()):
+        assert np.array_equal(stats.mean, mean) and np.array_equal(stats.var, var)
 
 
 def test_ema_registry_mismatch():
@@ -437,13 +441,14 @@ def test_parameter_views_and_source_survive_steps(small_bundle, method):
             baseline_step(state, images, cfg)
         for net in nets:
             flat = net.flatten()
-            assert not np.shares_memory(flat.values, net.theta)
+            assert not np.shares_memory(flat, net.theta)
+            snapshot = net.views(flat)
             for name, view in net.params.items():
                 assert np.shares_memory(view, net.theta)
-                assert np.array_equal(view, flat.slice(name))
+                assert np.array_equal(view, snapshot[name])
         # the frozen source model is theta_0: never moved, never aliased
         assert not np.shares_memory(state.source_model.theta, state.student.theta)
-        assert np.array_equal(state.source_model.theta, posterior.mu.values)
+        assert np.array_equal(state.source_model.theta, posterior.mu)
     if method not in ("source", "bn_adapt"):
         assert not np.array_equal(state.student.theta, state.source_model.theta)
 
@@ -453,9 +458,9 @@ def test_zero_lr_no_restore_leaves_parameters_fixed(small_bundle):
     images, _ = batch_from(dataset)
     cfg = fast_cfg(eta=0.0, restore="none")
     state = init_adapt_state(model, posterior, cfg, seed=0)
-    before = state.student.flatten().values.copy()
+    before = state.student.flatten()
     report = adapt_step(state, images, posterior, cfg)
-    assert np.array_equal(state.student.flatten().values, before)
+    assert np.array_equal(state.student.flatten(), before)
     assert report.restored == 0
     assert state.step == 1
 
@@ -490,7 +495,7 @@ def test_delta_one_resets_student_to_source(small_bundle):
     cfg = fast_cfg(restore="fim", delta=1.0)
     state = init_adapt_state(model, posterior, cfg, seed=0)
     adapt_step(state, images, posterior, cfg)
-    assert np.array_equal(state.student.flatten().values, state.source_model.theta)
+    assert np.array_equal(state.student.flatten(), state.source_model.theta)
 
 
 def test_reset_optimizer_state_clears_restored_moments(small_bundle):
@@ -513,10 +518,10 @@ def test_cotta_equals_petal_with_alpha_zero(small_bundle):
         petal_report = adapt_step(petal_state, images, posterior, petal_cfg)
         cotta_report = adapt_step(cotta_state, images, posterior, cotta_cfg)
         assert np.array_equal(
-            petal_state.student.flatten().values, cotta_state.student.flatten().values
+            petal_state.student.flatten(), cotta_state.student.flatten()
         )
         assert np.array_equal(
-            petal_state.teacher.flatten().values, cotta_state.teacher.flatten().values
+            petal_state.teacher.flatten(), cotta_state.teacher.flatten()
         )
         assert np.array_equal(petal_report.predictions, cotta_report.predictions)
 
@@ -566,10 +571,10 @@ def test_source_baseline_mutates_nothing(small_bundle):
     images, _ = batch_from(dataset, n=32)
     cfg = fast_cfg(method="source")
     state = init_adapt_state(model, posterior, cfg, seed=0)
-    before = state.student.flatten().values.copy()
+    before = state.student.flatten()
     stats_before = state.student.stats[0].mean.copy()
     baseline_step(state, images, cfg)
-    assert np.array_equal(state.student.flatten().values, before)
+    assert np.array_equal(state.student.flatten(), before)
     assert np.array_equal(state.student.stats[0].mean, stats_before)
 
 
@@ -584,7 +589,7 @@ def test_tent_with_zero_lr_equals_bn_adapt(small_bundle):
     bn_report = baseline_step(bn_state, images, bn_cfg)
     assert np.array_equal(tent_report.predictions, bn_report.predictions)
     assert np.array_equal(
-        tent_state.student.flatten().values, bn_state.student.flatten().values
+        tent_state.student.flatten(), bn_state.student.flatten()
     )
 
 
@@ -594,11 +599,10 @@ def test_tent_and_pseudo_label_touch_only_bn_affine(small_bundle):
     for method in ("tent", "pseudo_label"):
         cfg = fast_cfg(method=method)
         state = init_adapt_state(model, posterior, cfg, seed=0)
-        before = state.student.flatten()
+        before = state.student.views(state.student.flatten())
         baseline_step(state, images, cfg)
-        after = state.student.flatten()
-        for name in before.names:
-            same = np.array_equal(before.slice(name), after.slice(name))
+        for name, after in state.student.params.items():
+            same = np.array_equal(before[name], after)
             if name.endswith(".gamma") or name.endswith(".beta"):
                 assert not same, f"{method} should update {name}"
             else:
@@ -637,7 +641,7 @@ def test_empty_schedule_gives_empty_report(small_bundle):
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     assert report.segments == [] and report.rows == [] and report.overall is None
     assert state.step == 0
-    assert np.array_equal(state.student.flatten().values, state.source_model.theta)
+    assert np.array_equal(state.student.flatten(), state.source_model.theta)
 
 
 def test_single_batch_run_equals_one_step(small_bundle):
@@ -661,8 +665,8 @@ def test_single_batch_run_equals_one_step(small_bundle):
         stream_batches(schedule, dataset, np.random.Generator(np.random.PCG64(stream_ss)))
     )
     manual_report = adapt_step(manual, batch.images, posterior, cfg)
-    assert np.array_equal(manual.student.flatten().values, state.student.flatten().values)
-    assert np.array_equal(manual.teacher.flatten().values, state.teacher.flatten().values)
+    assert np.array_equal(manual.student.flatten(), state.student.flatten())
+    assert np.array_equal(manual.teacher.flatten(), state.teacher.flatten())
     assert manual_report.restored == report.rows[0]["restored"]
     assert manual_report.loss == report.rows[0]["loss"]
 
@@ -684,6 +688,29 @@ def test_tent_online_resets_at_segment_boundaries(small_bundle):
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     # after the run the optimizer has only seen the final segment's two steps
     assert state.opt.step == 2
+
+
+def test_tent_online_resets_the_teacher_too(small_bundle, monkeypatch):
+    # petal and cotta predict from the teacher, so the oracle reset must
+    # bring it back to theta_0 along with the student
+    import lifelong_tta.engine as engine
+
+    dataset, model, posterior = small_bundle
+    schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 2, 8)
+    cfg = fast_cfg(tent_online=True, pi=0.9)
+    seen = []
+    step = engine.adapt_step
+
+    def recording(state, *args):
+        seen.append((state.student.theta.copy(), state.teacher.theta.copy(), state.source_model.theta.copy()))
+        return step(state, *args)
+
+    monkeypatch.setattr(engine, "adapt_step", recording)
+    run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
+    assert len(seen) == 4
+    student, teacher, source = seen[2]  # entering the second segment's first step
+    assert not np.array_equal(seen[1][1], source)  # the teacher had moved
+    assert np.array_equal(student, source) and np.array_equal(teacher, source)
 
 
 def test_run_report_has_config_echo_and_segments(small_bundle):

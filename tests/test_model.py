@@ -13,20 +13,20 @@ from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 def test_init_is_deterministic():
     a = MlpClassifier((2, 4, 3), seed=7).flatten()
     b = MlpClassifier((2, 4, 3), seed=7).flatten()
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
     a = MlpClassifier((2, 4, 3), seed=1).flatten()
     b = MlpClassifier((2, 4, 3), seed=2).flatten()
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_registry_dimension_counts():
     # W0 (2*4) + b0 (4) + gamma (4) + beta (4) + W1 (4*3) + b1 (3); BN running
     # stats stay out of the trainables
-    flat = MlpClassifier((2, 4, 3), seed=0).flatten()
-    sizes = {n: int(np.prod(s)) for n, s in zip(flat.names, flat.shapes)}
+    model = MlpClassifier((2, 4, 3), seed=0)
+    sizes = {name: view.size for name, view in model.params.items()}
     assert sizes == {
         "hidden0.weight": 8,
         "hidden0.bias": 4,
@@ -35,11 +35,30 @@ def test_registry_dimension_counts():
         "out.weight": 12,
         "out.bias": 3,
     }
-    assert flat.dim == 2 * 4 + 4 + 4 + 4 + 4 * 3 + 3
+    assert model.theta.shape == (2 * 4 + 4 + 4 + 4 + 4 * 3 + 3,)
 
 
 def test_registry_order_invariance():
-    assert MlpClassifier((5, 7, 7, 2), seed=0).param_names == MlpClassifier((5, 7, 7, 2), seed=9).param_names
+    assert list(MlpClassifier((5, 7, 7, 2), seed=0).params) == list(MlpClassifier((5, 7, 7, 2), seed=9).params)
+
+
+def test_views_tile_the_vector_in_registry_order():
+    # each name's view is the next contiguous slice, and any vector of
+    # theta's length is read the same way
+    model = MlpClassifier((5, 7, 6, 3), seed=0)
+    vector = np.arange(float(model.theta.size))
+    views = model.views(vector)
+    assert list(views) == list(model.params)
+    start = 0
+    for name, view in views.items():
+        assert view.shape == model.params[name].shape
+        assert np.shares_memory(view, vector)
+        assert np.array_equal(view.ravel(), np.arange(start, start + view.size))
+        start += view.size
+    assert start == vector.size
+    for bad in (np.zeros(vector.size - 1), np.zeros(vector.size + 1), np.zeros((1, vector.size))):
+        with pytest.raises(ValueError):
+            model.views(bad)
 
 
 def test_invalid_sizes():
@@ -53,13 +72,10 @@ def test_invalid_sizes():
 
 def test_zero_final_layer_gives_uniform_softmax():
     model = MlpClassifier((3, 5, 4), seed=0)
-    flat = model.flatten()
-    values = flat.values.copy()
+    values = model.flatten()
     for name in ("out.weight", "out.bias"):
-        i = flat.names.index(name)
-        size = int(np.prod(flat.shapes[i]))
-        values[flat.offsets[i] : flat.offsets[i] + size] = 0.0
-    model.load(flat.with_values(values))
+        model.views(values)[name][...] = 0.0
+    model.load(values)
     probs = softmax(model.forward(np.random.default_rng(0).random((6, 3)))).data
     assert np.abs(probs - 0.25).max() < 1e-12
 
@@ -92,14 +108,13 @@ def test_flatten_load_round_trip_is_bit_identical():
     flat = model.flatten()
     model.load(flat)
     again = model.flatten()
-    assert np.array_equal(flat.values, again.values)
-    assert flat.names == again.names
+    assert np.array_equal(flat, again)
+    assert not np.shares_memory(flat, model.theta) and not np.shares_memory(again, model.theta)
 
 
 def test_load_zeros_gives_constant_logits_per_row():
     model = MlpClassifier((4, 6, 3), seed=5)
-    flat = model.flatten()
-    model.load(flat.with_values(np.zeros(flat.dim)))
+    model.load(np.zeros(model.theta.size))
     logits = model.forward(np.random.default_rng(3).random((4, 4)), update_stats=False).data
     assert np.abs(logits - logits[:, :1]).max() < 1e-12
 
@@ -107,15 +122,15 @@ def test_load_zeros_gives_constant_logits_per_row():
 def test_perturbing_one_entry_touches_only_that_tensor():
     model = MlpClassifier((4, 6, 3), seed=5)
     flat = model.flatten()
-    values = flat.values.copy()
-    i = flat.names.index("hidden0.beta")
-    values[flat.offsets[i]] += 1.0
-    model.load(flat.with_values(values))
-    for name in flat.names:
+    values = flat.copy()
+    model.views(values)["hidden0.beta"][0] += 1.0
+    model.load(values)
+    before = model.views(flat)
+    for name, view in model.params.items():
         if name == "hidden0.beta":
-            assert model.params[name][0] == flat.slice(name)[0] + 1.0
+            assert view[0] == before[name][0] + 1.0 and np.array_equal(view[1:], before[name][1:])
         else:
-            assert np.array_equal(model.params[name], flat.slice(name))
+            assert np.array_equal(view, before[name])
 
 
 def test_load_rejects_registry_mismatch():
@@ -126,15 +141,14 @@ def test_load_rejects_registry_mismatch():
 
 
 def test_bn_filter_selects_exactly_the_affine_names():
-    flat = MlpClassifier((4, 6, 6, 3), seed=0).flatten()
-    mask = param_mask(flat, bn_affine_filter)
-    for name, shape, offset in zip(flat.names, flat.shapes, flat.offsets):
-        block = mask[offset : offset + int(np.prod(shape))]
+    model = MlpClassifier((4, 6, 6, 3), seed=0)
+    mask = param_mask(model, bn_affine_filter)
+    for name, block in model.views(mask).items():
         if name.endswith(".gamma") or name.endswith(".beta"):
             assert block.all()
         else:
             assert not block.any()
-    assert param_mask(flat, lambda name: True).all()
+    assert param_mask(model, lambda name: True).all()
 
 
 def test_clone_is_independent():
@@ -153,7 +167,7 @@ def test_clone_views_its_own_theta_and_copies_every_value():
     twin = model.clone()
     assert twin.sizes == model.sizes and twin.bn_mode == "eval"
     assert np.array_equal(twin.theta, model.theta)
-    assert twin.param_names == model.param_names
+    assert list(twin.params) == list(model.params)
     for name, view in twin.params.items():
         assert np.shares_memory(view, twin.theta)
         assert not np.shares_memory(view, model.theta)
@@ -247,10 +261,56 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     model.save(path)
     loaded = MlpClassifier.load_checkpoint(path)
     assert loaded.sizes == model.sizes
-    assert np.array_equal(loaded.flatten().values, model.flatten().values)
+    assert np.array_equal(loaded.flatten(), model.flatten())
     for i in model.stats:
         assert np.array_equal(loaded.stats[i].mean, model.stats[i].mean)
         assert np.array_equal(loaded.stats[i].var, model.stats[i].var)
+
+
+def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
+    # the loaded model is built from the entries alone: no constructor call,
+    # so no random initialization to draw and then overwrite
+    model = MlpClassifier((4, 6, 5, 3), seed=12)
+    model.forward(np.random.default_rng(1).random((6, 4)))  # move the stats
+    model.set_bn_mode("eval")
+    path = tmp_path / "model.ptta"
+    model.save(path)
+
+    def no_init(self, *args, **kwargs):
+        raise AssertionError("load_checkpoint must not run the random initialization")
+
+    monkeypatch.setattr(MlpClassifier, "__init__", no_init)
+    loaded = MlpClassifier.load_checkpoint(path)
+    assert loaded.sizes == model.sizes and loaded.bn_mode == "train"
+    assert np.array_equal(loaded.theta, model.theta)
+    for name, view in loaded.params.items():
+        assert np.shares_memory(view, loaded.theta)
+        assert np.array_equal(view, model.params[name])
+    for i in model.stats:
+        assert np.array_equal(loaded.stats[i].mean, model.stats[i].mean)
+        assert np.array_equal(loaded.stats[i].var, model.stats[i].var)
+    x = np.random.default_rng(2).random((5, 4))
+    loaded.set_bn_mode("eval")
+    assert np.array_equal(loaded.forward(x).data, model.forward(x).data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda e: e.update({"hidden0.weight": e["hidden0.weight"].ravel()}), "matrices"),
+        (lambda e: e.update({"out.weight": e["out.weight"][:, :1]}), "2 classes"),
+        (lambda e: e.update({"hidden1.weight": e["hidden1.weight"][:-1]}), "hidden1.weight"),
+        (lambda e: e.pop("out.bias"), "out.bias"),
+    ],
+)
+def test_checkpoint_load_rejects_inconsistent_shapes(tmp_path, edit, message):
+    path = tmp_path / "model.ptta"
+    MlpClassifier((4, 6, 5, 3), seed=0).save(path)
+    entries = read_checkpoint(path)
+    edit(entries)
+    write_checkpoint(path, entries)
+    with pytest.raises(ValueError, match=message):
+        MlpClassifier.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -3,79 +3,68 @@ import pytest
 import scipy.stats
 
 from lifelong_tta.autodiff import Tape, Tensor, backward, finite_diff_gradient, gaussian_log_density
-from lifelong_tta.model import FlatParams, MlpClassifier
+from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from lifelong_tta.model import MlpClassifier
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior, train_source
 from lifelong_tta.streams import make_source_dataset
 
 
 def flat1(values):
-    values = np.asarray(values, dtype=np.float64)
-    return FlatParams(("p",), ((values.size,),), (0,), values)
+    return np.asarray(values, dtype=np.float64)
 
 
 def test_two_point_moments():
-    est = SwagDiagEstimator(flat1([0.0]))
+    est = SwagDiagEstimator(1)
     est.collect(flat1([0.0])).collect(flat1([2.0]))
     post = est.finalize()
-    assert post.mu.values[0] == 1.0
-    assert post.sigma2.values[0] == 1.0  # E[x^2] - mu^2 = 2 - 1
+    assert post.mu[0] == 1.0
+    assert post.sigma2[0] == 1.0  # E[x^2] - mu^2 = 2 - 1
 
 
 def test_single_iterate_hits_variance_floor():
-    est = SwagDiagEstimator(flat1([0.0]))
+    est = SwagDiagEstimator(1)
     est.collect(flat1([3.0]))
     post = est.finalize()
-    assert post.sigma2.values[0] == 1e-8
+    assert post.sigma2[0] == 1e-8
 
 
 def test_moments_match_sampling_oracle():
     rng = np.random.default_rng(123)
     draws = rng.normal(3.0, 2.0, size=100)
-    est = SwagDiagEstimator(flat1([0.0]))
+    est = SwagDiagEstimator(1)
     for d in draws:
         est.collect(flat1([d]))
     post = est.finalize()
-    assert abs(post.mu.values[0] - 3.0) < 0.6
-    assert abs(post.sigma2.values[0] - 4.0) < 1.5
+    assert abs(post.mu[0] - 3.0) < 0.6
+    assert abs(post.sigma2[0] - 4.0) < 1.5
     # and the streaming moments equal the batch moments of the iterate set
-    assert abs(post.mu.values[0] - draws.mean()) < 1e-12
-    assert abs(post.sigma2.values[0] - draws.var()) < 1e-12
+    assert abs(post.mu[0] - draws.mean()) < 1e-12
+    assert abs(post.sigma2[0] - draws.var()) < 1e-12
 
 
 def test_collect_rejects_layout_mismatch():
-    est = SwagDiagEstimator(flat1([0.0, 0.0]))
+    est = SwagDiagEstimator(2)
     with pytest.raises(ValueError):
         est.collect(flat1([1.0]))
+    with pytest.raises(ValueError):
+        est.collect(np.zeros((2, 1)))
 
 
 def test_finalize_without_iterates():
     with pytest.raises(RuntimeError, match="no iterates collected"):
-        SwagDiagEstimator(flat1([0.0])).finalize()
+        SwagDiagEstimator(1).finalize()
 
 
 def fitted_posterior(dim=5, seed=0):
     rng = np.random.default_rng(seed)
-    template = flat1(np.zeros(dim))
-    return SwagDiagPosterior(
-        mu=template.with_values(rng.normal(size=dim)),
-        sigma2=template.with_values(rng.random(dim) + 0.1),
-        count=10,
-    )
+    return SwagDiagPosterior(mu=rng.normal(size=dim), sigma2=rng.random(dim) + 0.1, count=10)
 
 
 def log_density(post, theta, tape=None):
-    """log q(theta) as ``petal_loss`` evaluates it: ``gaussian_log_density``
-    over one tensor per parameter name and the posterior's slices of it.
-    Returns the scalar node and the parameter tensors."""
-    names = post.mu.names
-    thetas = [Tensor(theta.slice(name)) for name in names]
-    value = gaussian_log_density(
-        thetas,
-        [post.mu.slice(name) for name in names],
-        [post.sigma2.slice(name) for name in names],
-        tape,
-    )
-    return value, thetas
+    """log q(theta) of one parameter vector: ``gaussian_log_density`` over one
+    tensor. Returns the scalar node and the parameter tensors."""
+    thetas = [Tensor(theta)]
+    return gaussian_log_density(thetas, [post.mu], [post.sigma2], tape), thetas
 
 
 def log_q(post, theta):
@@ -92,7 +81,7 @@ def grad_log_q(post, theta):
 
 def test_log_density_at_mean_single_dim():
     post = fitted_posterior(dim=1)
-    post = SwagDiagPosterior(post.mu, post.sigma2.with_values(np.ones(1)), 3)
+    post = SwagDiagPosterior(post.mu, np.ones(1), 3)
     value = log_q(post, post.mu)
     assert abs(value - (-0.5 * np.log(2 * np.pi))) < 1e-12
     assert abs(value + 0.918939) < 1e-6
@@ -100,68 +89,61 @@ def test_log_density_at_mean_single_dim():
 
 def test_log_density_one_sigma_off_mean():
     post = fitted_posterior(dim=1)
-    sigma = np.sqrt(post.sigma2.values[0])
-    shifted = post.mu.with_values(post.mu.values + sigma)
+    sigma = np.sqrt(post.sigma2[0])
+    shifted = post.mu + sigma
     assert abs(log_q(post, shifted) - (log_q(post, post.mu) - 0.5)) < 1e-12
 
 
 def test_log_density_matches_scipy_sum():
     post = fitted_posterior(dim=5, seed=3)
-    theta = post.mu.with_values(post.mu.values + np.random.default_rng(4).normal(size=5))
-    expected = scipy.stats.norm.logpdf(
-        theta.values, loc=post.mu.values, scale=np.sqrt(post.sigma2.values)
-    ).sum()
+    theta = post.mu + np.random.default_rng(4).normal(size=5)
+    expected = scipy.stats.norm.logpdf(theta, loc=post.mu, scale=np.sqrt(post.sigma2)).sum()
     assert abs(log_q(post, theta) - expected) < 1e-10
 
 
 def test_grad_log_density_closed_form_and_finite_differences():
     post = fitted_posterior(dim=6, seed=5)
-    theta = post.mu.with_values(post.mu.values + 0.3)
+    theta = post.mu + 0.3
     grad = grad_log_q(post, theta)
-    assert np.allclose(grad, -(theta.values - post.mu.values) / post.sigma2.values)
-    numeric = finite_diff_gradient(
-        lambda v: log_q(post, theta.with_values(v)), theta.values, 1e-5
-    )
+    assert np.allclose(grad, -(theta - post.mu) / post.sigma2)
+    numeric = finite_diff_gradient(lambda v: log_q(post, v), theta, 1e-5)
     rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-6)
     assert rel.max() < 1e-5
 
 
 def test_grad_is_zero_at_mean():
     post = fitted_posterior()
-    assert np.array_equal(grad_log_q(post, post.mu), np.zeros(post.mu.dim))
+    assert np.array_equal(grad_log_q(post, post.mu), np.zeros(post.mu.size))
 
 
 def test_grad_simple_case():
-    template = flat1([0.0])
-    post = SwagDiagPosterior(template.with_values(np.array([1.0])),
-                             template.with_values(np.array([2.0])), 2)
-    grad = grad_log_q(post, template.with_values(np.array([2.0])))
+    post = SwagDiagPosterior(flat1([1.0]), flat1([2.0]), 2)
+    grad = grad_log_q(post, flat1([2.0]))
     assert grad[0] == -0.5
 
 
 def test_map_params_is_the_mean_and_the_density_peak():
     # the mean mu is the MAP point: no perturbation of it has higher density
     post = fitted_posterior(dim=4, seed=6)
-    m = post.mu
-    at_map = log_q(post, m)
+    at_map = log_q(post, post.mu)
     rng = np.random.default_rng(7)
     for _ in range(100):
-        probe = m.with_values(m.values + rng.normal(scale=0.5, size=post.mu.dim))
+        probe = post.mu + rng.normal(scale=0.5, size=post.mu.size)
         assert log_q(post, probe) <= at_map
 
 
 def test_log_density_concave_along_lines():
     post = fitted_posterior(dim=5, seed=8)
     rng = np.random.default_rng(9)
-    direction = rng.normal(size=post.mu.dim)
-    a = post.mu.with_values(post.mu.values + 2.0 * direction)
-    b = post.mu.with_values(post.mu.values - 1.0 * direction)
-    mid = post.mu.with_values((a.values + b.values) / 2.0)
+    direction = rng.normal(size=post.mu.size)
+    a = post.mu + 2.0 * direction
+    b = post.mu - 1.0 * direction
+    mid = (a + b) / 2.0
     assert log_q(post, mid) >= (log_q(post, a) + log_q(post, b)) / 2.0
 
 
 def test_variance_floor_keeps_density_finite():
-    est = SwagDiagEstimator(flat1([0.0]))
+    est = SwagDiagEstimator(1)
     est.collect(flat1([1.0])).collect(flat1([1.0]))  # zero empirical variance
     post = est.finalize()
     value = log_q(post, flat1([1e6]))
@@ -174,36 +156,60 @@ def test_dimension_mismatch_raises():
         log_q(post, flat1([0.0]))
 
 
-def test_posterior_checkpoint_round_trip(tmp_path):
-    model = MlpClassifier((4, 6, 3), seed=0)
-    est = SwagDiagEstimator(model.flatten())
-    rng = np.random.default_rng(10)
-    flat = model.flatten()
+def _saved_posterior(tmp_path, model, seed=10):
+    est = SwagDiagEstimator(model.theta.size)
+    rng = np.random.default_rng(seed)
     for _ in range(4):
-        est.collect(flat.with_values(flat.values + rng.normal(size=flat.dim)))
+        est.collect(model.flatten() + rng.normal(size=model.theta.size))
     post = est.finalize()
     path = tmp_path / "posterior.ptta"
-    post.save(path)
-    loaded = SwagDiagPosterior.load(path)
+    post.save(path, model)
+    return post, path
+
+
+def test_posterior_checkpoint_round_trip(tmp_path):
+    model = MlpClassifier((4, 6, 3), seed=0)
+    post, path = _saved_posterior(tmp_path, model)
+    loaded = SwagDiagPosterior.load(path, model)
     assert loaded.count == post.count
-    assert loaded.mu.names == post.mu.names
-    assert np.array_equal(loaded.mu.values, post.mu.values)
-    assert np.array_equal(loaded.sigma2.values, post.sigma2.values)
+    assert np.array_equal(loaded.mu, post.mu)
+    assert np.array_equal(loaded.sigma2, post.sigma2)
 
 
 def test_posterior_checkpoint_uses_reserved_names(tmp_path):
-    from lifelong_tta.checkpoint import read_checkpoint
-
+    # every mean entry, then every variance entry, in registry order, then the count
     model = MlpClassifier((4, 6, 3), seed=0)
-    est = SwagDiagEstimator(model.flatten())
-    est.collect(model.flatten())
-    path = tmp_path / "posterior.ptta"
-    est.finalize().save(path)
+    post, path = _saved_posterior(tmp_path, model)
     entries = read_checkpoint(path)
-    for name in model.param_names:
-        assert f"swag.mu.{name}" in entries
-        assert f"swag.sigma2.{name}" in entries
-    assert "swag.count" in entries
+    names = list(model.params)
+    assert list(entries) == (
+        [f"swag.mu.{n}" for n in names] + [f"swag.sigma2.{n}" for n in names] + ["swag.count"]
+    )
+    for name, view in model.views(post.sigma2).items():
+        assert np.array_equal(entries[f"swag.sigma2.{name}"], view)
+
+
+# edits of a saved posterior that no longer fit the model: (edit, message)
+MISFIT_POSTERIORS = {
+    "missing_mean": (lambda e: e.pop("swag.mu.hidden0.gamma"), "missing entry swag.mu.hidden0.gamma"),
+    "missing_variance": (lambda e: e.pop("swag.sigma2.out.bias"), "missing entry swag.sigma2.out.bias"),
+    "missing_count": (lambda e: e.pop("swag.count"), "missing entry swag.count"),
+    "extra_entry": (lambda e: e.update({"swag.mu.hidden1.weight": np.zeros((6, 3))}), "swag.mu.hidden1.weight"),
+    "wrong_shape": (lambda e: e.update({"swag.mu.out.weight": np.zeros((3, 6))}), "shape mismatch"),
+    "fractional_count": (lambda e: e.update({"swag.count": np.array([2.5])}), "count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_POSTERIORS))
+def test_posterior_load_rejects_entries_that_do_not_fit_the_model(tmp_path, case):
+    model = MlpClassifier((4, 6, 3), seed=0)
+    _, path = _saved_posterior(tmp_path, model)
+    edit, message = MISFIT_POSTERIORS[case]
+    entries = read_checkpoint(path)
+    edit(entries)
+    write_checkpoint(path, entries)
+    with pytest.raises(CheckpointError, match=message):
+        SwagDiagPosterior.load(path, model)
 
 
 def test_train_source_reports_divergence():
