@@ -16,7 +16,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lifelong_tta.cli import ExperimentConfig, HELD_OUT_KIND, load_checkpoints, validate_config  # noqa: E402
+from lifelong_tta.cli import (  # noqa: E402
+    ExperimentConfig,
+    HELD_OUT_KIND,
+    eval_dataset_seed,
+    load_checkpoints,
+    validate_config,
+)
 from lifelong_tta.engine import PetalConfig, run_lifelong  # noqa: E402
 from lifelong_tta.streams import build_schedule, make_source_dataset  # noqa: E402
 
@@ -33,10 +39,10 @@ def main() -> int:
         cfg = ExperimentConfig(seeds=tuple(int(s) for s in args.seeds.split(",")), out_dir=args.out)
         validate_config(cfg)
         model, posterior = load_checkpoints(cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a checkpoint path that is a directory too
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    eval_set = make_source_dataset(cfg.dataset.seed + 1, cfg.dataset.n_per_class)
+    eval_set = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     schedule = build_schedule(
         (HELD_OUT_KIND,),
         "continual5",

@@ -1,10 +1,11 @@
 """Float64 tensors with a minimal reverse-mode tape.
 
-Implements only the operations a batch-normalized MLP and its self-training
-objectives need: dense affine maps, ReLU, batch normalization, softmax-based
-losses, a diagonal-Gaussian log-density over parameter tensors, and scalar
-combination. Passing a ``Tape`` records the op; ``backward`` replays the tape
-in reverse and accumulates a gradient per tensor.
+Implements only what the self-training objectives add to the model, which
+records its whole forward as one node: softmax-based losses, a
+diagonal-Gaussian log-density over parameter tensors, and scalar combination.
+Passing a ``Tape`` records the op; ``backward`` replays the tape in reverse
+and accumulates a gradient per tensor. ``batch_norm_arrays`` is the
+batch-normalization arithmetic of both of the model's forward paths.
 
 Everything is float64 and must stay finite: NaN/Inf raises immediately
 instead of propagating.
@@ -44,10 +45,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -105,34 +102,6 @@ def backward(root: Tensor, tape: Tape) -> GradientMap:
 
 # ---------------------------------------------------------------------------
 # ops
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
-    """Affine map: out[b, o] = sum_i x[b, i] * weight[i, o] + bias[o]."""
-    if x.data.ndim != 2 or weight.data.ndim != 2 or bias.data.ndim != 1:
-        raise ValueError("linear expects x (B,I), weight (I,O), bias (O,)")
-    if x.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
-        raise ValueError(
-            f"linear shape mismatch: x {x.shape}, weight {weight.shape}, bias {bias.shape}"
-        )
-    out = Tensor(x.data @ weight.data + bias.data)
-    if tape is not None:
-        def grad_fn(g, x=x, weight=weight):
-            return g @ weight.data.T, x.data.T @ g, g.sum(axis=0)
-
-        tape.record("linear", (x, weight, bias), out, grad_fn)
-    return out
-
-
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Elementwise max(0, x); gradient is 0 at x == 0."""
-    out = Tensor(np.maximum(x.data, 0.0))
-    if tape is not None:
-        def grad_fn(g, x=x):
-            return (g * (x.data > 0.0),)
-
-        tape.record("relu", (x,), out, grad_fn)
-    return out
 
 
 @dataclass(eq=False)
@@ -198,50 +167,18 @@ def batch_norm_arrays(
     return out, x_hat, inv_std
 
 
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: RunningStats,
-    mode: str = "train",
-    tape: Tape | None = None,
-    update_stats: bool = True,
-) -> Tensor:
-    """Batch normalization of a (B, F) tensor over the batch axis, by
-    ``batch_norm_arrays``."""
-    if x.data.ndim != 2:
-        raise ValueError("batch_norm expects a (B, F) input")
-    values, x_hat, inv_std = batch_norm_arrays(
-        x.data, gamma.data, beta.data, stats, mode, update_stats
-    )
-    out = Tensor(values)
-    if tape is not None:
-        if mode == "train":
-            def grad_fn(g, gamma=gamma, x_hat=x_hat, inv_std=inv_std, n=x.shape[0]):
-                g_hat = g * gamma.data
-                g_x = (inv_std / n) * (
-                    n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0)
-                )
-                return g_x, (g * x_hat).sum(axis=0), g.sum(axis=0)
-        else:
-            def grad_fn(g, gamma=gamma, x_hat=x_hat, inv_std=inv_std):
-                return g * gamma.data * inv_std, (g * x_hat).sum(axis=0), g.sum(axis=0)
-
-        tape.record("batch_norm", (x, gamma, beta), out, grad_fn)
-    return out
-
-
 def _log_softmax(logits: Array) -> Array:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax(logits: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction; rows sum to 1 within 1e-9."""
-    if logits.data.ndim != 2:
+def softmax(logits: Array) -> Array:
+    """Row-wise softmax of a (B, C) array with max-subtraction; rows sum to 1
+    within 1e-9."""
+    if logits.ndim != 2:
         raise ValueError("softmax expects a (B, C) input")
-    shifted = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-    return Tensor(shifted / shifted.sum(axis=1, keepdims=True))
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def _check_rows_are_distributions(rows: Array, what: str, tol: float = 1e-6) -> None:

@@ -245,7 +245,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 # commands
 
 
-def _eval_dataset_seed(cfg: ExperimentConfig) -> int:
+def eval_dataset_seed(cfg: ExperimentConfig) -> int:
     # the stream and the clean test set use fresh draws, disjoint from training
     return cfg.dataset.seed + 1
 
@@ -269,7 +269,7 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
     )
     model.save(out / MODEL_CHECKPOINT)
     posterior.save(out / POSTERIOR_CHECKPOINT, model)
-    eval_set = make_source_dataset(_eval_dataset_seed(cfg), cfg.dataset.n_per_class)
+    eval_set = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     probe = model.clone()
     probe.load(posterior.mu)
     clean = evaluate_model(probe, eval_set.images, eval_set.labels)
@@ -317,7 +317,7 @@ def load_checkpoints(cfg: ExperimentConfig) -> tuple[MlpClassifier, SwagDiagPost
 def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
     """Run every (method, seed) pair and write its report files."""
     model, posterior = load_checkpoints(cfg)
-    dataset = make_source_dataset(_eval_dataset_seed(cfg), cfg.dataset.n_per_class)
+    dataset = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     schedule = build_schedule(
         cfg.schedule.kinds,
         cfg.schedule.mode,

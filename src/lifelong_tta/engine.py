@@ -18,6 +18,10 @@ one teacher forward normalizes each draw by its own batch statistics. The
 random numbers and the sum of the predictions keep the draw order, so the
 pseudo-labels are bit-identical to those of K one-draw calls.
 
+Only the student's objective is taped, the model as one node and each loss
+op as its own; the gate, the teacher, the baselines and evaluation run the
+untaped ``forward`` on plain arrays.
+
 ``source`` (no adaptation) and ``bn_adapt`` (batch-statistics refresh only)
 take no gradient step; the BN mode set at initialization tells them apart.
 
@@ -81,6 +85,15 @@ class AugmentParams:
     blur_prob: float = 0.3
     flip_prob: float = 0.5
     noise_std: float = 0.02
+
+    def __post_init__(self) -> None:
+        for name in ("brightness", "max_shift_px", "max_rot_deg", "noise_std"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"augment.{name} must be >= 0, got {getattr(self, name)}")
+        # a contrast above 1 would draw negative contrast factors
+        for name in ("contrast", "blur_prob", "flip_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"augment.{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -365,9 +378,9 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     random numbers and the sum run in draw order, so the labels equal those
     of one augment call and one forward per draw, bit for bit.
     """
-    source_probs = softmax(state.source_model.forward(images)).data
+    source_probs = softmax(state.source_model.forward(images))
     confidence = source_probs.max(axis=1)
-    direct = softmax(state.teacher.forward(images, update_stats=False)).data
+    direct = softmax(state.teacher.forward(images, update_stats=False))
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
@@ -375,7 +388,7 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     for start in range(0, cfg.k_aug, _DRAW_BLOCK):
         draws = min(_DRAW_BLOCK, cfg.k_aug - start)
         block = augment(images, state.rng_augment, cfg.augment, draws)
-        probs = softmax(state.teacher.forward(block, update_stats=False, draws=draws)).data
+        probs = softmax(state.teacher.forward(block, update_stats=False, draws=draws))
         for rows in probs.reshape(draws, *direct.shape):
             total += rows
     averaged = total / cfg.k_aug
@@ -498,7 +511,7 @@ def _objective(
     elif cfg.method == "tent":
         loss = softmax_entropy_mean(logits, tape)
     else:  # pseudo_label
-        hard = softmax(logits).data.argmax(axis=1)
+        hard = softmax(logits.data).argmax(axis=1)
         loss = soft_cross_entropy(Tensor(one_hot(hard, logits.shape[1])), logits, tape)
     return loss, wrapped, logits
 
@@ -532,7 +545,7 @@ def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None,
         ema_update(state.teacher, state.student, cfg.pi)
         restored = _apply_restore(state, grad_vec, cfg)
     state.step += 1
-    preds = pseudo if has_teacher and cfg.predict_from == "teacher" else softmax(logits).data
+    preds = pseudo if has_teacher and cfg.predict_from == "teacher" else softmax(logits.data)
     return StepReport(preds, restored, loss_value)
 
 
@@ -553,7 +566,7 @@ def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepRep
     """One step of a comparison baseline."""
     if cfg.method in FORWARD_ONLY_METHODS:
         # eval-mode BN (source) ignores the stats update; train mode refreshes it
-        preds = softmax(state.student.forward(images)).data
+        preds = softmax(state.student.forward(images))
         state.step += 1
         return StepReport(preds, 0, float("nan"))
     if cfg.method in ("tent", "pseudo_label"):
@@ -712,7 +725,7 @@ def evaluate_model(model: MlpClassifier, images: Array, labels: Array) -> Metric
     flat = images.reshape(images.shape[0], -1)
     mode = model.bn_mode
     model.set_bn_mode("eval")
-    preds = softmax(model.forward(flat)).data
+    preds = softmax(model.forward(flat))
     model.set_bn_mode(mode)
     err, nll_values, brier_values = per_sample_scores(preds, labels)
     return MetricSummary(

@@ -9,9 +9,10 @@ a restore is one in-place expression on ``theta``, and a posterior's mean and
 variances or a gradient are plain vectors read through ``views``. ``flatten``
 returns a copied snapshot. BN running statistics are serialized with the
 model but are not trainables and are not part of theta.
-``forward`` is the untaped inference path on plain arrays, for one batch or
-a stack of equal batches; ``taped_forward`` records ``Tensor`` ops for the
-gradient.
+``forward`` (untaped; one batch or a stack of equal batches) and
+``taped_forward`` (one train-mode batch) share one layer loop on plain
+arrays; ``taped_forward`` records the network as one tape node whose
+backward is the MLP's own.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import RunningStats, Tape, Tensor, batch_norm, batch_norm_arrays, linear, relu
+from .autodiff import RunningStats, Tape, Tensor, batch_norm_arrays
 from .checkpoint import CheckpointError, read_checkpoint, require_entry, write_checkpoint
 
 Array = np.ndarray
@@ -95,7 +96,7 @@ class MlpClassifier:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x, update_stats: bool | None = None, draws: int = 1) -> Tensor:
+    def forward(self, x, update_stats: bool | None = None, draws: int = 1) -> Array:
         """Inference logits under the model's BN mode, with no tape.
 
         ``x`` may stack ``draws`` equal batches along its rows; in train mode
@@ -103,7 +104,7 @@ class MlpClassifier:
         those of ``draws`` separate calls, one row per input row. Only a
         single batch may update the running statistics. Raises
         ``FloatingPointError`` on a NaN/Inf in the input, in theta, or in a
-        linear or batch-norm output.
+        linear, batch-norm or logit output.
         """
         mode = self.bn_mode
         if update_stats is None:
@@ -115,13 +116,34 @@ class MlpClassifier:
             raise ValueError(f"{x.shape[0]} rows do not split into {draws} equal batches")
         # (draws, B, F) throughout: matmul runs one product per batch, so
         # each draw's rows are bit-identical to a call of its own
-        h = _finite(x, "input").reshape(draws, -1, self.sizes[0])
+        logits = self._logits(x.reshape(draws, -1, self.sizes[0]), mode, update_stats)
+        return _finite(logits.reshape(x.shape[0], -1), "logits")
+
+    def taped_forward(self, x, tape: Tape, update_stats: bool = True):
+        """Train-mode logits of one batch, recorded on ``tape`` as one node
+        whose inputs are the parameter tensors and whose backward is
+        ``_backward``; returns (logits, the parameter tensors by name)."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
+            raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
+        wrapped = {name: Tensor(view) for name, view in self.params.items()}
+        saved: list[tuple[Array, Array, Array]] = []
+        logits = Tensor(self._logits(x, "train", update_stats, saved))
+        tape.record("mlp", tuple(wrapped.values()), logits, lambda g: self._backward(g, x, saved))
+        return logits, wrapped
+
+    def _logits(self, h: Array, mode: str, update_stats: bool, saved: list | None = None) -> Array:
+        """The one layer loop: linear, batch norm and in-place ReLU per hidden
+        layer, then the linear head, on one (B, F) batch or a (G, B, F) stack.
+        ``saved``, when given, receives each hidden layer's (x_hat, inv_std,
+        output) for the backward; otherwise no layer's buffers outlive it."""
+        _finite(h, "input")
         _finite(self.theta, "parameters")
         p = self.params
         for i in range(self.n_hidden):
             h = h @ p[f"hidden{i}.weight"]
             h += p[f"hidden{i}.bias"]
-            h, _, _ = batch_norm_arrays(
+            h, x_hat, inv_std = batch_norm_arrays(
                 _finite(h, "linear output"),
                 p[f"hidden{i}.gamma"],
                 p[f"hidden{i}.beta"],
@@ -130,29 +152,34 @@ class MlpClassifier:
                 update_stats,
             )
             np.maximum(_finite(h, "batch norm output"), 0.0, out=h)
+            if saved is not None:
+                saved.append((x_hat, inv_std, h))
+            del x_hat, inv_std
         logits = h @ p["out.weight"]
         logits += p["out.bias"]
-        return Tensor(logits.reshape(x.shape[0], -1))
+        return logits
 
-    def taped_forward(self, x, tape: Tape, update_stats: bool = True):
-        """Train-mode logits recorded on ``tape``; returns the parameter
-        tensors so gradients can be mapped back by name."""
-        h = Tensor(x)
-        if h.data.ndim != 2 or h.shape[1] != self.sizes[0]:
-            raise ValueError(f"expected input (B, {self.sizes[0]}), got {h.shape}")
-        wrapped = {name: Tensor(view) for name, view in self.params.items()}
-        for i in range(self.n_hidden):
-            h = linear(h, wrapped[f"hidden{i}.weight"], wrapped[f"hidden{i}.bias"], tape)
-            h = batch_norm(
-                h,
-                wrapped[f"hidden{i}.gamma"],
-                wrapped[f"hidden{i}.beta"],
-                self.stats[i],
-                tape=tape,
-                update_stats=update_stats,
-            )
-            h = relu(h, tape)
-        return linear(h, wrapped["out.weight"], wrapped["out.bias"], tape), wrapped
+    def _backward(self, g: Array, x: Array, saved: list) -> tuple:
+        """Gradients of one ``taped_forward`` call, one per parameter in
+        registry order, from the logits' gradient ``g``: per layer the
+        head's, ReLU's, train-mode batch norm's and the linear map's backward.
+        The first layer's input gradient is never formed."""
+        p = self.params
+        grads = {"out.weight": saved[-1][2].T @ g, "out.bias": g.sum(axis=0)}
+        g = g @ p["out.weight"].T
+        n = x.shape[0]
+        for i in reversed(range(self.n_hidden)):
+            x_hat, inv_std, out = saved[i]
+            g = g * (out > 0.0)
+            grads[f"hidden{i}.gamma"] = (g * x_hat).sum(axis=0)
+            grads[f"hidden{i}.beta"] = g.sum(axis=0)
+            g_hat = g * p[f"hidden{i}.gamma"]
+            g = (inv_std / n) * (n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0))
+            grads[f"hidden{i}.weight"] = (saved[i - 1][2] if i else x).T @ g
+            grads[f"hidden{i}.bias"] = g.sum(axis=0)
+            if i:
+                g = g @ p[f"hidden{i}.weight"].T
+        return tuple(grads[name] for name in p)
 
     # -- parameter registry ---------------------------------------------------
 

@@ -145,7 +145,7 @@ def train_source(
         if epoch >= epochs - swag_epochs:
             estimator.collect(model.flatten())
         model.set_bn_mode("eval")
-        preds = softmax(model.forward(images)).data.argmax(axis=1)
+        preds = softmax(model.forward(images)).argmax(axis=1)
         model.set_bn_mode("train")
         history.append(
             {

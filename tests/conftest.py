@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lifelong_tta.cli import ExperimentConfig, cmd_train_source, load_checkpoints
+from lifelong_tta.cli import ExperimentConfig, cmd_train_source, eval_dataset_seed, load_checkpoints
 from lifelong_tta.engine import run_lifelong
 from lifelong_tta.streams import build_schedule, make_source_dataset
 
@@ -16,7 +16,7 @@ def default_bundle(tmp_path_factory):
     cfg = ExperimentConfig(out_dir=str(out))
     summary = cmd_train_source(cfg)
     model, posterior = load_checkpoints(cfg)
-    eval_set = make_source_dataset(cfg.dataset.seed + 1, cfg.dataset.n_per_class)
+    eval_set = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     schedule = build_schedule(
         cfg.schedule.kinds,
         cfg.schedule.mode,

@@ -8,16 +8,15 @@ from lifelong_tta.autodiff import (
     Tape,
     Tensor,
     backward,
-    batch_norm,
+    batch_norm_arrays,
     finite_diff_gradient,
     gaussian_log_density,
-    linear,
-    relu,
     soft_cross_entropy,
     softmax,
     softmax_entropy_mean,
     weighted_sum,
 )
+from lifelong_tta.model import MlpClassifier
 
 
 def sum_all(x, tape=None):
@@ -40,85 +39,101 @@ def test_tensor_rejects_non_finite():
         Tensor([np.inf])
 
 
+def relu_linear_model(w, b):
+    """A one-hidden-layer model whose forward is exactly max(0, x @ w + b):
+    eval-mode batch norm with running stats (0, 1 - eps) and unit gamma is
+    the identity, and so is the head (identity weights, zero bias)."""
+    fan_in, width = np.shape(w)
+    model = MlpClassifier((fan_in, width, width), seed=0)
+    model.params["hidden0.weight"][...] = w
+    model.params["hidden0.bias"][...] = b
+    model.params["out.weight"][...] = np.eye(width)
+    model.params["out.bias"][...] = 0.0
+    model.stats[0] = RunningStats(np.zeros(width), np.full(width, 1.0 - 1e-5))
+    model.set_bn_mode("eval")
+    return model
+
+
 def test_linear_identity_weights():
-    out = linear(Tensor([[1.0, 2.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([0.0, 0.0]))
-    assert np.array_equal(out.data, [[1.0, 2.0]])
+    model = relu_linear_model([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    assert np.array_equal(model.forward([[1.0, 2.0]]), [[1.0, 2.0]])
 
 
 def test_linear_zero_input_gives_bias():
-    out = linear(Tensor([[0.0, 0.0]]), Tensor(rand_rng().normal(size=(2, 2))), Tensor([3.0, 4.0]))
-    assert np.array_equal(out.data, [[3.0, 4.0]])
+    model = relu_linear_model(rand_rng().normal(size=(2, 2)), [3.0, 4.0])
+    assert np.array_equal(model.forward([[0.0, 0.0]]), [[3.0, 4.0]])
 
 
 def test_linear_matches_triple_loop_oracle():
     rng = rand_rng(1)
     x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
-    out = linear(Tensor(x), Tensor(w), Tensor(b)).data
+    out = relu_linear_model(w, b).forward(x)
     expected = np.zeros((3, 2))
     for i in range(3):
         for o in range(2):
             acc = b[o]
             for k in range(4):
                 acc += x[i, k] * w[k, o]
-            expected[i, o] = acc
+            expected[i, o] = max(acc, 0.0)
     assert np.abs(out - expected).max() < 1e-12
 
 
 def test_linear_shape_mismatch():
+    model = relu_linear_model([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
-        linear(Tensor([[1.0, 2.0]]), Tensor([[1.0], [2.0], [3.0]]), Tensor([0.0]))
-
-
-def test_relu_values_and_gradient():
-    tape = Tape()
-    x = Tensor([[-1.0, 0.0, 2.0]])
-    out = relu(x, tape)
-    assert np.array_equal(out.data, [[0.0, 0.0, 2.0]])
-    loss = sum_all(out, tape)
-    grad = backward(loss, tape)[x]
-    assert np.array_equal(grad, [[0.0, 0.0, 1.0]])
+        model.forward([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        model.taped_forward([[1.0, 2.0], [3.0, 4.0]], Tape())
 
 
 def test_relu_all_negative():
+    # a hidden layer whose every ReLU is off: the logits are the head's bias
+    # and no gradient reaches the layer's own parameters
+    model = MlpClassifier((3, 2, 2), seed=0)
+    model.params["hidden0.gamma"][...] = 0.0
+    model.params["hidden0.beta"][...] = [-3.0, -0.5]
+    model.params["out.bias"][...] = 0.0
     tape = Tape()
-    x = Tensor([[-3.0, -0.5]])
-    loss = sum_all(relu(x, tape), tape)
+    logits, wrapped = model.taped_forward(rand_rng(6).normal(size=(4, 3)), tape)
+    loss = sum_all(logits, tape)
     assert loss.item() == 0.0
-    assert np.array_equal(backward(loss, tape)[x], [[0.0, 0.0]])
+    grads = model.views(model.grad_vector(wrapped, backward(loss, tape)))
+    for name in ("hidden0.weight", "hidden0.bias", "hidden0.gamma", "hidden0.beta", "out.weight"):
+        assert np.array_equal(grads[name], np.zeros_like(grads[name]))
 
 
 def test_batch_norm_two_point_hand_computation():
     stats = RunningStats(np.zeros(1), np.ones(1))
-    out = batch_norm(Tensor([[1.0], [3.0]]), Tensor([1.0]), Tensor([0.0]), stats)
+    out, _, _ = batch_norm_arrays(np.array([[1.0], [3.0]]), np.ones(1), np.zeros(1), stats)
     expected = (np.array([[1.0], [3.0]]) - 2.0) / np.sqrt(1.0 + 1e-5)
-    assert np.abs(out.data - expected).max() < 1e-12
-    assert abs(out.data[0, 0] + 0.999995) < 1e-6
+    assert np.abs(out - expected).max() < 1e-12
+    assert abs(out[0, 0] + 0.999995) < 1e-6
 
 
 def test_batch_norm_zero_gamma_gives_beta():
     stats = RunningStats(np.zeros(2), np.ones(2))
     x = rand_rng(2).normal(size=(5, 2))
-    out = batch_norm(Tensor(x), Tensor([0.0, 0.0]), Tensor([0.7, -0.2]), stats)
-    assert np.allclose(out.data, np.broadcast_to([0.7, -0.2], (5, 2)))
+    out, _, _ = batch_norm_arrays(x, np.zeros(2), np.array([0.7, -0.2]), stats)
+    assert np.allclose(out, np.broadcast_to([0.7, -0.2], (5, 2)))
 
 
 def test_batch_norm_eval_with_unit_stats_is_near_identity():
     stats = RunningStats(np.zeros(3), np.ones(3))
     x = rand_rng(3).normal(size=(4, 3))
-    out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), stats, mode="eval")
-    assert np.abs(out.data - x).max() < 1e-4
+    out, _, _ = batch_norm_arrays(x, np.ones(3), np.zeros(3), stats, mode="eval")
+    assert np.abs(out - x).max() < 1e-4
 
 
 def test_batch_norm_rejects_small_train_batch():
     stats = RunningStats(np.zeros(1), np.ones(1))
     with pytest.raises(ValueError):
-        batch_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), stats)
+        batch_norm_arrays(np.array([[1.0]]), np.ones(1), np.zeros(1), stats)
 
 
 def test_batch_norm_updates_running_stats_with_momentum():
     stats = RunningStats(np.zeros(1), np.ones(1))
     x = np.array([[1.0], [3.0]])
-    batch_norm(Tensor(x), Tensor([1.0]), Tensor([0.0]), stats)
+    batch_norm_arrays(x, np.ones(1), np.zeros(1), stats)
     assert np.allclose(stats.mean, 0.9 * 0.0 + 0.1 * 2.0)
     # running variance uses the unbiased batch variance
     assert np.allclose(stats.var, 0.9 * 1.0 + 0.1 * 2.0)
@@ -128,14 +143,14 @@ def test_batch_norm_train_output_is_standardized():
     rng = rand_rng(4)
     x = rng.normal(3.0, 2.5, size=(64, 5))
     stats = RunningStats(np.zeros(5), np.ones(5))
-    out = batch_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)), stats).data
+    out, _, _ = batch_norm_arrays(x, np.ones(5), np.zeros(5), stats)
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
 
 
 def test_softmax_symmetry_and_stability():
-    assert np.allclose(softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
-    out = softmax(Tensor([[1000.0, 0.0]])).data
+    assert np.allclose(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
+    out = softmax(np.array([[1000.0, 0.0]]))
     assert abs(out[0, 0] - 1.0) < 1e-12 and out[0, 1] >= 0.0
 
 
@@ -144,7 +159,7 @@ def test_softmax_symmetry_and_stability():
 def test_softmax_rows_sum_to_one(seed):
     rng = np.random.default_rng(seed)
     logits = rng.uniform(-1e4, 1e4, size=(4, 6))
-    rows = softmax(Tensor(logits)).data.sum(axis=1)
+    rows = softmax(logits).sum(axis=1)
     assert np.abs(rows - 1.0).max() < 1e-9
 
 
@@ -188,7 +203,7 @@ def test_soft_cross_entropy_gradient_closed_form():
     tape = Tape()
     loss = soft_cross_entropy(Tensor(target), logits, tape)
     grad = backward(loss, tape)[logits]
-    expected = (softmax(logits).data - target) / 5
+    expected = (softmax(logits.data) - target) / 5
     assert np.abs(grad - expected).max() < 1e-12
 
 
@@ -218,21 +233,31 @@ def test_backward_sum_gives_ones():
 
 def test_backward_rejects_non_scalar_root():
     tape = Tape()
-    x = Tensor([[1.0, 2.0]])
-    out = relu(x, tape)
+    logits, _ = MlpClassifier((3, 4, 2), seed=0).taped_forward(rand_rng(7).normal(size=(3, 3)), tape)
     with pytest.raises(ValueError):
-        backward(out, tape)
+        backward(logits, tape)
+
+
+def _taped_objective(seed, tape):
+    """A two-hidden-layer model's taped forward under both self-training
+    losses and the log-density anchor, combined by ``weighted_sum``; returns
+    (loss, the parameter tensors, the target tensor)."""
+    rng = rand_rng(seed)
+    model = MlpClassifier((3, 4, 3, 2), seed=seed)
+    logits, wrapped = model.taped_forward(rng.normal(size=(5, 3)), tape)
+    target = Tensor(np.full((5, 2), 0.5))
+    ce = soft_cross_entropy(target, logits, tape)
+    ent = softmax_entropy_mean(logits, tape)
+    thetas = list(wrapped.values())
+    log_q = gaussian_log_density(thetas, [t.data * 0.5 for t in thetas], [np.ones(t.shape) for t in thetas], tape)
+    return weighted_sum([(1.0, ce), (0.5, ent), (-0.25, log_q)], tape=tape), wrapped, target
 
 
 def test_tape_is_topologically_ordered():
     # every input is either a leaf or the output of an earlier node
     tape = Tape()
-    x = Tensor(rand_rng(8).normal(size=(3, 2)))
-    w = Tensor(rand_rng(9).normal(size=(2, 2)))
-    b = Tensor(np.zeros(2))
-    h = relu(linear(x, w, b, tape), tape)
-    sum_all(h, tape)
-    leaves = {id(x), id(w), id(b)}
+    _, wrapped, target = _taped_objective(8, tape)
+    leaves = {id(t) for t in wrapped.values()} | {id(target)}
     produced = set()
     for node in tape.nodes:
         for inp in node.inputs:
@@ -242,12 +267,9 @@ def test_tape_is_topologically_ordered():
 
 def test_gradient_shapes_match_values():
     tape = Tape()
-    rng = rand_rng(9)
-    x = Tensor(rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(3, 2)))
-    b = Tensor(rng.normal(size=2))
-    loss = sum_all(relu(linear(x, w, b, tape), tape), tape)
+    loss, wrapped, _ = _taped_objective(9, tape)
     grads = backward(loss, tape)
+    assert all(tensor in grads for tensor in wrapped.values())
     for tensor, grad in grads.items():
         assert grad.shape == tensor.shape
 
@@ -276,53 +298,44 @@ def test_finite_diff_rejects_bad_step():
         finite_diff_gradient(lambda v: 0.0, np.zeros(1), h=0.0)
 
 
-def _fd_check(build, leaves, seed, rtol=1e-4):
-    """Compare autodiff against central differences for a scalar-valued op."""
-    flat0 = np.concatenate([leaf.data.ravel() for leaf in leaves])
-
-    def value_at(vec):
-        cursor = 0
-        rebuilt = []
-        for leaf in leaves:
-            size = leaf.size
-            rebuilt.append(Tensor(vec[cursor : cursor + size].reshape(leaf.shape)))
-            cursor += size
-        return build(rebuilt, None).item()
-
-    tape = Tape()
-    loss = build(leaves, tape)
-    grads = backward(loss, tape)
-    auto = np.concatenate(
-        [grads.get(leaf, np.zeros(leaf.shape)).ravel() for leaf in leaves]
-    )
-    numeric = finite_diff_gradient(value_at, flat0, 1e-5)
-    err = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)
-    assert err.max() < rtol, f"seed {seed}: max relative error {err.max()}"
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_every_op_gradient_matches_finite_differences(seed):
+    # every op the tape records: the model's one node for a two-hidden-layer
+    # MLP under each self-training loss alone, then both losses with the
+    # log-density anchor through weighted_sum; central differences over theta
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(4, 3)))
-    w = Tensor(rng.normal(size=(3, 2)))
-    b = Tensor(rng.normal(size=2))
-    target = rng.random((4, 2))
-    target /= target.sum(axis=1, keepdims=True)
-    mu = rng.normal(size=(3, 2))
-    var = rng.random((3, 2)) + 0.1
-    stats = RunningStats(np.zeros(2), np.ones(2))
+    model = MlpClassifier((3, 4, 3, 2), seed=seed)
+    x = rng.normal(size=(5, 3))
+    target = Tensor(rng.dirichlet(np.ones(2), size=5))
+    mu = list(model.views(rng.normal(scale=0.3, size=model.theta.size)).values())
+    var = list(model.views(rng.random(model.theta.size) + 0.1).values())
+    theta0 = model.flatten()
 
-    def build(leaves, tape):
-        xx, ww, bb = leaves
-        h = linear(xx, ww, bb, tape)
-        h = batch_norm(h, Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, tape=tape, update_stats=False)
-        h = relu(h, tape)
-        ce = soft_cross_entropy(Tensor(target), h, tape)
-        ent = softmax_entropy_mean(h, tape)
-        log_q = gaussian_log_density([ww], [mu], [var], tape)
-        return weighted_sum([(1.0, ce), (0.5, ent), (-0.25, log_q)], tape=tape)
+    def cross_entropy(logits, wrapped, tape):
+        return soft_cross_entropy(target, logits, tape)
 
-    _fd_check(build, [x, w, b], seed)
+    def entropy(logits, wrapped, tape):
+        return softmax_entropy_mean(logits, tape)
+
+    def combined(logits, wrapped, tape):
+        log_q = gaussian_log_density(list(wrapped.values()), mu, var, tape)
+        terms = [(1.0, cross_entropy(logits, wrapped, tape)), (0.5, entropy(logits, wrapped, tape))]
+        return weighted_sum(terms + [(-0.25, log_q)], tape=tape)
+
+    for objective in (cross_entropy, entropy, combined):
+
+        def value_at(values):
+            model.load(values)
+            tape = Tape()
+            return objective(*model.taped_forward(x, tape, update_stats=False), tape).item()
+
+        model.load(theta0)
+        tape = Tape()
+        logits, wrapped = model.taped_forward(x, tape, update_stats=False)
+        auto = model.grad_vector(wrapped, backward(objective(logits, wrapped, tape), tape))
+        numeric = finite_diff_gradient(value_at, theta0, 1e-5)
+        err = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)
+        assert err.max() < 1e-4, f"seed {seed}, {objective.__name__}: max relative error {err.max()}"
 
 
 def test_gaussian_log_density_matches_per_coordinate_formula():

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +301,39 @@ def test_cli_rejects_non_finite_config_floats(trained_dir, tmp_path, capsys, cas
     assert not list(tmp_path.glob("*/seed*"))
 
 
+# augmentation magnitudes no draw can use: (field, value, flags); the
+# --tau 0 case keeps the gate shut, so only the config check can refuse it
+BAD_AUGMENT = {
+    "negative_brightness": ("brightness", -0.1, []),
+    "negative_shift": ("max_shift_px", -1.0, []),
+    "negative_rotation": ("max_rot_deg", -5.0, []),
+    "negative_rotation_gate_shut": ("max_rot_deg", -5.0, ["--tau", "0"]),
+    "negative_noise": ("noise_std", -0.02, []),
+    "contrast_above_one": ("contrast", 1.5, []),
+    "negative_contrast": ("contrast", -0.2, []),
+    "blur_prob_above_one": ("blur_prob", 2.0, []),
+    "negative_flip_prob": ("flip_prob", -1.0, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AUGMENT))
+def test_cli_rejects_bad_augment_params(trained_dir, tmp_path, capsys, case):
+    out, cfg = trained_dir
+    field_name, value, flags = BAD_AUGMENT[case]
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))
+    doc["adapt"]["augment"][field_name] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["adapt", "--config", str(config_path), "--method", "source,petal", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: augment.{field_name} must be ") and captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # adapt argument lists refused before any run writes a file: (flags, the
 # name the message must contain)
 REFUSED_RUN_LISTS = {
@@ -472,3 +507,21 @@ def test_cli_unusable_output_paths_exit_2_with_one_line(trained_dir, tmp_path, c
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+
+
+def test_tune_regularizer_fails_like_the_cli_on_an_unreadable_checkpoint(trained_dir, tmp_path, capsys):
+    # a checkpoint path that is a directory: one line and exit 2 from both
+    out, _ = trained_dir
+    shutil.copy(Path(out) / POSTERIOR_CHECKPOINT, tmp_path / POSTERIOR_CHECKPOINT)
+    (tmp_path / MODEL_CHECKPOINT).mkdir()
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tune_regularizer.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path), "--seeds", "0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert main(["adapt", "--out", str(tmp_path), "--method", "source", "--seeds", "0"]) == 2
+    cli_err = capsys.readouterr().err
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == cli_err and cli_err.startswith("error: ") and cli_err.count("\n") == 1

@@ -122,7 +122,7 @@ def test_gate_always_passes_at_tau_zero(small_bundle):
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=0.0)
     state = init_adapt_state(model, posterior, cfg, seed=0)
-    direct = softmax(state.teacher.forward(images, update_stats=False)).data
+    direct = softmax(state.teacher.forward(images, update_stats=False))
     preds = teacher_pseudo_label(state, images, cfg)
     assert np.array_equal(preds, direct)
 
@@ -132,7 +132,7 @@ def test_gate_never_passes_above_one(small_bundle):
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=2.0, k_aug=2, augment=NO_AUGMENT)
     state = init_adapt_state(model, posterior, cfg, seed=0)
-    direct = softmax(state.teacher.forward(images, update_stats=False)).data
+    direct = softmax(state.teacher.forward(images, update_stats=False))
     preds = teacher_pseudo_label(state, images, cfg)
     # identity augmentations make the K-average equal the direct prediction
     # exactly: (p + p) / 2 is exact in binary floating point
@@ -151,16 +151,16 @@ def test_pseudo_labels_are_distributions(small_bundle):
 def per_draw_teacher_pseudo_label(state, images, cfg):
     """The loop the blocked teacher replaced: one augment call and one teacher
     forward per draw, every draw taken before the first forward."""
-    source_probs = softmax(state.source_model.forward(images)).data
+    source_probs = softmax(state.source_model.forward(images))
     confidence = source_probs.max(axis=1)
-    direct = softmax(state.teacher.forward(images, update_stats=False)).data
+    direct = softmax(state.teacher.forward(images, update_stats=False))
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
     draws = [augment(images, state.rng_augment, cfg.augment) for _ in range(cfg.k_aug)]
     total = np.zeros_like(direct)
     for draw in draws:
-        total += softmax(state.teacher.forward(draw, update_stats=False)).data
+        total += softmax(state.teacher.forward(draw, update_stats=False))
     averaged = total / cfg.k_aug
     return np.where(needs_averaging[:, None], averaged, direct)
 
@@ -177,7 +177,7 @@ def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
     for s in (expected_state, state):
         adapt_step(s, images, posterior, cfg)
     stats = {i: s.copy() for i, s in state.teacher.stats.items()}
-    confidence = softmax(state.source_model.forward(images)).data.max(axis=1)
+    confidence = softmax(state.source_model.forward(images)).max(axis=1)
     assert 0 < (confidence < cfg.tau).sum() < images.shape[0]  # the gate splits the batch
     expected = per_draw_teacher_pseudo_label(expected_state, images, cfg)
     assert np.array_equal(teacher_pseudo_label(state, images, cfg), expected)
@@ -212,7 +212,6 @@ def test_petal_loss_alpha_zero_is_plain_cross_entropy(small_bundle):
     loss, _, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
     from lifelong_tta.autodiff import Tensor, soft_cross_entropy
 
-    probs = softmax(logits).data
     reference = soft_cross_entropy(Tensor(pseudo), logits).item()
     assert loss.item() == reference
 
@@ -244,7 +243,7 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
     state = init_adapt_state(model, posterior, cfg, seed=0)
     tape = Tape()
     logits, wrapped = state.student.taped_forward(images, tape, update_stats=False)
-    pseudo = softmax(logits).data
+    pseudo = softmax(logits.data)
     from lifelong_tta.autodiff import Tensor, backward, soft_cross_entropy
 
     loss = soft_cross_entropy(Tensor(pseudo), logits, tape)
@@ -316,7 +315,7 @@ def test_teacher_running_stats_are_never_read(small_bundle):
     buffers = [(s.mean.copy(), s.var.copy()) for s in garbage.teacher.stats.values()]
     expected = teacher_pseudo_label(clean, images, cfg)
     assert np.array_equal(teacher_pseudo_label(garbage, images, cfg), expected)
-    assert not np.array_equal(expected, softmax(clean.teacher.forward(images, update_stats=False)).data)
+    assert not np.array_equal(expected, softmax(clean.teacher.forward(images, update_stats=False)))
     ema_update(garbage.teacher, garbage.student, cfg.pi)
     for (mean, var), stats in zip(buffers, garbage.teacher.stats.values()):
         assert np.array_equal(stats.mean, mean) and np.array_equal(stats.var, var)
@@ -558,7 +557,7 @@ def test_source_baseline_matches_offline_eval(small_bundle):
     probe = model.clone()
     probe.load(posterior.mu)
     probe.set_bn_mode("eval")
-    expected = softmax(probe.forward(images)).data
+    expected = softmax(probe.forward(images))
     assert np.array_equal(report.predictions, expected)
     from lifelong_tta.metrics import per_sample_scores
 

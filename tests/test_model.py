@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.autodiff import Tape, softmax
+from lifelong_tta.autodiff import Tape, backward, softmax, softmax_entropy_mean
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 
@@ -76,7 +76,7 @@ def test_zero_final_layer_gives_uniform_softmax():
     for name in ("out.weight", "out.bias"):
         model.views(values)[name][...] = 0.0
     model.load(values)
-    probs = softmax(model.forward(np.random.default_rng(0).random((6, 3)))).data
+    probs = softmax(model.forward(np.random.default_rng(0).random((6, 3))))
     assert np.abs(probs - 0.25).max() < 1e-12
 
 
@@ -85,8 +85,8 @@ def test_eval_forward_is_pure_and_deterministic():
     model.set_bn_mode("eval")
     x = np.random.default_rng(1).random((5, 4))
     before_mean = model.stats[0].mean.copy()
-    a = model.forward(x).data
-    b = model.forward(x).data
+    a = model.forward(x)
+    b = model.forward(x)
     assert np.array_equal(a, b)
     assert np.array_equal(model.stats[0].mean, before_mean)
 
@@ -95,11 +95,11 @@ def test_train_forward_updates_running_stats():
     model = MlpClassifier((4, 6, 3), seed=3)
     x = np.random.default_rng(2).random((8, 4))
     model.set_bn_mode("eval")
-    eval_before = model.forward(x).data
+    eval_before = model.forward(x)
     model.set_bn_mode("train")
     model.forward(x)
     model.set_bn_mode("eval")
-    eval_after = model.forward(x).data
+    eval_after = model.forward(x)
     assert not np.array_equal(eval_before, eval_after)
 
 
@@ -115,7 +115,7 @@ def test_flatten_load_round_trip_is_bit_identical():
 def test_load_zeros_gives_constant_logits_per_row():
     model = MlpClassifier((4, 6, 3), seed=5)
     model.load(np.zeros(model.theta.size))
-    logits = model.forward(np.random.default_rng(3).random((4, 4)), update_stats=False).data
+    logits = model.forward(np.random.default_rng(3).random((4, 4)), update_stats=False)
     assert np.abs(logits - logits[:, :1]).max() < 1e-12
 
 
@@ -195,9 +195,9 @@ def test_block_forward_equals_per_draw_and_taped_forwards(seed, b, draws, widths
     x = rng.normal(0.5, 2.0, (draws * b, 9))
     stats = {i: s.copy() for i, s in model.stats.items()}
     batches = [x[k * b : (k + 1) * b] for k in range(draws)]
-    block = model.forward(x, update_stats=False, draws=draws).data
+    block = model.forward(x, update_stats=False, draws=draws)
     assert block.shape == (draws * b, classes)
-    per_draw = [model.forward(batch, update_stats=False).data for batch in batches]
+    per_draw = [model.forward(batch, update_stats=False) for batch in batches]
     taped = [model.taped_forward(batch, Tape(), update_stats=False)[0].data for batch in batches]
     assert np.array_equal(block, np.concatenate(per_draw))
     assert np.array_equal(block, np.concatenate(taped))
@@ -205,8 +205,78 @@ def test_block_forward_equals_per_draw_and_taped_forwards(seed, b, draws, widths
         assert np.array_equal(model.stats[i].mean, s.mean)
         assert np.array_equal(model.stats[i].var, s.var)
     model.set_bn_mode("eval")
-    eval_block = model.forward(x, draws=draws).data
-    assert np.array_equal(eval_block, np.concatenate([model.forward(batch).data for batch in batches]))
+    eval_block = model.forward(x, draws=draws)
+    assert np.array_equal(eval_block, np.concatenate([model.forward(batch) for batch in batches]))
+
+
+def loop_oracle_logits(model, x):
+    """Logits by explicit loops over rows, features and inputs: each linear
+    output a running sum, batch norm by the batch's biased statistics (train)
+    or the running ones (eval), then max(0, .)."""
+    p = model.params
+    rows = [list(row) for row in x]
+    for i in range(model.n_hidden):
+        w, b = p[f"hidden{i}.weight"], p[f"hidden{i}.bias"]
+        z = [[b[o] + sum(row[k] * w[k, o] for k in range(w.shape[0])) for o in range(w.shape[1])] for row in rows]
+        for o in range(w.shape[1]):
+            column = [zr[o] for zr in z]
+            if model.bn_mode == "train":
+                mean = sum(column) / len(column)
+                var = sum((v - mean) ** 2 for v in column) / len(column)
+            else:
+                mean, var = model.stats[i].mean[o], model.stats[i].var[o]
+            for zr in z:
+                normed = p[f"hidden{i}.gamma"][o] * (zr[o] - mean) / np.sqrt(var + 1e-5)
+                zr[o] = max(0.0, normed + p[f"hidden{i}.beta"][o])
+        rows = z
+    w, b = p["out.weight"], p["out.bias"]
+    return np.array([[b[o] + sum(row[k] * w[k, o] for k in range(w.shape[0])) for o in range(w.shape[1])] for row in rows])
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_forward_matches_loop_oracle(mode):
+    rng = np.random.default_rng(5)
+    model = MlpClassifier((4, 6, 5, 3), seed=2)
+    model.forward(rng.random((8, 4)) * 3.0)  # running stats away from (0, 1)
+    model.set_bn_mode(mode)
+    x = rng.normal(0.5, 2.0, (7, 4))
+    assert np.abs(model.forward(x, update_stats=False) - loop_oracle_logits(model, x)).max() < 1e-10
+    # a layer whose every ReLU is off passes only the head's bias on
+    model.params["hidden1.gamma"][...] = 0.0
+    model.params["hidden1.beta"][...] = -1.0
+    logits = model.forward(x, update_stats=False)
+    assert np.array_equal(logits, np.broadcast_to(model.params["out.bias"], logits.shape))
+    assert np.array_equal(logits, loop_oracle_logits(model, x))
+    for bad in (x[:, :3], x[None], x[0]):
+        with pytest.raises(ValueError):
+            model.forward(bad, update_stats=False)
+        with pytest.raises(ValueError):
+            model.taped_forward(bad, Tape())
+
+
+def test_taped_forward_equals_train_forward_and_records_one_node():
+    rng = np.random.default_rng(6)
+    model = MlpClassifier((9, 7, 5, 4), seed=3)
+    model.forward(rng.random((8, 9)) * 3.0)  # running stats away from (0, 1)
+    # a unit whose batch-norm output is exactly 0: ReLU's gradient there is 0
+    model.params["hidden0.gamma"][2] = 0.0
+    model.params["hidden0.beta"][2] = 0.0
+    x = np.asfortranarray(rng.normal(0.5, 2.0, (6, 9)))
+    twin = model.clone()
+    expected = twin.forward(x, update_stats=True)
+    tape = Tape()
+    logits, wrapped = model.taped_forward(x, tape)
+    assert len(tape) == 1
+    assert tape.nodes[0].inputs == tuple(wrapped.values()) and tape.nodes[0].output is logits
+    assert list(wrapped) == list(model.params)
+    assert np.array_equal(logits.data, expected)
+    for i, stats in twin.stats.items():
+        assert np.array_equal(model.stats[i].mean, stats.mean)
+        assert np.array_equal(model.stats[i].var, stats.var)
+    loss = softmax_entropy_mean(logits, tape)
+    grads = model.views(model.grad_vector(wrapped, backward(loss, tape)))
+    assert grads["hidden0.gamma"][2] == 0.0 and grads["hidden0.beta"][2] == 0.0
+    assert all(np.abs(grads[name]).max() > 0.0 for name in ("hidden0.weight", "hidden1.gamma", "out.bias"))
 
 
 def test_block_forward_refuses_to_update_stats_and_ragged_blocks():
@@ -291,7 +361,7 @@ def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
         assert np.array_equal(loaded.stats[i].var, model.stats[i].var)
     x = np.random.default_rng(2).random((5, 4))
     loaded.set_bn_mode("eval")
-    assert np.array_equal(loaded.forward(x).data, model.forward(x).data)
+    assert np.array_equal(loaded.forward(x), model.forward(x))
 
 
 @pytest.mark.parametrize(
