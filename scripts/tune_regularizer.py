@@ -2,13 +2,15 @@
 corruption (impulse noise), which stays out of the headline schedule.
 
 Reads the source model and posterior that ``train-source`` wrote to the same
-directory:
+directory, under the same ``--config`` (dataset, stream lengths, adapt
+settings; the default config when none is given):
 
     lifelong-tta train-source --out runs/benchmark
     python3 scripts/tune_regularizer.py --out runs/benchmark
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,13 +19,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lifelong_tta.cli import (  # noqa: E402
-    ExperimentConfig,
     HELD_OUT_KIND,
     eval_dataset_seed,
     load_checkpoints,
+    load_config,
     validate_config,
 )
-from lifelong_tta.engine import PetalConfig, run_lifelong  # noqa: E402
+from lifelong_tta.engine import run_lifelong  # noqa: E402
 from lifelong_tta.streams import build_schedule, make_source_dataset  # noqa: E402
 
 GRID = (1e-6, 1e-7, 1e-9, 1e-10, 5e-10, 1e-11, 5e-11, 1e-12)
@@ -31,12 +33,17 @@ GRID = (1e-6, 1e-7, 1e-9, 1e-10, 5e-10, 1e-11, 5e-11, 1e-12)
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="runs", help="directory holding the train-source checkpoints")
-    parser.add_argument("--seeds", default="0,1,2,3,4")
+    parser.add_argument("--config", help="JSON config file, as given to train-source and adapt")
+    parser.add_argument("--out", help="directory holding the train-source checkpoints (overrides config)")
+    parser.add_argument("--seeds", help="comma-separated integer seeds (overrides config)")
     args = parser.parse_args()
 
     try:
-        cfg = ExperimentConfig(seeds=tuple(int(s) for s in args.seeds.split(",")), out_dir=args.out)
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg = dataclasses.replace(cfg, out_dir=args.out)
+        if args.seeds is not None:
+            cfg = dataclasses.replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
         validate_config(cfg)
         model, posterior = load_checkpoints(cfg)
     except (ValueError, OSError) as exc:  # OSError: a checkpoint path that is a directory too
@@ -51,7 +58,7 @@ def main() -> int:
     )
     best = None
     for alpha in GRID:
-        petal_cfg = PetalConfig(method="petal", restore="fim", alpha=alpha)
+        petal_cfg = dataclasses.replace(cfg.adapt, method="petal", restore="fim", alpha=alpha)
         errors = []
         for seed in cfg.seeds:
             report, _ = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)

@@ -1,11 +1,12 @@
 """Float64 tensors with a minimal reverse-mode tape.
 
 Implements only what the self-training objectives add to the model, which
-records its whole forward as one node: softmax-based losses, a
-diagonal-Gaussian log-density over parameter tensors, and scalar combination.
-Passing a ``Tape`` records the op; ``backward`` replays the tape in reverse
-and accumulates a gradient per tensor. ``batch_norm_arrays`` is the
-batch-normalization arithmetic of both of the model's forward paths.
+records its whole forward as one node on theta: softmax-based losses against
+constant array targets, a diagonal-Gaussian log-density of the parameter
+vector, and scalar combination. Passing a ``Tape`` records the op;
+``backward`` replays the tape in reverse and accumulates a gradient per
+tensor, and every tensor on a tape is differentiated. ``batch_norm_arrays``
+is the batch-normalization arithmetic of both of the model's forward paths.
 
 Everything is float64 and must stay finite: NaN/Inf raises immediately
 instead of propagating.
@@ -28,8 +29,9 @@ BN_MOMENTUM = 0.1
 class Tensor:
     """Dense float64 tensor, immutable by convention.
 
-    Construction validates finiteness; ops never write into input data, so
-    instances are safe to share across readers.
+    Construction validates finiteness and copies no C-contiguous float64
+    data, so the model's tensor over theta is theta itself; ops never write
+    into input data, so instances are safe to share across readers.
     """
 
     __slots__ = ("data",)
@@ -58,7 +60,7 @@ class Tensor:
 @dataclass(eq=False)
 class TapeNode:
     """One recorded operation. ``grad_fn`` maps the output gradient to one
-    gradient (or None) per input, in input order."""
+    gradient per input, in input order."""
 
     op: str
     inputs: tuple[Tensor, ...]
@@ -79,22 +81,17 @@ class Tape:
         return len(self.nodes)
 
 
-# Gradients are keyed by tensor identity; values match the tensor's shape.
-GradientMap = dict
-
-
-def backward(root: Tensor, tape: Tape) -> GradientMap:
-    """Gradients of a scalar ``root`` w.r.t. every tensor on the tape."""
+def backward(root: Tensor, tape: Tape) -> dict[Tensor, Array]:
+    """Gradients of a scalar ``root`` w.r.t. every tensor on the tape, keyed
+    by tensor identity, each of its tensor's shape."""
     if root.shape != ():
         raise ValueError("backward root must be a scalar tensor")
-    grads: GradientMap = {root: np.ones(())}
+    grads = {root: np.ones(())}
     for node in reversed(tape.nodes):
         g_out = grads.get(node.output)
         if g_out is None:
             continue
         for inp, g_in in zip(node.inputs, node.grad_fn(g_out)):
-            if g_in is None:
-                continue
             held = grads.get(inp)
             grads[inp] = g_in if held is None else held + g_in
     return grads
@@ -184,29 +181,31 @@ def softmax(logits: Array) -> Array:
 def _check_rows_are_distributions(rows: Array, what: str, tol: float = 1e-6) -> None:
     if rows.ndim != 2:
         raise ValueError(f"{what} must be a (B, C) array")
+    if not np.isfinite(rows).all():
+        raise FloatingPointError(f"{what} contains NaN or Inf")
     if (rows < 0.0).any() or (np.abs(rows.sum(axis=1) - 1.0) > tol).any():
         raise ValueError(f"{what} rows must be probability distributions")
 
 
-def soft_cross_entropy(target: Tensor, logits: Tensor, tape: Tape | None = None) -> Tensor:
+def soft_cross_entropy(target: Array, logits: Tensor, tape: Tape | None = None) -> Tensor:
     """Batch-mean cross-entropy of softmax(logits) against soft targets.
 
-    The target is a constant: the gradient flows to the logits only and
+    The target is a constant array: the gradient flows to the logits only and
     equals (softmax(logits) - target) / B.
     """
-    _check_rows_are_distributions(target.data, "soft_cross_entropy target")
+    _check_rows_are_distributions(target, "soft_cross_entropy target")
     if logits.shape != target.shape:
         raise ValueError("target and logits shapes must match")
     n = logits.shape[0]
     log_probs = _log_softmax(logits.data)
-    out = Tensor(np.asarray(-(target.data * log_probs).sum() / n))
+    out = Tensor(np.asarray(-(target * log_probs).sum() / n))
     if tape is not None:
         probs = np.exp(log_probs)
 
         def grad_fn(g, probs=probs, target=target, n=n):
-            return None, (probs - target.data) * (g / n)
+            return ((probs - target) * (g / n),)
 
-        tape.record("soft_cross_entropy", (target, logits), out, grad_fn)
+        tape.record("soft_cross_entropy", (logits,), out, grad_fn)
     return out
 
 
@@ -228,34 +227,34 @@ def softmax_entropy_mean(logits: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def gaussian_log_density(
-    thetas: Sequence[Tensor],
-    means: Sequence[Array],
-    variances: Sequence[Array],
+    theta: Tensor,
+    mu: Array,
+    sigma2: Array,
+    pieces: Sequence[slice],
     tape: Tape | None = None,
 ) -> Tensor:
-    """Sum over tensors of independent-Gaussian log-densities.
+    """Independent-Gaussian log-density of the vector ``theta``.
 
     value = sum_i [ -(theta_i - mu_i)^2 / (2 sigma2_i) - 0.5 log(2 pi sigma2_i) ]
-    with gradient -(theta - mu) / sigma2 per tensor.
+    with gradient -(theta - mu) / sigma2. The value is accumulated one slice
+    of ``pieces`` at a time, in order: the slice's quadratic sum, then its
+    normalizer sum (the model's ``pieces`` are one slice per parameter tensor).
     """
-    if not (len(thetas) == len(means) == len(variances)):
-        raise ValueError("thetas, means, variances must align")
+    if theta.shape != mu.shape or theta.shape != sigma2.shape or theta.data.ndim != 1:
+        raise ValueError("gaussian_log_density expects theta, mu and sigma2 vectors of one length")
+    diff = theta.data - mu
+    quad = diff * diff / (2.0 * sigma2)
+    log_norm = np.log(2.0 * math.pi * sigma2)
     total = 0.0
-    for theta, mu, var in zip(thetas, means, variances):
-        if theta.shape != mu.shape or theta.shape != var.shape:
-            raise ValueError("gaussian_log_density shape mismatch")
-        diff = theta.data - mu
-        total += float(-(diff * diff / (2.0 * var)).sum())
-        total += float(-0.5 * np.log(2.0 * math.pi * var).sum())
+    for piece in pieces:
+        total += float(-quad[piece].sum())
+        total += float(-0.5 * log_norm[piece].sum())
     out = Tensor(np.asarray(total))
     if tape is not None:
-        def grad_fn(g, thetas=tuple(thetas), means=tuple(means), variances=tuple(variances)):
-            return tuple(
-                g * (-(theta.data - mu) / var)
-                for theta, mu, var in zip(thetas, means, variances)
-            )
+        def grad_fn(g, diff=diff, sigma2=sigma2):
+            return (g * (-diff / sigma2),)
 
-        tape.record("gaussian_log_density", tuple(thetas), out, grad_fn)
+        tape.record("gaussian_log_density", (theta,), out, grad_fn)
     return out
 
 

@@ -19,8 +19,9 @@ random numbers and the sum of the predictions keep the draw order, so the
 pseudo-labels are bit-identical to those of K one-draw calls.
 
 Only the student's objective is taped, the model as one node and each loss
-op as its own; the gate, the teacher, the baselines and evaluation run the
-untaped ``forward`` on plain arrays.
+op as its own; its one parameter input is a tensor over the student's theta,
+so the gradient is one vector in theta's layout. The gate, the teacher, the
+baselines and evaluation run the untaped ``forward`` on plain arrays.
 
 ``source`` (no adaptation) and ``bn_adapt`` (batch-statistics refresh only)
 take no gradient step; the BN mode set at initialization tells them apart.
@@ -42,7 +43,6 @@ import numpy as np
 
 from .autodiff import (
     Tape,
-    Tensor,
     backward,
     gaussian_log_density,
     soft_cross_entropy,
@@ -407,21 +407,15 @@ def petal_loss(
     alpha times the source-posterior log-density of the student parameters.
 
     The student forward runs in train-BN mode and adapts its statistics.
-    Returns (loss node, parameter tensors by name, student logits).
+    Returns (loss node, the student's theta tensor, student logits).
     """
-    logits, wrapped = state.student.taped_forward(images, tape)
-    ce = soft_cross_entropy(Tensor(pseudo), logits, tape)
+    logits, params = state.student.taped_forward(images, tape)
+    ce = soft_cross_entropy(pseudo, logits, tape)
     if cfg.alpha == 0.0:
-        return ce, wrapped, logits
-    mu = state.student.views(posterior.mu)
-    log_q = gaussian_log_density(
-        [wrapped[name] for name in mu],
-        list(mu.values()),
-        list(state.student.views(posterior.sigma2).values()),
-        tape,
-    )
+        return ce, params, logits
+    log_q = gaussian_log_density(params, posterior.mu, posterior.sigma2, state.student.pieces, tape)
     loss = weighted_sum([(1.0, ce), (-cfg.alpha, log_q)], tape=tape)
-    return loss, wrapped, logits
+    return loss, params, logits
 
 
 def ema_update(teacher: MlpClassifier, student: MlpClassifier, pi: float) -> None:
@@ -502,18 +496,18 @@ def _objective(
     cfg: PetalConfig,
     tape: Tape,
 ):
-    """The method's taped loss; returns (loss node, parameter tensors, logits)."""
+    """The method's taped loss; returns (loss node, theta tensor, logits)."""
     if cfg.method == "petal":
         return petal_loss(state, images, pseudo, posterior, cfg, tape)
-    logits, wrapped = state.student.taped_forward(images, tape)
+    logits, params = state.student.taped_forward(images, tape)
     if cfg.method == "cotta":  # student-teacher cross-entropy only; no posterior anchor
-        loss = soft_cross_entropy(Tensor(pseudo), logits, tape)
+        loss = soft_cross_entropy(pseudo, logits, tape)
     elif cfg.method == "tent":
         loss = softmax_entropy_mean(logits, tape)
     else:  # pseudo_label
         hard = softmax(logits.data).argmax(axis=1)
-        loss = soft_cross_entropy(Tensor(one_hot(hard, logits.shape[1])), logits, tape)
-    return loss, wrapped, logits
+        loss = soft_cross_entropy(one_hot(hard, logits.shape[1]), logits, tape)
+    return loss, params, logits
 
 
 def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None, cfg: PetalConfig) -> StepReport:
@@ -527,13 +521,13 @@ def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None,
     tape = Tape()
     try:
         pseudo = teacher_pseudo_label(state, images, cfg) if has_teacher else None
-        loss, wrapped, logits = _objective(state, images, pseudo, posterior, cfg, tape)
+        loss, params, logits = _objective(state, images, pseudo, posterior, cfg, tape)
     except FloatingPointError as exc:
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
     loss_value = loss.item()
     if not math.isfinite(loss_value):
         raise NonFiniteLossError(f"{cfg.method} loss became non-finite at step {state.step}")
-    grad_vec = state.student.grad_vector(wrapped, backward(loss, tape))
+    grad_vec = backward(loss, tape)[params]
     if not has_teacher:
         grad_vec[state.frozen] = 0.0
     if cfg.optimizer == "adam":

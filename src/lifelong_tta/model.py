@@ -11,8 +11,9 @@ returns a copied snapshot. BN running statistics are serialized with the
 model but are not trainables and are not part of theta.
 ``forward`` (untaped; one batch or a stack of equal batches) and
 ``taped_forward`` (one train-mode batch) share one layer loop on plain
-arrays; ``taped_forward`` records the network as one tape node whose
-backward is the MLP's own.
+arrays; ``taped_forward`` records the network as one tape node whose one
+input is a tensor over theta itself and whose backward, the MLP's own,
+returns the gradient as one vector in theta's layout.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class MlpClassifier:
         self.theta = theta
         self.params: dict[str, Array] = self.views(theta)
 
+    @property
+    def pieces(self) -> tuple[slice, ...]:
+        """Theta's slice of each trainable, in registry order."""
+        return tuple(slice(start, end) for _, _, start, end in self._layout)
+
     def views(self, vector: Array) -> dict[str, Array]:
         """Named views, in registry order, of a vector in theta's layout."""
         dim = self._layout[-1][3]
@@ -119,18 +125,18 @@ class MlpClassifier:
         logits = self._logits(x.reshape(draws, -1, self.sizes[0]), mode, update_stats)
         return _finite(logits.reshape(x.shape[0], -1), "logits")
 
-    def taped_forward(self, x, tape: Tape, update_stats: bool = True):
+    def taped_forward(self, x, tape: Tape, update_stats: bool = True) -> tuple[Tensor, Tensor]:
         """Train-mode logits of one batch, recorded on ``tape`` as one node
-        whose inputs are the parameter tensors and whose backward is
-        ``_backward``; returns (logits, the parameter tensors by name)."""
+        whose one input is a tensor over ``theta`` (no copy) and whose
+        backward is ``_backward``; returns (logits, that tensor)."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
-        wrapped = {name: Tensor(view) for name, view in self.params.items()}
+        params = Tensor(self.theta)
         saved: list[tuple[Array, Array, Array]] = []
         logits = Tensor(self._logits(x, "train", update_stats, saved))
-        tape.record("mlp", tuple(wrapped.values()), logits, lambda g: self._backward(g, x, saved))
-        return logits, wrapped
+        tape.record("mlp", (params,), logits, lambda g: (self._backward(g, x, saved),))
+        return logits, params
 
     def _logits(self, h: Array, mode: str, update_stats: bool, saved: list | None = None) -> Array:
         """The one layer loop: linear, batch norm and in-place ReLU per hidden
@@ -159,27 +165,30 @@ class MlpClassifier:
         logits += p["out.bias"]
         return logits
 
-    def _backward(self, g: Array, x: Array, saved: list) -> tuple:
-        """Gradients of one ``taped_forward`` call, one per parameter in
-        registry order, from the logits' gradient ``g``: per layer the
+    def _backward(self, g: Array, x: Array, saved: list) -> Array:
+        """The gradient of one ``taped_forward`` call, as one vector in
+        theta's layout, from the logits' gradient ``g``: per layer the
         head's, ReLU's, train-mode batch norm's and the linear map's backward.
         The first layer's input gradient is never formed."""
         p = self.params
-        grads = {"out.weight": saved[-1][2].T @ g, "out.bias": g.sum(axis=0)}
+        grad = np.empty_like(self.theta)
+        grads = self.views(grad)
+        grads["out.weight"][...] = saved[-1][2].T @ g
+        grads["out.bias"][...] = g.sum(axis=0)
         g = g @ p["out.weight"].T
         n = x.shape[0]
         for i in reversed(range(self.n_hidden)):
             x_hat, inv_std, out = saved[i]
             g = g * (out > 0.0)
-            grads[f"hidden{i}.gamma"] = (g * x_hat).sum(axis=0)
-            grads[f"hidden{i}.beta"] = g.sum(axis=0)
+            grads[f"hidden{i}.gamma"][...] = (g * x_hat).sum(axis=0)
+            grads[f"hidden{i}.beta"][...] = g.sum(axis=0)
             g_hat = g * p[f"hidden{i}.gamma"]
             g = (inv_std / n) * (n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0))
-            grads[f"hidden{i}.weight"] = (saved[i - 1][2] if i else x).T @ g
-            grads[f"hidden{i}.bias"] = g.sum(axis=0)
+            grads[f"hidden{i}.weight"][...] = (saved[i - 1][2] if i else x).T @ g
+            grads[f"hidden{i}.bias"][...] = g.sum(axis=0)
             if i:
                 g = g @ p[f"hidden{i}.weight"].T
-        return tuple(grads[name] for name in p)
+        return grad
 
     # -- parameter registry ---------------------------------------------------
 
@@ -191,17 +200,6 @@ class MlpClassifier:
         if values.shape != self.theta.shape:
             raise ValueError(f"expected {self.theta.size} parameters, got shape {values.shape}")
         self.theta[:] = values
-
-    def grad_vector(self, wrapped: dict[str, Tensor], grads: dict) -> Array:
-        """The tape's gradients of the ``taped_forward`` parameter tensors as
-        one vector in ``theta``'s layout; zeros where no gradient reached."""
-        out = np.zeros_like(self.theta)
-        views = self.views(out)
-        for name, tensor in wrapped.items():
-            grad = grads.get(tensor)
-            if grad is not None:
-                views[name][...] = grad
-        return out
 
     def clone(self) -> "MlpClassifier":
         other = MlpClassifier.__new__(MlpClassifier)  # no random init to overwrite
@@ -242,6 +240,11 @@ class MlpClassifier:
         for i, stats in model.stats.items():
             stats.mean[...] = require_entry(entries, f"hidden{i}.running_mean", stats.mean.shape)
             stats.var[...] = require_entry(entries, f"hidden{i}.running_var", stats.var.shape)
+        for name, values in model.state_arrays().items():
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"checkpoint entry {name} is not finite")
+            if name.endswith(".running_var") and (values < 0.0).any():
+                raise CheckpointError(f"checkpoint entry {name} is negative")
         return model
 
 

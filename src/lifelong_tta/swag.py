@@ -4,9 +4,11 @@ The estimator keeps running first and second moments of collected iterates;
 the fitted posterior holds the mean ``mu`` (the maximum-a-posteriori
 initialization) and the variances ``sigma2`` as plain vectors in the model's
 theta layout, and saves and loads them as a checkpoint through the model's
-``views``. Its log-density is ``autodiff.gaussian_log_density`` over
-``mu``/``sigma2``. Variances are floored at 1e-8 so that density stays finite
-and its gradient bounded even when few iterates were collected.
+``views``. Its log-density is ``autodiff.gaussian_log_density`` of the
+model's theta tensor over ``mu``/``sigma2``; ``train_source`` reads each SGD
+step's gradient off the tape as one theta vector. Variances are floored at
+1e-8 so that density stays finite and its gradient bounded even when few
+iterates were collected.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, backward, soft_cross_entropy, softmax
+from .autodiff import Tape, backward, soft_cross_entropy, softmax
 from .checkpoint import CheckpointError, read_checkpoint, require_entry, write_checkpoint
 from .model import MlpClassifier
 
@@ -133,13 +135,13 @@ def train_source(
                 continue  # train-mode BN needs at least two samples
             tape = Tape()
             try:
-                logits, wrapped = model.taped_forward(images[idx], tape)
-                loss = soft_cross_entropy(Tensor(targets[idx]), logits, tape)
+                logits, params = model.taped_forward(images[idx], tape)
+                loss = soft_cross_entropy(targets[idx], logits, tape)
             except FloatingPointError as exc:
                 raise RuntimeError(f"training diverged at epoch {epoch}") from exc
             if not math.isfinite(loss.item()):
                 raise RuntimeError(f"training diverged at epoch {epoch}")
-            velocity = momentum * velocity + model.grad_vector(wrapped, backward(loss, tape))
+            velocity = momentum * velocity + backward(loss, tape)[params]
             model.theta -= lr * velocity
             losses.append(loss.item())
         if epoch >= epochs - swag_epochs:

@@ -94,10 +94,10 @@ def test_relu_all_negative():
     model.params["hidden0.beta"][...] = [-3.0, -0.5]
     model.params["out.bias"][...] = 0.0
     tape = Tape()
-    logits, wrapped = model.taped_forward(rand_rng(6).normal(size=(4, 3)), tape)
+    logits, params = model.taped_forward(rand_rng(6).normal(size=(4, 3)), tape)
     loss = sum_all(logits, tape)
     assert loss.item() == 0.0
-    grads = model.views(model.grad_vector(wrapped, backward(loss, tape)))
+    grads = model.views(backward(loss, tape)[params])
     for name in ("hidden0.weight", "hidden0.bias", "hidden0.gamma", "hidden0.beta", "out.weight"):
         assert np.array_equal(grads[name], np.zeros_like(grads[name]))
 
@@ -165,11 +165,11 @@ def test_softmax_rows_sum_to_one(seed):
 
 def test_soft_cross_entropy_saturated_target():
     logits = Tensor([[60.0, -60.0]])
-    assert soft_cross_entropy(Tensor([[1.0, 0.0]]), logits).item() < 1e-12
+    assert soft_cross_entropy(np.array([[1.0, 0.0]]), logits).item() < 1e-12
 
 
 def test_soft_cross_entropy_uniform_is_ln2():
-    value = soft_cross_entropy(Tensor([[0.5, 0.5]]), Tensor([[0.0, 0.0]])).item()
+    value = soft_cross_entropy(np.array([[0.5, 0.5]]), Tensor([[0.0, 0.0]])).item()
     assert abs(value - np.log(2.0)) < 1e-12
 
 
@@ -178,7 +178,7 @@ def test_soft_cross_entropy_matches_summation_oracle():
     logits = rng.normal(size=(3, 4))
     target = rng.random((3, 4))
     target /= target.sum(axis=1, keepdims=True)
-    value = soft_cross_entropy(Tensor(target), Tensor(logits)).item()
+    value = soft_cross_entropy(target, Tensor(logits)).item()
     total = 0.0
     for b in range(3):
         row = np.exp(logits[b] - logits[b].max())
@@ -190,9 +190,14 @@ def test_soft_cross_entropy_matches_summation_oracle():
 
 def test_soft_cross_entropy_rejects_bad_target():
     with pytest.raises(ValueError):
-        soft_cross_entropy(Tensor([[0.9, 0.3]]), Tensor([[0.0, 0.0]]))
+        soft_cross_entropy(np.array([[0.9, 0.3]]), Tensor([[0.0, 0.0]]))
     with pytest.raises(ValueError):
-        soft_cross_entropy(Tensor([[-0.1, 1.1]]), Tensor([[0.0, 0.0]]))
+        soft_cross_entropy(np.array([[-0.1, 1.1]]), Tensor([[0.0, 0.0]]))
+    # a non-finite target is refused as a non-finite tensor is; the row
+    # checks alone let NaN through
+    for bad in ([[np.nan, 1.0]], [[np.inf, 0.0]]):
+        with pytest.raises(FloatingPointError):
+            soft_cross_entropy(np.array(bad), Tensor([[0.0, 0.0]]))
 
 
 def test_soft_cross_entropy_gradient_closed_form():
@@ -201,7 +206,7 @@ def test_soft_cross_entropy_gradient_closed_form():
     target = rng.random((5, 3))
     target /= target.sum(axis=1, keepdims=True)
     tape = Tape()
-    loss = soft_cross_entropy(Tensor(target), logits, tape)
+    loss = soft_cross_entropy(target, logits, tape)
     grad = backward(loss, tape)[logits]
     expected = (softmax(logits.data) - target) / 5
     assert np.abs(grad - expected).max() < 1e-12
@@ -212,7 +217,7 @@ def test_soft_cross_entropy_gradient_zero_at_match_point():
     target = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
     logits = Tensor(np.log(target))
     tape = Tape()
-    loss = soft_cross_entropy(Tensor(target), logits, tape)
+    loss = soft_cross_entropy(target, logits, tape)
     assert np.abs(backward(loss, tape)[logits]).max() < 1e-12
 
 
@@ -241,23 +246,22 @@ def test_backward_rejects_non_scalar_root():
 def _taped_objective(seed, tape):
     """A two-hidden-layer model's taped forward under both self-training
     losses and the log-density anchor, combined by ``weighted_sum``; returns
-    (loss, the parameter tensors, the target tensor)."""
+    (loss, the theta tensor)."""
     rng = rand_rng(seed)
     model = MlpClassifier((3, 4, 3, 2), seed=seed)
-    logits, wrapped = model.taped_forward(rng.normal(size=(5, 3)), tape)
-    target = Tensor(np.full((5, 2), 0.5))
-    ce = soft_cross_entropy(target, logits, tape)
+    logits, params = model.taped_forward(rng.normal(size=(5, 3)), tape)
+    ce = soft_cross_entropy(np.full((5, 2), 0.5), logits, tape)
     ent = softmax_entropy_mean(logits, tape)
-    thetas = list(wrapped.values())
-    log_q = gaussian_log_density(thetas, [t.data * 0.5 for t in thetas], [np.ones(t.shape) for t in thetas], tape)
-    return weighted_sum([(1.0, ce), (0.5, ent), (-0.25, log_q)], tape=tape), wrapped, target
+    log_q = gaussian_log_density(params, params.data * 0.5, np.ones(params.shape), model.pieces, tape)
+    return weighted_sum([(1.0, ce), (0.5, ent), (-0.25, log_q)], tape=tape), params
 
 
 def test_tape_is_topologically_ordered():
-    # every input is either a leaf or the output of an earlier node
+    # every input is either the one leaf, theta, or the output of an earlier
+    # node; the constant target is not on the tape
     tape = Tape()
-    _, wrapped, target = _taped_objective(8, tape)
-    leaves = {id(t) for t in wrapped.values()} | {id(target)}
+    _, params = _taped_objective(8, tape)
+    leaves = {id(params)}
     produced = set()
     for node in tape.nodes:
         for inp in node.inputs:
@@ -267,9 +271,9 @@ def test_tape_is_topologically_ordered():
 
 def test_gradient_shapes_match_values():
     tape = Tape()
-    loss, wrapped, _ = _taped_objective(9, tape)
+    loss, params = _taped_objective(9, tape)
     grads = backward(loss, tape)
-    assert all(tensor in grads for tensor in wrapped.values())
+    assert params in grads
     for tensor, grad in grads.items():
         assert grad.shape == tensor.shape
 
@@ -306,20 +310,20 @@ def test_every_op_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     model = MlpClassifier((3, 4, 3, 2), seed=seed)
     x = rng.normal(size=(5, 3))
-    target = Tensor(rng.dirichlet(np.ones(2), size=5))
-    mu = list(model.views(rng.normal(scale=0.3, size=model.theta.size)).values())
-    var = list(model.views(rng.random(model.theta.size) + 0.1).values())
+    target = rng.dirichlet(np.ones(2), size=5)
+    mu = rng.normal(scale=0.3, size=model.theta.size)
+    var = rng.random(model.theta.size) + 0.1
     theta0 = model.flatten()
 
-    def cross_entropy(logits, wrapped, tape):
+    def cross_entropy(logits, params, tape):
         return soft_cross_entropy(target, logits, tape)
 
-    def entropy(logits, wrapped, tape):
+    def entropy(logits, params, tape):
         return softmax_entropy_mean(logits, tape)
 
-    def combined(logits, wrapped, tape):
-        log_q = gaussian_log_density(list(wrapped.values()), mu, var, tape)
-        terms = [(1.0, cross_entropy(logits, wrapped, tape)), (0.5, entropy(logits, wrapped, tape))]
+    def combined(logits, params, tape):
+        log_q = gaussian_log_density(params, mu, var, model.pieces, tape)
+        terms = [(1.0, cross_entropy(logits, params, tape)), (0.5, entropy(logits, params, tape))]
         return weighted_sum(terms + [(-0.25, log_q)], tape=tape)
 
     for objective in (cross_entropy, entropy, combined):
@@ -331,8 +335,8 @@ def test_every_op_gradient_matches_finite_differences(seed):
 
         model.load(theta0)
         tape = Tape()
-        logits, wrapped = model.taped_forward(x, tape, update_stats=False)
-        auto = model.grad_vector(wrapped, backward(objective(logits, wrapped, tape), tape))
+        logits, params = model.taped_forward(x, tape, update_stats=False)
+        auto = backward(objective(logits, params, tape), tape)[params]
         numeric = finite_diff_gradient(value_at, theta0, 1e-5)
         err = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)
         assert err.max() < 1e-4, f"seed {seed}, {objective.__name__}: max relative error {err.max()}"
@@ -343,12 +347,35 @@ def test_gaussian_log_density_matches_per_coordinate_formula():
     theta = Tensor(rng.normal(size=5))
     mu = rng.normal(size=5)
     var = rng.random(5) + 0.2
-    value = gaussian_log_density([theta], [mu], [var]).item()
+    value = gaussian_log_density(theta, mu, var, [slice(None)]).item()
     expected = sum(
         -0.5 * (theta.data[i] - mu[i]) ** 2 / var[i] - 0.5 * np.log(2 * np.pi * var[i])
         for i in range(5)
     )
     assert abs(value - expected) < 1e-10
+
+
+def test_gaussian_log_density_sums_one_parameter_at_a_time():
+    # with the model's pieces the value is, bit for bit, the sum over
+    # parameter tensors in registry order of each one's quadratic sum, then
+    # its normalizer sum; the gradient is -(theta - mu) / sigma2 throughout
+    rng = rand_rng(12)
+    model = MlpClassifier((5, 7, 6, 3), seed=1)
+    mu = rng.normal(size=model.theta.size)
+    var = rng.random(model.theta.size) + 0.05
+    tape = Tape()
+    theta = Tensor(model.theta)
+    value = gaussian_log_density(theta, mu, var, model.pieces, tape)
+    expected = 0.0
+    for t, m, v in zip(model.params.values(), model.views(mu).values(), model.views(var).values()):
+        expected += float(-((t - m) * (t - m) / (2.0 * v)).sum())
+        expected += float(-0.5 * np.log(2.0 * np.pi * v).sum())
+    assert value.item() == expected
+    ends = [int(e) for e in np.cumsum([v.size for v in model.params.values()])]
+    assert [(p.start, p.stop) for p in model.pieces] == list(zip([0] + ends[:-1], ends))
+    assert np.array_equal(backward(value, tape)[theta], -(model.theta - mu) / var)
+    with pytest.raises(ValueError):
+        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces)
 
 
 def test_weighted_sum_requires_scalars():

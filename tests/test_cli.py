@@ -525,3 +525,64 @@ def test_tune_regularizer_fails_like_the_cli_on_an_unreadable_checkpoint(trained
     cli_err = capsys.readouterr().err
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == cli_err and cli_err.startswith("error: ") and cli_err.count("\n") == 1
+
+
+def test_tune_regularizer_reads_the_training_config(trained_dir, tmp_path):
+    # checkpoints trained under a one-batch-per-segment config: the grid runs
+    # that config's dataset, stream lengths and adapt settings, so its first
+    # row is the petal_fim run of that config on the held-out kind
+    from lifelong_tta.cli import HELD_OUT_KIND, eval_dataset_seed, load_checkpoints
+    from lifelong_tta.engine import run_lifelong
+    from lifelong_tta.streams import build_schedule, make_source_dataset
+
+    out, cfg = trained_dir
+    cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule, batches_per_segment=1))
+    config_path = tmp_path / "one_batch.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tune_regularizer.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--config", str(config_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    model, posterior = load_checkpoints(cfg)
+    schedule = build_schedule((HELD_OUT_KIND,), "continual5", 1, cfg.schedule.batch_size)
+    eval_set = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
+    petal_cfg = dataclasses.replace(cfg.adapt, method="petal", restore="fim", alpha=1e-6)
+    report, _ = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, 0)
+    assert report.overall["count"] == cfg.schedule.batch_size
+    assert lines[0].startswith(f"alpha={1e-6:8.0e}  mean error {report.overall['error']:7.4f}%")
+    assert lines[-1].startswith("winner: alpha=")
+
+
+# a model checkpoint whose entries have the right shapes but values no model
+# can run with: (entry, edit)
+UNUSABLE_MODEL_ENTRIES = {
+    "nan_running_var": ("hidden0.running_var", lambda a: np.where(np.arange(a.size) == 0, np.nan, a)),
+    "negative_running_var": ("hidden0.running_var", lambda a: -a),
+    "inf_weight": ("out.weight", lambda a: np.where(a > 0, np.inf, a)),
+}
+
+
+@pytest.mark.parametrize("method", ["source", "petal_fim", "bn_adapt"])
+@pytest.mark.parametrize("case", sorted(UNUSABLE_MODEL_ENTRIES))
+def test_cli_rejects_unusable_model_checkpoint(trained_dir, tmp_path, capsys, case, method):
+    # was: a FloatingPointError traceback (source), exit 3 at step 0
+    # (petal_fim) or exit 0 (bn_adapt, which never reads the running stats)
+    out, cfg = trained_dir
+    key, change = UNUSABLE_MODEL_ENTRIES[case]
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    entries = read_checkpoint(tmp_path / MODEL_CHECKPOINT)
+    entries[key] = change(entries[key])
+    write_checkpoint(tmp_path / MODEL_CHECKPOINT, entries)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / MODEL_CHECKPOINT) in err and key in err
+    assert not list(tmp_path.glob("*/seed*"))

@@ -210,9 +210,9 @@ def test_petal_loss_alpha_zero_is_plain_cross_entropy(small_bundle):
     pseudo = teacher_pseudo_label(state, images, cfg)
     tape = Tape()
     loss, _, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
-    from lifelong_tta.autodiff import Tensor, soft_cross_entropy
+    from lifelong_tta.autodiff import soft_cross_entropy
 
-    reference = soft_cross_entropy(Tensor(pseudo), logits).item()
+    reference = soft_cross_entropy(pseudo, logits).item()
     assert loss.item() == reference
 
 
@@ -226,9 +226,9 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     # normalizer sum and the loss separates exactly
     tape = Tape()
     loss, _, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
-    from lifelong_tta.autodiff import Tensor, soft_cross_entropy
+    from lifelong_tta.autodiff import soft_cross_entropy
 
-    ce = soft_cross_entropy(Tensor(pseudo), logits).item()
+    ce = soft_cross_entropy(pseudo, logits).item()
     assert np.array_equal(state.student.theta, posterior.mu)
     # at theta = mu the quadratic term is zero: log q is the normalizer alone
     log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2).sum()
@@ -242,13 +242,13 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
     cfg = fast_cfg(alpha=0.0)
     state = init_adapt_state(model, posterior, cfg, seed=0)
     tape = Tape()
-    logits, wrapped = state.student.taped_forward(images, tape, update_stats=False)
+    logits, params = state.student.taped_forward(images, tape, update_stats=False)
     pseudo = softmax(logits.data)
-    from lifelong_tta.autodiff import Tensor, backward, soft_cross_entropy
+    from lifelong_tta.autodiff import backward, soft_cross_entropy
 
-    loss = soft_cross_entropy(Tensor(pseudo), logits, tape)
+    loss = soft_cross_entropy(pseudo, logits, tape)
     grads = backward(loss, tape)
-    assert np.abs(state.student.grad_vector(wrapped, grads)).max() < 1e-8
+    assert np.abs(grads[params]).max() < 1e-8
 
 
 def test_petal_loss_rejects_mismatched_posterior(small_bundle):
@@ -260,6 +260,41 @@ def test_petal_loss_rejects_mismatched_posterior(small_bundle):
     state = init_adapt_state(model, posterior, cfg, seed=0)
     with pytest.raises(ValueError):
         petal_loss(state, images, teacher_pseudo_label(state, images, cfg), wrong, cfg, Tape())
+
+
+def test_petal_step_tapes_theta_as_one_tensor(small_bundle, monkeypatch):
+    # the model's tape node has one input, a tensor over the student's theta
+    # itself; the tape gives its gradient as one theta-shaped vector; and the
+    # step builds tensors for theta, the logits and scalars only, none per
+    # parameter view and none for the constant pseudo-labels
+    from lifelong_tta import autodiff, engine
+
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset)
+    state = init_adapt_state(model, posterior, fast_cfg(alpha=1e-3, tau=2.0), seed=0)
+    built, taped = [], []
+    tensor_init, engine_backward = autodiff.Tensor.__init__, engine.backward
+
+    def recording_init(self, values):
+        tensor_init(self, values)
+        built.append(self)
+
+    def recording_backward(root, tape):
+        grads = engine_backward(root, tape)
+        taped.append((tape, grads))
+        return grads
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", recording_init)
+    monkeypatch.setattr(engine, "backward", recording_backward)
+    adapt_step(state, images, posterior, fast_cfg(alpha=1e-3, tau=2.0))
+    ((tape, grads),) = taped
+    (node,) = [node for node in tape.nodes if node.op == "mlp"]
+    (params,) = node.inputs
+    assert np.shares_memory(params.data, state.student.theta)
+    assert grads[params].shape == state.student.theta.shape
+    shaped = [t for t in built if t.shape != ()]
+    assert len(shaped) == 2 and shaped[0] is params and shaped[1] is node.output
+    assert node.output.shape == (images.shape[0], model.sizes[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -265,16 +265,16 @@ def test_taped_forward_equals_train_forward_and_records_one_node():
     twin = model.clone()
     expected = twin.forward(x, update_stats=True)
     tape = Tape()
-    logits, wrapped = model.taped_forward(x, tape)
+    logits, params = model.taped_forward(x, tape)
     assert len(tape) == 1
-    assert tape.nodes[0].inputs == tuple(wrapped.values()) and tape.nodes[0].output is logits
-    assert list(wrapped) == list(model.params)
+    assert tape.nodes[0].inputs == (params,) and tape.nodes[0].output is logits
+    assert params.data is model.theta
     assert np.array_equal(logits.data, expected)
     for i, stats in twin.stats.items():
         assert np.array_equal(model.stats[i].mean, stats.mean)
         assert np.array_equal(model.stats[i].var, stats.var)
     loss = softmax_entropy_mean(logits, tape)
-    grads = model.views(model.grad_vector(wrapped, backward(loss, tape)))
+    grads = model.views(backward(loss, tape)[params])
     assert grads["hidden0.gamma"][2] == 0.0 and grads["hidden0.beta"][2] == 0.0
     assert all(np.abs(grads[name]).max() > 0.0 for name in ("hidden0.weight", "hidden1.gamma", "out.bias"))
 

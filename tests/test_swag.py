@@ -61,10 +61,10 @@ def fitted_posterior(dim=5, seed=0):
 
 
 def log_density(post, theta, tape=None):
-    """log q(theta) of one parameter vector: ``gaussian_log_density`` over one
-    tensor. Returns the scalar node and the parameter tensors."""
-    thetas = [Tensor(theta)]
-    return gaussian_log_density(thetas, [post.mu], [post.sigma2], tape), thetas
+    """log q(theta) of one parameter vector: ``gaussian_log_density`` of its
+    tensor. Returns the scalar node and the parameter tensor."""
+    params = Tensor(theta)
+    return gaussian_log_density(params, post.mu, post.sigma2, [slice(None)], tape), params
 
 
 def log_q(post, theta):
@@ -74,9 +74,8 @@ def log_q(post, theta):
 def grad_log_q(post, theta):
     """The taped gradient of log q, as one vector in theta's layout."""
     tape = Tape()
-    value, thetas = log_density(post, theta, tape)
-    grads = backward(value, tape)
-    return np.concatenate([grads[t].ravel() for t in thetas])
+    value, params = log_density(post, theta, tape)
+    return backward(value, tape)[params]
 
 
 def test_log_density_at_mean_single_dim():
