@@ -6,12 +6,14 @@
 #
 # Each tree runs with its own src/ on PYTHONPATH: train-source, adapt with
 # every method name on a one-batch-per-segment stream, then petal_fim and
-# cotta with K = 5 teacher draws, then petal_fim, cotta and tent under the
-# flags that read the gradient vector after the step (the Adam-moment reset
-# and the oracle segment reset) and predict from the student. Both sides write under the same relative
-# paths, so paths recorded inside the outputs compare equal. The differing
-# files go to stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any
-# file differs or exists on one side only.
+# cotta with K = 5 teacher draws, then petal_fim, cotta, tent and
+# pseudo_label under the flags that read the gradient vector or the Adam
+# moments after the step (the Adam-moment reset and the oracle segment reset)
+# and predict from the student, then tent, pseudo_label and petal_fim with
+# the sgd optimizer. Both sides write under the same relative paths, so
+# paths recorded inside the outputs compare equal. The differing files go to
+# stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs
+# or exists on one side only.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -40,8 +42,12 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         python3 -m lifelong_tta adapt --config tiny.json --out runs/k5 --method petal_fim,cotta --k-aug 5 > /dev/null
         mkdir -p runs/flags
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/flags/
-        python3 -m lifelong_tta adapt --config tiny.json --out runs/flags --method petal_fim,cotta,tent \
+        python3 -m lifelong_tta adapt --config tiny.json --out runs/flags --method petal_fim,cotta,tent,pseudo_label \
             --tent-online --reset-optimizer-state --predict-from student > /dev/null
+        mkdir -p runs/sgd
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/sgd/
+        echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0], "adapt": {"optimizer": "sgd"}}' > sgd.json
+        python3 -m lifelong_tta adapt --config sgd.json --out runs/sgd --method tent,pseudo_label,petal_fim > /dev/null
         find runs -type f | LC_ALL=C sort | xargs sha256sum
     ) > "$work/$2.sha256"
 }

@@ -12,6 +12,13 @@ either at random or as the coordinates with the smallest squared loss
 gradient. ``tent`` (entropy minimization) and ``pseudo_label`` (hard
 self-labels) have no teacher and move only the BN affine parameters.
 
+The optimizer state covers only the coordinates a method trains
+(``AdaptState.trained``): an index array of the BN affine coordinates for
+``tent``/``pseudo_label``, so their Adam moments and step touch 2 x width
+entries per hidden layer and nothing else; all of theta, as a view, for
+``petal``/``cotta``, whose restore and moment reset work on theta-length
+vectors.
+
 The K draws run in blocks of four: per block, one ``augment`` call takes the
 random numbers draw by draw and runs each transform once over all four, and
 one teacher forward normalizes each draw by its own batch statistics. The
@@ -288,7 +295,7 @@ class AdaptState:
     student: MlpClassifier
     teacher: MlpClassifier | None
     source_model: MlpClassifier
-    frozen: Array  # coordinates tent/pseudo_label never move: all but the BN affine ones
+    trained: Array | slice  # the coordinates the optimizer moves; Adam's moments cover only these
     step: int
     opt: AdamState | None
     rng_augment: np.random.Generator
@@ -321,23 +328,29 @@ def init_adapt_state(
             rng_augment = np.random.Generator(np.random.PCG64(children[0]))
         if rng_restore is None:
             rng_restore = np.random.Generator(np.random.PCG64(children[1]))
+    if teacher is None:  # tent and pseudo_label move only the BN affine parameters;
+        # source and bn_adapt take no step, so nothing reads theirs
+        trained = np.flatnonzero(param_mask(frozen_source, bn_affine_filter))
+    else:  # a basic slice: theta[trained] is a view, so the step copies nothing
+        trained = slice(None)
     return AdaptState(
         student=student,
         teacher=teacher,
         source_model=frozen_source,
-        frozen=~param_mask(frozen_source, bn_affine_filter),
+        trained=trained,
         step=0,
-        opt=_fresh_optimizer(student, cfg),
+        opt=_fresh_optimizer(student, trained, cfg),
         rng_augment=rng_augment,
         rng_restore=rng_restore,
     )
 
 
-def _fresh_optimizer(student: MlpClassifier, cfg: PetalConfig) -> AdamState | None:
-    """Zero Adam moments, or None for the methods that take no gradient step."""
+def _fresh_optimizer(student: MlpClassifier, trained: Array | slice, cfg: PetalConfig) -> AdamState | None:
+    """Zero Adam moments over the ``trained`` coordinates, or None for the
+    methods that take no gradient step."""
     if cfg.method in FORWARD_ONLY_METHODS:
         return None
-    return AdamState.zeros(student.theta.size)
+    return AdamState.zeros(student.theta[trained].size)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +491,7 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
     restore(state.student.theta, state.source_model.theta, mask)
-    if cfg.reset_optimizer_state:
+    if cfg.reset_optimizer_state:  # petal and cotta train all of theta, so the moments are theta-length
         state.opt.m[mask] = 0.0
         state.opt.v[mask] = 0.0
     return int(mask.sum())
@@ -528,12 +541,11 @@ def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None,
     if not math.isfinite(loss_value):
         raise NonFiniteLossError(f"{cfg.method} loss became non-finite at step {state.step}")
     grad_vec = backward(loss, tape)[params]
-    if not has_teacher:
-        grad_vec[state.frozen] = 0.0
+    trained = state.trained
     if cfg.optimizer == "adam":
-        state.student.theta -= adam_delta(state.opt, grad_vec, cfg.eta)
+        state.student.theta[trained] -= adam_delta(state.opt, grad_vec[trained], cfg.eta)
     else:
-        state.student.theta -= cfg.eta * grad_vec
+        state.student.theta[trained] -= cfg.eta * grad_vec[trained]
     restored = 0
     if has_teacher:
         ema_update(state.teacher, state.student, cfg.pi)
@@ -620,7 +632,7 @@ def _reset_to_source(state: AdaptState, cfg: PetalConfig) -> None:
     state.student.stats = {i: s.copy() for i, s in state.source_model.stats.items()}
     if state.teacher is not None:  # the teacher makes petal's and cotta's predictions
         state.teacher.theta[:] = state.source_model.theta
-    state.opt = _fresh_optimizer(state.student, cfg)
+    state.opt = _fresh_optimizer(state.student, state.trained, cfg)
 
 
 def run_lifelong(

@@ -120,6 +120,7 @@ class MlpClassifier:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
         if draws < 1 or x.shape[0] % draws:
             raise ValueError(f"{x.shape[0]} rows do not split into {draws} equal batches")
+        _finite(self.theta, "parameters")
         # (draws, B, F) throughout: matmul runs one product per batch, so
         # each draw's rows are bit-identical to a call of its own
         logits = self._logits(x.reshape(draws, -1, self.sizes[0]), mode, update_stats)
@@ -128,7 +129,8 @@ class MlpClassifier:
     def taped_forward(self, x, tape: Tape, update_stats: bool = True) -> tuple[Tensor, Tensor]:
         """Train-mode logits of one batch, recorded on ``tape`` as one node
         whose one input is a tensor over ``theta`` (no copy) and whose
-        backward is ``_backward``; returns (logits, that tensor)."""
+        backward is ``_backward``; returns (logits, that tensor). Building
+        that tensor is the one check that theta is finite."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
@@ -144,7 +146,6 @@ class MlpClassifier:
         ``saved``, when given, receives each hidden layer's (x_hat, inv_std,
         output) for the backward; otherwise no layer's buffers outlive it."""
         _finite(h, "input")
-        _finite(self.theta, "parameters")
         p = self.params
         for i in range(self.n_hidden):
             h = h @ p[f"hidden{i}.weight"]
@@ -240,7 +241,11 @@ class MlpClassifier:
         for i, stats in model.stats.items():
             stats.mean[...] = require_entry(entries, f"hidden{i}.running_mean", stats.mean.shape)
             stats.var[...] = require_entry(entries, f"hidden{i}.running_var", stats.var.shape)
-        for name, values in model.state_arrays().items():
+        expected = model.state_arrays()
+        extra = [name for name in entries if name not in expected]
+        if extra:
+            raise CheckpointError(f"checkpoint entry {extra[0]} has no place in the model")
+        for name, values in expected.items():
             if not np.isfinite(values).all():
                 raise CheckpointError(f"checkpoint entry {name} is not finite")
             if name.endswith(".running_var") and (values < 0.0).any():

@@ -27,6 +27,8 @@ from lifelong_tta.cli import (
     resolve_method,
 )
 from lifelong_tta.engine import PetalConfig
+from lifelong_tta.model import MlpClassifier
+from lifelong_tta.swag import SwagDiagPosterior
 
 
 def tiny_config(out_dir, **adapt_overrides):
@@ -582,6 +584,36 @@ def test_cli_rejects_unusable_model_checkpoint(trained_dir, tmp_path, capsys, ca
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))), encoding="utf-8")
     assert main(["adapt", "--config", str(config_path), "--method", method]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / MODEL_CHECKPOINT) in err and key in err
+    assert not list(tmp_path.glob("*/seed*"))
+
+
+# a model checkpoint, otherwise valid, with one entry no place in its model
+# holds: (hidden widths, entry)
+STRAY_MODEL_ENTRIES = {
+    "bogus_entry": ((24,), "bogus.entry"),
+    "hidden5_of_two_layers": ((24, 16), "hidden5.running_mean"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_MODEL_ENTRIES))
+def test_cli_rejects_stray_model_checkpoint_entry(tmp_path, capsys, case):
+    # was: loaded without complaint, exit 0
+    hidden, key = STRAY_MODEL_ENTRIES[case]
+    cfg = tiny_config(tmp_path)
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, sizes=(64, *hidden, 8)))
+    model = MlpClassifier(cfg.model.sizes, seed=0)
+    model.save(tmp_path / MODEL_CHECKPOINT)
+    posterior = SwagDiagPosterior(mu=model.flatten(), sigma2=np.full(model.theta.size, 1e-4), count=1)
+    posterior.save(tmp_path / POSTERIOR_CHECKPOINT, model)
+    entries = read_checkpoint(tmp_path / MODEL_CHECKPOINT)
+    entries[key] = np.zeros(hidden[-1])
+    write_checkpoint(tmp_path / MODEL_CHECKPOINT, entries)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), "--method", "source"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / MODEL_CHECKPOINT) in err and key in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.autodiff import Tape, softmax
+from lifelong_tta.autodiff import Tape, backward, soft_cross_entropy, softmax, softmax_entropy_mean
 from lifelong_tta.engine import (
     AdamState,
     AugmentParams,
@@ -26,7 +26,7 @@ from lifelong_tta.engine import (
     stochastic_mask,
     teacher_pseudo_label,
 )
-from lifelong_tta.model import MlpClassifier
+from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 from lifelong_tta.streams import (
     CorruptionSpec,
     StreamSchedule,
@@ -34,7 +34,7 @@ from lifelong_tta.streams import (
     make_source_dataset,
     stream_batches,
 )
-from lifelong_tta.swag import SwagDiagEstimator, train_source
+from lifelong_tta.swag import SwagDiagEstimator, one_hot, train_source
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +570,25 @@ def test_non_finite_loss_aborts(small_bundle):
             adapt_step(state, images, posterior, cfg)
 
 
+@pytest.mark.parametrize("method", ["tent", "petal"])
+def test_non_finite_theta_aborts_before_the_update(small_bundle, method):
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset)
+    cfg = fast_cfg(method=method, tau=2.0)
+    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state.student.theta[3] = np.nan
+    before = state.student.theta.tobytes()
+    teacher_before = None if state.teacher is None else state.teacher.theta.tobytes()
+    step = adapt_step if method == "petal" else lambda s, x, p, c: baseline_step(s, x, c)
+    with pytest.raises(NonFiniteLossError, match="non-finite forward at step 0") as info:
+        step(state, images, posterior, cfg)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert state.student.theta.tobytes() == before
+    assert state.opt.step == 0 and not state.opt.m.any() and not state.opt.v.any()
+    if state.teacher is not None:
+        assert state.teacher.theta.tobytes() == teacher_before
+
+
 def test_adapt_step_rejects_baseline_methods(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
@@ -641,6 +660,92 @@ def test_tent_and_pseudo_label_touch_only_bn_affine(small_bundle):
                 assert not same, f"{method} should update {name}"
             else:
                 assert same, f"{method} must not update {name}"
+
+
+def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed):
+    """tent/pseudo_label as they ran before their optimizer state shrank to
+    the BN affine coordinates: full-length Adam moments, with the gradient
+    zeroed everywhere else before each step. Returns the student."""
+    ref = init_adapt_state(model, posterior, cfg, seed=seed)
+    student, source = ref.student, ref.source_model
+    frozen = ~param_mask(student, bn_affine_filter)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m, v, t = np.zeros(student.theta.size), np.zeros(student.theta.size), 0
+    previous = None
+    stream_ss, _, _ = np.random.SeedSequence(seed).spawn(3)
+    for batch, _ in stream_batches(schedule, dataset, np.random.Generator(np.random.PCG64(stream_ss))):
+        if cfg.tent_online and previous is not None and batch.segment != previous:
+            student.theta[:] = source.theta
+            student.stats = {i: s.copy() for i, s in source.stats.items()}
+            m, v, t = np.zeros(student.theta.size), np.zeros(student.theta.size), 0
+        previous = batch.segment
+        tape = Tape()
+        logits, params = student.taped_forward(batch.images, tape)
+        if cfg.method == "tent":
+            loss = softmax_entropy_mean(logits, tape)
+        else:
+            hard = softmax(logits.data).argmax(axis=1)
+            loss = soft_cross_entropy(one_hot(hard, logits.shape[1]), logits, tape)
+        grad = backward(loss, tape)[params]
+        grad[frozen] = 0.0
+        t += 1
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad**2
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        student.theta -= cfg.eta * m_hat / (np.sqrt(v_hat) + eps)
+    return student
+
+
+@pytest.mark.parametrize("tent_online", [False, True])
+@pytest.mark.parametrize("method", ["tent", "pseudo_label"])
+def test_selftrain_adam_on_bn_affine_matches_full_length_reference(small_bundle, method, tent_online):
+    # the moments cover only the BN affine coordinates; a frozen coordinate's
+    # full-length update was exactly 0.0, so theta keeps every bit
+    dataset, model, posterior = small_bundle
+    schedule = build_schedule(("gaussian_noise",), "gradual", 1, 16)  # 5 segments of one batch
+    cfg = fast_cfg(method=method, tent_online=tent_online, eta=0.01)
+    report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=2)
+    assert len(report.rows) == 5
+    reference = _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed=2)
+    assert state.student.theta.tobytes() == reference.theta.tobytes()
+    for i, stats in state.student.stats.items():
+        assert stats.mean.tobytes() == reference.stats[i].mean.tobytes()
+        assert stats.var.tobytes() == reference.stats[i].var.tobytes()
+    assert not np.array_equal(state.student.theta, state.source_model.theta)
+    trained = int(param_mask(state.student, bn_affine_filter).sum())
+    assert state.opt.m.size == state.opt.v.size == trained
+    assert state.opt.step == (1 if tent_online else 5)
+
+
+@pytest.mark.parametrize("method", ["tent", "petal"])
+def test_sgd_step_moves_trained_coordinates_by_eta_times_gradient(small_bundle, monkeypatch, method):
+    import lifelong_tta.engine as engine
+
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset, severity=5)
+    cfg = fast_cfg(method=method, optimizer="sgd", eta=0.05, restore="none", tau=2.0)
+    state = init_adapt_state(model, posterior, cfg, seed=0)
+    grads = []
+
+    def recording(root, tape):
+        out = backward(root, tape)
+        grads.extend(g.copy() for t, g in out.items() if t.data is state.student.theta)
+        return out
+
+    monkeypatch.setattr(engine, "backward", recording)
+    before = state.student.flatten()
+    step = adapt_step if method == "petal" else lambda s, x, p, c: baseline_step(s, x, c)
+    step(state, images, posterior, cfg)
+    (grad,) = grads
+    after = state.student.theta
+    trained = np.zeros(after.size, dtype=bool)
+    trained[state.trained] = True
+    expected = np.ones(after.size, dtype=bool) if method == "petal" else param_mask(state.student, bn_affine_filter)
+    assert np.array_equal(trained, expected)
+    assert np.abs(grad[trained]).max() > 0.0
+    assert (before[trained] - cfg.eta * grad[trained]).tobytes() == after[trained].tobytes()
+    assert before[~trained].tobytes() == after[~trained].tobytes()
 
 
 def test_bn_adapt_refreshes_running_stats(small_bundle):

@@ -279,6 +279,30 @@ def test_taped_forward_equals_train_forward_and_records_one_node():
     assert all(np.abs(grads[name]).max() > 0.0 for name in ("hidden0.weight", "hidden1.gamma", "out.bias"))
 
 
+def test_each_forward_checks_theta_once(monkeypatch):
+    model = MlpClassifier((9, 7, 5, 4), seed=3)
+    x = np.random.default_rng(6).random((6, 9))
+    passes = []
+    isfinite = np.isfinite
+
+    def counting(values, *args, **kwargs):
+        passes.append(values is model.theta)
+        return isfinite(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    model.taped_forward(x, Tape())
+    assert sum(passes) == 1
+    passes.clear()
+    model.forward(x)
+    assert sum(passes) == 1
+    monkeypatch.undo()
+    model.theta[5] = np.inf
+    with pytest.raises(FloatingPointError):
+        model.taped_forward(x, Tape())
+    with pytest.raises(FloatingPointError, match="parameters"):
+        model.forward(x)
+
+
 def test_block_forward_refuses_to_update_stats_and_ragged_blocks():
     model = MlpClassifier((4, 6, 3), seed=0)
     x = np.random.default_rng(0).random((8, 4))
@@ -380,6 +404,19 @@ def test_checkpoint_load_rejects_inconsistent_shapes(tmp_path, edit, message):
     edit(entries)
     write_checkpoint(path, entries)
     with pytest.raises(ValueError, match=message):
+        MlpClassifier.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "sizes, name", [((4, 6, 3), "bogus.entry"), ((4, 6, 5, 3), "hidden5.running_mean")]
+)
+def test_checkpoint_load_rejects_entries_with_no_place_in_the_model(tmp_path, sizes, name):
+    path = tmp_path / "model.ptta"
+    MlpClassifier(sizes, seed=0).save(path)
+    entries = read_checkpoint(path)
+    entries[name] = np.zeros(sizes[-2])
+    write_checkpoint(path, entries)
+    with pytest.raises(CheckpointError, match=f"entry {name} has no place in the model"):
         MlpClassifier.load_checkpoint(path)
 
 
