@@ -10,7 +10,8 @@
 # pseudo_label under the flags that read the gradient vector or the Adam
 # moments after the step (the Adam-moment reset and the oracle segment reset)
 # and predict from the student, then tent, pseudo_label and petal_fim with
-# the sgd optimizer. Both sides write under the same relative paths, so
+# the sgd optimizer and the Adam-moment reset flag, which keeps no moments to
+# reset under sgd. Both sides write under the same relative paths, so
 # paths recorded inside the outputs compare equal. The differing files go to
 # stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs
 # or exists on one side only.
@@ -47,7 +48,8 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/sgd
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/sgd/
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0], "adapt": {"optimizer": "sgd"}}' > sgd.json
-        python3 -m lifelong_tta adapt --config sgd.json --out runs/sgd --method tent,pseudo_label,petal_fim > /dev/null
+        python3 -m lifelong_tta adapt --config sgd.json --out runs/sgd --method tent,pseudo_label,petal_fim \
+            --reset-optimizer-state > /dev/null
         find runs -type f | LC_ALL=C sort | xargs sha256sum
     ) > "$work/$2.sha256"
 }

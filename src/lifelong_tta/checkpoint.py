@@ -1,9 +1,15 @@
-"""Binary checkpoint of named float64 arrays.
+"""Binary checkpoint of named float64 arrays, and the one check of its entries.
 
 Layout: magic ``PTTA``, version u32, entry count u32, then per entry a
 u16-length UTF-8 name, rank u8, one u32 extent per axis, and the row-major
 float64 payload. All integers and floats are little-endian. Readers reject
 unknown magic or versions.
+
+Contract: a reader names the entries it expects. ``read_checkpoint(path,
+shapes)`` returns exactly the entries of ``shapes``, each of its shape and
+finite, or raises a ``CheckpointError`` naming the entry at fault (missing,
+extra, wrong shape or non-finite); a damaged file is refused before that.
+Loaders add only the rules of their own values.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ def write_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
-def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read named arrays, preserving write order."""
+def read_checkpoint(path, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Read named arrays, preserving write order: exactly the entries of
+    ``shapes``, each of its shape, every value finite."""
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise CheckpointError("bad checkpoint magic")
@@ -74,13 +81,14 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         entries[name] = payload.astype(np.float64).reshape(shape)
     if cursor != len(blob):
         raise CheckpointError("trailing bytes after last checkpoint entry")
+    for name, values in entries.items():
+        if name not in shapes:  # quoted: a damaged name may hold any character
+            raise CheckpointError(f"checkpoint entry {name!r} has no place in the model")
+        if values.shape != shapes[name]:
+            raise CheckpointError(f"checkpoint shape mismatch for {name}: {values.shape}, expected {shapes[name]}")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"checkpoint entry {name} is not finite")
+    missing = [name for name in shapes if name not in entries]
+    if missing:
+        raise CheckpointError(f"checkpoint missing entry {missing[0]}")
     return entries
-
-
-def require_entry(entries: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``entries[name]``, which must exist and have ``shape``."""
-    if name not in entries:
-        raise CheckpointError(f"checkpoint missing entry {name}")
-    if entries[name].shape != shape:
-        raise CheckpointError(f"checkpoint shape mismatch for {name}")
-    return entries[name]

@@ -304,8 +304,8 @@ def load_checkpoints(cfg: ExperimentConfig) -> tuple[MlpClassifier, SwagDiagPost
             f"missing checkpoints under {out}; run train-source first"
         )
     try:
-        model = MlpClassifier.load_checkpoint(model_path)
-    except ValueError as exc:  # a CheckpointError, or layer sizes no model can have
+        model = MlpClassifier.load_checkpoint(model_path, cfg.model.sizes)
+    except CheckpointError as exc:
         raise CheckpointError(f"{model_path}: {exc}") from exc
     try:
         posterior = SwagDiagPosterior.load(posterior_path, model)
@@ -500,37 +500,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "report":
-            table, csv_text = cmd_report(args.run_dirs)
-            sys.stdout.write(table)
-            if args.csv:
-                Path(args.csv).write_text(csv_text, encoding="utf-8")
-            return 0
-        cfg = _apply_overrides(load_config(args.config), args)
-        if args.dump_config:
-            sys.stdout.write(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n")
-            return 0
-        if args.command == "train-source":
-            summary = cmd_train_source(cfg)
-            sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-            return 0
-        if args.command == "adapt":
-            methods = [m.strip() for m in args.method.split(",") if m.strip()]
-            if not methods or len(set(methods)) != len(methods):
-                raise ValueError(f"--method must name distinct methods, got {args.method!r}")
-            for name in methods:
-                resolve_method(name)
-            run_dirs = cmd_adapt(cfg, methods)
-            for run_dir in run_dirs:
-                sys.stdout.write(f"{run_dir}\n")
-            return 0
-    except NonFiniteLossError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ValueError, OSError, RuntimeError) as exc:  # OSError: unusable --out paths too
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    # the model checks its outputs for NaN/Inf; numpy's own warnings would add stderr lines
+    with np.errstate(all="ignore"):
+        try:
+            if args.command == "report":
+                table, csv_text = cmd_report(args.run_dirs)
+                sys.stdout.write(table)
+                if args.csv:
+                    Path(args.csv).write_text(csv_text, encoding="utf-8")
+                return 0
+            cfg = _apply_overrides(load_config(args.config), args)
+            if args.dump_config:
+                sys.stdout.write(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n")
+                return 0
+            if args.command == "train-source":
+                summary = cmd_train_source(cfg)
+                sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+                return 0
+            if args.command == "adapt":
+                methods = [m.strip() for m in args.method.split(",") if m.strip()]
+                if not methods or len(set(methods)) != len(methods):
+                    raise ValueError(f"--method must name distinct methods, got {args.method!r}")
+                for name in methods:
+                    resolve_method(name)
+                run_dirs = cmd_adapt(cfg, methods)
+                for run_dir in run_dirs:
+                    sys.stdout.write(f"{run_dir}\n")
+                return 0
+        except NonFiniteLossError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 3
+        except (ValueError, OSError, RuntimeError) as exc:  # OSError: unusable --out paths too
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     raise AssertionError("unreachable")
 
 

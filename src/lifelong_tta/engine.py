@@ -12,9 +12,9 @@ either at random or as the coordinates with the smallest squared loss
 gradient. ``tent`` (entropy minimization) and ``pseudo_label`` (hard
 self-labels) have no teacher and move only the BN affine parameters.
 
-The optimizer state covers only the coordinates a method trains
-(``AdaptState.trained``): an index array of the BN affine coordinates for
-``tent``/``pseudo_label``, so their Adam moments and step touch 2 x width
+The Adam state (``sgd`` keeps none) covers only the coordinates a method
+trains (``AdaptState.trained``): an index array of the BN affine coordinates
+for ``tent``/``pseudo_label``, so their Adam moments and step touch 2 x width
 entries per hidden layer and nothing else; all of theta, as a view, for
 ``petal``/``cotta``, whose restore and moment reset work on theta-length
 vectors.
@@ -74,7 +74,7 @@ DEFAULT_ALPHA = 1e-6
 
 
 class NonFiniteLossError(RuntimeError):
-    """The adaptation objective left the finite range; the run must abort."""
+    """A forward or the adaptation objective left the finite range; the run must abort."""
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ class AdaptState:
     """What a run carries between steps. ``source_model`` (frozen, eval BN)
     is the only theta_0: the gate's weights and the restore target.
     ``teacher`` is None except for petal/cotta; ``opt`` is None for
-    source/bn_adapt."""
+    source/bn_adapt and under ``sgd``."""
 
     student: MlpClassifier
     teacher: MlpClassifier | None
@@ -346,9 +346,9 @@ def init_adapt_state(
 
 
 def _fresh_optimizer(student: MlpClassifier, trained: Array | slice, cfg: PetalConfig) -> AdamState | None:
-    """Zero Adam moments over the ``trained`` coordinates, or None for the
-    methods that take no gradient step."""
-    if cfg.method in FORWARD_ONLY_METHODS:
+    """Zero Adam moments over the ``trained`` coordinates, or None where
+    nothing reads them: the methods that take no gradient step, and ``sgd``."""
+    if cfg.method in FORWARD_ONLY_METHODS or cfg.optimizer != "adam":
         return None
     return AdamState.zeros(student.theta[trained].size)
 
@@ -491,7 +491,7 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
     restore(state.student.theta, state.source_model.theta, mask)
-    if cfg.reset_optimizer_state:  # petal and cotta train all of theta, so the moments are theta-length
+    if cfg.reset_optimizer_state and state.opt is not None:  # petal/cotta moments are theta-length
         state.opt.m[mask] = 0.0
         state.opt.v[mask] = 0.0
     return int(mask.sum())
@@ -572,7 +572,10 @@ def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepRep
     """One step of a comparison baseline."""
     if cfg.method in FORWARD_ONLY_METHODS:
         # eval-mode BN (source) ignores the stats update; train mode refreshes it
-        preds = softmax(state.student.forward(images))
+        try:
+            preds = softmax(state.student.forward(images))
+        except FloatingPointError as exc:
+            raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
         state.step += 1
         return StepReport(preds, 0, float("nan"))
     if cfg.method in ("tent", "pseudo_label"):

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import RunningStats, Tape, Tensor, batch_norm_arrays
-from .checkpoint import CheckpointError, read_checkpoint, require_entry, write_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 Array = np.ndarray
 
@@ -224,32 +224,18 @@ class MlpClassifier:
         write_checkpoint(path, self.state_arrays())
 
     @classmethod
-    def load_checkpoint(cls, path) -> "MlpClassifier":
-        entries = read_checkpoint(path)
-        shapes = []
-        while f"hidden{len(shapes)}.weight" in entries:
-            shapes.append(entries[f"hidden{len(shapes)}.weight"].shape)
-        if not shapes or "out.weight" not in entries:
-            raise CheckpointError("checkpoint does not hold an MLP state")
-        shapes.append(entries["out.weight"].shape)
-        if any(len(shape) != 2 for shape in shapes):
-            raise CheckpointError("checkpoint weights must be matrices")
+    def load_checkpoint(cls, path, sizes: Sequence[int]) -> "MlpClassifier":
+        """The model of layer ``sizes`` saved at ``path``, read against
+        ``state_arrays()``'s names and shapes; each BN running variance must
+        also be non-negative."""
         model = cls.__new__(cls)  # no random init to overwrite
-        model._allocate((shapes[0][0],) + tuple(shape[1] for shape in shapes))
-        for name, view in model.params.items():
-            view[...] = require_entry(entries, name, view.shape)
-        for i, stats in model.stats.items():
-            stats.mean[...] = require_entry(entries, f"hidden{i}.running_mean", stats.mean.shape)
-            stats.var[...] = require_entry(entries, f"hidden{i}.running_var", stats.var.shape)
+        model._allocate(sizes)
         expected = model.state_arrays()
-        extra = [name for name in entries if name not in expected]
-        if extra:
-            raise CheckpointError(f"checkpoint entry {extra[0]} has no place in the model")
-        for name, values in expected.items():
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"checkpoint entry {name} is not finite")
-            if name.endswith(".running_var") and (values < 0.0).any():
+        entries = read_checkpoint(path, {name: view.shape for name, view in expected.items()})
+        for name, view in expected.items():
+            if name.endswith(".running_var") and (entries[name] < 0.0).any():
                 raise CheckpointError(f"checkpoint entry {name} is negative")
+            view[...] = entries[name]
         return model
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, backward, soft_cross_entropy, softmax
-from .checkpoint import CheckpointError, read_checkpoint, require_entry, write_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .model import MlpClassifier
 
 Array = np.ndarray
@@ -64,35 +64,33 @@ class SwagDiagPosterior:
     sigma2: Array
     count: int
 
-    def save(self, path, model: MlpClassifier) -> None:
+    def state_arrays(self, model: MlpClassifier) -> dict[str, Array]:
+        """Checkpoint entries: ``mu``'s and ``sigma2``'s views in ``model``'s layout, then the count."""
         entries = {f"swag.mu.{name}": view for name, view in model.views(self.mu).items()}
         for name, view in model.views(self.sigma2).items():
             entries[f"swag.sigma2.{name}"] = view
         entries["swag.count"] = np.asarray([float(self.count)])
-        write_checkpoint(path, entries)
+        return entries
+
+    def save(self, path, model: MlpClassifier) -> None:
+        write_checkpoint(path, self.state_arrays(model))
 
     @classmethod
     def load(cls, path, model: MlpClassifier) -> "SwagDiagPosterior":
-        """Read a posterior of ``model``: exactly one ``swag.mu.``/``swag.sigma2.``
-        entry of the registered shape per trainable, plus ``swag.count``."""
-        entries = read_checkpoint(path)
-        mu, sigma2 = np.zeros(model.theta.size), np.zeros(model.theta.size)
-        expected = {"swag.count"}
-        for prefix, vector in (("swag.mu.", mu), ("swag.sigma2.", sigma2)):
-            for name, view in model.views(vector).items():
-                view[...] = require_entry(entries, prefix + name, view.shape)
-                expected.add(prefix + name)
-        extra = [name for name in entries if name not in expected]
-        if extra:
-            raise CheckpointError(f"checkpoint entry {extra[0]} has no place in the model")
-        count = float(require_entry(entries, "swag.count", (1,))[0])
+        """Read a posterior of ``model`` against ``state_arrays``'s shapes; the
+        count must be a positive integer and every variance at least the floor."""
+        posterior = cls(mu=np.zeros(model.theta.size), sigma2=np.zeros(model.theta.size), count=0)
+        expected = posterior.state_arrays(model)
+        entries = read_checkpoint(path, {name: view.shape for name, view in expected.items()})
+        for name, view in expected.items():
+            view[...] = entries[name]
+        count = float(entries["swag.count"][0])
         if not count.is_integer() or count < 1:
             raise CheckpointError("posterior count must be a positive integer")
-        if not np.isfinite(mu).all():
-            raise CheckpointError("posterior mean is not finite")
-        if not (np.isfinite(sigma2).all() and sigma2.min() >= VARIANCE_FLOOR):
-            raise CheckpointError(f"posterior variance must be finite and >= {VARIANCE_FLOOR}")
-        return cls(mu=mu, sigma2=sigma2, count=int(count))
+        if posterior.sigma2.min() < VARIANCE_FLOOR:
+            raise CheckpointError(f"posterior variance must be >= {VARIANCE_FLOOR}")
+        posterior.count = int(count)
+        return posterior
 
 
 def one_hot(labels: Array, n_classes: int) -> Array:

@@ -1,15 +1,22 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lifelong_tta.checkpoint import read_checkpoint, write_checkpoint
+from lifelong_tta.checkpoint import write_checkpoint
 from lifelong_tta.cli import (
     MODEL_CHECKPOINT,
     POSTERIOR_CHECKPOINT,
@@ -52,6 +59,15 @@ def trained_dir(tmp_path_factory):
     cfg = tiny_config(out)
     cmd_train_source(cfg)
     return out, cfg
+
+
+def saved_entries(out, cfg, leaf):
+    """The entries of checkpoint ``leaf`` that ``train-source`` wrote under
+    ``out`` with ``cfg``."""
+    model = MlpClassifier.load_checkpoint(Path(out) / MODEL_CHECKPOINT, cfg.model.sizes)
+    if leaf == MODEL_CHECKPOINT:
+        return model.state_arrays()
+    return SwagDiagPosterior.load(Path(out) / POSTERIOR_CHECKPOINT, model).state_arrays(model)
 
 
 def test_config_round_trip_and_echo():
@@ -387,7 +403,7 @@ def test_cli_rejects_bad_checkpoint_entries(trained_dir, tmp_path, capsys, edit)
     leaf, key, change = BAD_CHECKPOINT_EDITS[edit]
     for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
         shutil.copy(Path(out) / name, tmp_path / name)
-    entries = read_checkpoint(tmp_path / leaf)
+    entries = saved_entries(out, cfg, leaf)
     if change is None:
         del entries[key]
     else:
@@ -418,7 +434,10 @@ def test_cli_malformed_checkpoint_message_names_the_file(trained_dir, tmp_path, 
     for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
         shutil.copy(Path(out) / name, tmp_path / name)
     (tmp_path / leaf).write_bytes(damage((tmp_path / leaf).read_bytes()))
-    assert main(["adapt", "--out", str(tmp_path), "--method", "source", "--seeds", "0"]) == 2
+    config_path = tmp_path / "tiny.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    args = ["adapt", "--config", str(config_path), "--out", str(tmp_path), "--method", "source"]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / leaf) in err
 
@@ -484,7 +503,9 @@ def test_cli_rejects_posterior_of_another_model(trained_dir, tmp_path, capsys):
     run.mkdir()
     shutil.copy(Path(out) / MODEL_CHECKPOINT, run / MODEL_CHECKPOINT)
     shutil.copy(tmp_path / "other" / POSTERIOR_CHECKPOINT, run / POSTERIOR_CHECKPOINT)
-    assert main(["adapt", "--out", str(run), "--method", "source", "--seeds", "0"]) == 2
+    config_path = tmp_path / "tiny.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), "--out", str(run), "--method", "source"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(run / POSTERIOR_CHECKPOINT) in err and str(run / MODEL_CHECKPOINT) in err
@@ -578,7 +599,7 @@ def test_cli_rejects_unusable_model_checkpoint(trained_dir, tmp_path, capsys, ca
     key, change = UNUSABLE_MODEL_ENTRIES[case]
     for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
         shutil.copy(Path(out) / name, tmp_path / name)
-    entries = read_checkpoint(tmp_path / MODEL_CHECKPOINT)
+    entries = saved_entries(out, cfg, MODEL_CHECKPOINT)
     entries[key] = change(entries[key])
     write_checkpoint(tmp_path / MODEL_CHECKPOINT, entries)
     config_path = tmp_path / "config.json"
@@ -608,7 +629,7 @@ def test_cli_rejects_stray_model_checkpoint_entry(tmp_path, capsys, case):
     model.save(tmp_path / MODEL_CHECKPOINT)
     posterior = SwagDiagPosterior(mu=model.flatten(), sigma2=np.full(model.theta.size, 1e-4), count=1)
     posterior.save(tmp_path / POSTERIOR_CHECKPOINT, model)
-    entries = read_checkpoint(tmp_path / MODEL_CHECKPOINT)
+    entries = model.state_arrays()
     entries[key] = np.zeros(hidden[-1])
     write_checkpoint(tmp_path / MODEL_CHECKPOINT, entries)
     config_path = tmp_path / "config.json"
@@ -618,3 +639,186 @@ def test_cli_rejects_stray_model_checkpoint_entry(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / MODEL_CHECKPOINT) in err and key in err
     assert not list(tmp_path.glob("*/seed*"))
+
+
+@pytest.mark.parametrize("config", ["default", "other_sizes"])
+def test_cli_refuses_checkpoints_of_other_model_sizes(trained_dir, tmp_path, capsys, config):
+    # checkpoints of a 64-24-8 model, read under the default or another
+    # model.sizes; was: exit 0, adapting the 64-24-8 model while report.json
+    # echoed the config's sizes
+    out, cfg = trained_dir
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, tmp_path / name)
+    args = ["adapt", "--out", str(tmp_path), "--method", "bn_adapt", "--seeds", "0"]
+    if config == "other_sizes":
+        config_path = tmp_path / "other.json"
+        doc = config_to_dict(dataclasses.replace(cfg, model=ModelConfig(sizes=(64, 16, 8))))
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        args += ["--config", str(config_path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / MODEL_CHECKPOINT) in err and "hidden0.weight" in err
+    assert not list(tmp_path.glob("*/seed*"))
+
+
+def run_main(args):
+    """(exit code, stdout, stderr) of ``main(args)``; a warning, which a
+    command-line run would print to stderr, raises instead."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, err, codes=(0, 2)):
+    """Exit code among ``codes``; stderr empty on success, else one
+    ``error:`` line."""
+    assert code in codes
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("method", ["source", "bn_adapt", "petal"])
+def test_cli_overflowing_forward_exits_3_with_one_line(trained_dir, tmp_path, method):
+    # a finite posterior mean whose first layer overflows; was: a
+    # FloatingPointError traceback (source, bn_adapt), or numpy overflow
+    # warnings printed ahead of the error line (petal)
+    out, cfg = trained_dir
+    shutil.copy(Path(out) / MODEL_CHECKPOINT, tmp_path / MODEL_CHECKPOINT)
+    entries = saved_entries(out, cfg, POSTERIOR_CHECKPOINT)
+    entries["swag.mu.hidden0.weight"] = np.full_like(entries["swag.mu.hidden0.weight"], 1e307)
+    write_checkpoint(tmp_path / POSTERIOR_CHECKPOINT, entries)
+    config_path = tmp_path / "tiny.json"
+    config_path.write_text(json.dumps(config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))), encoding="utf-8")
+    code, _, err = run_main(["adapt", "--config", str(config_path), "--method", method])
+    assert_clean_exit(code, err, codes=(3,))
+    assert err.startswith("error: non-finite forward at step 0")
+    assert not list(tmp_path.glob("*/seed*"))
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value in a JSON document, sections and list
+    items included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    """Put ``value`` at ``path`` in ``doc``, unless an earlier edit took away
+    a container on the way."""
+    try:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+# values a hand-edited JSON file may hold where another type or range belongs
+ODD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 2**70, -(2**70), 1e308, -1e308, 0.5, ""]),
+    st.builds(list),  # a new object per draw, so no edit writes into another's value
+    st.builds(dict),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3)), max_size=3),
+)
+DEFAULT_CONFIG = json.loads(json.dumps(config_to_dict(ExperimentConfig())))
+CONFIG_PATHS = list(_paths(DEFAULT_CONFIG))
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(CONFIG_PATHS), ODD_VALUES), min_size=1, max_size=3))
+def test_cli_any_config_values_exit_0_or_2_with_at_most_one_line(tmp_path_factory, edits):
+    doc = json.loads(json.dumps(DEFAULT_CONFIG))
+    for path, value in edits:
+        _replace(doc, path, value)
+    config_path = tmp_path_factory.getbasetemp() / "odd_config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_main(["adapt", "--config", str(config_path), "--dump-config"])
+    assert_clean_exit(code, err)
+
+
+@pytest.fixture(scope="module")
+def source_report(trained_dir):
+    """A valid report.json document of the source method."""
+    _, cfg = trained_dir
+    (run_dir,) = cmd_adapt(cfg, ["source"])
+    return json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_report_of_any_field_values_exits_0_or_2_with_at_most_one_line(tmp_path_factory, source_report, data):
+    doc = json.loads(json.dumps(source_report))
+    paths = list(_paths(doc))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        _replace(doc, data.draw(st.sampled_from(paths), label="path"), data.draw(ODD_VALUES, label="value"))
+    root = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    report_path = root / "source" / "seed0" / "report.json"
+    report_path.parent.mkdir(parents=True)
+    report_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_main(["report", str(root)])
+    assert_clean_exit(code, err)
+    if code:
+        assert str(report_path) in err
+
+
+def _header_fields(blob):
+    """(offset, struct format) of every header field after the magic of a
+    well-formed checkpoint: version, entry count, and per entry the name
+    length, rank and extents."""
+    fields = [(4, "<I"), (8, "<I")]
+    cursor = 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        fields.append((cursor, "<H"))
+        cursor += 2 + struct.unpack_from("<H", blob, cursor)[0]
+        fields.append((cursor, "<B"))
+        rank = blob[cursor]
+        extents = struct.unpack_from(f"<{rank}I", blob, cursor + 1)
+        fields += [(cursor + 1 + 4 * axis, "<I") for axis in range(rank)]
+        cursor += 1 + 4 * rank + 8 * math.prod(extents)
+    assert cursor == len(blob)
+    return fields
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    leaf=st.sampled_from([MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT]),
+    damage=st.sampled_from(["flip", "truncate", "field"]),
+    data=st.data(),
+)
+def test_cli_damaged_checkpoint_bytes_exit_cleanly(trained_dir, tmp_path_factory, leaf, damage, data):
+    # exit 2 names the damaged file; a finite value that the damage made
+    # large enough to overflow the forward aborts the run with exit 3
+    out, cfg = trained_dir
+    blob = bytearray((Path(out) / leaf).read_bytes())
+    if damage == "flip":
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    elif damage == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length") :]
+    else:
+        offset, fmt = data.draw(st.sampled_from(_header_fields(blob)), label="field")
+        value = data.draw(st.integers(0, 2 ** (8 * struct.calcsize(fmt)) - 1), label="value")
+        struct.pack_into(fmt, blob, offset, value)
+    run = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / name, run / name)
+    (run / leaf).write_bytes(bytes(blob))
+    config_path = run / "tiny.json"
+    config_path.write_text(json.dumps(config_to_dict(dataclasses.replace(cfg, out_dir=str(run)))), encoding="utf-8")
+    code, _, err = run_main(["adapt", "--config", str(config_path), "--method", "source"])
+    assert_clean_exit(code, err, codes=(0, 2, 3))
+    if code:
+        assert not list(run.glob("*/seed*"))
+    if code == 2:
+        assert str(run / leaf) in err

@@ -541,6 +541,18 @@ def test_reset_optimizer_state_clears_restored_moments(small_bundle):
     assert np.array_equal(state.opt.m, np.zeros(state.source_model.theta.size))
 
 
+def test_sgd_keeps_no_adam_moments(small_bundle):
+    # nothing reads Adam moments under sgd: none are allocated, and the
+    # reset after a restore has none to zero
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset, severity=5)
+    cfg = fast_cfg(optimizer="sgd", restore="fim", delta=0.5, reset_optimizer_state=True)
+    state = init_adapt_state(model, posterior, cfg, seed=0)
+    assert state.opt is None
+    assert adapt_step(state, images, posterior, cfg).restored > 0
+    assert state.opt is None
+
+
 def test_cotta_equals_petal_with_alpha_zero(small_bundle):
     dataset, model, posterior = small_bundle
     petal_cfg = fast_cfg(method="petal", alpha=0.0, restore="stochastic", rho=0.01)

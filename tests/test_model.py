@@ -353,7 +353,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     model.forward(np.random.default_rng(0).random((6, 4)))  # move the stats
     path = tmp_path / "model.ptta"
     model.save(path)
-    loaded = MlpClassifier.load_checkpoint(path)
+    loaded = MlpClassifier.load_checkpoint(path, model.sizes)
     assert loaded.sizes == model.sizes
     assert np.array_equal(loaded.flatten(), model.flatten())
     for i in model.stats:
@@ -374,7 +374,7 @@ def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
         raise AssertionError("load_checkpoint must not run the random initialization")
 
     monkeypatch.setattr(MlpClassifier, "__init__", no_init)
-    loaded = MlpClassifier.load_checkpoint(path)
+    loaded = MlpClassifier.load_checkpoint(path, model.sizes)
     assert loaded.sizes == model.sizes and loaded.bn_mode == "train"
     assert np.array_equal(loaded.theta, model.theta)
     for name, view in loaded.params.items():
@@ -391,20 +391,31 @@ def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda e: e.update({"hidden0.weight": e["hidden0.weight"].ravel()}), "matrices"),
-        (lambda e: e.update({"out.weight": e["out.weight"][:, :1]}), "2 classes"),
+        (lambda e: e.update({"hidden0.weight": e["hidden0.weight"].ravel()}), "hidden0.weight"),
+        (lambda e: e.update({"out.weight": e["out.weight"][:, :1]}), "out.weight"),
         (lambda e: e.update({"hidden1.weight": e["hidden1.weight"][:-1]}), "hidden1.weight"),
         (lambda e: e.pop("out.bias"), "out.bias"),
     ],
 )
 def test_checkpoint_load_rejects_inconsistent_shapes(tmp_path, edit, message):
     path = tmp_path / "model.ptta"
-    MlpClassifier((4, 6, 5, 3), seed=0).save(path)
-    entries = read_checkpoint(path)
+    model = MlpClassifier((4, 6, 5, 3), seed=0)
+    entries = model.state_arrays()
     edit(entries)
     write_checkpoint(path, entries)
-    with pytest.raises(ValueError, match=message):
-        MlpClassifier.load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=message):
+        MlpClassifier.load_checkpoint(path, model.sizes)
+
+
+def test_checkpoint_of_other_sizes_is_refused(tmp_path):
+    # the sizes are the reader's, never guessed from the file: a checkpoint
+    # of another model fails at its first entry of another shape
+    path = tmp_path / "model.ptta"
+    MlpClassifier((4, 6, 3), seed=0).save(path)
+    with pytest.raises(CheckpointError, match=r"hidden0\.weight: \(4, 6\), expected \(4, 7\)"):
+        MlpClassifier.load_checkpoint(path, (4, 7, 3))
+    with pytest.raises(CheckpointError, match="missing entry hidden1.weight"):
+        MlpClassifier.load_checkpoint(path, (4, 6, 6, 3))
 
 
 @pytest.mark.parametrize(
@@ -412,19 +423,18 @@ def test_checkpoint_load_rejects_inconsistent_shapes(tmp_path, edit, message):
 )
 def test_checkpoint_load_rejects_entries_with_no_place_in_the_model(tmp_path, sizes, name):
     path = tmp_path / "model.ptta"
-    MlpClassifier(sizes, seed=0).save(path)
-    entries = read_checkpoint(path)
+    entries = MlpClassifier(sizes, seed=0).state_arrays()
     entries[name] = np.zeros(sizes[-2])
     write_checkpoint(path, entries)
-    with pytest.raises(CheckpointError, match=f"entry {name} has no place in the model"):
-        MlpClassifier.load_checkpoint(path)
+    with pytest.raises(CheckpointError, match=f"entry '{name}' has no place in the model"):
+        MlpClassifier.load_checkpoint(path, sizes)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ptta"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError):
-        read_checkpoint(path)
+        read_checkpoint(path, {})
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -434,7 +444,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     blob[4] = 99
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
-        read_checkpoint(path)
+        read_checkpoint(path, {"a": (2,)})
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
@@ -443,7 +453,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-9])
     with pytest.raises(CheckpointError):
-        read_checkpoint(path)
+        read_checkpoint(path, {"a": (4,)})
 
 
 def test_checkpoint_wire_format_decodes_by_hand(tmp_path):
@@ -480,7 +490,7 @@ def test_checkpoint_preserves_order_and_values(tmp_path):
     }
     path = tmp_path / "arrays.ptta"
     write_checkpoint(path, entries)
-    loaded = read_checkpoint(path)
+    loaded = read_checkpoint(path, {"a.first": (3,), "empty": (0,), "scalar": (), "z.second": (2, 3)})
     assert list(loaded) == ["z.second", "a.first", "scalar", "empty"]
     for key in entries:
         assert loaded[key].shape == entries[key].shape
@@ -506,9 +516,9 @@ def _encode(entries, count=None):
     return bytes(blob), fields
 
 
-def _read(path, blob):
+def _read(path, blob, shapes):
     path.write_bytes(blob)
-    return read_checkpoint(path)
+    return read_checkpoint(path, shapes)
 
 
 _checkpoints = st.lists(
@@ -527,13 +537,14 @@ def test_checkpoint_reader_returns_or_raises_checkpoint_error(tmp_path_factory, 
     blob, fields = _encode(
         [(name.encode("utf-8"), a.shape, a.ravel()) for name, a in arrays.items()]
     )
+    shapes = {name: a.shape for name, a in arrays.items()}
     write_checkpoint(path, arrays)
     assert path.read_bytes() == blob
-    loaded = read_checkpoint(path)
+    loaded = read_checkpoint(path, shapes)
     assert list(loaded) == list(arrays)
     for cut in range(len(blob)):
         with pytest.raises(CheckpointError):
-            _read(path, blob[:cut])
+            _read(path, blob[:cut], shapes)
     flipped = bytearray(blob)
     bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
     flipped[bit // 8] ^= 1 << (bit % 8)
@@ -543,7 +554,7 @@ def test_checkpoint_reader_returns_or_raises_checkpoint_error(tmp_path_factory, 
     struct.pack_into(fmt, edited, offset, data.draw(st.integers(0, top), label="value"))
     for mutant in (flipped, edited):
         try:
-            _read(path, bytes(mutant))
+            _read(path, bytes(mutant), shapes)
         except CheckpointError:
             pass
 
@@ -558,7 +569,32 @@ BAD_CHECKPOINTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
 def test_checkpoint_rejects_malformed_entries(tmp_path, case):
+    # a damaged file is refused before any entry is checked: every entry
+    # here would otherwise have no place
     entries, message = BAD_CHECKPOINTS[case]
     blob, _ = _encode(entries)
     with pytest.raises(CheckpointError, match=message):
-        _read(tmp_path / "bad.ptta", blob)
+        _read(tmp_path / "bad.ptta", blob, {})
+
+
+# (expected shapes, message) of a reader whose expectation the file below
+# does not meet; each names the entry at fault
+ENTRY_FAULTS = {
+    "missing": ({"a": (2,), "b": (2, 3), "c": (1,)}, "missing entry c"),
+    "extra": ({"a": (2,)}, "entry 'b' has no place"),
+    "wrong_shape": ({"a": (2,), "b": (3, 2)}, r"mismatch for b: \(2, 3\), expected \(3, 2\)"),
+    "nan": ({"a": (2,), "b": (2, 3)}, "entry b is not finite"),
+    "inf": ({"a": (2,), "b": (2, 3)}, "entry b is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_FAULTS))
+def test_read_checkpoint_names_the_entry_at_fault(tmp_path, case):
+    shapes, message = ENTRY_FAULTS[case]
+    b = np.arange(6.0).reshape(2, 3)
+    if case in ("nan", "inf"):
+        b[1, 2] = np.nan if case == "nan" else -np.inf
+    path = tmp_path / "entries.ptta"
+    write_checkpoint(path, {"a": np.zeros(2), "b": b})
+    with pytest.raises(CheckpointError, match=message):
+        read_checkpoint(path, shapes)

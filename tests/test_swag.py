@@ -179,8 +179,9 @@ def test_posterior_checkpoint_uses_reserved_names(tmp_path):
     # every mean entry, then every variance entry, in registry order, then the count
     model = MlpClassifier((4, 6, 3), seed=0)
     post, path = _saved_posterior(tmp_path, model)
-    entries = read_checkpoint(path)
     names = list(model.params)
+    shapes = {f"swag.{part}.{n}": view.shape for part in ("mu", "sigma2") for n, view in model.params.items()}
+    entries = read_checkpoint(path, {**shapes, "swag.count": (1,)})
     assert list(entries) == (
         [f"swag.mu.{n}" for n in names] + [f"swag.sigma2.{n}" for n in names] + ["swag.count"]
     )
@@ -202,9 +203,9 @@ MISFIT_POSTERIORS = {
 @pytest.mark.parametrize("case", sorted(MISFIT_POSTERIORS))
 def test_posterior_load_rejects_entries_that_do_not_fit_the_model(tmp_path, case):
     model = MlpClassifier((4, 6, 3), seed=0)
-    _, path = _saved_posterior(tmp_path, model)
+    post, path = _saved_posterior(tmp_path, model)
     edit, message = MISFIT_POSTERIORS[case]
-    entries = read_checkpoint(path)
+    entries = post.state_arrays(model)
     edit(entries)
     write_checkpoint(path, entries)
     with pytest.raises(CheckpointError, match=message):
