@@ -11,7 +11,9 @@
 # moments after the step (the Adam-moment reset and the oracle segment reset)
 # and predict from the student, then tent, pseudo_label and petal_fim with
 # the sgd optimizer and the Adam-moment reset flag, which keeps no moments to
-# reset under sgd. Both sides write under the same relative paths, so
+# reset under sgd, then petal_fim and tent under the oracle segment reset at
+# two batches per segment, so the state is kept within a segment and rebuilt
+# across segments. Both sides write under the same relative paths, so
 # paths recorded inside the outputs compare equal. The differing files go to
 # stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs
 # or exists on one side only.
@@ -50,6 +52,10 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0], "adapt": {"optimizer": "sgd"}}' > sgd.json
         python3 -m lifelong_tta adapt --config sgd.json --out runs/sgd --method tent,pseudo_label,petal_fim \
             --reset-optimizer-state > /dev/null
+        mkdir -p runs/online
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/online/
+        echo '{"schedule": {"batches_per_segment": 2}, "seeds": [0]}' > two.json
+        python3 -m lifelong_tta adapt --config two.json --out runs/online --method petal_fim,tent --tent-online > /dev/null
         find runs -type f | LC_ALL=C sort | xargs sha256sum
     ) > "$work/$2.sha256"
 }

@@ -6,7 +6,7 @@ iterates, a synthetic corruption-stream benchmark, the adaptation engine with
 its baselines, and proper-scoring metrics.
 """
 
-from .autodiff import Tape, Tensor, backward, finite_diff_gradient, softmax
+from .autodiff import Tape, Tensor, backward, softmax
 from .engine import (
     AdaptState,
     AugmentParams,

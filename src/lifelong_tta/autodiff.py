@@ -278,18 +278,3 @@ def weighted_sum(
         tape.record("weighted_sum", tuple(t for _, t in terms), out, grad_fn)
     return out
 
-
-def finite_diff_gradient(f: Callable[[Array], float], x0: Array, h: float = 1e-5) -> Array:
-    """Central-difference gradient of a scalar function of a flat vector."""
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
-    x0 = np.asarray(x0, dtype=np.float64)
-    grad = np.zeros_like(x0)
-    for i in range(x0.size):
-        bumped = x0.copy()
-        bumped[i] = x0[i] + h
-        up = f(bumped)
-        bumped[i] = x0[i] - h
-        down = f(bumped)
-        grad[i] = (up - down) / (2.0 * h)
-    return grad

@@ -347,7 +347,10 @@ def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number a float can hold: an integer past the float range is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def _check_report(doc, path: Path) -> str:
@@ -365,7 +368,7 @@ def _check_report(doc, path: Path) -> str:
     overall = doc.get("overall")
     require(
         isinstance(overall, dict) and all(_is_number(overall.get(k)) for k in ("error", "nll", "brier")),
-        "overall needs numeric error, nll and brier",
+        "overall needs error, nll and brier numbers a float can hold",
     )
     segments = doc.get("segments")
     require(
@@ -374,7 +377,7 @@ def _check_report(doc, path: Path) -> str:
             isinstance(s, dict) and {"segment", "kind", "severity"} <= s.keys() and _is_number(s.get("error"))
             for s in segments
         ),
-        "each segment needs segment, kind, severity and a numeric error",
+        "each segment needs segment, kind, severity and an error number a float can hold",
     )
     return label
 
@@ -404,11 +407,14 @@ def _collect_reports(run_dirs: list[str]) -> tuple[dict, list[tuple]]:
     return by_method, first[1]
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    if len(values) == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / len(values)
+def _mean_std(values: list[float], what: str) -> tuple[float, float]:
+    try:
+        mean = sum(values) / len(values)
+        if len(values) == 1:
+            return mean, 0.0
+        var = sum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError as exc:  # the seeds' values each fit a float, their squared spread does not
+        raise ValueError(f"{what} overflows a float across seeds: {exc}") from exc
     return mean, math.sqrt(var)
 
 
@@ -423,14 +429,9 @@ def cmd_report(run_dirs: list[str]) -> tuple[str, str]:
     columns += ["mean_err", "nll", "brier"]
     cells: dict[str, dict[str, tuple[float, float]]] = {}
     for method, docs in sorted(by_method.items()):
-        row = {}
-        for idx, (segment, kind, severity) in enumerate(segment_keys):
-            values = [doc["segments"][idx]["error"] for doc in docs]
-            row[columns[idx]] = _mean_std(values)
-        row["mean_err"] = _mean_std([doc["overall"]["error"] for doc in docs])
-        row["nll"] = _mean_std([doc["overall"]["nll"] for doc in docs])
-        row["brier"] = _mean_std([doc["overall"]["brier"] for doc in docs])
-        cells[method] = row
+        values = [[doc["segments"][idx]["error"] for doc in docs] for idx in range(len(segment_keys))]
+        values += [[doc["overall"][key] for doc in docs] for key in ("error", "nll", "brier")]
+        cells[method] = {column: _mean_std(v, f"{method} {column}") for column, v in zip(columns, values)}
     best = {
         column: min(cells, key=lambda m: cells[m][column][0])
         for column in columns

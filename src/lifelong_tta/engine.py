@@ -34,8 +34,15 @@ baselines and evaluation run the untaped ``forward`` on plain arrays.
 take no gradient step; the BN mode set at initialization tells them apart.
 
 One frozen, eval-BN source model holds the posterior mode theta_0: it gates
-augmentation, is the restore target and is what the oracle ``tent_online``
-reset reloads. Only the methods that read a teacher or Adam moments get them.
+augmentation and is the restore target. Only the methods that read a teacher
+or Adam moments get them. ``init_adapt_state`` is the one constructor of a
+run's state; the oracle ``tent_online`` reset is a second call of it at each
+segment boundary, on the generators the run already holds, so the random
+streams continue across the reset.
+
+``run_lifelong`` appends one row per step, keyed by ``STEP_COLUMNS``; the
+rows are ``steps.csv``, and the per-segment and overall summaries are the
+metric summaries plus the mean of the rows' ``restored``.
 
 All per-batch predictions are emitted before the update that uses that
 batch's gradient; evaluation is strictly online.
@@ -44,7 +51,7 @@ batch's gradient; evaluation is strictly online.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -307,12 +314,13 @@ def init_adapt_state(
     posterior: SwagDiagPosterior,
     cfg: PetalConfig,
     *,
-    seed: int | None = None,
-    rng_augment: np.random.Generator | None = None,
-    rng_restore: np.random.Generator | None = None,
+    rng_augment: np.random.Generator,
+    rng_restore: np.random.Generator,
 ) -> AdaptState:
     """The frozen source model, the student and (for ``petal``/``cotta``) the
-    teacher all start from the posterior mode."""
+    teacher all start from the posterior mode, with zero Adam moments. The
+    state draws augmentations from ``rng_augment`` and stochastic restores
+    from ``rng_restore``."""
     frozen_source = source_model.clone()
     frozen_source.load(posterior.mu)
     frozen_source.set_bn_mode("eval")
@@ -322,35 +330,25 @@ def init_adapt_state(
     if cfg.method in ADAPT_METHODS:
         teacher = frozen_source.clone()
         teacher.set_bn_mode("train")
-    if rng_augment is None or rng_restore is None:
-        children = np.random.SeedSequence(0 if seed is None else seed).spawn(2)
-        if rng_augment is None:
-            rng_augment = np.random.Generator(np.random.PCG64(children[0]))
-        if rng_restore is None:
-            rng_restore = np.random.Generator(np.random.PCG64(children[1]))
     if teacher is None:  # tent and pseudo_label move only the BN affine parameters;
         # source and bn_adapt take no step, so nothing reads theirs
         trained = np.flatnonzero(param_mask(frozen_source, bn_affine_filter))
     else:  # a basic slice: theta[trained] is a view, so the step copies nothing
         trained = slice(None)
+    # no moments where nothing reads them: the methods that take no gradient step, and sgd
+    opt = None
+    if cfg.method not in FORWARD_ONLY_METHODS and cfg.optimizer == "adam":
+        opt = AdamState.zeros(student.theta[trained].size)
     return AdaptState(
         student=student,
         teacher=teacher,
         source_model=frozen_source,
         trained=trained,
         step=0,
-        opt=_fresh_optimizer(student, trained, cfg),
+        opt=opt,
         rng_augment=rng_augment,
         rng_restore=rng_restore,
     )
-
-
-def _fresh_optimizer(student: MlpClassifier, trained: Array | slice, cfg: PetalConfig) -> AdamState | None:
-    """Zero Adam moments over the ``trained`` coordinates, or None where
-    nothing reads them: the methods that take no gradient step, and ``sgd``."""
-    if cfg.method in FORWARD_ONLY_METHODS or cfg.optimizer != "adam":
-        return None
-    return AdamState.zeros(student.theta[trained].size)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +585,8 @@ def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepRep
 # full runs
 
 
-@dataclass(eq=False)
-class SegmentResult:
-    segment: int
-    kind: str
-    severity: int
-    count: int
-    error: float
-    nll: float
-    brier: float
-    restored_mean: float
+# the steps.csv columns: one row per step, in stream order
+STEP_COLUMNS = ("step", "segment", "error", "nll", "brier", "loss", "restored")
 
 
 @dataclass(eq=False)
@@ -605,9 +595,9 @@ class RunReport:
     method: str
     config: dict
     schedule: dict
-    segments: list[SegmentResult]
+    segments: list[dict]
     overall: dict | None
-    rows: list[dict]
+    rows: list[dict]  # keyed by STEP_COLUMNS
 
     def to_document(self) -> dict:
         """The report.json content, before the CLI adds its own keys."""
@@ -616,26 +606,18 @@ class RunReport:
             "method": self.method,
             "config": self.config,
             "schedule": self.schedule,
-            "segments": [asdict(s) for s in self.segments],
+            "segments": self.segments,
             "overall": self.overall,
         }
 
     def rows_to_csv(self) -> str:
-        lines = ["step,segment,error,nll,brier,loss,restored"]
-        for row in self.rows:
-            lines.append(
-                f"{row['step']},{row['segment']},{row['error']!r},{row['nll']!r},"
-                f"{row['brier']!r},{row['loss']!r},{row['restored']}"
-            )
+        lines = [",".join(STEP_COLUMNS)]
+        lines += [",".join(repr(row[column]) for column in STEP_COLUMNS) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
-def _reset_to_source(state: AdaptState, cfg: PetalConfig) -> None:
-    state.student.theta[:] = state.source_model.theta
-    state.student.stats = {i: s.copy() for i, s in state.source_model.stats.items()}
-    if state.teacher is not None:  # the teacher makes petal's and cotta's predictions
-        state.teacher.theta[:] = state.source_model.theta
-    state.opt = _fresh_optimizer(state.student, state.trained, cfg)
+def _summary(metrics: MetricSummary, rows: list[dict]) -> dict:
+    return {**asdict(metrics), "restored_mean": float(np.mean([row["restored"] for row in rows]))}
 
 
 def run_lifelong(
@@ -649,8 +631,10 @@ def run_lifelong(
     """Stream every scheduled batch through the configured method.
 
     Segment boundaries are never used to reset state, except under the
-    oracle-assisted ``tent_online`` flag which re-initializes the adapting
-    model whenever the segment id changes.
+    oracle-assisted ``tent_online`` flag: at each change of segment id the
+    run takes a fresh ``init_adapt_state`` (student, teacher and Adam moments
+    back at the source), handing it the generators it holds, so the random
+    streams continue and ``step`` keeps counting.
     """
     stream_ss, augment_ss, restore_ss = np.random.SeedSequence(seed).spawn(3)
     state = init_adapt_state(
@@ -663,67 +647,43 @@ def run_lifelong(
     stream_rng = np.random.Generator(np.random.PCG64(stream_ss))
     acc = MetricAccumulator()
     rows: list[dict] = []
-    restored_by_segment: dict[int, list[int]] = {}
-    previous_segment: int | None = None
     for batch, labels in stream_batches(schedule, dataset, stream_rng):
-        if (
-            cfg.tent_online
-            and previous_segment is not None
-            and batch.segment != previous_segment
-        ):
-            _reset_to_source(state, cfg)
-        previous_segment = batch.segment
+        if cfg.tent_online and rows and batch.segment != rows[-1]["segment"]:
+            fresh = init_adapt_state(
+                source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
+            )
+            state = replace(fresh, step=state.step)
         if cfg.method in ADAPT_METHODS:
             report = adapt_step(state, batch.images, posterior, cfg)
         else:
             report = baseline_step(state, batch.images, cfg)
         err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
-        rows.append(
-            {
-                "step": len(rows),
-                "segment": batch.segment,
-                "error": 100.0 * float(err.mean()),
-                "nll": float(nll_values.mean()),
-                "brier": float(brier_values.mean()),
-                "loss": report.loss,
-                "restored": report.restored,
-            }
+        values = (
+            len(rows),
+            batch.segment,
+            100.0 * float(err.mean()),
+            float(nll_values.mean()),
+            float(brier_values.mean()),
+            report.loss,
+            report.restored,
         )
-        restored_by_segment.setdefault(batch.segment, []).append(report.restored)
-    segments = []
-    for segment_id, (spec, _) in enumerate(schedule.segments):
-        if segment_id not in restored_by_segment:
-            continue
-        summary = acc.segment_summary(segment_id)
-        segments.append(
-            SegmentResult(
-                segment=segment_id,
-                kind=spec.kind,
-                severity=spec.severity,
-                count=summary.count,
-                error=summary.error,
-                nll=summary.nll,
-                brier=summary.brier,
-                restored_mean=float(np.mean(restored_by_segment[segment_id])),
-            )
-        )
-    overall = None
-    if acc.count:
-        total = acc.overall()
-        overall = {
-            "count": total.count,
-            "error": total.error,
-            "nll": total.nll,
-            "brier": total.brier,
-            "restored_mean": float(np.mean([r["restored"] for r in rows])),
+        rows.append(dict(zip(STEP_COLUMNS, values)))
+    segments = [
+        {
+            "segment": i,
+            "kind": schedule.segments[i][0].kind,
+            "severity": schedule.segments[i][0].severity,
+            **_summary(acc.segment_summary(i), [row for row in rows if row["segment"] == i]),
         }
+        for i in acc.segments()
+    ]
     report = RunReport(
         seed=seed,
         method=cfg.method,
         config=asdict(cfg),
         schedule=schedule.to_document(),
         segments=segments,
-        overall=overall,
+        overall=_summary(acc.overall(), rows) if rows else None,
         rows=rows,
     )
     return report, state

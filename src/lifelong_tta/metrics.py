@@ -65,10 +65,6 @@ class MetricAccumulator:
         self._batches.setdefault(segment, []).append(np.array(scores))
         return scores
 
-    @property
-    def count(self) -> int:
-        return sum(batch.shape[1] for batches in self._batches.values() for batch in batches)
-
     def segments(self) -> list[int]:
         return sorted(self._batches)
 

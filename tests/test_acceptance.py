@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, finite_diff_gradient, gaussian_log_density
+from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density
 from lifelong_tta.cli import ExperimentConfig, cmd_adapt, cmd_train_source
 from lifelong_tta.cli import DatasetConfig, ModelConfig, ScheduleConfig, SourceTrainConfig
 from lifelong_tta.engine import (
@@ -27,6 +27,8 @@ from lifelong_tta.metrics import per_sample_scores
 from lifelong_tta.model import MlpClassifier
 from lifelong_tta.streams import build_schedule, gradual_severities, make_source_dataset, stream_batches
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior
+
+from helpers import finite_diff_gradient, seeded_generators
 
 
 def check(number, description, passed, detail=""):
@@ -61,7 +63,7 @@ def _random_case(seed):
     pseudo /= pseudo.sum(axis=1, keepdims=True)
     alpha = (0.0, 0.01, 1.0)[seed % 3]
     cfg = PetalConfig(method="petal", k_aug=2, alpha=alpha)
-    state = init_adapt_state(model, posterior, cfg, seed=seed)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(seed))
     # move the student off the posterior mode so the anchor gradient is live
     state.student.load(state.student.flatten() + rng.normal(scale=0.05, size=state.student.theta.size))
     return state, images, pseudo, posterior, cfg
@@ -104,8 +106,8 @@ def test_criterion_2_cotta_reduction(default_bundle):
         bundle.cfg.adapt, method="petal", alpha=0.0, restore="stochastic", rho=0.01
     )
     cotta_cfg = dataclasses.replace(petal_cfg, method="cotta")
-    petal_state = init_adapt_state(bundle.model, bundle.posterior, petal_cfg, seed=0)
-    cotta_state = init_adapt_state(bundle.model, bundle.posterior, cotta_cfg, seed=0)
+    petal_state = init_adapt_state(bundle.model, bundle.posterior, petal_cfg, **seeded_generators(0))
+    cotta_state = init_adapt_state(bundle.model, bundle.posterior, cotta_cfg, **seeded_generators(0))
     identical = True
     steps = 0
     for batch, _ in stream_batches(bundle.schedule, bundle.eval_set, np.random.default_rng(0)):
@@ -152,7 +154,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
         est.collect(model.flatten() + rng.normal(scale=1e-3, size=model.theta.size))
     posterior = est.finalize()
     cfg = PetalConfig(method="petal", restore="stochastic", rho=0.01, k_aug=2)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     schedule = build_schedule(("gaussian_noise", "contrast"), "continual5", 100, 16)
     counts = []
     for batch, _ in stream_batches(schedule, dataset, np.random.default_rng(1)):
@@ -168,7 +170,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
 
     # delta = 1 resets the student to the source parameters bit-exactly
     full_cfg = PetalConfig(method="petal", restore="fim", delta=1.0, k_aug=2)
-    full_state = init_adapt_state(model, posterior, full_cfg, seed=0)
+    full_state = init_adapt_state(model, posterior, full_cfg, **seeded_generators(0))
     batch, _ = next(stream_batches(schedule, dataset, np.random.default_rng(2)))
     adapt_step(full_state, batch.images, posterior, full_cfg)
     full_reset = np.array_equal(full_state.student.flatten(), full_state.source_model.theta)
@@ -314,8 +316,8 @@ def test_criterion_8_calibration_direction(headline_runs):
         tent_m = _median(runs["tent"], metric)
         ok &= fim_m < source_m and fim_m < tent_m
         details.append(f"{metric}: fim {fim_m:.4f} vs source {source_m:.4f}, tent {tent_m:.4f}")
-    tent_first = float(np.median([r.segments[0].nll for r in runs["tent"]]))
-    tent_last = float(np.median([r.segments[-1].nll for r in runs["tent"]]))
+    tent_first = float(np.median([r.segments[0]["nll"] for r in runs["tent"]]))
+    tent_last = float(np.median([r.segments[-1]["nll"] for r in runs["tent"]]))
     ok &= tent_last > tent_first
     details.append(f"tent nll first {tent_first:.4f} -> last {tent_last:.4f}")
     check(8, "calibration orderings and the long-horizon entropy degradation", ok,

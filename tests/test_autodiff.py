@@ -9,7 +9,6 @@ from lifelong_tta.autodiff import (
     Tensor,
     backward,
     batch_norm_arrays,
-    finite_diff_gradient,
     gaussian_log_density,
     soft_cross_entropy,
     softmax,
@@ -17,6 +16,8 @@ from lifelong_tta.autodiff import (
     weighted_sum,
 )
 from lifelong_tta.model import MlpClassifier
+
+from helpers import finite_diff_gradient
 
 
 def sum_all(x, tape=None):

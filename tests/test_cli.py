@@ -442,7 +442,12 @@ def test_cli_malformed_checkpoint_message_names_the_file(trained_dir, tmp_path, 
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / leaf) in err
 
 
-# edits of a valid report.json that `report` must reject with one line
+def _overall_error(value):
+    return lambda doc: {**doc, "overall": {**doc["overall"], "error": value}}
+
+
+# edits of a valid report.json that `report` must reject with one line; a
+# tuple holds one edit per seed directory
 MALFORMED_REPORTS = {
     "missing_schedule": lambda doc: {k: v for k, v in doc.items() if k != "schedule"},
     "json_list": lambda doc: [doc],
@@ -451,6 +456,9 @@ MALFORMED_REPORTS = {
         **doc,
         "segments": [{k: v for k, v in s.items() if k != "error"} for s in doc["segments"]],
     },
+    "int_past_float_range": _overall_error(10**400),
+    # each error fits a float; the squared spread about their mean does not
+    "seed_spread_past_float_range": (_overall_error(1e200), _overall_error(-1e200)),
 }
 
 
@@ -459,12 +467,17 @@ def test_cli_report_rejects_malformed_report(trained_dir, tmp_path, capsys, case
     out, cfg = trained_dir
     (run_dir,) = cmd_adapt(cfg, ["source"])
     doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
-    bad = tmp_path / "source" / "seed0" / "report.json"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(json.dumps(MALFORMED_REPORTS[case](doc)), encoding="utf-8")
+    edits = MALFORMED_REPORTS[case]
+    edits = edits if isinstance(edits, tuple) else (edits,)
+    for seed, edit in enumerate(edits):
+        bad = tmp_path / "source" / f"seed{seed}" / "report.json"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(json.dumps(edit(doc)), encoding="utf-8")
     assert main(["report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+    # one seed: the line names the file; several: the method and the column
+    named = str(bad) if len(edits) == 1 else "source mean_err"
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 # edits of the second of two report.json files whose segment list then

@@ -10,6 +10,7 @@ from lifelong_tta.autodiff import Tape, backward, soft_cross_entropy, softmax, s
 from lifelong_tta.engine import (
     AdamState,
     AugmentParams,
+    STEP_COLUMNS,
     NonFiniteLossError,
     PetalConfig,
     adapt_step,
@@ -26,6 +27,7 @@ from lifelong_tta.engine import (
     stochastic_mask,
     teacher_pseudo_label,
 )
+from lifelong_tta.metrics import per_sample_scores
 from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 from lifelong_tta.streams import (
     CorruptionSpec,
@@ -35,6 +37,8 @@ from lifelong_tta.streams import (
     stream_batches,
 )
 from lifelong_tta.swag import SwagDiagEstimator, one_hot, train_source
+
+from helpers import seeded_generators
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +125,7 @@ def test_gate_always_passes_at_tau_zero(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=0.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     direct = softmax(state.teacher.forward(images, update_stats=False))
     preds = teacher_pseudo_label(state, images, cfg)
     assert np.array_equal(preds, direct)
@@ -131,7 +135,7 @@ def test_gate_never_passes_above_one(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=2.0, k_aug=2, augment=NO_AUGMENT)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     direct = softmax(state.teacher.forward(images, update_stats=False))
     preds = teacher_pseudo_label(state, images, cfg)
     # identity augmentations make the K-average equal the direct prediction
@@ -143,7 +147,7 @@ def test_pseudo_labels_are_distributions(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(tau=0.9)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     preds = teacher_pseudo_label(state, images, cfg)
     assert np.abs(preds.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -171,8 +175,8 @@ def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
     # 19 rows: no block boundary falls on a multiple of 4 rows
     images, _ = batch_from(dataset, n=19, severity=5)
     cfg = fast_cfg(k_aug=k_aug, tau=0.9)
-    expected_state = init_adapt_state(model, posterior, cfg, seed=3)
-    state = init_adapt_state(model, posterior, cfg, seed=3)
+    expected_state = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     # one step moves the teacher off the source model and its BN buffers
     for s in (expected_state, state):
         adapt_step(s, images, posterior, cfg)
@@ -192,7 +196,7 @@ def test_non_finite_teacher_parameter_aborts_the_step(small_bundle, name, value)
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=2.0)  # the gate opens on every sample
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     state.teacher.params[name].flat[0] = value
     with pytest.raises(NonFiniteLossError):
         adapt_step(state, images, posterior, cfg)
@@ -206,7 +210,7 @@ def test_petal_loss_alpha_zero_is_plain_cross_entropy(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(alpha=0.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     pseudo = teacher_pseudo_label(state, images, cfg)
     tape = Tape()
     loss, _, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
@@ -220,7 +224,7 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(alpha=1.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     pseudo = teacher_pseudo_label(state, images, cfg)
     # student still sits at the posterior mode, so log q(theta) is the
     # normalizer sum and the loss separates exactly
@@ -240,7 +244,7 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(alpha=0.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     tape = Tape()
     logits, params = state.student.taped_forward(images, tape, update_stats=False)
     pseudo = softmax(logits.data)
@@ -257,7 +261,7 @@ def test_petal_loss_rejects_mismatched_posterior(small_bundle):
     other = MlpClassifier((64, 16, 8), seed=0)
     wrong = SwagDiagEstimator(other.theta.size).collect(other.flatten()).finalize()
     cfg = fast_cfg(alpha=1e-3)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(ValueError):
         petal_loss(state, images, teacher_pseudo_label(state, images, cfg), wrong, cfg, Tape())
 
@@ -271,7 +275,7 @@ def test_petal_step_tapes_theta_as_one_tensor(small_bundle, monkeypatch):
 
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    state = init_adapt_state(model, posterior, fast_cfg(alpha=1e-3, tau=2.0), seed=0)
+    state = init_adapt_state(model, posterior, fast_cfg(alpha=1e-3, tau=2.0), **seeded_generators(0))
     built, taped = [], []
     tensor_init, engine_backward = autodiff.Tensor.__init__, engine.backward
 
@@ -304,7 +308,7 @@ def test_petal_step_tapes_theta_as_one_tensor(small_bundle, monkeypatch):
 def test_ema_extremes(small_bundle):
     _, model, posterior = small_bundle
     cfg = fast_cfg()
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.teacher.flatten()
     state.student.load(before + 1.0)
     ema_update(state.teacher, state.student, pi=1.0)
@@ -341,8 +345,8 @@ def test_teacher_running_stats_are_never_read(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(tau=0.99)
-    clean = init_adapt_state(model, posterior, cfg, seed=3)
-    garbage = init_adapt_state(model, posterior, cfg, seed=3)
+    clean = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
+    garbage = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     rng = np.random.default_rng(0)
     for stats in garbage.teacher.stats.values():
         stats.mean[...] = rng.normal(scale=1e3, size=stats.mean.shape)
@@ -461,7 +465,7 @@ def test_parameter_views_and_source_survive_steps(small_bundle, method):
     # flatten() (and so an aliased theta_0) fails here
     dataset, model, posterior = small_bundle
     cfg = fast_cfg(method=method, tau=2.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     has_teacher = method in ("petal", "cotta")
     # each method holds only the state its step reads
     assert (state.teacher is not None) == has_teacher
@@ -491,7 +495,7 @@ def test_zero_lr_no_restore_leaves_parameters_fixed(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(eta=0.0, restore="none")
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.student.flatten()
     report = adapt_step(state, images, posterior, cfg)
     assert np.array_equal(state.student.flatten(), before)
@@ -505,8 +509,8 @@ def test_online_predictions_precede_the_update(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg()
-    state = init_adapt_state(model, posterior, cfg, seed=11)
-    replay = init_adapt_state(model, posterior, cfg, seed=11)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(11))
+    replay = init_adapt_state(model, posterior, cfg, **seeded_generators(11))
     report = adapt_step(state, images, posterior, cfg)
     expected = teacher_pseudo_label(replay, images, cfg)
     assert np.array_equal(report.predictions, expected)
@@ -515,7 +519,7 @@ def test_online_predictions_precede_the_update(small_bundle):
 def test_fim_restore_count_is_exact_every_step(small_bundle):
     dataset, model, posterior = small_bundle
     cfg = fast_cfg(restore="fim", delta=0.03)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     dim = state.source_model.theta.size
     for seed in range(5):
         images, _ = batch_from(dataset, severity=5, seed=seed)
@@ -527,7 +531,7 @@ def test_delta_one_resets_student_to_source(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(restore="fim", delta=1.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     adapt_step(state, images, posterior, cfg)
     assert np.array_equal(state.student.flatten(), state.source_model.theta)
 
@@ -536,7 +540,7 @@ def test_reset_optimizer_state_clears_restored_moments(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(restore="fim", delta=1.0, reset_optimizer_state=True)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     adapt_step(state, images, posterior, cfg)
     assert np.array_equal(state.opt.m, np.zeros(state.source_model.theta.size))
 
@@ -547,7 +551,7 @@ def test_sgd_keeps_no_adam_moments(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(optimizer="sgd", restore="fim", delta=0.5, reset_optimizer_state=True)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     assert state.opt is None
     assert adapt_step(state, images, posterior, cfg).restored > 0
     assert state.opt is None
@@ -557,8 +561,8 @@ def test_cotta_equals_petal_with_alpha_zero(small_bundle):
     dataset, model, posterior = small_bundle
     petal_cfg = fast_cfg(method="petal", alpha=0.0, restore="stochastic", rho=0.01)
     cotta_cfg = fast_cfg(method="cotta", alpha=0.0, restore="stochastic", rho=0.01)
-    petal_state = init_adapt_state(model, posterior, petal_cfg, seed=4)
-    cotta_state = init_adapt_state(model, posterior, cotta_cfg, seed=4)
+    petal_state = init_adapt_state(model, posterior, petal_cfg, **seeded_generators(4))
+    cotta_state = init_adapt_state(model, posterior, cotta_cfg, **seeded_generators(4))
     for seed in range(10):
         images, _ = batch_from(dataset, severity=5, seed=seed)
         petal_report = adapt_step(petal_state, images, posterior, petal_cfg)
@@ -576,7 +580,7 @@ def test_non_finite_loss_aborts(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(eta=1e200, restore="none", optimizer="sgd", alpha=1.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(NonFiniteLossError), np.errstate(over="ignore", invalid="ignore"):
         for seed in range(5):
             adapt_step(state, images, posterior, cfg)
@@ -587,7 +591,7 @@ def test_non_finite_theta_aborts_before_the_update(small_bundle, method):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(method=method, tau=2.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     state.student.theta[3] = np.nan
     before = state.student.theta.tobytes()
     teacher_before = None if state.teacher is None else state.teacher.theta.tobytes()
@@ -605,7 +609,7 @@ def test_adapt_step_rejects_baseline_methods(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(method="tent")
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(ValueError):
         adapt_step(state, images, posterior, cfg)
 
@@ -618,7 +622,7 @@ def test_source_baseline_matches_offline_eval(small_bundle):
     dataset, model, posterior = small_bundle
     images, labels = batch_from(dataset, n=32)
     cfg = fast_cfg(method="source")
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     report = baseline_step(state, images, cfg)
     probe = model.clone()
     probe.load(posterior.mu)
@@ -635,7 +639,7 @@ def test_source_baseline_mutates_nothing(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, n=32)
     cfg = fast_cfg(method="source")
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.student.flatten()
     stats_before = state.student.stats[0].mean.copy()
     baseline_step(state, images, cfg)
@@ -648,8 +652,8 @@ def test_tent_with_zero_lr_equals_bn_adapt(small_bundle):
     images, _ = batch_from(dataset, n=32, severity=5)
     tent_cfg = fast_cfg(method="tent", eta=0.0)
     bn_cfg = fast_cfg(method="bn_adapt")
-    tent_state = init_adapt_state(model, posterior, tent_cfg, seed=0)
-    bn_state = init_adapt_state(model, posterior, bn_cfg, seed=0)
+    tent_state = init_adapt_state(model, posterior, tent_cfg, **seeded_generators(0))
+    bn_state = init_adapt_state(model, posterior, bn_cfg, **seeded_generators(0))
     tent_report = baseline_step(tent_state, images, tent_cfg)
     bn_report = baseline_step(bn_state, images, bn_cfg)
     assert np.array_equal(tent_report.predictions, bn_report.predictions)
@@ -663,7 +667,7 @@ def test_tent_and_pseudo_label_touch_only_bn_affine(small_bundle):
     images, _ = batch_from(dataset, n=32, severity=5)
     for method in ("tent", "pseudo_label"):
         cfg = fast_cfg(method=method)
-        state = init_adapt_state(model, posterior, cfg, seed=0)
+        state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
         before = state.student.views(state.student.flatten())
         baseline_step(state, images, cfg)
         for name, after in state.student.params.items():
@@ -678,7 +682,7 @@ def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, s
     """tent/pseudo_label as they ran before their optimizer state shrank to
     the BN affine coordinates: full-length Adam moments, with the gradient
     zeroed everywhere else before each step. Returns the student."""
-    ref = init_adapt_state(model, posterior, cfg, seed=seed)
+    ref = init_adapt_state(model, posterior, cfg, **seeded_generators(seed))
     student, source = ref.student, ref.source_model
     frozen = ~param_mask(student, bn_affine_filter)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -737,7 +741,7 @@ def test_sgd_step_moves_trained_coordinates_by_eta_times_gradient(small_bundle, 
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(method=method, optimizer="sgd", eta=0.05, restore="none", tau=2.0)
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     grads = []
 
     def recording(root, tape):
@@ -764,7 +768,7 @@ def test_bn_adapt_refreshes_running_stats(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, n=32, severity=5)
     cfg = fast_cfg(method="bn_adapt")
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.student.stats[0].mean.copy()
     baseline_step(state, images, cfg)
     assert not np.array_equal(state.student.stats[0].mean, before)
@@ -774,7 +778,7 @@ def test_unknown_baseline_method(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
     cfg = fast_cfg(method="petal")
-    state = init_adapt_state(model, posterior, cfg, seed=0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(ValueError):
         baseline_step(state, images, cfg)
 
@@ -877,7 +881,86 @@ def test_run_report_has_config_echo_and_segments(small_bundle):
         "batches_per_segment": 2,
         "batch_size": 8,
     }
-    assert [s.kind for s in report.segments] == ["contrast"]
+    assert [s["kind"] for s in report.segments] == ["contrast"]
     csv_text = report.rows_to_csv()
     assert csv_text.splitlines()[0] == "step,segment,error,nll,brier,loss,restored"
     assert len(csv_text.splitlines()) == 3
+
+
+@pytest.mark.parametrize("method", ["source", "petal"])
+def test_steps_csv_is_the_rows_under_the_column_tuple(small_bundle, method):
+    # source's loss is nan; petal's stochastic restore varies per step
+    dataset, model, posterior = small_bundle
+    schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 3, 8)
+    cfg = fast_cfg(method=method, restore="stochastic", rho=0.05)
+    report, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=1)
+    header, *lines = report.rows_to_csv().splitlines()
+    assert tuple(header.split(",")) == STEP_COLUMNS
+    assert len(lines) == len(report.rows) == 6
+    for line, row in zip(lines, report.rows):
+        assert tuple(row) == STEP_COLUMNS
+        for text, column in zip(line.split(","), STEP_COLUMNS):
+            value = row[column]
+            parsed = type(value)(text)
+            assert type(value) in (int, float)
+            assert parsed == value or (math.isnan(parsed) and math.isnan(value)), (column, text)
+
+
+def test_segment_restored_mean_is_the_mean_of_its_rows(small_bundle):
+    dataset, model, posterior = small_bundle
+    schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 3, 8)
+    cfg = fast_cfg(restore="stochastic", rho=0.05)
+    report, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=1)
+    assert [s["segment"] for s in report.segments] == [0, 1]
+    for segment in report.segments:
+        restored = [row["restored"] for row in report.rows if row["segment"] == segment["segment"]]
+        assert len(restored) == 3
+        assert segment["restored_mean"] == sum(restored) / len(restored)
+    every = [row["restored"] for row in report.rows]
+    assert len(set(every)) > 1  # the stochastic restore varies, so the means are not all equal
+    assert report.overall["restored_mean"] == sum(every) / len(every)
+    assert report.overall["count"] == sum(s["count"] for s in report.segments) == 48
+
+
+def test_tent_online_run_equals_a_replay_that_reinitializes_at_each_boundary(small_bundle):
+    # petal_fim with the gate always open, so every step draws augmentations:
+    # the reset must hand the fresh state the augment stream the run holds
+    dataset, model, posterior = small_bundle
+    schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 2, 8)
+    cfg = fast_cfg(tent_online=True, tau=2.0)
+    report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=6)
+    stream_ss, augment_ss, restore_ss = np.random.SeedSequence(6).spawn(3)
+    manual = init_adapt_state(
+        model,
+        posterior,
+        cfg,
+        rng_augment=np.random.Generator(np.random.PCG64(augment_ss)),
+        rng_restore=np.random.Generator(np.random.PCG64(restore_ss)),
+    )
+    expected = []
+    stream = stream_batches(schedule, dataset, np.random.Generator(np.random.PCG64(stream_ss)))
+    for batch, labels in stream:
+        if expected and batch.segment != expected[-1][1]:
+            manual = init_adapt_state(
+                model, posterior, cfg, rng_augment=manual.rng_augment, rng_restore=manual.rng_restore
+            )
+        step = adapt_step(manual, batch.images, posterior, cfg)
+        err, nll_values, brier_values = per_sample_scores(step.predictions, labels)
+        expected.append(
+            (
+                len(expected),
+                batch.segment,
+                100.0 * float(err.mean()),
+                float(nll_values.mean()),
+                float(brier_values.mean()),
+                step.loss,
+                step.restored,
+            )
+        )
+    assert [b[1] for b in expected] == [0, 0, 1, 1]
+    assert [tuple(row[c] for c in STEP_COLUMNS) for row in report.rows] == expected
+    assert state.student.theta.tobytes() == manual.student.theta.tobytes()
+    assert state.teacher.theta.tobytes() == manual.teacher.theta.tobytes()
+    assert state.opt.m.tobytes() == manual.opt.m.tobytes() and state.opt.step == manual.opt.step == 2
+    assert state.rng_augment.bit_generator.state == manual.rng_augment.bit_generator.state
+    assert state.step == 4  # the reset keeps the run's step count

@@ -168,7 +168,7 @@ def test_accumulator_is_independent_of_batch_order():
     assert forward.segments() == backward.segments() == [0, 1, 2]
     for segment in forward.segments():
         assert forward.segment_summary(segment) == backward.segment_summary(segment)
-    assert forward.count == len(batches) * 12
+    assert forward.overall().count == len(batches) * 12
 
 
 def test_update_returns_the_per_sample_scores_it_adds():

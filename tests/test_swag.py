@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, finite_diff_gradient, gaussian_log_density
+from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior, train_source
 from lifelong_tta.streams import make_source_dataset
+
+from helpers import finite_diff_gradient
 
 
 def flat1(values):
