@@ -13,10 +13,12 @@
 # the sgd optimizer and the Adam-moment reset flag, which keeps no moments to
 # reset under sgd, then petal_fim and tent under the oracle segment reset at
 # two batches per segment, so the state is kept within a segment and rebuilt
-# across segments. Both sides write under the same relative paths, so
-# paths recorded inside the outputs compare equal. The differing files go to
-# stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs
-# or exists on one side only.
+# across segments, then petal_fim and cotta at alpha = 0, where petal's
+# objective takes no posterior anchor and equals cotta's. Both sides write
+# under the same relative paths, so paths recorded inside the outputs compare
+# equal. The differing files go to stdout and, when set, to
+# $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or exists on one side
+# only.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -56,6 +58,9 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/online/
         echo '{"schedule": {"batches_per_segment": 2}, "seeds": [0]}' > two.json
         python3 -m lifelong_tta adapt --config two.json --out runs/online --method petal_fim,tent --tent-online > /dev/null
+        mkdir -p runs/alpha0
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/alpha0/
+        python3 -m lifelong_tta adapt --config tiny.json --out runs/alpha0 --method petal_fim,cotta --alpha 0 > /dev/null
         find runs -type f | LC_ALL=C sort | xargs sha256sum
     ) > "$work/$2.sha256"
 }

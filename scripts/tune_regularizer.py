@@ -20,10 +20,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lifelong_tta.cli import (  # noqa: E402
     HELD_OUT_KIND,
+    _apply_overrides,
     eval_dataset_seed,
     load_checkpoints,
     load_config,
-    validate_config,
 )
 from lifelong_tta.engine import run_lifelong  # noqa: E402
 from lifelong_tta.streams import build_schedule, make_source_dataset  # noqa: E402
@@ -39,12 +39,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
-        if args.seeds is not None:
-            cfg = dataclasses.replace(cfg, seeds=tuple(int(s) for s in args.seeds.split(",")))
-        validate_config(cfg)
+        cfg = _apply_overrides(load_config(args.config), args)  # --out and --seeds, as the CLI reads them
         model, posterior = load_checkpoints(cfg)
     except (ValueError, OSError) as exc:  # OSError: a checkpoint path that is a directory too
         sys.stderr.write(f"error: {exc}\n")

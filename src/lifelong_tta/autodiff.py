@@ -3,8 +3,8 @@
 Implements only what the self-training objectives add to the model, which
 records its whole forward as one node on theta: softmax-based losses against
 constant array targets, a diagonal-Gaussian log-density of the parameter
-vector, and scalar combination. Passing a ``Tape`` records the op;
-``backward`` replays the tape in reverse and accumulates a gradient per
+vector, and scalar combination. Each op records itself on the ``Tape`` it
+is given; ``backward`` replays the tape in reverse and accumulates a gradient per
 tensor, and every tensor on a tape is differentiated. ``batch_norm_arrays``
 is the batch-normalization arithmetic of both of the model's forward paths.
 
@@ -187,7 +187,7 @@ def _check_rows_are_distributions(rows: Array, what: str, tol: float = 1e-6) -> 
         raise ValueError(f"{what} rows must be probability distributions")
 
 
-def soft_cross_entropy(target: Array, logits: Tensor, tape: Tape | None = None) -> Tensor:
+def soft_cross_entropy(target: Array, logits: Tensor, tape: Tape) -> Tensor:
     """Batch-mean cross-entropy of softmax(logits) against soft targets.
 
     The target is a constant array: the gradient flows to the logits only and
@@ -199,17 +199,16 @@ def soft_cross_entropy(target: Array, logits: Tensor, tape: Tape | None = None) 
     n = logits.shape[0]
     log_probs = _log_softmax(logits.data)
     out = Tensor(np.asarray(-(target * log_probs).sum() / n))
-    if tape is not None:
-        probs = np.exp(log_probs)
+    probs = np.exp(log_probs)
 
-        def grad_fn(g, probs=probs, target=target, n=n):
-            return ((probs - target) * (g / n),)
+    def grad_fn(g, probs=probs, target=target, n=n):
+        return ((probs - target) * (g / n),)
 
-        tape.record("soft_cross_entropy", (logits,), out, grad_fn)
+    tape.record("soft_cross_entropy", (logits,), out, grad_fn)
     return out
 
 
-def softmax_entropy_mean(logits: Tensor, tape: Tape | None = None) -> Tensor:
+def softmax_entropy_mean(logits: Tensor, tape: Tape) -> Tensor:
     """Batch-mean entropy of the softmax predictions."""
     if logits.data.ndim != 2:
         raise ValueError("softmax_entropy_mean expects a (B, C) input")
@@ -218,11 +217,11 @@ def softmax_entropy_mean(logits: Tensor, tape: Tape | None = None) -> Tensor:
     probs = np.exp(log_probs)
     row_entropy = -(probs * log_probs).sum(axis=1)
     out = Tensor(np.asarray(row_entropy.mean()))
-    if tape is not None:
-        def grad_fn(g, probs=probs, log_probs=log_probs, row_entropy=row_entropy, n=n):
-            return (-(g / n) * probs * (log_probs + row_entropy[:, None]),)
 
-        tape.record("softmax_entropy_mean", (logits,), out, grad_fn)
+    def grad_fn(g, probs=probs, log_probs=log_probs, row_entropy=row_entropy, n=n):
+        return (-(g / n) * probs * (log_probs + row_entropy[:, None]),)
+
+    tape.record("softmax_entropy_mean", (logits,), out, grad_fn)
     return out
 
 
@@ -231,7 +230,7 @@ def gaussian_log_density(
     mu: Array,
     sigma2: Array,
     pieces: Sequence[slice],
-    tape: Tape | None = None,
+    tape: Tape,
 ) -> Tensor:
     """Independent-Gaussian log-density of the vector ``theta``.
 
@@ -250,18 +249,15 @@ def gaussian_log_density(
         total += float(-quad[piece].sum())
         total += float(-0.5 * log_norm[piece].sum())
     out = Tensor(np.asarray(total))
-    if tape is not None:
-        def grad_fn(g, diff=diff, sigma2=sigma2):
-            return (g * (-diff / sigma2),)
 
-        tape.record("gaussian_log_density", (theta,), out, grad_fn)
+    def grad_fn(g, diff=diff, sigma2=sigma2):
+        return (g * (-diff / sigma2),)
+
+    tape.record("gaussian_log_density", (theta,), out, grad_fn)
     return out
 
 
-def weighted_sum(
-    terms: Sequence[tuple[float, Tensor]],
-    tape: Tape | None = None,
-) -> Tensor:
+def weighted_sum(terms: Sequence[tuple[float, Tensor]], tape: Tape) -> Tensor:
     """Sum of coefficient * scalar-tensor terms."""
     total = 0.0
     for coef, term in terms:
@@ -269,12 +265,11 @@ def weighted_sum(
             raise ValueError("weighted_sum terms must be scalar tensors")
         total += coef * term.item()
     out = Tensor(np.asarray(total))
-    if tape is not None:
-        coefs = tuple(coef for coef, _ in terms)
+    coefs = tuple(coef for coef, _ in terms)
 
-        def grad_fn(g, coefs=coefs):
-            return tuple(np.asarray(g * c) for c in coefs)
+    def grad_fn(g, coefs=coefs):
+        return tuple(np.asarray(g * c) for c in coefs)
 
-        tape.record("weighted_sum", tuple(t for _, t in terms), out, grad_fn)
+    tape.record("weighted_sum", tuple(t for _, t in terms), out, grad_fn)
     return out
 

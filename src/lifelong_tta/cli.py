@@ -34,7 +34,7 @@ from .engine import (
     run_lifelong,
 )
 from .model import MlpClassifier
-from .streams import CORRUPTION_KINDS, build_schedule, make_source_dataset
+from .streams import CORRUPTION_KINDS, N_CLASSES, build_schedule, make_source_dataset
 from .swag import SwagDiagPosterior, train_source
 
 # impulse_noise is reserved for hyperparameter tuning and kept out of the
@@ -96,30 +96,22 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
 
-def _nested_dataclass(field_obj):
-    if field_obj.default_factory is not dataclasses.MISSING:
-        probe = field_obj.default_factory()
-        if dataclasses.is_dataclass(probe):
-            return type(probe)
-    if field_obj.default is not dataclasses.MISSING and dataclasses.is_dataclass(field_obj.default):
-        return type(field_obj.default)
-    return None
-
-
 def _from_dict(cls, data, path="config"):
+    """``cls`` from a JSON object; a field whose default is a dataclass is a
+    nested section, any other is a leaf checked against its default."""
     if not isinstance(data, dict):
         raise ValueError(f"{path} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown keys in {path}: {sorted(unknown)}")
+    defaults = cls()
     kwargs = {}
     for name, value in data.items():
-        nested = _nested_dataclass(fields[name])
-        if nested is not None:
-            kwargs[name] = _from_dict(nested, value, f"{path}.{name}")
+        default = getattr(defaults, name)
+        if dataclasses.is_dataclass(default):
+            kwargs[name] = _from_dict(type(default), value, f"{path}.{name}")
             continue
-        _check_leaf(value, fields[name].default, f"{path}.{name}")
+        _check_leaf(value, default, f"{path}.{name}")
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -167,6 +159,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_finite(cfg, "config")
     if cfg.dataset.n_per_class < 1:
         raise ValueError("dataset.n_per_class must be >= 1")
+    for where, seed in (
+        ("dataset.seed", cfg.dataset.seed),
+        ("model.init_seed", cfg.model.init_seed),
+        ("source.shuffle_seed", cfg.source.shuffle_seed),
+        ("schedule.order_seed", cfg.schedule.order_seed),
+    ):
+        if seed is not None and seed < 0:
+            raise ValueError(f"config.{where} must be a non-negative integer, got {seed}")
     if len(cfg.model.sizes) < 3 or cfg.model.sizes[-1] < 2 or min(cfg.model.sizes) < 1:
         raise ValueError("model.sizes must be (input, hidden..., classes>=2)")
     if cfg.source.epochs < 1:
@@ -186,6 +186,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError("schedule.mode must be continual5 or gradual")
     if cfg.schedule.batches_per_segment < 1 or cfg.schedule.batch_size < 2:
         raise ValueError("schedule batches_per_segment >= 1 and batch_size >= 2")
+    eval_size = N_CLASSES * cfg.dataset.n_per_class  # the stream draws its batches from the eval set
+    if cfg.schedule.batch_size > eval_size:
+        raise ValueError(
+            f"config.schedule.batch_size must be at most the eval set's {N_CLASSES} x dataset.n_per_class"
+            f" = {eval_size} images, got {cfg.schedule.batch_size}"
+        )
     if not 0.0 <= cfg.adapt.tau <= 1.0:
         raise ValueError("adapt.tau must be in [0, 1]")
     if not cfg.seeds:
@@ -206,27 +212,15 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    adapt = cfg.adapt
+    """``cfg`` with the flags given in ``args`` applied: an absent flag (or
+    one a command does not have) is None, so ``--alpha 0`` still overrides."""
     adapt_updates = {}
-    for flag, name in (
-        ("restore", "restore"),
-        ("delta", "delta"),
-        ("rho", "rho"),
-        ("alpha", "alpha"),
-        ("tau", "tau"),
-        ("k_aug", "k_aug"),
-        ("predict_from", "predict_from"),
-    ):
-        value = getattr(args, flag, None)
+    for name in ("restore", "delta", "rho", "alpha", "tau", "k_aug", "predict_from",
+                 "reset_optimizer_state", "tent_online"):
+        value = getattr(args, name, None)
         if value is not None:
             adapt_updates[name] = value
-    if getattr(args, "reset_optimizer_state", False):
-        adapt_updates["reset_optimizer_state"] = True
-    if getattr(args, "tent_online", False):
-        adapt_updates["tent_online"] = True
-    if adapt_updates:
-        adapt = dataclasses.replace(adapt, **adapt_updates)
-    updates = {"adapt": adapt}
+    updates = {"adapt": dataclasses.replace(cfg.adapt, **adapt_updates)}
     if getattr(args, "schedule", None) is not None:
         updates["schedule"] = dataclasses.replace(cfg.schedule, mode=args.schedule)
     if getattr(args, "seeds", None) is not None:
@@ -489,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--tau", type=float)
     p_adapt.add_argument("--k-aug", dest="k_aug", type=int)
     p_adapt.add_argument("--predict-from", dest="predict_from", choices=["teacher", "student"])
-    p_adapt.add_argument("--reset-optimizer-state", action="store_true")
-    p_adapt.add_argument("--tent-online", dest="tent_online", action="store_true",
+    p_adapt.add_argument("--reset-optimizer-state", action="store_true", default=None)
+    p_adapt.add_argument("--tent-online", action="store_true", default=None,
                          help="oracle-assisted: reset the model at segment boundaries")
 
     p_report = sub.add_parser("report", help="aggregate run directories into a table")

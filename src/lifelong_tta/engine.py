@@ -1,16 +1,21 @@
 """Lifelong test-time adaptation engine and baselines.
 
-Every adapting method takes the same step: a taped objective, one optimizer
-step on the student's parameter vector, and, for the self-training methods
-(``petal``, ``cotta``), an exponential-moving-average teacher update and a
-restore. Those two keep a teacher that emits pseudo-label probability rows
-(averaged over K randomized augmentation draws when the frozen source model
-is unconfident on the input); the student minimizes the cross-entropy to them
-(``petal`` adds a source-posterior log-density anchor weighted by alpha), and
-then a subset of student parameters is restored to the source values, chosen
-either at random or as the coordinates with the smallest squared loss
+There are two step kinds. ``adapt_step`` is the one gradient step of every
+adapting method: the taped objective of ``_objective`` (the one loss
+builder), one optimizer step on the student's parameter vector, and, for the
+self-training methods (``petal``, ``cotta``), an exponential-moving-average
+teacher update and a restore. Those two keep a teacher that emits
+pseudo-label probability rows (averaged over K randomized augmentation draws
+when the frozen source model is unconfident on the input); the student
+minimizes the cross-entropy to them (``petal`` adds a source-posterior
+log-density anchor weighted by alpha, so ``cotta`` is ``petal`` at
+alpha = 0), and then a subset of student parameters is restored to the source
+values, chosen either at random or as the coordinates with the smallest squared loss
 gradient. ``tent`` (entropy minimization) and ``pseudo_label`` (hard
 self-labels) have no teacher and move only the BN affine parameters.
+``baseline_step`` is the forward-only step of ``source`` (no adaptation) and
+``bn_adapt`` (batch-statistics refresh only); the BN mode set at
+initialization tells them apart.
 
 The Adam state (``sgd`` keeps none) covers only the coordinates a method
 trains (``AdaptState.trained``): an index array of the BN affine coordinates
@@ -28,10 +33,10 @@ pseudo-labels are bit-identical to those of K one-draw calls.
 Only the student's objective is taped, the model as one node and each loss
 op as its own; its one parameter input is a tensor over the student's theta,
 so the gradient is one vector in theta's layout. The gate, the teacher, the
-baselines and evaluation run the untaped ``forward`` on plain arrays.
-
-``source`` (no adaptation) and ``bn_adapt`` (batch-statistics refresh only)
-take no gradient step; the BN mode set at initialization tells them apart.
+forward-only step and evaluation run the untaped ``forward`` on plain
+arrays. A ``Tensor`` holds no NaN or Inf, so a forward or loss that leaves
+the finite range raises inside the step, which aborts with
+``NonFiniteLossError``.
 
 One frozen, eval-BN source model holds the posterior mode theta_0: it gates
 augmentation and is the restore target. Only the methods that read a teacher
@@ -203,22 +208,16 @@ def augment(
 ) -> Array:
     """``draws`` randomized draws of the augmentation pipeline, clipped to [0, 1].
 
-    Accepts (B, 64) or (B, 8, 8). The draws are stacked along the first axis,
-    draw k in rows k*B to (k+1)*B, each in the input's shape. Draw by draw,
-    the random numbers are taken in the pipeline's order (contrast,
-    brightness, dx, dy, rotation, blur flags, flip flags, noise), each only
-    when its magnitude is non-zero, so one call equals ``draws`` calls of one
-    draw on the same generator. With all magnitudes zero every draw is the
-    input, bit-identical.
+    ``images`` is (B, 64). The draws are stacked along the first axis, draw k
+    in rows k*B to (k+1)*B. Draw by draw, the random numbers are taken in the
+    pipeline's order (contrast, brightness, dx, dy, rotation, blur flags, flip
+    flags, noise), each only when its magnitude is non-zero, so one call
+    equals ``draws`` calls of one draw on the same generator. With all
+    magnitudes zero every draw is the input, bit-identical.
     """
-    if images.ndim == 2:
-        if images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
-            raise ValueError("flattened images must have 64 columns")
-        batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    elif images.shape[1:] == (IMAGE_SIDE, IMAGE_SIDE):
-        batch = images
-    else:
-        raise ValueError("augment expects (B, 64) or (B, 8, 8)")
+    if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
+        raise ValueError("augment expects (B, 64) flattened images")
+    batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
     b = batch.shape[0]
     contrast, brightness, dx, dy, rotation, blur, flip, noise = ([] for _ in range(8))
     for _ in range(draws):
@@ -257,7 +256,7 @@ def augment(
         out += np.concatenate(noise)
     if contrast or brightness or dx or blur or flip or noise:
         np.clip(out, 0.0, 1.0, out=out)
-    return out.reshape((draws * b,) + images.shape[1:])
+    return out.reshape(draws * b, IMAGE_SIDE * IMAGE_SIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +405,6 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     return np.where(needs_averaging[:, None], averaged, direct)
 
 
-def petal_loss(
-    state: AdaptState,
-    images: Array,
-    pseudo: Array,
-    posterior: SwagDiagPosterior,
-    cfg: PetalConfig,
-    tape: Tape,
-):
-    """Minimization objective: cross-entropy to the pseudo-labels minus
-    alpha times the source-posterior log-density of the student parameters.
-
-    The student forward runs in train-BN mode and adapts its statistics.
-    Returns (loss node, the student's theta tensor, student logits).
-    """
-    logits, params = state.student.taped_forward(images, tape)
-    ce = soft_cross_entropy(pseudo, logits, tape)
-    if cfg.alpha == 0.0:
-        return ce, params, logits
-    log_q = gaussian_log_density(params, posterior.mu, posterior.sigma2, state.student.pieces, tape)
-    loss = weighted_sum([(1.0, ce), (-cfg.alpha, log_q)], tape=tape)
-    return loss, params, logits
-
-
 def ema_update(teacher: MlpClassifier, student: MlpClassifier, pi: float) -> None:
     """theta' <- pi * theta' + (1 - pi) * theta over trainables. The teacher's
     BN running statistics are left alone: its forwards run train-mode BN on
@@ -507,37 +483,50 @@ def _objective(
     cfg: PetalConfig,
     tape: Tape,
 ):
-    """The method's taped loss; returns (loss node, theta tensor, logits)."""
-    if cfg.method == "petal":
-        return petal_loss(state, images, pseudo, posterior, cfg, tape)
+    """The method's taped loss; returns (loss node, theta tensor, logits).
+
+    The student forward runs in train-BN mode and adapts its statistics.
+    ``tent`` takes the mean prediction entropy; every other method the
+    cross-entropy to its targets: the teacher's ``pseudo`` rows, or for
+    ``pseudo_label`` the one-hot argmax of its own prediction. ``petal`` with
+    alpha != 0 subtracts alpha times the source-posterior log-density of the
+    student parameters, so ``cotta`` is ``petal`` at alpha = 0.
+    """
     logits, params = state.student.taped_forward(images, tape)
-    if cfg.method == "cotta":  # student-teacher cross-entropy only; no posterior anchor
-        loss = soft_cross_entropy(pseudo, logits, tape)
-    elif cfg.method == "tent":
-        loss = softmax_entropy_mean(logits, tape)
-    else:  # pseudo_label
-        hard = softmax(logits.data).argmax(axis=1)
-        loss = soft_cross_entropy(one_hot(hard, logits.shape[1]), logits, tape)
+    if cfg.method == "tent":
+        return softmax_entropy_mean(logits, tape), params, logits
+    if cfg.method == "pseudo_label":
+        pseudo = one_hot(softmax(logits.data).argmax(axis=1), logits.shape[1])
+    loss = soft_cross_entropy(pseudo, logits, tape)
+    if cfg.method == "petal" and cfg.alpha != 0.0:
+        log_q = gaussian_log_density(params, posterior.mu, posterior.sigma2, state.student.pieces, tape)
+        loss = weighted_sum([(1.0, loss), (-cfg.alpha, log_q)], tape)
     return loss, params, logits
 
 
-def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None, cfg: PetalConfig) -> StepReport:
-    """The one gradient step of every adapting method.
+def adapt_step(
+    state: AdaptState,
+    images: Array,
+    posterior: SwagDiagPosterior | None,
+    cfg: PetalConfig,
+) -> StepReport:
+    """The one gradient step, of ``petal``, ``cotta``, ``tent`` and
+    ``pseudo_label``; its predictions are computed before the update that
+    uses this batch's gradient.
 
     ``petal``/``cotta`` learn from teacher pseudo-labels, then EMA-update the
-    teacher and restore; ``tent``/``pseudo_label`` have no teacher and move
-    only the BN affine parameters.
+    teacher and restore; ``tent``/``pseudo_label`` have no teacher, read no
+    ``posterior`` (it may be None) and move only the BN affine parameters.
     """
+    if cfg.method in FORWARD_ONLY_METHODS:
+        raise ValueError(f"adapt_step does not handle method {cfg.method!r}, which takes no gradient step")
     has_teacher = cfg.method in ADAPT_METHODS
     tape = Tape()
     try:
         pseudo = teacher_pseudo_label(state, images, cfg) if has_teacher else None
         loss, params, logits = _objective(state, images, pseudo, posterior, cfg, tape)
-    except FloatingPointError as exc:
+    except FloatingPointError as exc:  # a Tensor holds no NaN/Inf, so the loss is finite past here
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
-    loss_value = loss.item()
-    if not math.isfinite(loss_value):
-        raise NonFiniteLossError(f"{cfg.method} loss became non-finite at step {state.step}")
     grad_vec = backward(loss, tape)[params]
     trained = state.trained
     if cfg.optimizer == "adam":
@@ -550,35 +539,21 @@ def _step(state: AdaptState, images: Array, posterior: SwagDiagPosterior | None,
         restored = _apply_restore(state, grad_vec, cfg)
     state.step += 1
     preds = pseudo if has_teacher and cfg.predict_from == "teacher" else softmax(logits.data)
-    return StepReport(preds, restored, loss_value)
-
-
-def adapt_step(
-    state: AdaptState,
-    images: Array,
-    posterior: SwagDiagPosterior,
-    cfg: PetalConfig,
-) -> StepReport:
-    """One online self-training step; predictions are computed before the
-    update that uses this batch's gradient."""
-    if cfg.method not in ADAPT_METHODS:
-        raise ValueError(f"adapt_step does not handle method {cfg.method!r}")
-    return _step(state, images, posterior, cfg)
+    return StepReport(preds, restored, loss.item())
 
 
 def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
-    """One step of a comparison baseline."""
-    if cfg.method in FORWARD_ONLY_METHODS:
-        # eval-mode BN (source) ignores the stats update; train mode refreshes it
-        try:
-            preds = softmax(state.student.forward(images))
-        except FloatingPointError as exc:
-            raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
-        state.step += 1
-        return StepReport(preds, 0, float("nan"))
-    if cfg.method in ("tent", "pseudo_label"):
-        return _step(state, images, None, cfg)
-    raise ValueError(f"unknown baseline method {cfg.method!r}")
+    """The forward-only step of ``source`` and ``bn_adapt``: eval-mode BN
+    (``source``) leaves the running statistics alone, train mode
+    (``bn_adapt``) refreshes them."""
+    if cfg.method not in FORWARD_ONLY_METHODS:
+        raise ValueError(f"baseline_step does not handle method {cfg.method!r}, which takes a gradient step")
+    try:
+        preds = softmax(state.student.forward(images))
+    except FloatingPointError as exc:
+        raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
+    state.step += 1
+    return StepReport(preds, 0, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +628,10 @@ def run_lifelong(
                 source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
             )
             state = replace(fresh, step=state.step)
-        if cfg.method in ADAPT_METHODS:
-            report = adapt_step(state, batch.images, posterior, cfg)
-        else:
+        if cfg.method in FORWARD_ONLY_METHODS:
             report = baseline_step(state, batch.images, cfg)
+        else:
+            report = adapt_step(state, batch.images, posterior, cfg)
         err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
         values = (
             len(rows),

@@ -18,10 +18,10 @@ from lifelong_tta.cli import ExperimentConfig, cmd_adapt, cmd_train_source
 from lifelong_tta.cli import DatasetConfig, ModelConfig, ScheduleConfig, SourceTrainConfig
 from lifelong_tta.engine import (
     PetalConfig,
+    _objective,
     adapt_step,
     evaluate_model,
     init_adapt_state,
-    petal_loss,
 )
 from lifelong_tta.metrics import per_sample_scores
 from lifelong_tta.model import MlpClassifier
@@ -77,12 +77,12 @@ def test_criterion_1_gradient_correctness():
 
         def loss_at(values):
             state.student.load(values)
-            loss, _, _ = petal_loss(state, images, pseudo, posterior, cfg, Tape())
+            loss, _, _ = _objective(state, images, pseudo, posterior, cfg, Tape())
             return loss.item()
 
         theta = state.student.flatten()
         tape = Tape()
-        loss, params, _ = petal_loss(state, images, pseudo, posterior, cfg, tape)
+        loss, params, _ = _objective(state, images, pseudo, posterior, cfg, tape)
         auto = backward(loss, tape)[params]
         numeric = finite_diff_gradient(loss_at, theta, 1e-5)
         rel = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)
@@ -265,11 +265,11 @@ def test_criterion_6_swag_fidelity():
     var_ok = np.abs(post.sigma2 - stacked.var(axis=0)).max() < 1e-10
     probe = post.mu + np.array([0.2, -0.1])
 
-    def log_q(theta, tape=None):
-        # the posterior term of petal_loss
+    def log_q(theta, tape):
+        # the posterior term of petal's objective
         return gaussian_log_density(theta, post.mu, post.sigma2, [slice(None)], tape)
 
-    numeric = finite_diff_gradient(lambda v: log_q(Tensor(v)).item(), probe, 1e-5)
+    numeric = finite_diff_gradient(lambda v: log_q(Tensor(v), Tape()).item(), probe, 1e-5)
     tape = Tape()
     theta = Tensor(probe)
     analytic = backward(log_q(theta, tape), tape)[theta]

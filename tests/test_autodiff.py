@@ -166,11 +166,11 @@ def test_softmax_rows_sum_to_one(seed):
 
 def test_soft_cross_entropy_saturated_target():
     logits = Tensor([[60.0, -60.0]])
-    assert soft_cross_entropy(np.array([[1.0, 0.0]]), logits).item() < 1e-12
+    assert soft_cross_entropy(np.array([[1.0, 0.0]]), logits, Tape()).item() < 1e-12
 
 
 def test_soft_cross_entropy_uniform_is_ln2():
-    value = soft_cross_entropy(np.array([[0.5, 0.5]]), Tensor([[0.0, 0.0]])).item()
+    value = soft_cross_entropy(np.array([[0.5, 0.5]]), Tensor([[0.0, 0.0]]), Tape()).item()
     assert abs(value - np.log(2.0)) < 1e-12
 
 
@@ -179,7 +179,7 @@ def test_soft_cross_entropy_matches_summation_oracle():
     logits = rng.normal(size=(3, 4))
     target = rng.random((3, 4))
     target /= target.sum(axis=1, keepdims=True)
-    value = soft_cross_entropy(target, Tensor(logits)).item()
+    value = soft_cross_entropy(target, Tensor(logits), Tape()).item()
     total = 0.0
     for b in range(3):
         row = np.exp(logits[b] - logits[b].max())
@@ -191,14 +191,14 @@ def test_soft_cross_entropy_matches_summation_oracle():
 
 def test_soft_cross_entropy_rejects_bad_target():
     with pytest.raises(ValueError):
-        soft_cross_entropy(np.array([[0.9, 0.3]]), Tensor([[0.0, 0.0]]))
+        soft_cross_entropy(np.array([[0.9, 0.3]]), Tensor([[0.0, 0.0]]), Tape())
     with pytest.raises(ValueError):
-        soft_cross_entropy(np.array([[-0.1, 1.1]]), Tensor([[0.0, 0.0]]))
+        soft_cross_entropy(np.array([[-0.1, 1.1]]), Tensor([[0.0, 0.0]]), Tape())
     # a non-finite target is refused as a non-finite tensor is; the row
     # checks alone let NaN through
     for bad in ([[np.nan, 1.0]], [[np.inf, 0.0]]):
         with pytest.raises(FloatingPointError):
-            soft_cross_entropy(np.array(bad), Tensor([[0.0, 0.0]]))
+            soft_cross_entropy(np.array(bad), Tensor([[0.0, 0.0]]), Tape())
 
 
 def test_soft_cross_entropy_gradient_closed_form():
@@ -348,7 +348,7 @@ def test_gaussian_log_density_matches_per_coordinate_formula():
     theta = Tensor(rng.normal(size=5))
     mu = rng.normal(size=5)
     var = rng.random(5) + 0.2
-    value = gaussian_log_density(theta, mu, var, [slice(None)]).item()
+    value = gaussian_log_density(theta, mu, var, [slice(None)], Tape()).item()
     expected = sum(
         -0.5 * (theta.data[i] - mu[i]) ** 2 / var[i] - 0.5 * np.log(2 * np.pi * var[i])
         for i in range(5)
@@ -376,9 +376,9 @@ def test_gaussian_log_density_sums_one_parameter_at_a_time():
     assert [(p.start, p.stop) for p in model.pieces] == list(zip([0] + ends[:-1], ends))
     assert np.array_equal(backward(value, tape)[theta], -(model.theta - mu) / var)
     with pytest.raises(ValueError):
-        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces)
+        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces, Tape())
 
 
 def test_weighted_sum_requires_scalars():
     with pytest.raises(ValueError):
-        weighted_sum([(1.0, Tensor([1.0, 2.0]))])
+        weighted_sum([(1.0, Tensor([1.0, 2.0]))], Tape())

@@ -92,7 +92,9 @@ def test_config_validates_ranges():
         config_from_dict({"model": {"sizes": [64, 8]}})
 
 
-# config documents whose leaf values have the wrong JSON type
+# config documents whose leaf values have the wrong JSON type, or values no
+# run can use: a negative seed, a stream batch larger than the eval set
+# (8 classes x dataset.n_per_class images)
 BAD_CONFIG_TYPES = {
     "k_aug_string": {"adapt": {"k_aug": "x"}},
     "tau_string": {"adapt": {"tau": "0.5"}},
@@ -104,6 +106,12 @@ BAD_CONFIG_TYPES = {
     "count_bool": {"dataset": {"n_per_class": True}},
     "order_seed_string": {"schedule": {"order_seed": "3"}},
     "out_dir_number": {"out_dir": 5},
+    "dataset_seed_negative": {"dataset": {"seed": -1}},
+    "init_seed_negative": {"model": {"init_seed": -1}},
+    "shuffle_seed_negative": {"source": {"shuffle_seed": -1}},
+    "order_seed_negative": {"schedule": {"order_seed": -1}},
+    "batch_above_eval_set": {"schedule": {"batch_size": 801}},
+    "batch_above_small_eval_set": {"schedule": {"batch_size": 17}, "dataset": {"n_per_class": 2}},
 }
 
 
@@ -114,6 +122,14 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, case):
     assert main(["adapt", "--config", str(config_path), "--dump-config"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config.") and err.count("\n") == 1
+    (section, leaves), *_ = BAD_CONFIG_TYPES[case].items()
+    if isinstance(leaves, dict):  # the message names the bad field
+        assert any(f"config.{section}.{leaf}" in err for leaf in leaves)
+    # train-source refuses it the same way before it makes --out
+    out = tmp_path / "out"
+    assert main(["train-source", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_config_type_check_accepts_ints_as_floats_and_null_order_seed():
@@ -561,6 +577,22 @@ def test_tune_regularizer_fails_like_the_cli_on_an_unreadable_checkpoint(trained
     cli_err = capsys.readouterr().err
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == cli_err and cli_err.startswith("error: ") and cli_err.count("\n") == 1
+
+
+def test_tune_regularizer_reads_seeds_like_the_cli(tmp_path, capsys):
+    # --out and --seeds go through the CLI's overrides, so a bad seed list
+    # gives the CLI's message, before any checkpoint is read
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tune_regularizer.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path), "--seeds", "0,x"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert main(["adapt", "--out", str(tmp_path), "--method", "source", "--seeds", "0,x"]) == 2
+    cli_err = capsys.readouterr().err
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == cli_err == "error: --seeds must be comma-separated integers, got '0,x'\n"
 
 
 def test_tune_regularizer_reads_the_training_config(trained_dir, tmp_path):

@@ -13,6 +13,7 @@ from lifelong_tta.engine import (
     STEP_COLUMNS,
     NonFiniteLossError,
     PetalConfig,
+    _objective,
     adapt_step,
     augment,
     baseline_step,
@@ -21,7 +22,6 @@ from lifelong_tta.engine import (
     fim_diag,
     fim_mask,
     init_adapt_state,
-    petal_loss,
     restore,
     run_lifelong,
     stochastic_mask,
@@ -106,15 +106,17 @@ def test_augment_output_range():
 
 
 def test_augment_preserves_shape_conventions():
+    # the teacher passes flattened (B, 64) images, the one accepted format
     rng = np.random.default_rng(3)
     flat = rng.random((4, 64))
-    square = flat.reshape(4, 8, 8)
     assert augment(flat, np.random.default_rng(0)).shape == (4, 64)
-    assert augment(square, np.random.default_rng(0)).shape == (4, 8, 8)
+    assert augment(flat, np.random.default_rng(0), draws=3).shape == (12, 64)
     with pytest.raises(ValueError):
         augment(rng.random((4, 63)), rng)
     with pytest.raises(ValueError):
         augment(rng.random((4, 7, 7)), rng)
+    with pytest.raises(ValueError):
+        augment(flat.reshape(4, 8, 8), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +215,8 @@ def test_petal_loss_alpha_zero_is_plain_cross_entropy(small_bundle):
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     pseudo = teacher_pseudo_label(state, images, cfg)
     tape = Tape()
-    loss, _, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
-    from lifelong_tta.autodiff import soft_cross_entropy
-
-    reference = soft_cross_entropy(pseudo, logits).item()
+    loss, _, logits = _objective(state, images, pseudo, posterior, cfg, tape)
+    reference = soft_cross_entropy(pseudo, logits, Tape()).item()
     assert loss.item() == reference
 
 
@@ -229,10 +229,8 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     # student still sits at the posterior mode, so log q(theta) is the
     # normalizer sum and the loss separates exactly
     tape = Tape()
-    loss, _, logits = petal_loss(state, images, pseudo, posterior, cfg, tape)
-    from lifelong_tta.autodiff import soft_cross_entropy
-
-    ce = soft_cross_entropy(pseudo, logits).item()
+    loss, _, logits = _objective(state, images, pseudo, posterior, cfg, tape)
+    ce = soft_cross_entropy(pseudo, logits, Tape()).item()
     assert np.array_equal(state.student.theta, posterior.mu)
     # at theta = mu the quadratic term is zero: log q is the normalizer alone
     log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2).sum()
@@ -248,8 +246,6 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
     tape = Tape()
     logits, params = state.student.taped_forward(images, tape, update_stats=False)
     pseudo = softmax(logits.data)
-    from lifelong_tta.autodiff import backward, soft_cross_entropy
-
     loss = soft_cross_entropy(pseudo, logits, tape)
     grads = backward(loss, tape)
     assert np.abs(grads[params]).max() < 1e-8
@@ -263,7 +259,7 @@ def test_petal_loss_rejects_mismatched_posterior(small_bundle):
     cfg = fast_cfg(alpha=1e-3)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(ValueError):
-        petal_loss(state, images, teacher_pseudo_label(state, images, cfg), wrong, cfg, Tape())
+        _objective(state, images, teacher_pseudo_label(state, images, cfg), wrong, cfg, Tape())
 
 
 def test_petal_step_tapes_theta_as_one_tensor(small_bundle, monkeypatch):
@@ -473,10 +469,10 @@ def test_parameter_views_and_source_survive_steps(small_bundle, method):
     nets = [state.student, state.source_model] + ([state.teacher] if has_teacher else [])
     for seed in range(3):
         images, _ = batch_from(dataset, severity=3, seed=seed)
-        if has_teacher:
-            adapt_step(state, images, posterior, cfg)
-        else:
+        if method in ("source", "bn_adapt"):
             baseline_step(state, images, cfg)
+        else:
+            adapt_step(state, images, posterior if has_teacher else None, cfg)
         for net in nets:
             flat = net.flatten()
             assert not np.shares_memory(flat, net.theta)
@@ -576,6 +572,34 @@ def test_cotta_equals_petal_with_alpha_zero(small_bundle):
         assert np.array_equal(petal_report.predictions, cotta_report.predictions)
 
 
+def test_cotta_objective_equals_petal_at_alpha_zero(small_bundle):
+    # cotta is petal without the posterior anchor: at alpha = 0 both take the
+    # same loss value and theta gradient, bit for bit, from a tape of the
+    # model and the cross-entropy; cotta ignores alpha, and petal with
+    # alpha > 0 adds the log-density and the weighted sum after them
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset, severity=5)
+
+    def objective(method, alpha):
+        cfg = fast_cfg(method=method, alpha=alpha, tau=2.0)
+        state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+        pseudo = teacher_pseudo_label(state, images, cfg)
+        tape = Tape()
+        loss, params, _ = _objective(state, images, pseudo, posterior, cfg, tape)
+        return loss.item(), backward(loss, tape)[params], [node.op for node in tape.nodes]
+
+    petal_value, petal_grad, petal_ops = objective("petal", 0.0)
+    cotta_value, cotta_grad, cotta_ops = objective("cotta", 0.0)
+    assert petal_value == cotta_value
+    assert np.abs(petal_grad).max() > 0.0
+    assert petal_grad.tobytes() == cotta_grad.tobytes()
+    assert petal_ops == cotta_ops == ["mlp", "soft_cross_entropy"]
+    assert objective("cotta", 1e-3)[2] == ["mlp", "soft_cross_entropy"]
+    anchored = objective("petal", 1e-3)
+    assert anchored[2] == ["mlp", "soft_cross_entropy", "gaussian_log_density", "weighted_sum"]
+    assert anchored[0] != petal_value  # log q's normalizer; its gradient is zero at the mode
+
+
 def test_non_finite_loss_aborts(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
@@ -595,9 +619,8 @@ def test_non_finite_theta_aborts_before_the_update(small_bundle, method):
     state.student.theta[3] = np.nan
     before = state.student.theta.tobytes()
     teacher_before = None if state.teacher is None else state.teacher.theta.tobytes()
-    step = adapt_step if method == "petal" else lambda s, x, p, c: baseline_step(s, x, c)
     with pytest.raises(NonFiniteLossError, match="non-finite forward at step 0") as info:
-        step(state, images, posterior, cfg)
+        adapt_step(state, images, posterior if method == "petal" else None, cfg)
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert state.student.theta.tobytes() == before
     assert state.opt.step == 0 and not state.opt.m.any() and not state.opt.v.any()
@@ -606,12 +629,15 @@ def test_non_finite_theta_aborts_before_the_update(small_bundle, method):
 
 
 def test_adapt_step_rejects_baseline_methods(small_bundle):
+    # the forward-only methods take no gradient step
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    cfg = fast_cfg(method="tent")
-    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    with pytest.raises(ValueError):
-        adapt_step(state, images, posterior, cfg)
+    for method in ("source", "bn_adapt"):
+        cfg = fast_cfg(method=method)
+        state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+        with pytest.raises(ValueError, match=method):
+            adapt_step(state, images, posterior, cfg)
+        assert state.step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +680,7 @@ def test_tent_with_zero_lr_equals_bn_adapt(small_bundle):
     bn_cfg = fast_cfg(method="bn_adapt")
     tent_state = init_adapt_state(model, posterior, tent_cfg, **seeded_generators(0))
     bn_state = init_adapt_state(model, posterior, bn_cfg, **seeded_generators(0))
-    tent_report = baseline_step(tent_state, images, tent_cfg)
+    tent_report = adapt_step(tent_state, images, None, tent_cfg)
     bn_report = baseline_step(bn_state, images, bn_cfg)
     assert np.array_equal(tent_report.predictions, bn_report.predictions)
     assert np.array_equal(
@@ -669,7 +695,7 @@ def test_tent_and_pseudo_label_touch_only_bn_affine(small_bundle):
         cfg = fast_cfg(method=method)
         state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
         before = state.student.views(state.student.flatten())
-        baseline_step(state, images, cfg)
+        adapt_step(state, images, None, cfg)
         for name, after in state.student.params.items():
             same = np.array_equal(before[name], after)
             if name.endswith(".gamma") or name.endswith(".beta"):
@@ -751,8 +777,7 @@ def test_sgd_step_moves_trained_coordinates_by_eta_times_gradient(small_bundle, 
 
     monkeypatch.setattr(engine, "backward", recording)
     before = state.student.flatten()
-    step = adapt_step if method == "petal" else lambda s, x, p, c: baseline_step(s, x, c)
-    step(state, images, posterior, cfg)
+    adapt_step(state, images, posterior if method == "petal" else None, cfg)
     (grad,) = grads
     after = state.student.theta
     trained = np.zeros(after.size, dtype=bool)
@@ -775,12 +800,16 @@ def test_bn_adapt_refreshes_running_stats(small_bundle):
 
 
 def test_unknown_baseline_method(small_bundle):
+    # baseline_step is the forward-only step: every gradient method is refused
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    cfg = fast_cfg(method="petal")
-    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    with pytest.raises(ValueError):
-        baseline_step(state, images, cfg)
+    for method in ("petal", "cotta", "tent", "pseudo_label"):
+        cfg = fast_cfg(method=method)
+        state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+        before = state.student.theta.tobytes()
+        with pytest.raises(ValueError, match=method):
+            baseline_step(state, images, cfg)
+        assert state.step == 0 and state.student.theta.tobytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -194,15 +194,12 @@ MAGNITUDES = [f.name for f in dataclasses.fields(AugmentParams)]
     b=st.integers(1, 130),
     draws=st.integers(1, 5),
     enabled=st.lists(st.booleans(), min_size=len(MAGNITUDES), max_size=len(MAGNITUDES)),
-    square=st.booleans(),
 )
-def test_block_augment_equals_sequential_reference_draws(seed, b, draws, enabled, square):
+def test_block_augment_equals_sequential_reference_draws(seed, b, draws, enabled):
     params = dataclasses.replace(
         _ZERO, **{name: getattr(_DEFAULT, name) for name, on in zip(MAGNITUDES, enabled) if on}
     )
     images = np.random.default_rng(seed).random((b, IMAGE_SIDE * IMAGE_SIDE))
-    if square:
-        images = images.reshape(b, IMAGE_SIDE, IMAGE_SIDE)
     before = images.copy()
     reference_rng = np.random.default_rng(seed + 1)
     expected = np.concatenate([reference_augment(images, reference_rng, params) for _ in range(draws)])

@@ -62,7 +62,7 @@ def fitted_posterior(dim=5, seed=0):
     return SwagDiagPosterior(mu=rng.normal(size=dim), sigma2=rng.random(dim) + 0.1, count=10)
 
 
-def log_density(post, theta, tape=None):
+def log_density(post, theta, tape):
     """log q(theta) of one parameter vector: ``gaussian_log_density`` of its
     tensor. Returns the scalar node and the parameter tensor."""
     params = Tensor(theta)
@@ -70,7 +70,7 @@ def log_density(post, theta, tape=None):
 
 
 def log_q(post, theta):
-    return log_density(post, theta)[0].item()
+    return log_density(post, theta, Tape())[0].item()
 
 
 def grad_log_q(post, theta):
