@@ -6,17 +6,13 @@
 #
 # Each tree runs with its own src/ on PYTHONPATH: train-source, adapt with
 # every method name on a one-batch-per-segment stream, then petal_fim and
-# cotta with K = 5 teacher draws, then petal_fim, cotta, tent and
-# pseudo_label under the flags that read the gradient vector or the Adam
-# moments after the step (the Adam-moment reset and the oracle segment reset)
-# and predict from the student, then tent, pseudo_label and petal_fim with
-# the sgd optimizer and the Adam-moment reset flag, which keeps no moments to
-# reset under sgd, then petal_fim and tent under the oracle segment reset at
-# two batches per segment, so the state is kept within a segment and rebuilt
-# across segments, then petal_fim and cotta at alpha = 0, where petal's
-# objective takes no posterior anchor and equals cotta's. Both sides write
-# under the same relative paths, so paths recorded inside the outputs compare
-# equal. The differing files go to stdout and, when set, to
+# cotta with K = 5 teacher draws, then the four gradient methods (petal_fim,
+# cotta, tent, pseudo_label) under the oracle segment reset at two batches
+# per segment, so the state, Adam moments included, is kept within a segment
+# and rebuilt across segments, then petal_fim and cotta at alpha = 0, where
+# petal's objective takes no posterior anchor and equals cotta's. Both sides
+# write under the same relative paths, so paths recorded inside the outputs
+# compare equal. The differing files go to stdout and, when set, to
 # $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or exists on one side
 # only.
 set -euo pipefail
@@ -45,19 +41,11 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/k5
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/k5/
         python3 -m lifelong_tta adapt --config tiny.json --out runs/k5 --method petal_fim,cotta --k-aug 5 > /dev/null
-        mkdir -p runs/flags
-        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/flags/
-        python3 -m lifelong_tta adapt --config tiny.json --out runs/flags --method petal_fim,cotta,tent,pseudo_label \
-            --tent-online --reset-optimizer-state --predict-from student > /dev/null
-        mkdir -p runs/sgd
-        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/sgd/
-        echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0], "adapt": {"optimizer": "sgd"}}' > sgd.json
-        python3 -m lifelong_tta adapt --config sgd.json --out runs/sgd --method tent,pseudo_label,petal_fim \
-            --reset-optimizer-state > /dev/null
         mkdir -p runs/online
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/online/
         echo '{"schedule": {"batches_per_segment": 2}, "seeds": [0]}' > two.json
-        python3 -m lifelong_tta adapt --config two.json --out runs/online --method petal_fim,tent --tent-online > /dev/null
+        python3 -m lifelong_tta adapt --config two.json --out runs/online --method petal_fim,cotta,tent,pseudo_label \
+            --tent-online > /dev/null
         mkdir -p runs/alpha0
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/alpha0/
         python3 -m lifelong_tta adapt --config tiny.json --out runs/alpha0 --method petal_fim,cotta --alpha 0 > /dev/null

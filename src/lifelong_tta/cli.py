@@ -34,7 +34,7 @@ from .engine import (
     run_lifelong,
 )
 from .model import MlpClassifier
-from .streams import CORRUPTION_KINDS, N_CLASSES, build_schedule, make_source_dataset
+from .streams import CORRUPTION_KINDS, IMAGE_SIDE, N_CLASSES, build_schedule, make_source_dataset
 from .swag import SwagDiagPosterior, train_source
 
 # impulse_noise is reserved for hyperparameter tuning and kept out of the
@@ -156,9 +156,11 @@ def _check_finite(section, path: str) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject a config no run can use; each message starts with the one field
+    at fault, as ``config.<section>.<field>``."""
     _check_finite(cfg, "config")
     if cfg.dataset.n_per_class < 1:
-        raise ValueError("dataset.n_per_class must be >= 1")
+        raise ValueError("config.dataset.n_per_class must be >= 1")
     for where, seed in (
         ("dataset.seed", cfg.dataset.seed),
         ("model.init_seed", cfg.model.init_seed),
@@ -167,25 +169,34 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ):
         if seed is not None and seed < 0:
             raise ValueError(f"config.{where} must be a non-negative integer, got {seed}")
-    if len(cfg.model.sizes) < 3 or cfg.model.sizes[-1] < 2 or min(cfg.model.sizes) < 1:
-        raise ValueError("model.sizes must be (input, hidden..., classes>=2)")
+    sizes = list(cfg.model.sizes)
+    if len(sizes) < 3 or min(sizes) < 1:
+        raise ValueError(f"config.model.sizes must be (input, hidden..., classes), each >= 1, got {sizes}")
+    if sizes[0] != IMAGE_SIDE**2:
+        raise ValueError(f"config.model.sizes must start with the {IMAGE_SIDE**2} pixels of an image, got {sizes}")
+    if sizes[-1] < N_CLASSES:
+        raise ValueError(f"config.model.sizes must end with at least the {N_CLASSES} classes, got {sizes}")
     if cfg.source.epochs < 1:
-        raise ValueError("source.epochs must be >= 1")
-    if cfg.source.lr <= 0 or not 0 <= cfg.source.momentum < 1:
-        raise ValueError("source.lr must be positive and momentum in [0, 1)")
+        raise ValueError("config.source.epochs must be >= 1")
+    if cfg.source.lr <= 0:
+        raise ValueError("config.source.lr must be positive")
+    if not 0 <= cfg.source.momentum < 1:
+        raise ValueError("config.source.momentum must be in [0, 1)")
     if cfg.source.batch_size < 2:
-        raise ValueError("source.batch_size must be >= 2 (train-mode batch norm)")
+        raise ValueError("config.source.batch_size must be >= 2 (train-mode batch norm)")
     if cfg.source.swag_epochs < 1:
-        raise ValueError("source.swag_epochs must be >= 1")
+        raise ValueError("config.source.swag_epochs must be >= 1")
+    if not cfg.schedule.kinds:
+        raise ValueError("config.schedule.kinds must be non-empty")
     for kind in cfg.schedule.kinds:
         if kind not in CORRUPTION_KINDS:
-            raise ValueError(f"unknown corruption kind {kind!r}")
-    if not cfg.schedule.kinds:
-        raise ValueError("schedule.kinds must be non-empty")
+            raise ValueError(f"config.schedule.kinds names an unknown corruption kind {kind!r}")
     if cfg.schedule.mode not in ("continual5", "gradual"):
-        raise ValueError("schedule.mode must be continual5 or gradual")
-    if cfg.schedule.batches_per_segment < 1 or cfg.schedule.batch_size < 2:
-        raise ValueError("schedule batches_per_segment >= 1 and batch_size >= 2")
+        raise ValueError("config.schedule.mode must be continual5 or gradual")
+    if cfg.schedule.batches_per_segment < 1:
+        raise ValueError("config.schedule.batches_per_segment must be >= 1")
+    if cfg.schedule.batch_size < 2:
+        raise ValueError("config.schedule.batch_size must be >= 2 (train-mode batch norm)")
     eval_size = N_CLASSES * cfg.dataset.n_per_class  # the stream draws its batches from the eval set
     if cfg.schedule.batch_size > eval_size:
         raise ValueError(
@@ -193,11 +204,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f" = {eval_size} images, got {cfg.schedule.batch_size}"
         )
     if not 0.0 <= cfg.adapt.tau <= 1.0:
-        raise ValueError("adapt.tau must be in [0, 1]")
+        raise ValueError("config.adapt.tau must be in [0, 1]")
     if not cfg.seeds:
-        raise ValueError("seeds must be non-empty")
+        raise ValueError("config.seeds must be non-empty")
     if min(cfg.seeds) < 0 or len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ValueError(f"seeds must be distinct non-negative integers, got {list(cfg.seeds)}")
+        raise ValueError(f"config.seeds must be distinct non-negative integers, got {list(cfg.seeds)}")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -215,8 +226,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """``cfg`` with the flags given in ``args`` applied: an absent flag (or
     one a command does not have) is None, so ``--alpha 0`` still overrides."""
     adapt_updates = {}
-    for name in ("restore", "delta", "rho", "alpha", "tau", "k_aug", "predict_from",
-                 "reset_optimizer_state", "tent_online"):
+    for name in ("restore", "delta", "rho", "alpha", "tau", "k_aug", "tent_online"):
         value = getattr(args, name, None)
         if value is not None:
             adapt_updates[name] = value
@@ -482,8 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--alpha", type=float)
     p_adapt.add_argument("--tau", type=float)
     p_adapt.add_argument("--k-aug", dest="k_aug", type=int)
-    p_adapt.add_argument("--predict-from", dest="predict_from", choices=["teacher", "student"])
-    p_adapt.add_argument("--reset-optimizer-state", action="store_true", default=None)
     p_adapt.add_argument("--tent-online", action="store_true", default=None,
                          help="oracle-assisted: reset the model at segment boundaries")
 

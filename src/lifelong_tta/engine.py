@@ -17,12 +17,13 @@ self-labels) have no teacher and move only the BN affine parameters.
 ``bn_adapt`` (batch-statistics refresh only); the BN mode set at
 initialization tells them apart.
 
-The Adam state (``sgd`` keeps none) covers only the coordinates a method
-trains (``AdaptState.trained``): an index array of the BN affine coordinates
-for ``tent``/``pseudo_label``, so their Adam moments and step touch 2 x width
+Every gradient step is an Adam step, and ``petal``/``cotta`` predict from
+the teacher. The Adam state covers only the coordinates a method trains
+(``AdaptState.trained``): an index array of the BN affine coordinates for
+``tent``/``pseudo_label``, so their Adam moments and step touch 2 x width
 entries per hidden layer and nothing else; all of theta, as a view, for
-``petal``/``cotta``, whose restore and moment reset work on theta-length
-vectors.
+``petal``/``cotta``, whose restore works on theta-length vectors and leaves
+the moments alone.
 
 The K draws run in blocks of four: per block, one ``augment`` call takes the
 random numbers draw by draw and runs each transform once over all four, and
@@ -132,9 +133,6 @@ class PetalConfig:
     restore: str = "fim"
     rho: float = 0.01
     delta: float = 0.03
-    optimizer: str = "adam"
-    predict_from: str = "teacher"
-    reset_optimizer_state: bool = False
     tent_online: bool = False
     augment: AugmentParams = field(default_factory=AugmentParams)
 
@@ -143,10 +141,6 @@ class PetalConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.restore not in RESTORE_MODES:
             raise ValueError(f"unknown restore mode {self.restore!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.predict_from not in ("teacher", "student"):
-            raise ValueError(f"unknown predict_from {self.predict_from!r}")
         if self.k_aug < 1:
             raise ValueError("k_aug must be >= 1")
         if not 0.0 <= self.pi <= 1.0:
@@ -263,14 +257,14 @@ def augment(
 # optimizer
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(eq=False)
 class AdamState:
     m: Array
     v: Array
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, dim: int) -> "AdamState":
@@ -280,11 +274,11 @@ class AdamState:
 def adam_delta(opt: AdamState, grad: Array, lr: float) -> Array:
     """Advance the Adam moments and return the step to subtract."""
     opt.step += 1
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grad
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grad**2
-    m_hat = opt.m / (1.0 - opt.beta1**opt.step)
-    v_hat = opt.v / (1.0 - opt.beta2**opt.step)
-    return lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
+    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = opt.m / (1.0 - ADAM_BETA1**opt.step)
+    v_hat = opt.v / (1.0 - ADAM_BETA2**opt.step)
+    return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +289,8 @@ def adam_delta(opt: AdamState, grad: Array, lr: float) -> Array:
 class AdaptState:
     """What a run carries between steps. ``source_model`` (frozen, eval BN)
     is the only theta_0: the gate's weights and the restore target.
-    ``teacher`` is None except for petal/cotta; ``opt`` is None for
-    source/bn_adapt and under ``sgd``."""
+    ``teacher`` is None except for petal/cotta; ``opt``, the Adam moments of
+    the ``trained`` coordinates, is None for source/bn_adapt."""
 
     student: MlpClassifier
     teacher: MlpClassifier | None
@@ -334,10 +328,8 @@ def init_adapt_state(
         trained = np.flatnonzero(param_mask(frozen_source, bn_affine_filter))
     else:  # a basic slice: theta[trained] is a view, so the step copies nothing
         trained = slice(None)
-    # no moments where nothing reads them: the methods that take no gradient step, and sgd
-    opt = None
-    if cfg.method not in FORWARD_ONLY_METHODS and cfg.optimizer == "adam":
-        opt = AdamState.zeros(student.theta[trained].size)
+    # no moments for the methods that take no gradient step
+    opt = None if cfg.method in FORWARD_ONLY_METHODS else AdamState.zeros(student.theta[trained].size)
     return AdaptState(
         student=student,
         teacher=teacher,
@@ -465,9 +457,6 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
     restore(state.student.theta, state.source_model.theta, mask)
-    if cfg.reset_optimizer_state and state.opt is not None:  # petal/cotta moments are theta-length
-        state.opt.m[mask] = 0.0
-        state.opt.v[mask] = 0.0
     return int(mask.sum())
 
 
@@ -514,9 +503,11 @@ def adapt_step(
     ``pseudo_label``; its predictions are computed before the update that
     uses this batch's gradient.
 
-    ``petal``/``cotta`` learn from teacher pseudo-labels, then EMA-update the
-    teacher and restore; ``tent``/``pseudo_label`` have no teacher, read no
-    ``posterior`` (it may be None) and move only the BN affine parameters.
+    Every method takes one Adam step on the coordinates it trains.
+    ``petal``/``cotta`` learn from teacher pseudo-labels, which are also
+    their predictions, then EMA-update the teacher and restore;
+    ``tent``/``pseudo_label`` have no teacher, predict from the student, read
+    no ``posterior`` (it may be None) and move only the BN affine parameters.
     """
     if cfg.method in FORWARD_ONLY_METHODS:
         raise ValueError(f"adapt_step does not handle method {cfg.method!r}, which takes no gradient step")
@@ -528,17 +519,13 @@ def adapt_step(
     except FloatingPointError as exc:  # a Tensor holds no NaN/Inf, so the loss is finite past here
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
     grad_vec = backward(loss, tape)[params]
-    trained = state.trained
-    if cfg.optimizer == "adam":
-        state.student.theta[trained] -= adam_delta(state.opt, grad_vec[trained], cfg.eta)
-    else:
-        state.student.theta[trained] -= cfg.eta * grad_vec[trained]
+    state.student.theta[state.trained] -= adam_delta(state.opt, grad_vec[state.trained], cfg.eta)
     restored = 0
     if has_teacher:
         ema_update(state.teacher, state.student, cfg.pi)
         restored = _apply_restore(state, grad_vec, cfg)
     state.step += 1
-    preds = pseudo if has_teacher and cfg.predict_from == "teacher" else softmax(logits.data)
+    preds = pseudo if has_teacher else softmax(logits.data)
     return StepReport(preds, restored, loss.item())
 
 

@@ -186,16 +186,14 @@ def _corrupt_unclipped(images: Array, spec: CorruptionSpec, rng) -> Array:
 
 
 def apply_corruption(images: Array, spec: CorruptionSpec, rng=None) -> Array:
-    """Severity-monotone distortion of (B, 8, 8) or (8, 8) images, clipped to [0, 1]."""
-    single = images.ndim == 2
-    batch = images[None] if single else images
+    """Severity-monotone distortion of (B, 8, 8) images, clipped to [0, 1]."""
+    if images.ndim != 3 or images.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE):
+        raise ValueError(f"apply_corruption expects (B, {IMAGE_SIDE}, {IMAGE_SIDE}) images, got {images.shape}")
     if spec.severity == 0:
-        out = batch.copy()
-    else:
-        if rng is None and spec.kind in ("gaussian_noise", "impulse_noise"):
-            raise ValueError(f"{spec.kind} needs an rng")
-        out = np.clip(_corrupt_unclipped(batch, spec, rng), 0.0, 1.0)
-    return out[0] if single else out
+        return images.copy()
+    if rng is None and spec.kind in ("gaussian_noise", "impulse_noise"):
+        raise ValueError(f"{spec.kind} needs an rng")
+    return np.clip(_corrupt_unclipped(images, spec, rng), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

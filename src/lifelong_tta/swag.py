@@ -42,11 +42,11 @@ class SwagDiagEstimator:
         self._sum_sq += iterate**2
         return self
 
-    def finalize(self, variance_floor: float = VARIANCE_FLOOR) -> "SwagDiagPosterior":
+    def finalize(self) -> "SwagDiagPosterior":
         if self._count == 0:
             raise RuntimeError("no iterates collected")
         mu = self._sum / self._count
-        sigma2 = np.maximum(self._sum_sq / self._count - mu**2, variance_floor)
+        sigma2 = np.maximum(self._sum_sq / self._count - mu**2, VARIANCE_FLOOR)
         return SwagDiagPosterior(mu=mu, sigma2=sigma2, count=self._count)
 
 

@@ -94,11 +94,13 @@ def test_config_validates_ranges():
 
 # config documents whose leaf values have the wrong JSON type, or values no
 # run can use: a negative seed, a stream batch larger than the eval set
-# (8 classes x dataset.n_per_class images)
+# (8 classes x dataset.n_per_class images), model sizes that do not take the
+# 64 pixels of an 8x8 image or do not give a logit per class, and each half
+# of the checks that once shared one message
 BAD_CONFIG_TYPES = {
     "k_aug_string": {"adapt": {"k_aug": "x"}},
     "tau_string": {"adapt": {"tau": "0.5"}},
-    "flag_as_int": {"adapt": {"reset_optimizer_state": 1}},
+    "flag_as_int": {"adapt": {"tent_online": 1}},
     "seeds_string": {"seeds": "abc"},
     "seed_float": {"seeds": [0, 1.5]},
     "seed_bool": {"seeds": [True]},
@@ -112,6 +114,12 @@ BAD_CONFIG_TYPES = {
     "order_seed_negative": {"schedule": {"order_seed": -1}},
     "batch_above_eval_set": {"schedule": {"batch_size": 801}},
     "batch_above_small_eval_set": {"schedule": {"batch_size": 17}, "dataset": {"n_per_class": 2}},
+    "sizes_input_not_pixels": {"model": {"sizes": [32, 128, 8]}},
+    "sizes_fewer_outputs_than_classes": {"model": {"sizes": [64, 128, 4]}},
+    "schedule_batch_size_one": {"schedule": {"batch_size": 1}},
+    "batches_per_segment_zero": {"schedule": {"batches_per_segment": 0}},
+    "source_lr_zero": {"source": {"lr": 0}},
+    "source_momentum_one": {"source": {"momentum": 1.0}},
 }
 
 
@@ -123,12 +131,28 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: config.") and err.count("\n") == 1
     (section, leaves), *_ = BAD_CONFIG_TYPES[case].items()
-    if isinstance(leaves, dict):  # the message names the bad field
-        assert any(f"config.{section}.{leaf}" in err for leaf in leaves)
+    if isinstance(leaves, dict):  # the message starts with the bad field
+        assert any(err.startswith(f"error: config.{section}.{leaf}") for leaf in leaves)
     # train-source refuses it the same way before it makes --out
     out = tmp_path / "out"
     assert main(["train-source", "--config", str(config_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("predict_from", "teacher"),
+                                        ("reset_optimizer_state", False)])
+def test_cli_refuses_removed_adapt_keys(tmp_path, capsys, key, value):
+    # the adapt section has no optimizer, predict_from or
+    # reset_optimizer_state key (steps are Adam steps, petal/cotta predict
+    # from the teacher, a restore leaves the moments alone): a config naming
+    # one, even at its former default, is refused before --out is made
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"adapt": {key: value}}), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("adapt", "train-source"):
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown keys in config.adapt: [{key!r}]\n"
     assert not out.exists()
 
 
@@ -176,7 +200,7 @@ def test_cli_refuses_zero_source_epochs_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train-source", "--config", str(config_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: source.epochs must be >= 1\n"
+    assert err == "error: config.source.epochs must be >= 1\n"
     assert not out.exists()
 
 
@@ -294,7 +318,7 @@ def test_cli_nonzero_exit_on_non_finite_loss(trained_dir, tmp_path, capsys):
     out, cfg = trained_dir
     config_path = tmp_path / "diverge.json"
     doc = config_to_dict(cfg)
-    doc["adapt"].update({"eta": 1e200, "optimizer": "sgd", "alpha": 1.0})
+    doc["adapt"].update({"eta": 1e200, "alpha": 1.0})
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["adapt", "--config", str(config_path), "--method", "petal"])

@@ -532,27 +532,6 @@ def test_delta_one_resets_student_to_source(small_bundle):
     assert np.array_equal(state.student.flatten(), state.source_model.theta)
 
 
-def test_reset_optimizer_state_clears_restored_moments(small_bundle):
-    dataset, model, posterior = small_bundle
-    images, _ = batch_from(dataset, severity=5)
-    cfg = fast_cfg(restore="fim", delta=1.0, reset_optimizer_state=True)
-    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    adapt_step(state, images, posterior, cfg)
-    assert np.array_equal(state.opt.m, np.zeros(state.source_model.theta.size))
-
-
-def test_sgd_keeps_no_adam_moments(small_bundle):
-    # nothing reads Adam moments under sgd: none are allocated, and the
-    # reset after a restore has none to zero
-    dataset, model, posterior = small_bundle
-    images, _ = batch_from(dataset, severity=5)
-    cfg = fast_cfg(optimizer="sgd", restore="fim", delta=0.5, reset_optimizer_state=True)
-    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    assert state.opt is None
-    assert adapt_step(state, images, posterior, cfg).restored > 0
-    assert state.opt is None
-
-
 def test_cotta_equals_petal_with_alpha_zero(small_bundle):
     dataset, model, posterior = small_bundle
     petal_cfg = fast_cfg(method="petal", alpha=0.0, restore="stochastic", rho=0.01)
@@ -603,7 +582,7 @@ def test_cotta_objective_equals_petal_at_alpha_zero(small_bundle):
 def test_non_finite_loss_aborts(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    cfg = fast_cfg(eta=1e200, restore="none", optimizer="sgd", alpha=1.0)
+    cfg = fast_cfg(eta=1e200, restore="none", alpha=1.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(NonFiniteLossError), np.errstate(over="ignore", invalid="ignore"):
         for seed in range(5):
@@ -761,12 +740,15 @@ def test_selftrain_adam_on_bn_affine_matches_full_length_reference(small_bundle,
 
 
 @pytest.mark.parametrize("method", ["tent", "petal"])
-def test_sgd_step_moves_trained_coordinates_by_eta_times_gradient(small_bundle, monkeypatch, method):
+def test_adam_step_moves_only_trained_coordinates(small_bundle, monkeypatch, method):
+    # petal trains every coordinate, tent only the BN affine ones; the first
+    # Adam step, from zero moments, moves those by the bias-corrected step and
+    # leaves every other coordinate's bytes alone
     import lifelong_tta.engine as engine
 
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
-    cfg = fast_cfg(method=method, optimizer="sgd", eta=0.05, restore="none", tau=2.0)
+    cfg = fast_cfg(method=method, eta=0.05, restore="none", tau=2.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     grads = []
 
@@ -784,9 +766,14 @@ def test_sgd_step_moves_trained_coordinates_by_eta_times_gradient(small_bundle, 
     trained[state.trained] = True
     expected = np.ones(after.size, dtype=bool) if method == "petal" else param_mask(state.student, bn_affine_filter)
     assert np.array_equal(trained, expected)
-    assert np.abs(grad[trained]).max() > 0.0
-    assert (before[trained] - cfg.eta * grad[trained]).tobytes() == after[trained].tobytes()
+    g = grad[trained]
+    assert np.abs(g).max() > 0.0
+    m_hat = (1.0 - 0.9) * g / (1.0 - 0.9)
+    v_hat = (1.0 - 0.999) * g**2 / (1.0 - 0.999)
+    step = cfg.eta * m_hat / (np.sqrt(v_hat) + 1e-8)
+    assert (before[trained] - step).tobytes() == after[trained].tobytes()
     assert before[~trained].tobytes() == after[~trained].tobytes()
+    assert state.opt.step == 1 and state.opt.m.size == int(trained.sum())
 
 
 def test_bn_adapt_refreshes_running_stats(small_bundle):

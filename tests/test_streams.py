@@ -116,10 +116,13 @@ def test_noise_kinds_require_rng():
         apply_corruption(np.zeros((1, 8, 8)), CorruptionSpec("gaussian_noise", 1))
 
 
-def test_single_image_round_trip_shape():
-    img = np.random.default_rng(3).random((8, 8))
-    out = apply_corruption(img, CorruptionSpec("contrast", 2))
-    assert out.shape == (8, 8)
+def test_single_image_is_rejected():
+    # the stream passes (B, 8, 8) batches only; a single (8, 8) image, like
+    # any other shape, is refused at every severity
+    for shape in [(8, 8), (1, 64), (2, 8, 9), (1, 1, 8, 8)]:
+        for severity in (0, 2):
+            with pytest.raises(ValueError, match=r"expects \(B, 8, 8\) images"):
+                apply_corruption(np.zeros(shape), CorruptionSpec("contrast", severity))
 
 
 def test_severity_monotone_distortion():
