@@ -10,11 +10,13 @@
 # cotta, tent, pseudo_label) under the oracle segment reset at two batches
 # per segment, so the state, Adam moments included, is kept within a segment
 # and rebuilt across segments, then petal_fim and cotta at alpha = 0, where
-# petal's objective takes no posterior anchor and equals cotta's. Both sides
-# write under the same relative paths, so paths recorded inside the outputs
-# compare equal. The differing files go to stdout and, when set, to
-# $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or exists on one side
-# only.
+# petal's objective takes no posterior anchor and equals cotta's, then
+# petal_fim and cotta with adapt values read from a config file (pi, delta
+# and an augment magnitude). The resolved --dump-config of each config file
+# is compared too. Both sides write under the same relative paths, so paths
+# recorded inside the outputs compare equal. The differing files go to stdout
+# and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or
+# exists on one side only.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -49,6 +51,15 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/alpha0
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/alpha0/
         python3 -m lifelong_tta adapt --config tiny.json --out runs/alpha0 --method petal_fim,cotta --alpha 0 > /dev/null
+        mkdir -p runs/adapt_file
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/adapt_file/
+        echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
+               "adapt": {"pi": 0.99, "delta": 0.1, "augment": {"flip_prob": 0.25}}}' > adapt.json
+        python3 -m lifelong_tta adapt --config adapt.json --out runs/adapt_file --method petal_fim,cotta > /dev/null
+        mkdir -p runs/configs
+        for config in tiny two adapt; do
+            python3 -m lifelong_tta adapt --config "$config.json" --dump-config > "runs/configs/$config.json"
+        done
         find runs -type f | LC_ALL=C sort | xargs sha256sum
     ) > "$work/$2.sha256"
 }

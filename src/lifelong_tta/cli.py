@@ -28,13 +28,17 @@ from .checkpoint import CheckpointError
 from .engine import (
     ADAPT_METHODS,
     BASELINE_METHODS,
+    RESTORE_MODES,
     NonFiniteLossError,
     PetalConfig,
+    at_least,
     evaluate_model,
+    one_of,
+    ranged,
     run_lifelong,
 )
 from .model import MlpClassifier
-from .streams import CORRUPTION_KINDS, IMAGE_SIDE, N_CLASSES, build_schedule, make_source_dataset
+from .streams import CORRUPTION_KINDS, IMAGE_SIDE, N_CLASSES, SCHEDULE_MODES, build_schedule, make_source_dataset
 from .swag import SwagDiagPosterior, train_source
 
 # impulse_noise is reserved for hyperparameter tuning and kept out of the
@@ -56,33 +60,33 @@ METHOD_VARIANTS = {
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    seed: int = 0
-    n_per_class: int = 100
+    seed: int = at_least(0, 0)
+    n_per_class: int = at_least(1, 100)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     sizes: tuple = (64, 128, 128, 8)
-    init_seed: int = 0
+    init_seed: int = at_least(0, 0)
 
 
 @dataclass(frozen=True)
 class SourceTrainConfig:
-    epochs: int = 30
-    lr: float = 0.05
-    momentum: float = 0.9
-    batch_size: int = 64
-    swag_epochs: int = 5
-    shuffle_seed: int = 1
+    epochs: int = at_least(1, 30)
+    lr: float = ranged(0.05, lambda v: v > 0, "> 0")
+    momentum: float = ranged(0.9, lambda v: 0 <= v < 1, "in [0, 1)")
+    batch_size: int = at_least(2, 64)  # train-mode batch norm
+    swag_epochs: int = at_least(1, 5)
+    shuffle_seed: int = at_least(0, 1)
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
     kinds: tuple = HEADLINE_KINDS
-    mode: str = "continual5"
-    batches_per_segment: int = 25
-    batch_size: int = 64
-    order_seed: int | None = None
+    mode: str = one_of(SCHEDULE_MODES, "continual5")
+    batches_per_segment: int = at_least(1, 25)
+    batch_size: int = at_least(2, 64)  # train-mode batch norm
+    order_seed: int | None = ranged(None, lambda v: v is None or v >= 0, "null or >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,31 +148,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _check_finite(section, path: str) -> None:
-    """Reject a NaN or infinite float anywhere in a config, naming the field."""
+def _check_fields(section, path: str) -> None:
+    """Reject the first field of a config, in declaration order, that holds a
+    NaN or infinite float or a value outside the range the field declares."""
     for f in dataclasses.fields(section):
         value = getattr(section, f.name)
         where = f"{path}.{f.name}"
         if dataclasses.is_dataclass(value):
-            _check_finite(value, where)
+            _check_fields(value, where)
         elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{where} must be finite, got {value}")
+        elif "ok" in f.metadata and not f.metadata["ok"](value):
+            raise ValueError(f"{where} must be {f.metadata['must']}, got {value!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
     """Reject a config no run can use; each message starts with the one field
-    at fault, as ``config.<section>.<field>``."""
-    _check_finite(cfg, "config")
-    if cfg.dataset.n_per_class < 1:
-        raise ValueError("config.dataset.n_per_class must be >= 1")
-    for where, seed in (
-        ("dataset.seed", cfg.dataset.seed),
-        ("model.init_seed", cfg.model.init_seed),
-        ("source.shuffle_seed", cfg.source.shuffle_seed),
-        ("schedule.order_seed", cfg.schedule.order_seed),
-    ):
-        if seed is not None and seed < 0:
-            raise ValueError(f"config.{where} must be a non-negative integer, got {seed}")
+    at fault, as ``config.<section>.<field>``. ``_check_fields`` checks each
+    field against its own range; the checks here span list items or fields."""
+    _check_fields(cfg, "config")
     sizes = list(cfg.model.sizes)
     if len(sizes) < 3 or min(sizes) < 1:
         raise ValueError(f"config.model.sizes must be (input, hidden..., classes), each >= 1, got {sizes}")
@@ -176,35 +174,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"config.model.sizes must start with the {IMAGE_SIDE**2} pixels of an image, got {sizes}")
     if sizes[-1] < N_CLASSES:
         raise ValueError(f"config.model.sizes must end with at least the {N_CLASSES} classes, got {sizes}")
-    if cfg.source.epochs < 1:
-        raise ValueError("config.source.epochs must be >= 1")
-    if cfg.source.lr <= 0:
-        raise ValueError("config.source.lr must be positive")
-    if not 0 <= cfg.source.momentum < 1:
-        raise ValueError("config.source.momentum must be in [0, 1)")
-    if cfg.source.batch_size < 2:
-        raise ValueError("config.source.batch_size must be >= 2 (train-mode batch norm)")
-    if cfg.source.swag_epochs < 1:
-        raise ValueError("config.source.swag_epochs must be >= 1")
     if not cfg.schedule.kinds:
         raise ValueError("config.schedule.kinds must be non-empty")
     for kind in cfg.schedule.kinds:
         if kind not in CORRUPTION_KINDS:
             raise ValueError(f"config.schedule.kinds names an unknown corruption kind {kind!r}")
-    if cfg.schedule.mode not in ("continual5", "gradual"):
-        raise ValueError("config.schedule.mode must be continual5 or gradual")
-    if cfg.schedule.batches_per_segment < 1:
-        raise ValueError("config.schedule.batches_per_segment must be >= 1")
-    if cfg.schedule.batch_size < 2:
-        raise ValueError("config.schedule.batch_size must be >= 2 (train-mode batch norm)")
     eval_size = N_CLASSES * cfg.dataset.n_per_class  # the stream draws its batches from the eval set
     if cfg.schedule.batch_size > eval_size:
         raise ValueError(
             f"config.schedule.batch_size must be at most the eval set's {N_CLASSES} x dataset.n_per_class"
             f" = {eval_size} images, got {cfg.schedule.batch_size}"
         )
-    if not 0.0 <= cfg.adapt.tau <= 1.0:
-        raise ValueError("config.adapt.tau must be in [0, 1]")
     if not cfg.seeds:
         raise ValueError("config.seeds must be non-empty")
     if min(cfg.seeds) < 0 or len(set(cfg.seeds)) != len(cfg.seeds):
@@ -485,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         + ",".join(sorted(set(ADAPT_METHODS + BASELINE_METHODS) | set(METHOD_VARIANTS))),
     )
     p_adapt.add_argument("--seeds", help="comma-separated integer seeds")
-    p_adapt.add_argument("--schedule", choices=["continual5", "gradual"])
-    p_adapt.add_argument("--restore", choices=["none", "stochastic", "fim"])
+    p_adapt.add_argument("--schedule", choices=SCHEDULE_MODES)
+    p_adapt.add_argument("--restore", choices=RESTORE_MODES)
     p_adapt.add_argument("--delta", type=float)
     p_adapt.add_argument("--rho", type=float)
     p_adapt.add_argument("--alpha", type=float)

@@ -236,6 +236,9 @@ def gradual_severities(n_kinds: int) -> list[int]:
     return out
 
 
+SCHEDULE_MODES = ("continual5", "gradual")
+
+
 def build_schedule(
     kinds,
     mode: str,

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shutil
 import struct
 import subprocess
@@ -83,20 +84,12 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"not_a_section": {}})
 
 
-def test_config_validates_ranges():
-    with pytest.raises(ValueError):
-        config_from_dict({"adapt": {"tau": 1.5}})
-    with pytest.raises(ValueError):
-        config_from_dict({"schedule": {"kinds": ["fog"]}})
-    with pytest.raises(ValueError):
-        config_from_dict({"model": {"sizes": [64, 8]}})
-
-
 # config documents whose leaf values have the wrong JSON type, or values no
 # run can use: a negative seed, a stream batch larger than the eval set
 # (8 classes x dataset.n_per_class images), model sizes that do not take the
-# 64 pixels of an 8x8 image or do not give a logit per class, and each half
-# of the checks that once shared one message
+# 64 pixels of an 8x8 image or do not give a logit per class, each half of
+# the checks that once shared one message, and an adapt value outside its
+# field's range
 BAD_CONFIG_TYPES = {
     "k_aug_string": {"adapt": {"k_aug": "x"}},
     "tau_string": {"adapt": {"tau": "0.5"}},
@@ -120,6 +113,17 @@ BAD_CONFIG_TYPES = {
     "batches_per_segment_zero": {"schedule": {"batches_per_segment": 0}},
     "source_lr_zero": {"source": {"lr": 0}},
     "source_momentum_one": {"source": {"momentum": 1.0}},
+    "tau_above_one": {"adapt": {"tau": 1.5}},
+    "kinds_unknown": {"schedule": {"kinds": ["fog"]}},
+    "sizes_no_hidden_layer": {"model": {"sizes": [64, 8]}},
+    "method_unknown": {"adapt": {"method": "x"}},
+    "restore_unknown": {"adapt": {"restore": "x"}},
+    "k_aug_zero": {"adapt": {"k_aug": 0}},
+    "pi_above_one": {"adapt": {"pi": 2}},
+    "eta_negative": {"adapt": {"eta": -1}},
+    "alpha_negative": {"adapt": {"alpha": -1}},
+    "rho_above_one": {"adapt": {"rho": 1.5}},
+    "delta_negative": {"adapt": {"delta": -0.1}},
 }
 
 
@@ -200,7 +204,7 @@ def test_cli_refuses_zero_source_epochs_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train-source", "--config", str(config_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: config.source.epochs must be >= 1\n"
+    assert err == "error: config.source.epochs must be >= 1, got 0\n"
     assert not out.exists()
 
 
@@ -388,7 +392,7 @@ def test_cli_rejects_bad_augment_params(trained_dir, tmp_path, capsys, case):
     assert main(["adapt", "--config", str(config_path), "--method", "source,petal", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: augment.{field_name} must be ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: config.adapt.augment.{field_name} must be ") and captured.err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -814,6 +818,10 @@ def test_cli_any_config_values_exit_0_or_2_with_at_most_one_line(tmp_path_factor
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = run_main(["adapt", "--config", str(config_path), "--dump-config"])
     assert_clean_exit(code, err)
+    if err:  # the message names a real field or section of the config
+        named = re.match(r"error: (?:unknown keys in )?config((?:\.\w+|\[\d+\])+)", err)
+        assert named, err
+        assert tuple(re.sub(r"\[\d+\]", "", named[1]).split(".")[1:]) in CONFIG_PATHS, err
 
 
 @pytest.fixture(scope="module")
