@@ -12,8 +12,10 @@
 # and rebuilt across segments, then petal_fim and cotta at alpha = 0, where
 # petal's objective takes no posterior anchor and equals cotta's, then
 # petal_fim and cotta with adapt values read from a config file (pi, delta
-# and an augment magnitude). The resolved --dump-config of each config file
-# is compared too. Both sides write under the same relative paths, so paths
+# and an augment magnitude), then source and bn_adapt at the default 25
+# batches per segment, so a full stream of running-statistic updates (100
+# steps) is compared. The resolved --dump-config of each config file is
+# compared too. Both sides write under the same relative paths, so paths
 # recorded inside the outputs compare equal. The differing files go to stdout
 # and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or
 # exists on one side only.
@@ -56,6 +58,11 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
                "adapt": {"pi": 0.99, "delta": 0.1, "augment": {"flip_prob": 0.25}}}' > adapt.json
         python3 -m lifelong_tta adapt --config adapt.json --out runs/adapt_file --method petal_fim,cotta > /dev/null
+        mkdir -p runs/default_length
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length/
+        echo '{"seeds": [0]}' > default_length.json
+        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length --method source,bn_adapt \
+            > /dev/null
         mkdir -p runs/configs
         for config in tiny two adapt; do
             python3 -m lifelong_tta adapt --config "$config.json" --dump-config > "runs/configs/$config.json"

@@ -5,8 +5,7 @@ records its whole forward as one node on theta: softmax-based losses against
 constant array targets, a diagonal-Gaussian log-density of the parameter
 vector, and scalar combination. Each op records itself on the ``Tape`` it
 is given; ``backward`` replays the tape in reverse and accumulates a gradient per
-tensor, and every tensor on a tape is differentiated. ``batch_norm_arrays``
-is the batch-normalization arithmetic of both of the model's forward paths.
+tensor, and every tensor on a tape is differentiated.
 
 Everything is float64 and must stay finite: NaN/Inf raises immediately
 instead of propagating.
@@ -21,9 +20,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 Array = np.ndarray
-
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 
 
 class Tensor:
@@ -99,69 +95,6 @@ def backward(root: Tensor, tape: Tape) -> dict[Tensor, Array]:
 
 # ---------------------------------------------------------------------------
 # ops
-
-
-@dataclass(eq=False)
-class RunningStats:
-    """Mutable per-feature running mean/variance for batch norm."""
-
-    mean: Array
-    var: Array
-
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy())
-
-
-def batch_norm_arrays(
-    x: Array,
-    gamma: Array,
-    beta: Array,
-    stats: RunningStats,
-    mode: str = "train",
-    update_stats: bool = True,
-) -> tuple[Array, Array, Array]:
-    """The batch-normalization arithmetic on plain arrays; returns
-    (out, x_hat, inv_std).
-
-    ``x`` is one batch (B, F) or a stack of G batches (G, B, F). Train mode
-    normalizes each batch by its own mean/variance (biased) and, when
-    ``update_stats``, folds them into ``stats`` with momentum 0.1 (variance
-    stored unbiased); only a single batch may update them. Eval mode
-    normalizes by ``stats``. eps = 1e-5.
-    """
-    if x.ndim not in (2, 3):
-        raise ValueError("batch norm expects a (B, F) or (G, B, F) input")
-    n, features = x.shape[-2:]
-    if gamma.shape != (features,) or beta.shape != (features,):
-        raise ValueError("gamma/beta must be (F,)")
-    if mode == "train":
-        if n < 2:
-            raise ValueError("batch_norm train mode needs a batch of at least 2")
-        if update_stats and x.size != n * features:
-            raise ValueError("only a single batch may update the running statistics")
-        batch_mean = x.mean(axis=-2, keepdims=True)
-        x_hat = x - batch_mean
-        # numpy's own variance formula, so batch_var equals x.var(axis=-2) bit
-        # for bit; the squares' buffer takes the output below
-        out = np.multiply(x_hat, x_hat)
-        batch_var = out.sum(axis=-2, keepdims=True) / n
-        inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
-        x_hat *= inv_std
-        if update_stats:
-            m = BN_MOMENTUM
-            stats.mean = (1.0 - m) * stats.mean + m * batch_mean.reshape(features)
-            stats.var = (1.0 - m) * stats.var + m * batch_var.reshape(features) * n / (n - 1)
-    elif mode == "eval":
-        inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
-        x_hat = x - stats.mean
-        x_hat *= inv_std
-        out = np.empty_like(x_hat)
-    else:
-        raise ValueError(f"unknown batch_norm mode {mode!r}")
-    # in place where the values allow: the same operations, fewer buffers
-    np.multiply(gamma, x_hat, out=out)
-    out += beta
-    return out, x_hat, inv_std
 
 
 def _log_softmax(logits: Array) -> Array:

@@ -122,8 +122,8 @@ def _from_dict(cls, data, path="config"):
 
 def _check_leaf(value, default, path):
     """Reject a JSON value whose type is not the field default's. A bool is
-    not an int, an int is a float, and a tuple default checks a list item by
-    item against its first element."""
+    not an int, an int a float can hold is a float, and a tuple default
+    checks a list item by item against its first element."""
     if isinstance(default, tuple):
         if not isinstance(value, list):
             raise ValueError(f"{path} must be a list, got {type(value).__name__}")
@@ -139,6 +139,8 @@ def _check_leaf(value, default, path):
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
         names = " or ".join("null" if t is type(None) else t.__name__ for t in expected)
         raise ValueError(f"{path} must be {names}, got {type(value).__name__}")
+    if type(default) is float and not _is_number(value):
+        raise ValueError(f"{path} must be a number a float can hold, got an integer of {len(str(abs(value)))} digits")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -14,8 +14,8 @@ values, chosen either at random or as the coordinates with the smallest squared 
 gradient. ``tent`` (entropy minimization) and ``pseudo_label`` (hard
 self-labels) have no teacher and move only the BN affine parameters.
 ``baseline_step`` is the forward-only step of ``source`` (no adaptation) and
-``bn_adapt`` (batch-statistics refresh only); the BN mode set at
-initialization tells them apart.
+``bn_adapt`` (batch-statistics refresh only); the BN mode it passes to the
+forward, ``"eval"`` or ``"update"``, tells them apart.
 
 Every gradient step is an Adam step, and ``petal``/``cotta`` predict from
 the teacher. The Adam state covers only the coordinates a method trains
@@ -311,13 +311,8 @@ def init_adapt_state(
     from ``rng_restore``."""
     frozen_source = source_model.clone()
     frozen_source.load(posterior.mu)
-    frozen_source.set_bn_mode("eval")
     student = frozen_source.clone()
-    student.set_bn_mode("eval" if cfg.method == "source" else "train")
-    teacher = None
-    if cfg.method in ADAPT_METHODS:
-        teacher = frozen_source.clone()
-        teacher.set_bn_mode("train")
+    teacher = frozen_source.clone() if cfg.method in ADAPT_METHODS else None
     if teacher is None:  # tent and pseudo_label move only the BN affine parameters;
         # source and bn_adapt take no step, so nothing reads theirs
         trained = np.flatnonzero(param_mask(frozen_source, bn_affine_filter))
@@ -375,9 +370,9 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     random numbers and the sum run in draw order, so the labels equal those
     of one augment call and one forward per draw, bit for bit.
     """
-    source_probs = softmax(state.source_model.forward(images))
+    source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
-    direct = softmax(state.teacher.forward(images, update_stats=False))
+    direct = softmax(state.teacher.forward(images, "batch"))
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
@@ -385,7 +380,7 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     for start in range(0, cfg.k_aug, _DRAW_BLOCK):
         draws = min(_DRAW_BLOCK, cfg.k_aug - start)
         block = augment(images, state.rng_augment, cfg.augment, draws)
-        probs = softmax(state.teacher.forward(block, update_stats=False, draws=draws))
+        probs = softmax(state.teacher.forward(block, "batch", draws))
         for rows in probs.reshape(draws, *direct.shape):
             total += rows
     averaged = total / cfg.k_aug
@@ -394,8 +389,8 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
 
 def ema_update(teacher: MlpClassifier, student: MlpClassifier, pi: float) -> None:
     """theta' <- pi * theta' + (1 - pi) * theta over trainables. The teacher's
-    BN running statistics are left alone: its forwards run train-mode BN on
-    batch statistics and never read or update them."""
+    BN running statistics are left alone: its ``"batch"`` forwards normalize
+    by batch statistics and never read or update them."""
     teacher.theta[:] = pi * teacher.theta + (1.0 - pi) * student.theta
 
 
@@ -469,7 +464,7 @@ def _objective(
 ):
     """The method's taped loss; returns (loss node, theta tensor, logits).
 
-    The student forward runs in train-BN mode and adapts its statistics.
+    The student's taped forward runs ``"update"`` BN and adapts its statistics.
     ``tent`` takes the mean prediction entropy; every other method the
     cross-entropy to its targets: the teacher's ``pseudo`` rows, or for
     ``pseudo_label`` the one-hot argmax of its own prediction. ``petal`` with
@@ -525,13 +520,13 @@ def adapt_step(
 
 
 def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
-    """The forward-only step of ``source`` and ``bn_adapt``: eval-mode BN
-    (``source``) leaves the running statistics alone, train mode
+    """The forward-only step of ``source`` and ``bn_adapt``: ``"eval"`` BN
+    (``source``) leaves the running statistics alone, ``"update"``
     (``bn_adapt``) refreshes them."""
     if cfg.method not in FORWARD_ONLY_METHODS:
         raise ValueError(f"baseline_step does not handle method {cfg.method!r}, which takes a gradient step")
     try:
-        preds = softmax(state.student.forward(images))
+        preds = softmax(state.student.forward(images, "eval" if cfg.method == "source" else "update"))
     except FloatingPointError as exc:
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
     state.step += 1
@@ -649,10 +644,7 @@ def run_lifelong(
 def evaluate_model(model: MlpClassifier, images: Array, labels: Array) -> MetricSummary:
     """Offline eval-mode metrics of a model on a labeled set."""
     flat = images.reshape(images.shape[0], -1)
-    mode = model.bn_mode
-    model.set_bn_mode("eval")
-    preds = softmax(model.forward(flat))
-    model.set_bn_mode(mode)
+    preds = softmax(model.forward(flat, "eval"))
     err, nll_values, brier_values = per_sample_scores(preds, labels)
     return MetricSummary(
         count=labels.size,

@@ -7,13 +7,17 @@ a contiguous slice. ``views`` reshapes any vector of that length into named
 views; ``params`` holds theta's own, so an optimizer step, an EMA update or
 a restore is one in-place expression on ``theta``, and a posterior's mean and
 variances or a gradient are plain vectors read through ``views``. ``flatten``
-returns a copied snapshot. BN running statistics are serialized with the
-model but are not trainables and are not part of theta.
+returns a copied snapshot. BN running statistics are plain arrays in
+``running``, serialized with the model but not part of theta.
+Each forward names its BN mode: ``"eval"`` normalizes by the running
+statistics, ``"batch"`` by each batch's own, and ``"update"`` also folds the
+batch's into the running arrays, in place.
 ``forward`` (untaped; one batch or a stack of equal batches) and
-``taped_forward`` (one train-mode batch) share one layer loop on plain
+``taped_forward`` (one ``"update"`` batch) share one layer loop on plain
 arrays; ``taped_forward`` records the network as one tape node whose one
 input is a tensor over theta itself and whose backward, the MLP's own,
-returns the gradient as one vector in theta's layout.
+returns the gradient as one vector in theta's layout. ``batch_norm_arrays``,
+BN's arithmetic, sits beside that backward, which reads its saved values.
 """
 
 from __future__ import annotations
@@ -24,10 +28,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import RunningStats, Tape, Tensor, batch_norm_arrays
+from .autodiff import Tape, Tensor
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 Array = np.ndarray
+
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def _registry_layout(sizes: Sequence[int]) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
@@ -69,19 +76,16 @@ class MlpClassifier:
         if any(s < 1 for s in sizes):
             raise ValueError("layer sizes must be positive")
         self.sizes = sizes
-        self.bn_mode = "train"
         self._layout = _registry_layout(sizes)
         self._bind(np.zeros(self._layout[-1][3]))
-        self.stats = {i: RunningStats(np.zeros(w), np.ones(w)) for i, w in enumerate(sizes[1:-1])}
+        self.running: dict[str, Array] = {}
+        for i, width in enumerate(sizes[1:-1]):
+            self.running[f"hidden{i}.running_mean"] = np.zeros(width)
+            self.running[f"hidden{i}.running_var"] = np.ones(width)
 
     @property
     def n_hidden(self) -> int:
         return len(self.sizes) - 2
-
-    def set_bn_mode(self, mode: str) -> None:
-        if mode not in ("train", "eval"):
-            raise ValueError(f"unknown BN mode {mode!r}")
-        self.bn_mode = mode
 
     def _bind(self, theta: Array) -> None:
         """Adopt ``theta``; params become views of it."""
@@ -102,19 +106,17 @@ class MlpClassifier:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x, update_stats: bool | None = None, draws: int = 1) -> Array:
-        """Inference logits under the model's BN mode, with no tape.
+    def forward(self, x, bn: str, draws: int = 1) -> Array:
+        """Inference logits under BN mode ``bn`` (``"eval"``, ``"batch"`` or
+        ``"update"``), with no tape.
 
-        ``x`` may stack ``draws`` equal batches along its rows; in train mode
-        each is normalized by its own batch statistics, so the logits equal
-        those of ``draws`` separate calls, one row per input row. Only a
-        single batch may update the running statistics. Raises
+        ``x`` may stack ``draws`` equal batches along its rows; under
+        ``"batch"`` each is normalized by its own batch statistics, so the
+        logits equal those of ``draws`` separate calls, one row per input row.
+        Only a single batch may ``"update"`` the running statistics. Raises
         ``FloatingPointError`` on a NaN/Inf in the input, in theta, or in a
         linear, batch-norm or logit output.
         """
-        mode = self.bn_mode
-        if update_stats is None:
-            update_stats = mode == "train"
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
@@ -123,12 +125,12 @@ class MlpClassifier:
         _finite(self.theta, "parameters")
         # (draws, B, F) throughout: matmul runs one product per batch, so
         # each draw's rows are bit-identical to a call of its own
-        logits = self._logits(x.reshape(draws, -1, self.sizes[0]), mode, update_stats)
+        logits = self._logits(x.reshape(draws, -1, self.sizes[0]), bn)
         return _finite(logits.reshape(x.shape[0], -1), "logits")
 
-    def taped_forward(self, x, tape: Tape, update_stats: bool = True) -> tuple[Tensor, Tensor]:
-        """Train-mode logits of one batch, recorded on ``tape`` as one node
-        whose one input is a tensor over ``theta`` (no copy) and whose
+    def taped_forward(self, x, tape: Tape) -> tuple[Tensor, Tensor]:
+        """``"update"``-mode logits of one batch, recorded on ``tape`` as one
+        node whose one input is a tensor over ``theta`` (no copy) and whose
         backward is ``_backward``; returns (logits, that tensor). Building
         that tensor is the one check that theta is finite."""
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -136,11 +138,11 @@ class MlpClassifier:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
         params = Tensor(self.theta)
         saved: list[tuple[Array, Array, Array]] = []
-        logits = Tensor(self._logits(x, "train", update_stats, saved))
+        logits = Tensor(self._logits(x, "update", saved))
         tape.record("mlp", (params,), logits, lambda g: (self._backward(g, x, saved),))
         return logits, params
 
-    def _logits(self, h: Array, mode: str, update_stats: bool, saved: list | None = None) -> Array:
+    def _logits(self, h: Array, bn: str, saved: list | None = None) -> Array:
         """The one layer loop: linear, batch norm and in-place ReLU per hidden
         layer, then the linear head, on one (B, F) batch or a (G, B, F) stack.
         ``saved``, when given, receives each hidden layer's (x_hat, inv_std,
@@ -154,9 +156,9 @@ class MlpClassifier:
                 _finite(h, "linear output"),
                 p[f"hidden{i}.gamma"],
                 p[f"hidden{i}.beta"],
-                self.stats[i],
-                mode,
-                update_stats,
+                self.running[f"hidden{i}.running_mean"],
+                self.running[f"hidden{i}.running_var"],
+                bn,
             )
             np.maximum(_finite(h, "batch norm output"), 0.0, out=h)
             if saved is not None:
@@ -169,7 +171,7 @@ class MlpClassifier:
     def _backward(self, g: Array, x: Array, saved: list) -> Array:
         """The gradient of one ``taped_forward`` call, as one vector in
         theta's layout, from the logits' gradient ``g``: per layer the
-        head's, ReLU's, train-mode batch norm's and the linear map's backward.
+        head's, ReLU's, batch-statistics batch norm's and the linear map's backward.
         The first layer's input gradient is never formed."""
         p = self.params
         grad = np.empty_like(self.theta)
@@ -207,18 +209,13 @@ class MlpClassifier:
         other.sizes = self.sizes
         other._layout = self._layout
         other._bind(self.theta.copy())
-        other.stats = {i: s.copy() for i, s in self.stats.items()}
-        other.bn_mode = self.bn_mode
+        other.running = {name: values.copy() for name, values in self.running.items()}
         return other
 
     # -- checkpointing ---------------------------------------------------------
 
     def state_arrays(self) -> dict[str, Array]:
-        entries = dict(self.params)
-        for i in range(self.n_hidden):
-            entries[f"hidden{i}.running_mean"] = self.stats[i].mean
-            entries[f"hidden{i}.running_var"] = self.stats[i].var
-        return entries
+        return {**self.params, **self.running}
 
     def save(self, path) -> None:
         write_checkpoint(path, self.state_arrays())
@@ -237,6 +234,54 @@ class MlpClassifier:
                 raise CheckpointError(f"checkpoint entry {name} is negative")
             view[...] = entries[name]
         return model
+
+
+def batch_norm_arrays(
+    x: Array, gamma: Array, beta: Array, running_mean: Array, running_var: Array, bn: str
+) -> tuple[Array, Array, Array]:
+    """The batch-normalization arithmetic on plain arrays; returns
+    (out, x_hat, inv_std).
+
+    ``x`` is one batch (B, F) or a stack of G batches (G, B, F). ``"batch"``
+    normalizes each batch by its own mean/variance (biased); ``"update"``
+    does the same and folds them into ``running_mean``/``running_var`` in
+    place with momentum 0.1 (variance stored unbiased), so only a single
+    batch may update them. ``"eval"`` normalizes by the running arrays.
+    eps = 1e-5.
+    """
+    if x.ndim not in (2, 3):
+        raise ValueError("batch norm expects a (B, F) or (G, B, F) input")
+    n, features = x.shape[-2:]
+    if gamma.shape != (features,) or beta.shape != (features,):
+        raise ValueError("gamma/beta must be (F,)")
+    if bn in ("batch", "update"):
+        if n < 2:
+            raise ValueError("batch-statistics batch norm needs a batch of at least 2")
+        if bn == "update" and x.size != n * features:
+            raise ValueError("only a single batch may update the running statistics")
+        batch_mean = x.mean(axis=-2, keepdims=True)
+        x_hat = x - batch_mean
+        # numpy's own variance formula, so batch_var equals x.var(axis=-2) bit
+        # for bit; the squares' buffer takes the output below
+        out = np.multiply(x_hat, x_hat)
+        batch_var = out.sum(axis=-2, keepdims=True) / n
+        inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
+        x_hat *= inv_std
+        if bn == "update":
+            m = BN_MOMENTUM
+            running_mean[...] = (1.0 - m) * running_mean + m * batch_mean.reshape(features)
+            running_var[...] = (1.0 - m) * running_var + m * batch_var.reshape(features) * n / (n - 1)
+    elif bn == "eval":
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
+        x_hat = x - running_mean
+        x_hat *= inv_std
+        out = np.empty_like(x_hat)
+    else:
+        raise ValueError(f"unknown BN mode {bn!r}")
+    # in place where the values allow: the same operations, fewer buffers
+    np.multiply(gamma, x_hat, out=out)
+    out += beta
+    return out, x_hat, inv_std
 
 
 def _finite(values: Array, what: str) -> Array:

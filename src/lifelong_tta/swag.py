@@ -118,14 +118,13 @@ def train_source(
     estimator = SwagDiagEstimator(model.theta.size)
     velocity = np.zeros(model.theta.size)
     history: list[dict] = []
-    model.set_bn_mode("train")
     for epoch in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             if idx.size < 2:
-                continue  # train-mode BN needs at least two samples
+                continue  # batch-statistics BN needs at least two samples
             tape = Tape()
             try:
                 logits, params = model.taped_forward(images[idx], tape)
@@ -137,9 +136,7 @@ def train_source(
             losses.append(loss.item())
         if epoch >= epochs - swag_epochs:
             estimator.collect(model.flatten())
-        model.set_bn_mode("eval")
-        preds = softmax(model.forward(images)).argmax(axis=1)
-        model.set_bn_mode("train")
+        preds = softmax(model.forward(images, "eval")).argmax(axis=1)
         history.append(
             {
                 "epoch": epoch,

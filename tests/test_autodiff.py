@@ -4,18 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong_tta.autodiff import (
-    RunningStats,
     Tape,
     Tensor,
     backward,
-    batch_norm_arrays,
     gaussian_log_density,
     soft_cross_entropy,
     softmax,
     softmax_entropy_mean,
     weighted_sum,
 )
-from lifelong_tta.model import MlpClassifier
+from lifelong_tta.model import MlpClassifier, batch_norm_arrays
 
 from helpers import finite_diff_gradient
 
@@ -50,25 +48,24 @@ def relu_linear_model(w, b):
     model.params["hidden0.bias"][...] = b
     model.params["out.weight"][...] = np.eye(width)
     model.params["out.bias"][...] = 0.0
-    model.stats[0] = RunningStats(np.zeros(width), np.full(width, 1.0 - 1e-5))
-    model.set_bn_mode("eval")
+    model.running["hidden0.running_var"][...] = 1.0 - 1e-5
     return model
 
 
 def test_linear_identity_weights():
     model = relu_linear_model([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-    assert np.array_equal(model.forward([[1.0, 2.0]]), [[1.0, 2.0]])
+    assert np.array_equal(model.forward([[1.0, 2.0]], "eval"), [[1.0, 2.0]])
 
 
 def test_linear_zero_input_gives_bias():
     model = relu_linear_model(rand_rng().normal(size=(2, 2)), [3.0, 4.0])
-    assert np.array_equal(model.forward([[0.0, 0.0]]), [[3.0, 4.0]])
+    assert np.array_equal(model.forward([[0.0, 0.0]], "eval"), [[3.0, 4.0]])
 
 
 def test_linear_matches_triple_loop_oracle():
     rng = rand_rng(1)
     x, w, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
-    out = relu_linear_model(w, b).forward(x)
+    out = relu_linear_model(w, b).forward(x, "eval")
     expected = np.zeros((3, 2))
     for i in range(3):
         for o in range(2):
@@ -82,7 +79,7 @@ def test_linear_matches_triple_loop_oracle():
 def test_linear_shape_mismatch():
     model = relu_linear_model([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
-        model.forward([[1.0, 2.0]])
+        model.forward([[1.0, 2.0]], "eval")
     with pytest.raises(ValueError):
         model.taped_forward([[1.0, 2.0], [3.0, 4.0]], Tape())
 
@@ -104,47 +101,44 @@ def test_relu_all_negative():
 
 
 def test_batch_norm_two_point_hand_computation():
-    stats = RunningStats(np.zeros(1), np.ones(1))
-    out, _, _ = batch_norm_arrays(np.array([[1.0], [3.0]]), np.ones(1), np.zeros(1), stats)
-    expected = (np.array([[1.0], [3.0]]) - 2.0) / np.sqrt(1.0 + 1e-5)
+    x = np.array([[1.0], [3.0]])
+    out, _, _ = batch_norm_arrays(x, np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), "batch")
+    expected = (x - 2.0) / np.sqrt(1.0 + 1e-5)
     assert np.abs(out - expected).max() < 1e-12
     assert abs(out[0, 0] + 0.999995) < 1e-6
 
 
 def test_batch_norm_zero_gamma_gives_beta():
-    stats = RunningStats(np.zeros(2), np.ones(2))
     x = rand_rng(2).normal(size=(5, 2))
-    out, _, _ = batch_norm_arrays(x, np.zeros(2), np.array([0.7, -0.2]), stats)
+    out, _, _ = batch_norm_arrays(x, np.zeros(2), np.array([0.7, -0.2]), np.zeros(2), np.ones(2), "batch")
     assert np.allclose(out, np.broadcast_to([0.7, -0.2], (5, 2)))
 
 
 def test_batch_norm_eval_with_unit_stats_is_near_identity():
-    stats = RunningStats(np.zeros(3), np.ones(3))
     x = rand_rng(3).normal(size=(4, 3))
-    out, _, _ = batch_norm_arrays(x, np.ones(3), np.zeros(3), stats, mode="eval")
+    out, _, _ = batch_norm_arrays(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval")
     assert np.abs(out - x).max() < 1e-4
 
 
 def test_batch_norm_rejects_small_train_batch():
-    stats = RunningStats(np.zeros(1), np.ones(1))
-    with pytest.raises(ValueError):
-        batch_norm_arrays(np.array([[1.0]]), np.ones(1), np.zeros(1), stats)
+    for bn in ("batch", "update"):
+        with pytest.raises(ValueError):
+            batch_norm_arrays(np.array([[1.0]]), np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), bn)
 
 
 def test_batch_norm_updates_running_stats_with_momentum():
-    stats = RunningStats(np.zeros(1), np.ones(1))
+    mean, var = np.zeros(1), np.ones(1)
     x = np.array([[1.0], [3.0]])
-    batch_norm_arrays(x, np.ones(1), np.zeros(1), stats)
-    assert np.allclose(stats.mean, 0.9 * 0.0 + 0.1 * 2.0)
+    batch_norm_arrays(x, np.ones(1), np.zeros(1), mean, var, "update")
+    assert np.allclose(mean, 0.9 * 0.0 + 0.1 * 2.0)
     # running variance uses the unbiased batch variance
-    assert np.allclose(stats.var, 0.9 * 1.0 + 0.1 * 2.0)
+    assert np.allclose(var, 0.9 * 1.0 + 0.1 * 2.0)
 
 
 def test_batch_norm_train_output_is_standardized():
     rng = rand_rng(4)
     x = rng.normal(3.0, 2.5, size=(64, 5))
-    stats = RunningStats(np.zeros(5), np.ones(5))
-    out, _, _ = batch_norm_arrays(x, np.ones(5), np.zeros(5), stats)
+    out, _, _ = batch_norm_arrays(x, np.ones(5), np.zeros(5), np.zeros(5), np.ones(5), "update")
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
 
@@ -332,11 +326,11 @@ def test_every_op_gradient_matches_finite_differences(seed):
         def value_at(values):
             model.load(values)
             tape = Tape()
-            return objective(*model.taped_forward(x, tape, update_stats=False), tape).item()
+            return objective(*model.taped_forward(x, tape), tape).item()
 
         model.load(theta0)
         tape = Tape()
-        logits, params = model.taped_forward(x, tape, update_stats=False)
+        logits, params = model.taped_forward(x, tape)
         auto = backward(objective(logits, params, tape), tape)[params]
         numeric = finite_diff_gradient(value_at, theta0, 1e-5)
         err = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)

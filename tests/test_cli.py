@@ -124,6 +124,8 @@ BAD_CONFIG_TYPES = {
     "alpha_negative": {"adapt": {"alpha": -1}},
     "rho_above_one": {"adapt": {"rho": 1.5}},
     "delta_negative": {"adapt": {"delta": -0.1}},
+    "alpha_past_float_range": {"adapt": {"alpha": 10**400}},
+    "source_lr_past_float_range": {"source": {"lr": 10**400}},
 }
 
 

@@ -128,7 +128,7 @@ def test_gate_always_passes_at_tau_zero(small_bundle):
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=0.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    direct = softmax(state.teacher.forward(images, update_stats=False))
+    direct = softmax(state.teacher.forward(images, "batch"))
     preds = teacher_pseudo_label(state, images, cfg)
     assert np.array_equal(preds, direct)
 
@@ -138,7 +138,7 @@ def test_gate_never_passes_above_one(small_bundle):
     images, _ = batch_from(dataset)
     cfg = fast_cfg(tau=2.0, k_aug=2, augment=NO_AUGMENT)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    direct = softmax(state.teacher.forward(images, update_stats=False))
+    direct = softmax(state.teacher.forward(images, "batch"))
     preds = teacher_pseudo_label(state, images, cfg)
     # identity augmentations make the K-average equal the direct prediction
     # exactly: (p + p) / 2 is exact in binary floating point
@@ -157,16 +157,16 @@ def test_pseudo_labels_are_distributions(small_bundle):
 def per_draw_teacher_pseudo_label(state, images, cfg):
     """The loop the blocked teacher replaced: one augment call and one teacher
     forward per draw, every draw taken before the first forward."""
-    source_probs = softmax(state.source_model.forward(images))
+    source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
-    direct = softmax(state.teacher.forward(images, update_stats=False))
+    direct = softmax(state.teacher.forward(images, "batch"))
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
     draws = [augment(images, state.rng_augment, cfg.augment) for _ in range(cfg.k_aug)]
     total = np.zeros_like(direct)
     for draw in draws:
-        total += softmax(state.teacher.forward(draw, update_stats=False))
+        total += softmax(state.teacher.forward(draw, "batch"))
     averaged = total / cfg.k_aug
     return np.where(needs_averaging[:, None], averaged, direct)
 
@@ -182,15 +182,14 @@ def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
     # one step moves the teacher off the source model and its BN buffers
     for s in (expected_state, state):
         adapt_step(s, images, posterior, cfg)
-    stats = {i: s.copy() for i, s in state.teacher.stats.items()}
-    confidence = softmax(state.source_model.forward(images)).max(axis=1)
+    running = {name: values.copy() for name, values in state.teacher.running.items()}
+    confidence = softmax(state.source_model.forward(images, "eval")).max(axis=1)
     assert 0 < (confidence < cfg.tau).sum() < images.shape[0]  # the gate splits the batch
     expected = per_draw_teacher_pseudo_label(expected_state, images, cfg)
     assert np.array_equal(teacher_pseudo_label(state, images, cfg), expected)
     assert state.rng_augment.random() == expected_state.rng_augment.random()
-    for i, s in stats.items():
-        assert np.array_equal(state.teacher.stats[i].mean, s.mean)
-        assert np.array_equal(state.teacher.stats[i].var, s.var)
+    for name, values in running.items():
+        assert np.array_equal(state.teacher.running[name], values)
 
 
 @pytest.mark.parametrize("name, value", [("hidden0.weight", np.nan), ("hidden0.beta", -np.inf)])
@@ -244,7 +243,7 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
     cfg = fast_cfg(alpha=0.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     tape = Tape()
-    logits, params = state.student.taped_forward(images, tape, update_stats=False)
+    logits, params = state.student.taped_forward(images, tape)
     pseudo = softmax(logits.data)
     loss = soft_cross_entropy(pseudo, logits, tape)
     grads = backward(loss, tape)
@@ -335,7 +334,7 @@ def test_ema_contraction_with_frozen_student():
 
 
 def test_teacher_running_stats_are_never_read(small_bundle):
-    # the teacher runs train-mode BN on batch statistics with no update, so
+    # the teacher runs "batch" BN on batch statistics with no update, so
     # garbage in its running buffers leaves its pseudo-labels bit-identical;
     # this is why ema_update copies no statistics
     dataset, model, posterior = small_bundle
@@ -344,16 +343,18 @@ def test_teacher_running_stats_are_never_read(small_bundle):
     clean = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     garbage = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     rng = np.random.default_rng(0)
-    for stats in garbage.teacher.stats.values():
-        stats.mean[...] = rng.normal(scale=1e3, size=stats.mean.shape)
-        stats.var[...] = rng.uniform(1e-6, 1e3, size=stats.var.shape)
-    buffers = [(s.mean.copy(), s.var.copy()) for s in garbage.teacher.stats.values()]
+    for name, values in garbage.teacher.running.items():
+        if name.endswith(".running_mean"):
+            values[...] = rng.normal(scale=1e3, size=values.shape)
+        else:
+            values[...] = rng.uniform(1e-6, 1e3, size=values.shape)
+    buffers = {name: values.copy() for name, values in garbage.teacher.running.items()}
     expected = teacher_pseudo_label(clean, images, cfg)
     assert np.array_equal(teacher_pseudo_label(garbage, images, cfg), expected)
-    assert not np.array_equal(expected, softmax(clean.teacher.forward(images, update_stats=False)))
+    assert not np.array_equal(expected, softmax(clean.teacher.forward(images, "batch")))
     ema_update(garbage.teacher, garbage.student, cfg.pi)
-    for (mean, var), stats in zip(buffers, garbage.teacher.stats.values()):
-        assert np.array_equal(stats.mean, mean) and np.array_equal(stats.var, var)
+    for name, values in buffers.items():
+        assert np.array_equal(garbage.teacher.running[name], values)
 
 
 def test_ema_registry_mismatch():
@@ -631,8 +632,7 @@ def test_source_baseline_matches_offline_eval(small_bundle):
     report = baseline_step(state, images, cfg)
     probe = model.clone()
     probe.load(posterior.mu)
-    probe.set_bn_mode("eval")
-    expected = softmax(probe.forward(images))
+    expected = softmax(probe.forward(images, "eval"))
     assert np.array_equal(report.predictions, expected)
     from lifelong_tta.metrics import per_sample_scores
 
@@ -646,10 +646,10 @@ def test_source_baseline_mutates_nothing(small_bundle):
     cfg = fast_cfg(method="source")
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.student.flatten()
-    stats_before = state.student.stats[0].mean.copy()
+    stats_before = state.student.running["hidden0.running_mean"].copy()
     baseline_step(state, images, cfg)
     assert np.array_equal(state.student.flatten(), before)
-    assert np.array_equal(state.student.stats[0].mean, stats_before)
+    assert np.array_equal(state.student.running["hidden0.running_mean"], stats_before)
 
 
 def test_tent_with_zero_lr_equals_bn_adapt(small_bundle):
@@ -697,7 +697,7 @@ def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, s
     for batch, _ in stream_batches(schedule, dataset, np.random.Generator(np.random.PCG64(stream_ss))):
         if cfg.tent_online and previous is not None and batch.segment != previous:
             student.theta[:] = source.theta
-            student.stats = {i: s.copy() for i, s in source.stats.items()}
+            student.running = {name: values.copy() for name, values in source.running.items()}
             m, v, t = np.zeros(student.theta.size), np.zeros(student.theta.size), 0
         previous = batch.segment
         tape = Tape()
@@ -730,9 +730,8 @@ def test_selftrain_adam_on_bn_affine_matches_full_length_reference(small_bundle,
     assert len(report.rows) == 5
     reference = _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed=2)
     assert state.student.theta.tobytes() == reference.theta.tobytes()
-    for i, stats in state.student.stats.items():
-        assert stats.mean.tobytes() == reference.stats[i].mean.tobytes()
-        assert stats.var.tobytes() == reference.stats[i].var.tobytes()
+    for name, values in state.student.running.items():
+        assert values.tobytes() == reference.running[name].tobytes()
     assert not np.array_equal(state.student.theta, state.source_model.theta)
     trained = int(param_mask(state.student, bn_affine_filter).sum())
     assert state.opt.m.size == state.opt.v.size == trained
@@ -781,9 +780,9 @@ def test_bn_adapt_refreshes_running_stats(small_bundle):
     images, _ = batch_from(dataset, n=32, severity=5)
     cfg = fast_cfg(method="bn_adapt")
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    before = state.student.stats[0].mean.copy()
+    before = state.student.running["hidden0.running_mean"].copy()
     baseline_step(state, images, cfg)
-    assert not np.array_equal(state.student.stats[0].mean, before)
+    assert not np.array_equal(state.student.running["hidden0.running_mean"], before)
 
 
 def test_unknown_baseline_method(small_bundle):

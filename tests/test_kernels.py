@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.autodiff import RunningStats, batch_norm_arrays
 from lifelong_tta.engine import AugmentParams, _affine_batch, augment
+from lifelong_tta.model import batch_norm_arrays
 from lifelong_tta.streams import IMAGE_SIDE, _box_blur
 
 
@@ -88,15 +88,16 @@ def reference_augment(images, rng, params):
     return out.reshape(shape_in)
 
 
-def reference_batch_norm_train(x, gamma, beta, stats, momentum=0.1, eps=1e-5):
+def reference_batch_norm_train(x, gamma, beta, mean, var, momentum=0.1, eps=1e-5):
+    """Returns (out, new running mean, new running variance)."""
     n = x.shape[0]
     batch_mean = x.mean(axis=0)
     batch_var = x.var(axis=0)
     inv_std = 1.0 / np.sqrt(batch_var + eps)
     x_hat = (x - batch_mean) * inv_std
-    stats.mean = (1.0 - momentum) * stats.mean + momentum * batch_mean
-    stats.var = (1.0 - momentum) * stats.var + momentum * batch_var * n / (n - 1)
-    return gamma * x_hat + beta
+    new_mean = (1.0 - momentum) * mean + momentum * batch_mean
+    new_var = (1.0 - momentum) * var + momentum * batch_var * n / (n - 1)
+    return gamma * x_hat + beta, new_mean, new_var
 
 
 def _images(rng, b, scale):
@@ -153,13 +154,15 @@ def test_batch_norm_train_equals_var_reference(seed, n, features, offset, log_sc
     gamma = rng.normal(1.0, 0.3, features)
     beta = rng.normal(0.0, 0.3, features)
     start_mean, start_var = rng.normal(size=features), rng.random(features) + 0.5
-    expected_stats = RunningStats(start_mean.copy(), start_var.copy())
-    expected = reference_batch_norm_train(x, gamma, beta, expected_stats)
-    stats = RunningStats(start_mean.copy(), start_var.copy())
-    out, _, _ = batch_norm_arrays(x, gamma, beta, stats)
+    expected, expected_mean, expected_var = reference_batch_norm_train(x, gamma, beta, start_mean, start_var)
+    mean, var = start_mean.copy(), start_var.copy()
+    out, _, _ = batch_norm_arrays(x, gamma, beta, mean, var, "update")
     assert np.array_equal(out, expected)
-    assert np.array_equal(stats.mean, expected_stats.mean)
-    assert np.array_equal(stats.var, expected_stats.var)
+    assert np.array_equal(mean, expected_mean)
+    assert np.array_equal(var, expected_var)
+    batched, _, _ = batch_norm_arrays(x, gamma, beta, mean, var, "batch")
+    assert np.array_equal(batched, expected)
+    assert np.array_equal(mean, expected_mean) and np.array_equal(var, expected_var)
 
 
 _DEFAULT = AugmentParams()

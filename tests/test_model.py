@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lifelong_tta.autodiff import Tape, backward, softmax, softmax_entropy_mean
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
+from lifelong_tta.model import MlpClassifier, batch_norm_arrays, bn_affine_filter, param_mask
 
 
 def test_init_is_deterministic():
@@ -76,31 +76,44 @@ def test_zero_final_layer_gives_uniform_softmax():
     for name in ("out.weight", "out.bias"):
         model.views(values)[name][...] = 0.0
     model.load(values)
-    probs = softmax(model.forward(np.random.default_rng(0).random((6, 3))))
+    probs = softmax(model.forward(np.random.default_rng(0).random((6, 3)), "update"))
     assert np.abs(probs - 0.25).max() < 1e-12
 
 
 def test_eval_forward_is_pure_and_deterministic():
     model = MlpClassifier((4, 6, 3), seed=3)
-    model.set_bn_mode("eval")
     x = np.random.default_rng(1).random((5, 4))
-    before_mean = model.stats[0].mean.copy()
-    a = model.forward(x)
-    b = model.forward(x)
+    before_mean = model.running["hidden0.running_mean"].copy()
+    a = model.forward(x, "eval")
+    b = model.forward(x, "eval")
     assert np.array_equal(a, b)
-    assert np.array_equal(model.stats[0].mean, before_mean)
+    assert np.array_equal(model.running["hidden0.running_mean"], before_mean)
 
 
 def test_train_forward_updates_running_stats():
     model = MlpClassifier((4, 6, 3), seed=3)
     x = np.random.default_rng(2).random((8, 4))
-    model.set_bn_mode("eval")
-    eval_before = model.forward(x)
-    model.set_bn_mode("train")
-    model.forward(x)
-    model.set_bn_mode("eval")
-    eval_after = model.forward(x)
+    eval_before = model.forward(x, "eval")
+    model.forward(x, "update")
+    eval_after = model.forward(x, "eval")
     assert not np.array_equal(eval_before, eval_after)
+
+
+def test_update_forward_writes_the_arrays_state_arrays_returned():
+    # the running statistics are updated in place, so an array taken from
+    # state_arrays() before an "update" forward holds the new statistic after it
+    model = MlpClassifier((4, 6, 3), seed=3)
+    x = np.random.default_rng(2).random((8, 4))
+    held = model.state_arrays()
+    mean, var = held["hidden0.running_mean"], held["hidden0.running_var"]
+    linear = x @ model.params["hidden0.weight"] + model.params["hidden0.bias"]
+    model.forward(x, "update")
+    assert np.allclose(mean, 0.1 * linear.mean(axis=0), rtol=1e-12, atol=0.0)
+    assert np.allclose(var, 0.9 + 0.1 * linear.var(axis=0, ddof=1), rtol=1e-12, atol=0.0)
+    model.taped_forward(x, Tape())
+    assert np.array_equal(mean, model.state_arrays()["hidden0.running_mean"])
+    assert np.array_equal(var, model.state_arrays()["hidden0.running_var"])
+    assert not np.allclose(mean, 0.1 * linear.mean(axis=0), rtol=1e-12, atol=0.0)
 
 
 def test_flatten_load_round_trip_is_bit_identical():
@@ -115,7 +128,7 @@ def test_flatten_load_round_trip_is_bit_identical():
 def test_load_zeros_gives_constant_logits_per_row():
     model = MlpClassifier((4, 6, 3), seed=5)
     model.load(np.zeros(model.theta.size))
-    logits = model.forward(np.random.default_rng(3).random((4, 4)), update_stats=False)
+    logits = model.forward(np.random.default_rng(3).random((4, 4)), "batch")
     assert np.abs(logits - logits[:, :1]).max() < 1e-12
 
 
@@ -155,27 +168,26 @@ def test_clone_is_independent():
     model = MlpClassifier((4, 6, 3), seed=0)
     twin = model.clone()
     twin.params["out.bias"][0] += 5.0
-    twin.stats[0].mean[0] += 1.0
+    twin.running["hidden0.running_mean"][0] += 1.0
     assert model.params["out.bias"][0] != twin.params["out.bias"][0]
-    assert model.stats[0].mean[0] != twin.stats[0].mean[0]
+    assert model.running["hidden0.running_mean"][0] != twin.running["hidden0.running_mean"][0]
 
 
 def test_clone_views_its_own_theta_and_copies_every_value():
     model = MlpClassifier((4, 6, 5, 3), seed=4)
-    model.forward(np.random.default_rng(0).random((6, 4)))  # move the stats
-    model.set_bn_mode("eval")
+    model.forward(np.random.default_rng(0).random((6, 4)), "update")  # move the stats
     twin = model.clone()
-    assert twin.sizes == model.sizes and twin.bn_mode == "eval"
+    assert twin.sizes == model.sizes
     assert np.array_equal(twin.theta, model.theta)
     assert list(twin.params) == list(model.params)
     for name, view in twin.params.items():
         assert np.shares_memory(view, twin.theta)
         assert not np.shares_memory(view, model.theta)
         assert np.array_equal(view, model.params[name])
-    for i, stats in model.stats.items():
-        assert np.array_equal(twin.stats[i].mean, stats.mean)
-        assert np.array_equal(twin.stats[i].var, stats.var)
-        assert not np.shares_memory(twin.stats[i].mean, stats.mean)
+    assert list(twin.running) == list(model.running)
+    for name, values in model.running.items():
+        assert np.array_equal(twin.running[name], values)
+        assert not np.shares_memory(twin.running[name], values)
     twin.theta += 1.0
     assert np.array_equal(twin.params["out.bias"], model.params["out.bias"] + 1.0)
 
@@ -191,28 +203,26 @@ def test_clone_views_its_own_theta_and_copies_every_value():
 def test_block_forward_equals_per_draw_and_taped_forwards(seed, b, draws, widths, classes):
     rng = np.random.default_rng(seed)
     model = MlpClassifier((9, *widths, classes), seed=seed % 1000)
-    model.forward(rng.random((b, 9)) * 3.0)  # running stats away from (0, 1)
+    model.forward(rng.random((b, 9)) * 3.0, "update")  # running stats away from (0, 1)
     x = rng.normal(0.5, 2.0, (draws * b, 9))
-    stats = {i: s.copy() for i, s in model.stats.items()}
+    running = {name: values.copy() for name, values in model.running.items()}
     batches = [x[k * b : (k + 1) * b] for k in range(draws)]
-    block = model.forward(x, update_stats=False, draws=draws)
+    block = model.forward(x, "batch", draws)
     assert block.shape == (draws * b, classes)
-    per_draw = [model.forward(batch, update_stats=False) for batch in batches]
-    taped = [model.taped_forward(batch, Tape(), update_stats=False)[0].data for batch in batches]
+    per_draw = [model.forward(batch, "batch") for batch in batches]
+    for name, values in running.items():  # no "batch" forward touched the running buffers
+        assert np.array_equal(model.running[name], values)
+    eval_block = model.forward(x, "eval", draws)
+    assert np.array_equal(eval_block, np.concatenate([model.forward(batch, "eval") for batch in batches]))
+    taped = [model.taped_forward(batch, Tape())[0].data for batch in batches]
     assert np.array_equal(block, np.concatenate(per_draw))
     assert np.array_equal(block, np.concatenate(taped))
-    for i, s in stats.items():  # no forward above touched the running buffers
-        assert np.array_equal(model.stats[i].mean, s.mean)
-        assert np.array_equal(model.stats[i].var, s.var)
-    model.set_bn_mode("eval")
-    eval_block = model.forward(x, draws=draws)
-    assert np.array_equal(eval_block, np.concatenate([model.forward(batch) for batch in batches]))
 
 
-def loop_oracle_logits(model, x):
+def loop_oracle_logits(model, x, bn):
     """Logits by explicit loops over rows, features and inputs: each linear
-    output a running sum, batch norm by the batch's biased statistics (train)
-    or the running ones (eval), then max(0, .)."""
+    output a running sum, batch norm by the batch's biased statistics
+    ("batch") or the running ones ("eval"), then max(0, .)."""
     p = model.params
     rows = [list(row) for row in x]
     for i in range(model.n_hidden):
@@ -220,11 +230,11 @@ def loop_oracle_logits(model, x):
         z = [[b[o] + sum(row[k] * w[k, o] for k in range(w.shape[0])) for o in range(w.shape[1])] for row in rows]
         for o in range(w.shape[1]):
             column = [zr[o] for zr in z]
-            if model.bn_mode == "train":
+            if bn == "batch":
                 mean = sum(column) / len(column)
                 var = sum((v - mean) ** 2 for v in column) / len(column)
             else:
-                mean, var = model.stats[i].mean[o], model.stats[i].var[o]
+                mean, var = model.running[f"hidden{i}.running_mean"][o], model.running[f"hidden{i}.running_var"][o]
             for zr in z:
                 normed = p[f"hidden{i}.gamma"][o] * (zr[o] - mean) / np.sqrt(var + 1e-5)
                 zr[o] = max(0.0, normed + p[f"hidden{i}.beta"][o])
@@ -233,23 +243,22 @@ def loop_oracle_logits(model, x):
     return np.array([[b[o] + sum(row[k] * w[k, o] for k in range(w.shape[0])) for o in range(w.shape[1])] for row in rows])
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("mode", [pytest.param("batch", id="train"), "eval"])  # "train": batch statistics
 def test_forward_matches_loop_oracle(mode):
     rng = np.random.default_rng(5)
     model = MlpClassifier((4, 6, 5, 3), seed=2)
-    model.forward(rng.random((8, 4)) * 3.0)  # running stats away from (0, 1)
-    model.set_bn_mode(mode)
+    model.forward(rng.random((8, 4)) * 3.0, "update")  # running stats away from (0, 1)
     x = rng.normal(0.5, 2.0, (7, 4))
-    assert np.abs(model.forward(x, update_stats=False) - loop_oracle_logits(model, x)).max() < 1e-10
+    assert np.abs(model.forward(x, mode) - loop_oracle_logits(model, x, mode)).max() < 1e-10
     # a layer whose every ReLU is off passes only the head's bias on
     model.params["hidden1.gamma"][...] = 0.0
     model.params["hidden1.beta"][...] = -1.0
-    logits = model.forward(x, update_stats=False)
+    logits = model.forward(x, mode)
     assert np.array_equal(logits, np.broadcast_to(model.params["out.bias"], logits.shape))
-    assert np.array_equal(logits, loop_oracle_logits(model, x))
+    assert np.array_equal(logits, loop_oracle_logits(model, x, mode))
     for bad in (x[:, :3], x[None], x[0]):
         with pytest.raises(ValueError):
-            model.forward(bad, update_stats=False)
+            model.forward(bad, mode)
         with pytest.raises(ValueError):
             model.taped_forward(bad, Tape())
 
@@ -257,22 +266,21 @@ def test_forward_matches_loop_oracle(mode):
 def test_taped_forward_equals_train_forward_and_records_one_node():
     rng = np.random.default_rng(6)
     model = MlpClassifier((9, 7, 5, 4), seed=3)
-    model.forward(rng.random((8, 9)) * 3.0)  # running stats away from (0, 1)
+    model.forward(rng.random((8, 9)) * 3.0, "update")  # running stats away from (0, 1)
     # a unit whose batch-norm output is exactly 0: ReLU's gradient there is 0
     model.params["hidden0.gamma"][2] = 0.0
     model.params["hidden0.beta"][2] = 0.0
     x = np.asfortranarray(rng.normal(0.5, 2.0, (6, 9)))
     twin = model.clone()
-    expected = twin.forward(x, update_stats=True)
+    expected = twin.forward(x, "update")
     tape = Tape()
     logits, params = model.taped_forward(x, tape)
     assert len(tape) == 1
     assert tape.nodes[0].inputs == (params,) and tape.nodes[0].output is logits
     assert params.data is model.theta
     assert np.array_equal(logits.data, expected)
-    for i, stats in twin.stats.items():
-        assert np.array_equal(model.stats[i].mean, stats.mean)
-        assert np.array_equal(model.stats[i].var, stats.var)
+    for name, values in twin.running.items():
+        assert np.array_equal(model.running[name], values)
     loss = softmax_entropy_mean(logits, tape)
     grads = model.views(backward(loss, tape)[params])
     assert grads["hidden0.gamma"][2] == 0.0 and grads["hidden0.beta"][2] == 0.0
@@ -293,30 +301,36 @@ def test_each_forward_checks_theta_once(monkeypatch):
     model.taped_forward(x, Tape())
     assert sum(passes) == 1
     passes.clear()
-    model.forward(x)
+    model.forward(x, "update")
     assert sum(passes) == 1
     monkeypatch.undo()
     model.theta[5] = np.inf
     with pytest.raises(FloatingPointError):
         model.taped_forward(x, Tape())
     with pytest.raises(FloatingPointError, match="parameters"):
-        model.forward(x)
+        model.forward(x, "update")
 
 
 def test_block_forward_refuses_to_update_stats_and_ragged_blocks():
     model = MlpClassifier((4, 6, 3), seed=0)
     x = np.random.default_rng(0).random((8, 4))
-    mean, var = model.stats[0].mean.copy(), model.stats[0].var.copy()
+    running = {name: values.copy() for name, values in model.running.items()}
+    with pytest.raises(ValueError, match="only a single batch"):
+        model.forward(x, "update", 2)
+    for bn in ("train", "Eval", None):
+        with pytest.raises(ValueError, match="unknown BN mode"):
+            model.forward(x, bn)
+        with pytest.raises(ValueError, match="unknown BN mode"):
+            batch_norm_arrays(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), bn)
     with pytest.raises(ValueError):
-        model.forward(x, draws=2)  # train mode updates the stats by default
+        model.forward(x, "batch", 3)
     with pytest.raises(ValueError):
-        model.forward(x, update_stats=False, draws=3)
-    with pytest.raises(ValueError):
-        model.forward(x, update_stats=False, draws=0)
-    assert np.array_equal(model.stats[0].mean, mean) and np.array_equal(model.stats[0].var, var)
+        model.forward(x, "batch", 0)
+    for name, values in running.items():
+        assert np.array_equal(model.running[name], values)
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("mode", [pytest.param("batch", id="train"), "eval"])  # "train": batch statistics
 @pytest.mark.parametrize(
     "where, name, value",
     [
@@ -329,44 +343,41 @@ def test_block_forward_refuses_to_update_stats_and_ragged_blocks():
 )
 def test_forward_rejects_non_finite_input_and_parameters(mode, where, name, value):
     model = MlpClassifier((4, 6, 3), seed=0)
-    model.set_bn_mode(mode)
     x = np.random.default_rng(0).random((6, 4))
     if where == "input":
         x[2, 1] = value
     else:
         model.params[name].flat[0] = value
     with pytest.raises(FloatingPointError):
-        model.forward(x, update_stats=False)
+        model.forward(x, mode)
     with pytest.raises(FloatingPointError):
-        model.forward(np.concatenate([x, x]), update_stats=False, draws=2)
+        model.forward(np.concatenate([x, x]), mode, 2)
 
 
 def test_forward_rejects_an_overflowing_linear_output():
     model = MlpClassifier((4, 6, 3), seed=0)
     model.params["hidden0.weight"][...] = 1e308
     with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
-        model.forward(np.full((6, 4), 10.0), update_stats=False)
+        model.forward(np.full((6, 4), 10.0), "batch")
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = MlpClassifier((4, 6, 3), seed=11)
-    model.forward(np.random.default_rng(0).random((6, 4)))  # move the stats
+    model.forward(np.random.default_rng(0).random((6, 4)), "update")  # move the stats
     path = tmp_path / "model.ptta"
     model.save(path)
     loaded = MlpClassifier.load_checkpoint(path, model.sizes)
     assert loaded.sizes == model.sizes
     assert np.array_equal(loaded.flatten(), model.flatten())
-    for i in model.stats:
-        assert np.array_equal(loaded.stats[i].mean, model.stats[i].mean)
-        assert np.array_equal(loaded.stats[i].var, model.stats[i].var)
+    for name, values in model.running.items():
+        assert np.array_equal(loaded.running[name], values)
 
 
 def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
     # the loaded model is built from the entries alone: no constructor call,
     # so no random initialization to draw and then overwrite
     model = MlpClassifier((4, 6, 5, 3), seed=12)
-    model.forward(np.random.default_rng(1).random((6, 4)))  # move the stats
-    model.set_bn_mode("eval")
+    model.forward(np.random.default_rng(1).random((6, 4)), "update")  # move the stats
     path = tmp_path / "model.ptta"
     model.save(path)
 
@@ -375,17 +386,16 @@ def test_checkpoint_load_draws_no_random_init(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MlpClassifier, "__init__", no_init)
     loaded = MlpClassifier.load_checkpoint(path, model.sizes)
-    assert loaded.sizes == model.sizes and loaded.bn_mode == "train"
+    assert loaded.sizes == model.sizes
     assert np.array_equal(loaded.theta, model.theta)
     for name, view in loaded.params.items():
         assert np.shares_memory(view, loaded.theta)
         assert np.array_equal(view, model.params[name])
-    for i in model.stats:
-        assert np.array_equal(loaded.stats[i].mean, model.stats[i].mean)
-        assert np.array_equal(loaded.stats[i].var, model.stats[i].var)
+    for name, values in model.running.items():
+        assert np.array_equal(loaded.running[name], values)
+        assert not np.shares_memory(loaded.running[name], values)
     x = np.random.default_rng(2).random((5, 4))
-    loaded.set_bn_mode("eval")
-    assert np.array_equal(loaded.forward(x), model.forward(x))
+    assert np.array_equal(loaded.forward(x, "eval"), model.forward(x, "eval"))
 
 
 @pytest.mark.parametrize(
