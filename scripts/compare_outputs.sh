@@ -14,8 +14,10 @@
 # petal_fim and cotta with adapt values read from a config file (pi, delta
 # and an augment magnitude), then source and bn_adapt at the default 25
 # batches per segment, so a full stream of running-statistic updates (100
-# steps) is compared. The resolved --dump-config of each config file is
-# compared too. Both sides write under the same relative paths, so paths
+# steps) is compared, then a train-source whose source section sets every
+# field away from its default (epochs, swag_epochs, momentum, batch_size,
+# shuffle_seed). The resolved --dump-config of each config file is compared
+# too. Both sides write under the same relative paths, so paths
 # recorded inside the outputs compare equal. The differing files go to stdout
 # and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or
 # exists on one side only.
@@ -63,8 +65,11 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         echo '{"seeds": [0]}' > default_length.json
         python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length --method source,bn_adapt \
             > /dev/null
+        echo '{"source": {"epochs": 4, "swag_epochs": 2, "momentum": 0.5, "batch_size": 32, "shuffle_seed": 3}}' \
+            > source.json
+        python3 -m lifelong_tta train-source --config source.json --out runs/source_file > /dev/null
         mkdir -p runs/configs
-        for config in tiny two adapt; do
+        for config in tiny two adapt source; do
             python3 -m lifelong_tta adapt --config "$config.json" --dump-config > "runs/configs/$config.json"
         done
         find runs -type f | LC_ALL=C sort | xargs sha256sum

@@ -116,6 +116,8 @@ def _from_dict(cls, data, path="config"):
             kwargs[name] = _from_dict(type(default), value, f"{path}.{name}")
             continue
         _check_leaf(value, default, f"{path}.{name}")
+        if type(default) is float:  # stored as a float, as the flag spelling gives it
+            value = float(value)
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -176,6 +178,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"config.model.sizes must start with the {IMAGE_SIDE**2} pixels of an image, got {sizes}")
     if sizes[-1] < N_CLASSES:
         raise ValueError(f"config.model.sizes must end with at least the {N_CLASSES} classes, got {sizes}")
+    if cfg.source.swag_epochs > cfg.source.epochs:
+        raise ValueError(
+            f"config.source.swag_epochs must be at most config.source.epochs ({cfg.source.epochs}),"
+            f" got {cfg.source.swag_epochs}"
+        )
     if not cfg.schedule.kinds:
         raise ValueError("config.schedule.kinds must be non-empty")
     for kind in cfg.schedule.kinds:
@@ -242,7 +249,7 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     dataset = make_source_dataset(cfg.dataset.seed, cfg.dataset.n_per_class)
     model = MlpClassifier(cfg.model.sizes, seed=cfg.model.init_seed)
-    posterior, history = train_source(
+    posterior, train_accuracy = train_source(
         model,
         dataset.images.reshape(len(dataset), -1),
         dataset.labels,
@@ -261,7 +268,7 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
     clean = evaluate_model(probe, eval_set.images, eval_set.labels)
     summary = {
         "epochs": cfg.source.epochs,
-        "final_train_accuracy": history[-1]["train_accuracy"],
+        "final_train_accuracy": train_accuracy,
         "clean_test_error": clean.error,
         "model_checkpoint": str(out / MODEL_CHECKPOINT),
         "posterior_checkpoint": str(out / POSTERIOR_CHECKPOINT),
@@ -462,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_adapt)
     p_adapt.add_argument(
         "--method",
-        default="petal",
-        help="comma-separated method names: "
+        help="comma-separated method names (default: the config's adapt.method): "
         + ",".join(sorted(set(ADAPT_METHODS + BASELINE_METHODS) | set(METHOD_VARIANTS))),
     )
     p_adapt.add_argument("--seeds", help="comma-separated integer seeds")
@@ -503,7 +509,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
                 return 0
             if args.command == "adapt":
-                methods = [m.strip() for m in args.method.split(",") if m.strip()]
+                names = cfg.adapt.method if args.method is None else args.method
+                methods = [m.strip() for m in names.split(",") if m.strip()]
                 if not methods or len(set(methods)) != len(methods):
                     raise ValueError(f"--method must name distinct methods, got {args.method!r}")
                 for name in methods:

@@ -52,7 +52,6 @@ class CorruptionSpec:
 class SyntheticDataset:
     images: Array  # (N, 8, 8) in [0, 1]
     labels: Array  # (N,) ints in 0..7
-    seed: int
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -127,7 +126,7 @@ def make_source_dataset(seed: int, n_per_class: int) -> SyntheticDataset:
     images = images + rng.normal(0.0, 0.02, images.shape)
     images = np.clip(images, 0.0, 1.0)
     order = rng.permutation(images.shape[0])
-    return SyntheticDataset(images=images[order], labels=labels[order], seed=seed)
+    return SyntheticDataset(images=images[order], labels=labels[order])
 
 
 # ---------------------------------------------------------------------------

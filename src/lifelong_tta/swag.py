@@ -5,8 +5,10 @@ the fitted posterior holds the mean ``mu`` (the maximum-a-posteriori
 initialization) and the variances ``sigma2`` as plain vectors in the model's
 theta layout, and saves and loads them as a checkpoint through the model's
 ``views``. Its log-density is ``autodiff.gaussian_log_density`` of the
-model's theta tensor over ``mu``/``sigma2``; ``train_source`` reads each SGD
-step's gradient off the tape as one theta vector. Variances are floored at
+model's theta tensor over ``mu``/``sigma2``. ``train_source`` reads each SGD
+step's gradient off the tape as one theta vector; it returns the fitted
+posterior and the trained model's eval-mode accuracy on its training set,
+the one training number ``train-source`` reports. Variances are floored at
 1e-8 so that density stays finite and its gradient bounded even when few
 iterates were collected.
 """
@@ -101,26 +103,24 @@ def train_source(
     *,
     epochs: int,
     lr: float,
-    momentum: float = 0.9,
-    batch_size: int = 64,
-    swag_epochs: int = 5,
+    momentum: float,
+    batch_size: int,
+    swag_epochs: int,
     rng: np.random.Generator,
-) -> tuple[SwagDiagPosterior, list[dict]]:
+) -> tuple[SwagDiagPosterior, float]:
     """SGD-with-momentum training on clean data, collecting one posterior
     iterate at the end of each of the final ``swag_epochs`` epochs.
 
     ``images`` is (N, input_dim) in [0, 1]; ``labels`` is (N,) class ids.
-    Returns the fitted posterior and per-epoch loss/accuracy history.
+    Returns the fitted posterior and the trained model's eval-mode accuracy
+    on ``images``, from one forward after the last epoch.
     """
     n = images.shape[0]
-    n_classes = model.sizes[-1]
-    targets = one_hot(labels, n_classes)
+    targets = one_hot(labels, model.sizes[-1])
     estimator = SwagDiagEstimator(model.theta.size)
     velocity = np.zeros(model.theta.size)
-    history: list[dict] = []
     for epoch in range(epochs):
         order = rng.permutation(n)
-        losses = []
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             if idx.size < 2:
@@ -133,15 +133,8 @@ def train_source(
                 raise RuntimeError(f"training diverged at epoch {epoch}") from exc
             velocity = momentum * velocity + backward(loss, tape)[params]
             model.theta -= lr * velocity
-            losses.append(loss.item())
         if epoch >= epochs - swag_epochs:
             estimator.collect(model.flatten())
-        preds = softmax(model.forward(images, "eval")).argmax(axis=1)
-        history.append(
-            {
-                "epoch": epoch,
-                "loss": float(np.mean(losses)) if losses else float("nan"),
-                "train_accuracy": float((preds == labels).mean()),
-            }
-        )
-    return estimator.finalize(), history
+    posterior = estimator.finalize()
+    preds = softmax(model.forward(images, "eval")).argmax(axis=1)
+    return posterior, float((preds == labels).mean())

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong_tta.autodiff import softmax
 from lifelong_tta.checkpoint import write_checkpoint
 from lifelong_tta.cli import (
     MODEL_CHECKPOINT,
@@ -36,6 +37,7 @@ from lifelong_tta.cli import (
 )
 from lifelong_tta.engine import PetalConfig
 from lifelong_tta.model import MlpClassifier
+from lifelong_tta.streams import make_source_dataset
 from lifelong_tta.swag import SwagDiagPosterior
 
 
@@ -126,6 +128,7 @@ BAD_CONFIG_TYPES = {
     "delta_negative": {"adapt": {"delta": -0.1}},
     "alpha_past_float_range": {"adapt": {"alpha": 10**400}},
     "source_lr_past_float_range": {"source": {"lr": 10**400}},
+    "swag_epochs_above_epochs": {"source": {"epochs": 2, "swag_epochs": 5}},
 }
 
 
@@ -163,7 +166,8 @@ def test_cli_refuses_removed_adapt_keys(tmp_path, capsys, key, value):
 
 
 def test_config_type_check_accepts_ints_as_floats_and_null_order_seed():
-    assert config_from_dict({"adapt": {"tau": 1, "alpha": 0}}).adapt.tau == 1.0
+    adapt = config_from_dict({"adapt": {"tau": 1, "alpha": 0}}).adapt
+    assert adapt.tau == 1.0 and type(adapt.tau) is float and type(adapt.alpha) is float
     assert config_from_dict({"schedule": {"order_seed": None}}).schedule.order_seed is None
     assert config_from_dict({"schedule": {"order_seed": 3}}).schedule.order_seed == 3
     assert config_from_dict({"seeds": [7, 8]}).seeds == (7, 8)
@@ -194,6 +198,16 @@ def test_train_source_writes_checkpoints(trained_dir):
     assert summary["final_train_accuracy"] >= 0.9
 
 
+def test_final_train_accuracy_is_the_saved_models_train_set_accuracy(trained_dir):
+    out, cfg = trained_dir
+    summary = json.loads((out / "train_summary.json").read_text())
+    model = MlpClassifier.load_checkpoint(out / MODEL_CHECKPOINT, cfg.model.sizes)
+    dataset = make_source_dataset(cfg.dataset.seed, cfg.dataset.n_per_class)
+    logits = model.forward(dataset.images.reshape(len(dataset), -1), "eval")
+    preds = softmax(logits).argmax(axis=1)
+    assert summary["final_train_accuracy"] == float((preds == dataset.labels).mean())
+
+
 def test_train_source_with_zero_epochs_errors(tmp_path):
     cfg = dataclasses.replace(tiny_config(tmp_path), source=SourceTrainConfig(epochs=0))
     with pytest.raises(RuntimeError, match="no iterates collected"):
@@ -208,6 +222,56 @@ def test_cli_refuses_zero_source_epochs_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: config.source.epochs must be >= 1, got 0\n"
     assert not out.exists()
+
+
+def test_swag_epochs_may_equal_epochs_but_not_exceed_them():
+    assert config_from_dict({"source": {"epochs": 5, "swag_epochs": 5}}).source.swag_epochs == 5
+    with pytest.raises(ValueError) as info:
+        config_from_dict({"source": {"epochs": 2, "swag_epochs": 5}})
+    assert str(info.value) == "config.source.swag_epochs must be at most config.source.epochs (2), got 5"
+
+
+def _copy_checkpoints(out, run):
+    run.mkdir()
+    for leaf in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
+        shutil.copy(Path(out) / leaf, run / leaf)
+
+
+def test_adapt_runs_the_config_method_without_method_flag(trained_dir, tmp_path, capsys):
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(run)))
+    doc["adapt"]["method"] = "tent"
+    config_path = tmp_path / "tent.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == f"{run / 'tent' / 'seed0'}\n"
+    assert sorted(p.name for p in run.iterdir()) == sorted([MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT, "tent"])
+    report = json.loads((run / "tent" / "seed0" / "report.json").read_text())
+    assert report["method"] == "tent" and report["experiment"]["adapt"]["method"] == "tent"
+
+
+def test_integer_in_a_float_field_writes_the_flags_report(trained_dir, tmp_path, capsys):
+    # {"alpha": 0} in the file and --alpha 0 are one run: same report bytes
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    doc = config_to_dict(dataclasses.replace(cfg, out_dir=str(run)))
+    flag_path = tmp_path / "flag.json"
+    flag_path.write_text(json.dumps(doc), encoding="utf-8")
+    doc["adapt"]["alpha"] = 0
+    file_path = tmp_path / "file.json"
+    file_path.write_text(json.dumps(doc), encoding="utf-8")
+    written = []
+    for args in (["--config", str(file_path)], ["--config", str(flag_path), "--alpha", "0"]):
+        assert main(["adapt", *args, "--method", "petal"]) == 0
+        written.append((run / "petal" / "seed0" / "report.json").read_bytes())
+        assert main(["adapt", *args, "--dump-config"]) == 0
+    assert written[0] == written[1]
+    assert b'"alpha": 0.0' in written[0]
+    dumps = capsys.readouterr().out
+    assert dumps.count('"alpha": 0.0,') == 2
 
 
 def test_adapt_without_checkpoints_errors(tmp_path):

@@ -52,6 +52,8 @@ def small_bundle():
         dataset.labels,
         epochs=12,
         lr=0.05,
+        momentum=0.9,
+        batch_size=64,
         swag_epochs=5,
         rng=np.random.default_rng(1),
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density
+from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density, softmax
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior, train_source
@@ -224,24 +224,65 @@ def test_train_source_reports_divergence():
             ds.labels,
             epochs=4,
             lr=1e200,
-            swag_epochs=1,
+            momentum=0.9,
             batch_size=16,
+            swag_epochs=1,
             rng=np.random.default_rng(0),
         )
 
 
+def _train_set_loss(model, images, labels):
+    """Mean cross-entropy of ``model``'s eval-mode logits on the training set."""
+    probs = softmax(model.forward(images, "eval"))
+    return float(-np.log(probs[np.arange(labels.size), labels]).mean())
+
+
 def test_train_source_collects_one_iterate_per_final_epoch():
     ds = make_source_dataset(2, 12)
+    images = ds.images.reshape(len(ds), -1)
     model = MlpClassifier((64, 16, 8), seed=1)
-    post, history = train_source(
+    before = _train_set_loss(model, images, ds.labels)
+    post, _ = train_source(
         model,
-        ds.images.reshape(len(ds), -1),
+        images,
         ds.labels,
         epochs=6,
         lr=0.05,
+        momentum=0.9,
+        batch_size=64,
         swag_epochs=3,
         rng=np.random.default_rng(0),
     )
     assert post.count == 3
-    assert len(history) == 6
-    assert history[-1]["loss"] < history[0]["loss"]
+    assert _train_set_loss(model, images, ds.labels) < before
+
+
+def test_train_source_runs_one_untaped_forward(monkeypatch):
+    # the accuracy train_source returns is its only untaped forward: one
+    # eval-mode pass over the training set after the last epoch
+    ds = make_source_dataset(2, 12)
+    images = ds.images.reshape(len(ds), -1)
+    model = MlpClassifier((64, 16, 8), seed=1)
+    calls = []
+    forward = MlpClassifier.forward
+
+    def counted(self, x, bn, draws=1):
+        calls.append((bn, x.shape[0]))
+        return forward(self, x, bn, draws)
+
+    monkeypatch.setattr(MlpClassifier, "forward", counted)
+    _, train_accuracy = train_source(
+        model,
+        images,
+        ds.labels,
+        epochs=6,
+        lr=0.05,
+        momentum=0.9,
+        batch_size=64,
+        swag_epochs=3,
+        rng=np.random.default_rng(0),
+    )
+    assert calls == [("eval", len(ds))]
+    monkeypatch.undo()
+    preds = softmax(model.forward(images, "eval")).argmax(axis=1)
+    assert train_accuracy == float((preds == ds.labels).mean())
