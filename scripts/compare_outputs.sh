@@ -12,9 +12,11 @@
 # and rebuilt across segments, then petal_fim and cotta at alpha = 0, where
 # petal's objective takes no posterior anchor and equals cotta's, then
 # petal_fim and cotta with adapt values read from a config file (pi, delta
-# and an augment magnitude), then source and bn_adapt at the default 25
-# batches per segment, so a full stream of running-statistic updates (100
-# steps) is compared, then a train-source whose source section sets every
+# and an augment magnitude), then source, bn_adapt, tent and pseudo_label,
+# and petal_fim with the gate shut (--tau 0), at the default 25 batches per
+# segment, so a full stream (100 steps each) of running-statistic updates,
+# BN-affine-only backwards, Adam steps, EMA updates and posterior anchors
+# is compared, then a train-source whose source section sets every
 # field away from its default (epochs, swag_epochs, momentum, batch_size,
 # shuffle_seed). The resolved --dump-config of each config file is compared
 # too. Both sides write under the same relative paths, so paths
@@ -63,8 +65,12 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/default_length
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length/
         echo '{"seeds": [0]}' > default_length.json
-        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length --method source,bn_adapt \
-            > /dev/null
+        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length \
+            --method source,bn_adapt,tent,pseudo_label > /dev/null
+        mkdir -p runs/default_length_tau0
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length_tau0/
+        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length_tau0 --method petal_fim \
+            --tau 0 > /dev/null
         echo '{"source": {"epochs": 4, "swag_epochs": 2, "momentum": 0.5, "batch_size": 32, "shuffle_seed": 3}}' \
             > source.json
         python3 -m lifelong_tta train-source --config source.json --out runs/source_file > /dev/null

@@ -3,7 +3,9 @@
 Implements only what the self-training objectives add to the model, which
 records its whole forward as one node on theta: softmax-based losses against
 constant array targets, a diagonal-Gaussian log-density of the parameter
-vector, and scalar combination. Each op records itself on the ``Tape`` it
+vector (whose constant per-piece normalizer sums, ``log_normalizers``, the
+caller computes once per posterior and passes in), and
+scalar combination. Each op records itself on the ``Tape`` it
 is given; ``backward`` replays the tape in reverse and accumulates a gradient per
 tensor, and every tensor on a tape is differentiated.
 
@@ -158,11 +160,19 @@ def softmax_entropy_mean(logits: Tensor, tape: Tape) -> Tensor:
     return out
 
 
+def log_normalizers(sigma2: Array, pieces: Sequence[slice]) -> tuple[float, ...]:
+    """The constant part of ``gaussian_log_density``: for each slice of
+    ``pieces``, in order, -0.5 * sum log(2 pi sigma2_i) over it."""
+    log_norm = np.log(2.0 * math.pi * sigma2)
+    return tuple(float(-0.5 * log_norm[piece].sum()) for piece in pieces)
+
+
 def gaussian_log_density(
     theta: Tensor,
     mu: Array,
     sigma2: Array,
     pieces: Sequence[slice],
+    normalizers: Sequence[float],
     tape: Tape,
 ) -> Tensor:
     """Independent-Gaussian log-density of the vector ``theta``.
@@ -171,20 +181,25 @@ def gaussian_log_density(
     with gradient -(theta - mu) / sigma2. The value is accumulated one slice
     of ``pieces`` at a time, in order: the slice's quadratic sum, then its
     normalizer sum (the model's ``pieces`` are one slice per parameter tensor).
+    ``normalizers`` are those sums, ``log_normalizers(sigma2, pieces)``, which
+    a caller that holds ``sigma2`` fixed computes once.
     """
     if theta.shape != mu.shape or theta.shape != sigma2.shape or theta.data.ndim != 1:
         raise ValueError("gaussian_log_density expects theta, mu and sigma2 vectors of one length")
     diff = theta.data - mu
-    quad = diff * diff / (2.0 * sigma2)
-    log_norm = np.log(2.0 * math.pi * sigma2)
+    quad = diff * diff
+    quad /= 2.0 * sigma2
     total = 0.0
-    for piece in pieces:
+    for piece, normalizer in zip(pieces, normalizers, strict=True):
         total += float(-quad[piece].sum())
-        total += float(-0.5 * log_norm[piece].sum())
+        total += normalizer
     out = Tensor(np.asarray(total))
 
     def grad_fn(g, diff=diff, sigma2=sigma2):
-        return (g * (-diff / sigma2),)
+        grad = np.negative(diff)
+        grad /= sigma2
+        grad *= g
+        return (grad,)
 
     tape.record("gaussian_log_density", (theta,), out, grad_fn)
     return out

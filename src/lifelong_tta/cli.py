@@ -244,9 +244,9 @@ def eval_dataset_seed(cfg: ExperimentConfig) -> int:
 
 
 def cmd_train_source(cfg: ExperimentConfig) -> dict:
-    """Train on the clean synthetic set and write model + posterior checkpoints."""
+    """Train on the clean synthetic set and write model + posterior checkpoints;
+    ``--out`` is made only once training has succeeded."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset = make_source_dataset(cfg.dataset.seed, cfg.dataset.n_per_class)
     model = MlpClassifier(cfg.model.sizes, seed=cfg.model.init_seed)
     posterior, train_accuracy = train_source(
@@ -260,6 +260,7 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
         swag_epochs=cfg.source.swag_epochs,
         rng=np.random.Generator(np.random.PCG64(cfg.source.shuffle_seed)),
     )
+    out.mkdir(parents=True, exist_ok=True)
     model.save(out / MODEL_CHECKPOINT)
     posterior.save(out / POSTERIOR_CHECKPOINT, model)
     eval_set = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)

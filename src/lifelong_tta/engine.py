@@ -23,7 +23,13 @@ the teacher. The Adam state covers only the coordinates a method trains
 ``tent``/``pseudo_label``, so their Adam moments and step touch 2 x width
 entries per hidden layer and nothing else; all of theta, as a view, for
 ``petal``/``cotta``, whose restore works on theta-length vectors and leaves
-the moments alone.
+the moments alone. A step computes only what its update reads: the
+BN-affine-only methods run the model's ``affine_only`` backward, which forms
+no weight or bias gradient; ``adam_delta`` and ``ema_update`` update the
+moments and the teacher in place, with the operations and order of their
+textbook expressions and so with those expressions' bits; and ``petal``'s
+run state holds the posterior's constant log-density normalizer sums, so a
+step computes only the anchor's quadratic part.
 
 The K draws run in blocks of four: per block, one ``augment`` call takes the
 random numbers draw by draw and runs each transform once over all four, and
@@ -65,6 +71,7 @@ from .autodiff import (
     Tape,
     backward,
     gaussian_log_density,
+    log_normalizers,
     soft_cross_entropy,
     softmax,
     softmax_entropy_mean,
@@ -267,13 +274,26 @@ class AdamState:
 
 
 def adam_delta(opt: AdamState, grad: Array, lr: float) -> Array:
-    """Advance the Adam moments and return the step to subtract."""
+    """Advance the Adam moments in place and return the step to subtract, a
+    new array. The operations and their order are those of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    lr m_hat / (sqrt(v_hat) + eps), so the bits are too; only the buffers
+    are reused."""
     opt.step += 1
-    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grad
-    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grad**2
-    m_hat = opt.m / (1.0 - ADAM_BETA1**opt.step)
-    v_hat = opt.v / (1.0 - ADAM_BETA2**opt.step)
-    return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
+    opt.m *= ADAM_BETA1
+    opt.m += scratch
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    opt.v *= ADAM_BETA2
+    opt.v += scratch
+    np.divide(opt.v, 1.0 - ADAM_BETA2**opt.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    delta = opt.m / (1.0 - ADAM_BETA1**opt.step)
+    delta *= lr
+    delta /= scratch
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +305,9 @@ class AdaptState:
     """What a run carries between steps. ``source_model`` (frozen, eval BN)
     is the only theta_0: the gate's weights and the restore target.
     ``teacher`` is None except for petal/cotta; ``opt``, the Adam moments of
-    the ``trained`` coordinates, is None for source/bn_adapt."""
+    the ``trained`` coordinates, is None for source/bn_adapt.
+    ``log_normalizers``, the posterior's constant log-density sums, is None
+    except for petal."""
 
     student: MlpClassifier
     teacher: MlpClassifier | None
@@ -295,6 +317,7 @@ class AdaptState:
     opt: AdamState | None
     rng_augment: np.random.Generator
     rng_restore: np.random.Generator
+    log_normalizers: tuple[float, ...] | None
 
 
 def init_adapt_state(
@@ -308,7 +331,9 @@ def init_adapt_state(
     """The frozen source model, the student and (for ``petal``/``cotta``) the
     teacher all start from the posterior mode, with zero Adam moments. The
     state draws augmentations from ``rng_augment`` and stochastic restores
-    from ``rng_restore``."""
+    from ``rng_restore``; for ``petal`` it holds the posterior's
+    ``log_normalizers``, so a step computes only the parameter-dependent part
+    of the anchor."""
     frozen_source = source_model.clone()
     frozen_source.load(posterior.mu)
     student = frozen_source.clone()
@@ -320,6 +345,7 @@ def init_adapt_state(
         trained = slice(None)
     # no moments for the methods that take no gradient step
     opt = None if cfg.method in FORWARD_ONLY_METHODS else AdamState.zeros(student.theta[trained].size)
+    normalizers = log_normalizers(posterior.sigma2, student.pieces) if cfg.method == "petal" else None
     return AdaptState(
         student=student,
         teacher=teacher,
@@ -329,6 +355,7 @@ def init_adapt_state(
         opt=opt,
         rng_augment=rng_augment,
         rng_restore=rng_restore,
+        log_normalizers=normalizers,
     )
 
 
@@ -388,10 +415,16 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
 
 
 def ema_update(teacher: MlpClassifier, student: MlpClassifier, pi: float) -> None:
-    """theta' <- pi * theta' + (1 - pi) * theta over trainables. The teacher's
-    BN running statistics are left alone: its ``"batch"`` forwards normalize
-    by batch statistics and never read or update them."""
-    teacher.theta[:] = pi * teacher.theta + (1.0 - pi) * student.theta
+    """theta' <- pi * theta' + (1 - pi) * theta over trainables, in place,
+    with the bits of that expression; a shape mismatch raises ``ValueError``
+    before anything is written. The teacher's BN running statistics are left
+    alone: its ``"batch"`` forwards normalize by batch statistics and never
+    read or update them."""
+    if teacher.theta.shape != student.theta.shape:
+        raise ValueError(f"teacher has {teacher.theta.size} parameters, student {student.theta.size}")
+    pulled = np.multiply(student.theta, 1.0 - pi)
+    teacher.theta *= pi
+    teacher.theta += pulled
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +502,20 @@ def _objective(
     cross-entropy to its targets: the teacher's ``pseudo`` rows, or for
     ``pseudo_label`` the one-hot argmax of its own prediction. ``petal`` with
     alpha != 0 subtracts alpha times the source-posterior log-density of the
-    student parameters, so ``cotta`` is ``petal`` at alpha = 0.
+    student parameters, so ``cotta`` is ``petal`` at alpha = 0. A method
+    without a teacher trains only the BN affine coordinates, so its backward
+    forms only their entries.
     """
-    logits, params = state.student.taped_forward(images, tape)
+    logits, params = state.student.taped_forward(images, tape, affine_only=state.teacher is None)
     if cfg.method == "tent":
         return softmax_entropy_mean(logits, tape), params, logits
     if cfg.method == "pseudo_label":
         pseudo = one_hot(softmax(logits.data).argmax(axis=1), logits.shape[1])
     loss = soft_cross_entropy(pseudo, logits, tape)
     if cfg.method == "petal" and cfg.alpha != 0.0:
-        log_q = gaussian_log_density(params, posterior.mu, posterior.sigma2, state.student.pieces, tape)
+        log_q = gaussian_log_density(
+            params, posterior.mu, posterior.sigma2, state.student.pieces, state.log_normalizers, tape
+        )
         loss = weighted_sum([(1.0, loss), (-cfg.alpha, log_q)], tape)
     return loss, params, logits
 

@@ -16,8 +16,12 @@ batch's into the running arrays, in place.
 ``taped_forward`` (one ``"update"`` batch) share one layer loop on plain
 arrays; ``taped_forward`` records the network as one tape node whose one
 input is a tensor over theta itself and whose backward, the MLP's own,
-returns the gradient as one vector in theta's layout. ``batch_norm_arrays``,
-BN's arithmetic, sits beside that backward, which reads its saved values.
+returns the gradient as one vector in theta's layout. ``affine_only`` limits
+that backward to the BN gamma/beta entries, the only ones ``tent`` and
+``pseudo_label`` train: it forms no weight or bias product, stops at the
+first layer's gamma/beta and leaves every other entry 0.0, so its entries
+are the full backward's bits. ``batch_norm_arrays``, BN's arithmetic, sits
+beside that backward, which reads its saved values.
 """
 
 from __future__ import annotations
@@ -128,18 +132,19 @@ class MlpClassifier:
         logits = self._logits(x.reshape(draws, -1, self.sizes[0]), bn)
         return _finite(logits.reshape(x.shape[0], -1), "logits")
 
-    def taped_forward(self, x, tape: Tape) -> tuple[Tensor, Tensor]:
+    def taped_forward(self, x, tape: Tape, affine_only: bool = False) -> tuple[Tensor, Tensor]:
         """``"update"``-mode logits of one batch, recorded on ``tape`` as one
         node whose one input is a tensor over ``theta`` (no copy) and whose
         backward is ``_backward``; returns (logits, that tensor). Building
-        that tensor is the one check that theta is finite."""
+        that tensor is the one check that theta is finite. With
+        ``affine_only`` the backward forms only the BN gamma/beta entries."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ValueError(f"expected input (B, {self.sizes[0]}), got {x.shape}")
         params = Tensor(self.theta)
         saved: list[tuple[Array, Array, Array]] = []
         logits = Tensor(self._logits(x, "update", saved))
-        tape.record("mlp", (params,), logits, lambda g: (self._backward(g, x, saved),))
+        tape.record("mlp", (params,), logits, lambda g: (self._backward(g, x, saved, affine_only),))
         return logits, params
 
     def _logits(self, h: Array, bn: str, saved: list | None = None) -> Array:
@@ -168,16 +173,20 @@ class MlpClassifier:
         logits += p["out.bias"]
         return logits
 
-    def _backward(self, g: Array, x: Array, saved: list) -> Array:
+    def _backward(self, g: Array, x: Array, saved: list, affine_only: bool = False) -> Array:
         """The gradient of one ``taped_forward`` call, as one vector in
         theta's layout, from the logits' gradient ``g``: per layer the
         head's, ReLU's, batch-statistics batch norm's and the linear map's backward.
-        The first layer's input gradient is never formed."""
+        The first layer's input gradient is never formed. With
+        ``affine_only`` the gamma/beta entries are the same bits, every other
+        entry is 0.0: no weight or bias product is formed, and the pass ends
+        at the first layer's gamma/beta."""
         p = self.params
-        grad = np.empty_like(self.theta)
+        grad = np.zeros(self.theta.size) if affine_only else np.empty_like(self.theta)
         grads = self.views(grad)
-        grads["out.weight"][...] = saved[-1][2].T @ g
-        grads["out.bias"][...] = g.sum(axis=0)
+        if not affine_only:
+            grads["out.weight"][...] = saved[-1][2].T @ g
+            grads["out.bias"][...] = g.sum(axis=0)
         g = g @ p["out.weight"].T
         n = x.shape[0]
         for i in reversed(range(self.n_hidden)):
@@ -185,10 +194,13 @@ class MlpClassifier:
             g = g * (out > 0.0)
             grads[f"hidden{i}.gamma"][...] = (g * x_hat).sum(axis=0)
             grads[f"hidden{i}.beta"][...] = g.sum(axis=0)
+            if affine_only and not i:
+                break
             g_hat = g * p[f"hidden{i}.gamma"]
             g = (inv_std / n) * (n * g_hat - g_hat.sum(axis=0) - x_hat * (g_hat * x_hat).sum(axis=0))
-            grads[f"hidden{i}.weight"][...] = (saved[i - 1][2] if i else x).T @ g
-            grads[f"hidden{i}.bias"][...] = g.sum(axis=0)
+            if not affine_only:
+                grads[f"hidden{i}.weight"][...] = (saved[i - 1][2] if i else x).T @ g
+                grads[f"hidden{i}.bias"][...] = g.sum(axis=0)
             if i:
                 g = g @ p[f"hidden{i}.weight"].T
         return grad

@@ -113,7 +113,9 @@ def train_source(
 
     ``images`` is (N, input_dim) in [0, 1]; ``labels`` is (N,) class ids.
     Returns the fitted posterior and the trained model's eval-mode accuracy
-    on ``images``, from one forward after the last epoch.
+    on ``images``, from one forward after the last epoch. A NaN/Inf in any
+    forward, the last one included, raises ``RuntimeError`` ("training
+    diverged").
     """
     n = images.shape[0]
     targets = one_hot(labels, model.sizes[-1])
@@ -135,6 +137,8 @@ def train_source(
             model.theta -= lr * velocity
         if epoch >= epochs - swag_epochs:
             estimator.collect(model.flatten())
-    posterior = estimator.finalize()
-    preds = softmax(model.forward(images, "eval")).argmax(axis=1)
-    return posterior, float((preds == labels).mean())
+    try:  # the last step's update is first read here
+        preds = softmax(model.forward(images, "eval")).argmax(axis=1)
+    except FloatingPointError as exc:
+        raise RuntimeError(f"training diverged at epoch {epochs - 1}") from exc
+    return estimator.finalize(), float((preds == labels).mean())

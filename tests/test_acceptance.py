@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density
+from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density, log_normalizers
 from lifelong_tta.cli import ExperimentConfig, cmd_adapt, cmd_train_source
 from lifelong_tta.cli import DatasetConfig, ModelConfig, ScheduleConfig, SourceTrainConfig
 from lifelong_tta.engine import (
@@ -267,7 +267,8 @@ def test_criterion_6_swag_fidelity():
 
     def log_q(theta, tape):
         # the posterior term of petal's objective
-        return gaussian_log_density(theta, post.mu, post.sigma2, [slice(None)], tape)
+        whole = [slice(None)]
+        return gaussian_log_density(theta, post.mu, post.sigma2, whole, log_normalizers(post.sigma2, whole), tape)
 
     numeric = finite_diff_gradient(lambda v: log_q(Tensor(v), Tape()).item(), probe, 1e-5)
     tape = Tape()

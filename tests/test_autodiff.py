@@ -8,6 +8,7 @@ from lifelong_tta.autodiff import (
     Tensor,
     backward,
     gaussian_log_density,
+    log_normalizers,
     soft_cross_entropy,
     softmax,
     softmax_entropy_mean,
@@ -247,7 +248,10 @@ def _taped_objective(seed, tape):
     logits, params = model.taped_forward(rng.normal(size=(5, 3)), tape)
     ce = soft_cross_entropy(np.full((5, 2), 0.5), logits, tape)
     ent = softmax_entropy_mean(logits, tape)
-    log_q = gaussian_log_density(params, params.data * 0.5, np.ones(params.shape), model.pieces, tape)
+    ones = np.ones(params.shape)
+    log_q = gaussian_log_density(
+        params, params.data * 0.5, ones, model.pieces, log_normalizers(ones, model.pieces), tape
+    )
     return weighted_sum([(1.0, ce), (0.5, ent), (-0.25, log_q)], tape=tape), params
 
 
@@ -317,7 +321,7 @@ def test_every_op_gradient_matches_finite_differences(seed):
         return softmax_entropy_mean(logits, tape)
 
     def combined(logits, params, tape):
-        log_q = gaussian_log_density(params, mu, var, model.pieces, tape)
+        log_q = gaussian_log_density(params, mu, var, model.pieces, log_normalizers(var, model.pieces), tape)
         terms = [(1.0, cross_entropy(logits, params, tape)), (0.5, entropy(logits, params, tape))]
         return weighted_sum(terms + [(-0.25, log_q)], tape=tape)
 
@@ -342,7 +346,7 @@ def test_gaussian_log_density_matches_per_coordinate_formula():
     theta = Tensor(rng.normal(size=5))
     mu = rng.normal(size=5)
     var = rng.random(5) + 0.2
-    value = gaussian_log_density(theta, mu, var, [slice(None)], Tape()).item()
+    value = gaussian_log_density(theta, mu, var, [slice(None)], log_normalizers(var, [slice(None)]), Tape()).item()
     expected = sum(
         -0.5 * (theta.data[i] - mu[i]) ** 2 / var[i] - 0.5 * np.log(2 * np.pi * var[i])
         for i in range(5)
@@ -360,7 +364,7 @@ def test_gaussian_log_density_sums_one_parameter_at_a_time():
     var = rng.random(model.theta.size) + 0.05
     tape = Tape()
     theta = Tensor(model.theta)
-    value = gaussian_log_density(theta, mu, var, model.pieces, tape)
+    value = gaussian_log_density(theta, mu, var, model.pieces, log_normalizers(var, model.pieces), tape)
     expected = 0.0
     for t, m, v in zip(model.params.values(), model.views(mu).values(), model.views(var).values()):
         expected += float(-((t - m) * (t - m) / (2.0 * v)).sum())
@@ -370,7 +374,7 @@ def test_gaussian_log_density_sums_one_parameter_at_a_time():
     assert [(p.start, p.stop) for p in model.pieces] == list(zip([0] + ends[:-1], ends))
     assert np.array_equal(backward(value, tape)[theta], -(model.theta - mu) / var)
     with pytest.raises(ValueError):
-        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces, Tape())
+        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces, log_normalizers(var[:-1], model.pieces), Tape())
 
 
 def test_weighted_sum_requires_scalars():

@@ -397,6 +397,30 @@ def test_cli_nonzero_exit_on_non_finite_loss(trained_dir, tmp_path, capsys):
 
 
 
+# source configs that pass every check but whose SGD diverges: within an
+# epoch, where the next step's forward sees the NaN/Inf, and on the one and
+# only step, where only the accuracy forward after training sees it (that
+# case was a FloatingPointError traceback and exit 1)
+DIVERGING_SOURCE_CONFIGS = {
+    "diverges_mid_epoch": {"source": {"lr": 1e200, "epochs": 1, "swag_epochs": 1}},
+    "last_step_diverges": {"source": {"lr": 1e300, "epochs": 1, "swag_epochs": 1, "batch_size": 800}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING_SOURCE_CONFIGS))
+def test_cli_train_source_divergence_exits_2_and_writes_nothing(tmp_path, capsys, case):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(DIVERGING_SOURCE_CONFIGS[case]), encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train-source", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: training diverged at epoch 0") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 # non-finite config floats, from the file or a flag: (command, edit of the
 # config document, extra flags, the field the message must name)
 NON_FINITE_INPUTS = {

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.autodiff import Tape, backward, soft_cross_entropy, softmax, softmax_entropy_mean
+from lifelong_tta.autodiff import (
+    Tape,
+    backward,
+    log_normalizers,
+    soft_cross_entropy,
+    softmax,
+    softmax_entropy_mean,
+)
 from lifelong_tta.engine import (
     AdamState,
     AugmentParams,
@@ -237,6 +244,18 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2).sum()
     expected = ce - 1.0 * log_q
     assert abs(loss.item() - expected) < 1e-9
+
+
+@pytest.mark.parametrize("method", ["petal", "cotta", "tent", "pseudo_label", "source"])
+def test_petal_state_holds_the_posterior_normalizers(small_bundle, method):
+    # petal's run state carries the log-density's constant per-piece sums,
+    # computed once from the posterior; no other method reads them
+    dataset, model, posterior = small_bundle
+    state = init_adapt_state(model, posterior, fast_cfg(method=method), **seeded_generators(0))
+    if method == "petal":
+        assert state.log_normalizers == log_normalizers(posterior.sigma2, state.student.pieces)
+    else:
+        assert state.log_normalizers is None
 
 
 def test_petal_loss_self_labels_have_zero_gradient(small_bundle):

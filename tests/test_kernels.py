@@ -1,10 +1,11 @@
-"""Oracle tests for the teacher-path kernels.
+"""Oracle tests for the teacher-path and gradient-step kernels.
 
 Each reference below is the straightforward formulation the fast kernel
 replaced (3-array fancy-index gathers, a ``sliding_window_view`` mean,
-``x.var``, one augmentation draw per call). The fast kernels run the same
-floating-point operations in the same order, so every comparison is exact:
-``np.array_equal``, no tolerance.
+``x.var``, one augmentation draw per call, Adam and EMA expressions that
+build new arrays). The fast kernels run the same floating-point operations
+in the same order, so every comparison is exact: ``np.array_equal``, no
+tolerance.
 """
 
 import dataclasses
@@ -14,8 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.engine import AugmentParams, _affine_batch, augment
-from lifelong_tta.model import batch_norm_arrays
+from lifelong_tta.engine import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamState,
+    AugmentParams,
+    _affine_batch,
+    adam_delta,
+    augment,
+    ema_update,
+)
+from lifelong_tta.model import MlpClassifier, batch_norm_arrays
 from lifelong_tta.streams import IMAGE_SIDE, _box_blur
 
 
@@ -212,3 +223,70 @@ def test_block_augment_equals_sequential_reference_draws(seed, b, draws, enabled
     assert np.array_equal(images, before)
     # the block consumed exactly the random numbers of the sequential draws
     assert rng.random() == reference_rng.random()
+
+
+def reference_adam_delta(m, v, step, grad, lr):
+    """One Adam step as new arrays; returns (m, v, the step to subtract)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    return m, v, lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def reference_ema(teacher_theta, student_theta, pi):
+    return pi * teacher_theta + (1.0 - pi) * student_theta
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=SEEDS,
+    dim=st.integers(1, 300),
+    steps=st.integers(1, 12),
+    log_lr=st.floats(-6.0, 0.0),
+    log_scale=st.floats(-8.0, 3.0),
+)
+def test_adam_delta_equals_reference_expressions(seed, dim, steps, log_lr, log_scale):
+    rng = np.random.default_rng(seed)
+    lr = 10.0**log_lr
+    opt = AdamState.zeros(dim)
+    m, v = np.zeros(dim), np.zeros(dim)
+    for step in range(1, steps + 1):
+        grad = rng.normal(0.0, 10.0**log_scale, dim)
+        grad[rng.random(dim) < 0.2] = 0.0  # a coordinate whose gradient vanishes
+        before = grad.copy()
+        delta = adam_delta(opt, grad, lr)
+        m, v, expected = reference_adam_delta(m, v, step, before, lr)
+        assert np.array_equal(delta, expected)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        assert opt.step == step
+        assert np.array_equal(grad, before)
+        # the returned step is its own array: subtracting it from theta
+        # leaves the moments alone
+        assert not np.shares_memory(delta, opt.m) and not np.shares_memory(delta, opt.v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SEEDS, width=st.integers(1, 20), steps=st.integers(1, 5), pi=st.floats(0.0, 1.0))
+def test_ema_update_equals_reference_expression(seed, width, steps, pi):
+    rng = np.random.default_rng(seed)
+    teacher = MlpClassifier((5, width, 3), seed=1)
+    student = MlpClassifier((5, width, 3), seed=2)
+    expected = teacher.flatten()
+    for _ in range(steps):
+        student.load(rng.normal(0.0, 3.0, student.theta.size))
+        before = student.flatten()
+        ema_update(teacher, student, pi)
+        expected = reference_ema(expected, before, pi)
+        assert np.array_equal(teacher.theta, expected)
+        assert np.array_equal(student.theta, before)
+    assert np.array_equal(teacher.params["out.bias"], expected[-3:])  # still viewed by the params
+
+
+def test_mismatched_ema_update_raises_before_writing():
+    teacher = MlpClassifier((5, 4, 3), seed=1)
+    student = MlpClassifier((5, 6, 3), seed=2)
+    before = teacher.flatten()
+    with pytest.raises(ValueError, match="parameters"):
+        ema_update(teacher, student, 0.5)
+    assert np.array_equal(teacher.theta, before)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifelong_tta.autodiff import Tape, backward, softmax, softmax_entropy_mean
+from lifelong_tta.autodiff import Tape, backward, soft_cross_entropy, softmax, softmax_entropy_mean
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier, batch_norm_arrays, bn_affine_filter, param_mask
 
@@ -285,6 +285,36 @@ def test_taped_forward_equals_train_forward_and_records_one_node():
     grads = model.views(backward(loss, tape)[params])
     assert grads["hidden0.gamma"][2] == 0.0 and grads["hidden0.beta"][2] == 0.0
     assert all(np.abs(grads[name]).max() > 0.0 for name in ("hidden0.weight", "hidden1.gamma", "out.bias"))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 30), width=st.integers(1, 24), classes=st.integers(2, 9))
+def test_affine_only_backward_equals_the_full_one_on_gamma_and_beta(depth, seed, b, width, classes):
+    # the BN-affine-only backward forms no weight or bias gradient and stops
+    # at the first layer's gamma/beta: those entries keep the full
+    # backward's bits, every other entry is 0.0
+    rng = np.random.default_rng(seed)
+    model = MlpClassifier((9, *[width] * depth, classes), seed=seed % 1000)
+    model.theta += rng.normal(0.0, 0.3, model.theta.size)  # gamma/beta away from (1, 0)
+    x = rng.normal(0.5, 2.0, (b, 9))
+    target = rng.dirichlet(np.ones(classes), b)
+
+    def gradient(affine_only, loss):
+        twin = model.clone()
+        tape = Tape()
+        logits, params = twin.taped_forward(x, tape, affine_only=affine_only)
+        out = softmax_entropy_mean(logits, tape) if loss == "entropy" else soft_cross_entropy(target, logits, tape)
+        return backward(out, tape)[params], twin.running
+
+    affine = param_mask(model, bn_affine_filter)
+    for loss in ("entropy", "cross_entropy"):
+        full, full_running = gradient(False, loss)
+        only, only_running = gradient(True, loss)
+        assert only[affine].tobytes() == full[affine].tobytes()
+        assert (only[~affine] == 0.0).all()
+        for name, values in full_running.items():
+            assert values.tobytes() == only_running[name].tobytes()
 
 
 def test_each_forward_checks_theta_once(monkeypatch):

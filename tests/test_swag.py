@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density, softmax
+from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density, log_normalizers, softmax
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior, train_source
@@ -66,7 +66,8 @@ def log_density(post, theta, tape):
     """log q(theta) of one parameter vector: ``gaussian_log_density`` of its
     tensor. Returns the scalar node and the parameter tensor."""
     params = Tensor(theta)
-    return gaussian_log_density(params, post.mu, post.sigma2, [slice(None)], tape), params
+    whole = [slice(None)]
+    return gaussian_log_density(params, post.mu, post.sigma2, whole, log_normalizers(post.sigma2, whole), tape), params
 
 
 def log_q(post, theta):
