@@ -13,16 +13,19 @@
 # petal's objective takes no posterior anchor and equals cotta's, then
 # petal_fim and cotta with adapt values read from a config file (pi, delta
 # and an augment magnitude), then source, bn_adapt, tent and pseudo_label,
-# and petal_fim with the gate shut (--tau 0), at the default 25 batches per
-# segment, so a full stream (100 steps each) of running-statistic updates,
-# BN-affine-only backwards, Adam steps, EMA updates and posterior anchors
-# is compared, then a train-source whose source section sets every
-# field away from its default (epochs, swag_epochs, momentum, batch_size,
-# shuffle_seed). The resolved --dump-config of each config file is compared
-# too. Both sides write under the same relative paths, so paths
-# recorded inside the outputs compare equal. The differing files go to stdout
-# and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or
-# exists on one side only.
+# petal_fim with the gate shut (--tau 0) and petal_fim and cotta at the
+# default tau, where the gate opens and K = 32 teacher draws run, at the
+# default 25 batches per segment, so a full stream (100 steps each) of
+# running-statistic updates, BN-affine-only backwards, Adam steps, EMA
+# updates, posterior anchors and augmented teacher blocks, whose buffers a
+# run reuses from step to step, is compared, then a train-source whose
+# source section sets every field away from its default (epochs,
+# swag_epochs, momentum, batch_size, shuffle_seed). The resolved
+# --dump-config of each config file is compared too. Both sides write under
+# the same relative paths, so paths recorded inside the outputs compare
+# equal. The differing files go to stdout and, when set, to
+# $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or exists on one side
+# only.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -71,6 +74,10 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length_tau0/
         python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length_tau0 --method petal_fim \
             --tau 0 > /dev/null
+        mkdir -p runs/default_length_teacher
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length_teacher/
+        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length_teacher \
+            --method petal_fim,cotta > /dev/null
         echo '{"source": {"epochs": 4, "swag_epochs": 2, "momentum": 0.5, "batch_size": 32, "shuffle_seed": 3}}' \
             > source.json
         python3 -m lifelong_tta train-source --config source.json --out runs/source_file > /dev/null

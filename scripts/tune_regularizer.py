@@ -56,7 +56,7 @@ def main() -> int:
         petal_cfg = dataclasses.replace(cfg.adapt, method="petal", restore="fim", alpha=alpha)
         errors = []
         for seed in cfg.seeds:
-            report, _ = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)
+            report = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)[0]
             errors.append(report.overall["error"])
         mean = float(np.mean(errors))
         marker = ""

@@ -326,7 +326,8 @@ def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
         if restore_override is not None:
             petal_cfg = dataclasses.replace(petal_cfg, restore=restore_override)
         for seed in cfg.seeds:
-            report, _ = run_lifelong(schedule, dataset, posterior, model, petal_cfg, seed)
+            # only the report: the run's state goes before the next run starts
+            report = run_lifelong(schedule, dataset, posterior, model, petal_cfg, seed)[0]
             run_dir = Path(cfg.out_dir) / name / f"seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             doc = report.to_document()

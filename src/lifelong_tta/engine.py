@@ -35,7 +35,15 @@ The K draws run in blocks of four: per block, one ``augment`` call takes the
 random numbers draw by draw and runs each transform once over all four, and
 one teacher forward normalizes each draw by its own batch statistics. The
 random numbers and the sum of the predictions keep the draw order, so the
-pseudo-labels are bit-identical to those of K one-draw calls.
+pseudo-labels are bit-identical to those of K one-draw calls. The blocks
+live in the run's workspace (``AdaptState.workspace``, petal/cotta only):
+the augmentation block, the bilinear resampling's scratch and the teacher
+forward's two activation blocks, one set per block shape, made on the first
+gate-open step and overwritten on every later one, so a step allocates no
+block and faults no page in. ``augment``, ``_affine_batch`` and
+``MlpClassifier.forward`` write into the buffers they are given with the
+operations, in the order, of their allocating form, which is the same code
+called without a workspace.
 
 Only the student's objective is taped, the model as one node and each loss
 op as its own; its one parameter input is a tensor over the student's theta,
@@ -78,7 +86,7 @@ from .autodiff import (
     weighted_sum,
 )
 from .metrics import MetricAccumulator, MetricSummary, per_sample_scores
-from .model import MlpClassifier, bn_affine_filter, param_mask
+from .model import MlpClassifier, bn_affine_filter, param_mask, scratch
 from .streams import IMAGE_SIDE, StreamSchedule, SyntheticDataset, _box_blur, stream_batches
 from .swag import SwagDiagPosterior, one_hot
 
@@ -164,36 +172,68 @@ _CENTER = (IMAGE_SIDE - 1) / 2.0
 _OFFSETS = np.arange(IMAGE_SIDE) - _CENTER
 
 
-def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array) -> Array:
+def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array, workspace: dict | None = None) -> Array:
     """Per-sample rotation + shift with bilinear resampling, replicate border.
 
-    ``images`` is (B, IMAGE_SIDE, IMAGE_SIDE).
+    ``images`` is (B, IMAGE_SIDE, IMAGE_SIDE) and stays intact. The scratch
+    and the returned output are ``workspace`` buffers (see ``scratch``),
+    reused by the next call of the same shape, or new arrays without one.
     """
     b, side, _ = images.shape
+    shape = images.shape
     cos = np.cos(theta)[:, None]
     sin = np.sin(theta)[:, None]
     # the grid is separable: cos * row offset + sin * column offset, summed
     # by broadcasting two (B, side) products
-    src_r = (cos * _OFFSETS)[:, :, None] + (sin * _OFFSETS)[:, None, :] + _CENTER - dy[:, None, None]
-    src_c = (-sin * _OFFSETS)[:, :, None] + (cos * _OFFSETS)[:, None, :] + _CENTER - dx[:, None, None]
+    src_r = scratch(workspace, "affine.rows", shape)
+    np.add((cos * _OFFSETS)[:, :, None], (sin * _OFFSETS)[:, None, :], out=src_r)
+    src_r += _CENTER
+    src_r -= dy[:, None, None]
+    src_c = scratch(workspace, "affine.cols", shape)
+    np.add((-sin * _OFFSETS)[:, :, None], (cos * _OFFSETS)[:, None, :], out=src_c)
+    src_c += _CENTER
+    src_c -= dx[:, None, None]
     np.clip(src_r, 0.0, side - 1.0, out=src_r)
     np.clip(src_c, 0.0, side - 1.0, out=src_c)
-    # the clip leaves every coordinate >= 0, where truncation equals floor
-    r0 = src_r.astype(np.intp)
-    c0 = src_c.astype(np.intp)
-    r1 = np.minimum(r0 + 1, side - 1)
-    c1 = np.minimum(c0 + 1, side - 1)
-    fr = src_r - r0
-    fc = src_c - c0
-    # gather from the flat buffer: pixel (i, r, c) sits at i*side^2 + r*side + c
+    # the clip leaves every coordinate in [0, side - 1], where truncation
+    # equals floor and r1 = r0 + (r0 < side - 1), c1 likewise: one flat
+    # index (pixel (i, r, c) sits at i*side^2 + r*side + c) and two 0/1 steps
+    # give all four taps, in exact integer arithmetic
+    row_step = scratch(workspace, "affine.row_step", shape, np.intp)
+    col_step = scratch(workspace, "affine.col_step", shape, np.intp)
+    index = scratch(workspace, "affine.index", shape, np.intp)
+    np.copyto(row_step, src_r, casting="unsafe")  # r0
+    np.copyto(col_step, src_c, casting="unsafe")  # c0
+    src_r -= row_step  # fr
+    src_c -= col_step  # fc
+    np.multiply(row_step, side, out=index)
+    index += col_step
+    index += (np.arange(b) * (side * side))[:, None, None]
+    np.less(row_step, side - 1, out=row_step)
+    row_step *= side
+    np.less(col_step, side - 1, out=col_step)
+    # top = v00 * (1 - fc) + v01 * fc, bottom likewise one row down, and
+    # top * (1 - fr) + bottom * fr, each product and sum as written; every
+    # index is in range, so take's mode="clip" never acts, and it spares take
+    # the buffer its default mode puts behind out=
     flat = images.reshape(-1)
-    base = (np.arange(b) * (side * side))[:, None, None]
-    row0 = base + r0 * side
-    row1 = base + r1 * side
-    wc = 1.0 - fc
-    top = flat.take(row0 + c0) * wc + flat.take(row0 + c1) * fc
-    bottom = flat.take(row1 + c0) * wc + flat.take(row1 + c1) * fc
-    return top * (1.0 - fr) + bottom * fr
+    weight = np.subtract(1.0, src_c, out=scratch(workspace, "affine.weight", shape))  # 1 - fc
+    tap = scratch(workspace, "affine.tap", shape)
+    top = flat.take(index, out=scratch(workspace, "affine.out", shape), mode="clip")
+    top *= weight
+    index += col_step
+    top += np.multiply(flat.take(index, out=tap, mode="clip"), src_c, out=tap)
+    index += row_step
+    index -= col_step
+    bottom = flat.take(index, out=tap, mode="clip")
+    bottom *= weight
+    index += col_step
+    bottom += np.multiply(flat.take(index, out=weight, mode="clip"), src_c, out=weight)
+    np.subtract(1.0, src_r, out=weight)
+    top *= weight
+    bottom *= src_r
+    top += bottom
+    return top
 
 
 def augment(
@@ -201,22 +241,28 @@ def augment(
     rng: np.random.Generator,
     params: AugmentParams = AugmentParams(),
     draws: int = 1,
+    workspace: dict | None = None,
 ) -> Array:
     """``draws`` randomized draws of the augmentation pipeline, clipped to [0, 1].
 
-    ``images`` is (B, 64). The draws are stacked along the first axis, draw k
-    in rows k*B to (k+1)*B. Draw by draw, the random numbers are taken in the
-    pipeline's order (contrast, brightness, dx, dy, rotation, blur flags, flip
-    flags, noise), each only when its magnitude is non-zero, so one call
-    equals ``draws`` calls of one draw on the same generator. With all
-    magnitudes zero every draw is the input, bit-identical.
+    ``images`` is (B, 64) and stays intact. The draws are stacked along the
+    first axis, draw k in rows k*B to (k+1)*B. Draw by draw, the random
+    numbers are taken in the pipeline's order (contrast, brightness, dx, dy,
+    rotation, blur flags, flip flags, noise), each only when its magnitude is
+    non-zero, so one call equals ``draws`` calls of one draw on the same
+    generator. With all magnitudes zero every draw is the input,
+    bit-identical. The block and its scratch are ``workspace`` buffers (see
+    ``scratch``), so the result is valid until the next call of the same
+    shape; without a workspace they are new arrays.
     """
     if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
         raise ValueError("augment expects (B, 64) flattened images")
     batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
     b = batch.shape[0]
-    contrast, brightness, dx, dy, rotation, blur, flip, noise = ([] for _ in range(8))
-    for _ in range(draws):
+    shape = (draws * b, IMAGE_SIDE, IMAGE_SIDE)
+    contrast, brightness, dx, dy, rotation, blur, flip = ([] for _ in range(7))
+    noise = scratch(workspace, "augment.noise", shape) if params.noise_std else None
+    for k in range(draws):
         if params.contrast:
             contrast.append(rng.uniform(1.0 - params.contrast, 1.0 + params.contrast, b))
         if params.brightness:
@@ -230,17 +276,20 @@ def augment(
         if params.flip_prob:
             flip.append(rng.random(b) < params.flip_prob)
         if params.noise_std:
-            noise.append(rng.normal(0.0, params.noise_std, batch.shape))
-    # each transform runs once over every draw; np.tile copies, so the
-    # input stays intact
-    out = np.tile(batch, (draws, 1, 1)).astype(np.float64, copy=False)
+            # the standard normals z that rng.normal(0.0, std) would scale
+            rng.standard_normal(out=noise[k * b : (k + 1) * b])
+    # each transform runs once over every draw, in place on the block
+    out = scratch(workspace, "augment", shape)
+    out.reshape(draws, b, IMAGE_SIDE, IMAGE_SIDE)[...] = batch
     if contrast:
-        out = 0.5 + np.concatenate(contrast)[:, None, None] * (out - 0.5)
+        out -= 0.5
+        out *= np.concatenate(contrast)[:, None, None]
+        out += 0.5
     if brightness:
         out += np.concatenate(brightness)[:, None, None]
     if dx:
         theta = np.deg2rad(np.concatenate(rotation))
-        out = _affine_batch(out, np.concatenate(dx), np.concatenate(dy), theta)
+        out = _affine_batch(out, np.concatenate(dx), np.concatenate(dy), theta, workspace)
     if blur:
         flags = np.concatenate(blur)
         if flags.any():
@@ -248,9 +297,12 @@ def augment(
     if flip:
         flags = np.concatenate(flip)
         out[flags] = out[flags, :, ::-1]
-    if noise:
-        out += np.concatenate(noise)
-    if contrast or brightness or dx or blur or flip or noise:
+    if noise is not None:
+        # rng.normal's own arithmetic, 0.0 + std * z, so the same bits
+        noise *= params.noise_std
+        noise += 0.0
+        out += noise
+    if contrast or brightness or dx or blur or flip or noise is not None:
         np.clip(out, 0.0, 1.0, out=out)
     return out.reshape(draws * b, IMAGE_SIDE * IMAGE_SIDE)
 
@@ -307,7 +359,9 @@ class AdaptState:
     ``teacher`` is None except for petal/cotta; ``opt``, the Adam moments of
     the ``trained`` coordinates, is None for source/bn_adapt.
     ``log_normalizers``, the posterior's constant log-density sums, is None
-    except for petal."""
+    except for petal. ``workspace``, the teacher blocks' buffers keyed by
+    (name, shape), is None except for petal/cotta; it holds nothing until
+    the first gate-open step."""
 
     student: MlpClassifier
     teacher: MlpClassifier | None
@@ -318,6 +372,7 @@ class AdaptState:
     rng_augment: np.random.Generator
     rng_restore: np.random.Generator
     log_normalizers: tuple[float, ...] | None
+    workspace: dict | None
 
 
 def init_adapt_state(
@@ -356,6 +411,7 @@ def init_adapt_state(
         rng_augment=rng_augment,
         rng_restore=rng_restore,
         log_normalizers=normalizers,
+        workspace=None if teacher is None else {},
     )
 
 
@@ -375,13 +431,18 @@ class StepReport:
 
 
 # Augmentation draws per teacher block: one augment call and one teacher
-# forward each. Sweep on a 2-core VM (numpy 2.4.6, one BLAS thread), default
-# continual5 petal run, seed 0, medians of 7 interleaved rounds, teacher ms
-# per step: 1 draw 27.5, 2 draws 22.3, 4 draws 19.8, 8 draws 20.0, 16 draws
-# 22.2, 32 draws 27.1. From 8 draws on, the (draws * 64, 128) buffers outgrow
-# what glibc keeps mapped, so every call faults their pages in again (65k to
-# 305k minor faults per run, against 89 at 4 draws), and the traced peak
-# grows from 3.7 MiB at 4 draws to 5.9 MiB at 8 and 18.5 MiB at 32.
+# forward each, in the run's workspace. Sweep on a 2-core VM (numpy 2.4.6,
+# one BLAS thread), `perfbench/run.py --workload petal_long --seconds 20
+# --trace 0`, seed 0, medians of 3 interleaved rounds; minor faults per step
+# over 40 gate-open petal steps (tau 2, default model and stream):
+#   draws  step_ms_p50  minor faults/step  peak_rss_mb
+#   4      18.4         0.2                47.0
+#   8      16.9         0.1                48.7
+#   16     17.2         0.1                52.2
+# (without the workspace, at 4 draws: 21.8 ms, about 560 faults, 46.5 MB).
+# The workspace grows with the block, about 1.75 MB at 4 draws: 8 draws are
+# 8% faster than 4, but their peak RSS is 4.7% above the allocating code's
+# (16 draws: 12%), against 1.1% at 4 draws.
 _DRAW_BLOCK = 4
 
 
@@ -392,10 +453,12 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     below tau, that sample's label is the teacher's prediction averaged over
     k_aug augmentation draws; otherwise it is the direct teacher prediction.
     The draws run in blocks of ``_DRAW_BLOCK``: one ``augment`` call and one
-    teacher forward per block, each draw normalized by its own batch
-    statistics, and the teacher's running statistics stay untouched. The
-    random numbers and the sum run in draw order, so the labels equal those
-    of one augment call and one forward per draw, bit for bit.
+    teacher forward per block, both in ``state.workspace``, each draw
+    normalized by its own batch statistics, and the teacher's running
+    statistics stay untouched. The random numbers and the sum run in draw
+    order, so the labels equal those of one augment call and one forward per
+    draw, bit for bit. The returned rows are a new array, never a workspace
+    buffer.
     """
     source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
@@ -406,8 +469,8 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     total = np.zeros_like(direct)
     for start in range(0, cfg.k_aug, _DRAW_BLOCK):
         draws = min(_DRAW_BLOCK, cfg.k_aug - start)
-        block = augment(images, state.rng_augment, cfg.augment, draws)
-        probs = softmax(state.teacher.forward(block, "batch", draws))
+        block = augment(images, state.rng_augment, cfg.augment, draws, state.workspace)
+        probs = softmax(state.teacher.forward(block, "batch", draws, state.workspace))
         for rows in probs.reshape(draws, *direct.shape):
             total += rows
     averaged = total / cfg.k_aug
@@ -641,7 +704,7 @@ def run_lifelong(
             fresh = init_adapt_state(
                 source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
             )
-            state = replace(fresh, step=state.step)
+            state = replace(fresh, step=state.step, workspace=state.workspace)
         if cfg.method in FORWARD_ONLY_METHODS:
             report = baseline_step(state, batch.images, cfg)
         else:

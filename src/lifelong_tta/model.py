@@ -14,13 +14,18 @@ statistics, ``"batch"`` by each batch's own, and ``"update"`` also folds the
 batch's into the running arrays, in place.
 ``forward`` (untaped; one batch or a stack of equal batches) and
 ``taped_forward`` (one ``"update"`` batch) share one layer loop on plain
-arrays; ``taped_forward`` records the network as one tape node whose one
-input is a tensor over theta itself and whose backward, the MLP's own,
-returns the gradient as one vector in theta's layout. ``affine_only`` limits
-that backward to the BN gamma/beta entries, the only ones ``tent`` and
-``pseudo_label`` train: it forms no weight or bias product, stops at the
-first layer's gamma/beta and leaves every other entry 0.0, so its entries
-are the full backward's bits. ``batch_norm_arrays``, BN's arithmetic, sits
+arrays. Each hidden layer writes its linear output into one block, centres
+it there and writes batch norm and ReLU into a second, so a stack of G
+batches needs two (G, B, width) blocks per layer width. ``forward`` takes
+them from a caller's workspace (``scratch``) when it is given one, so a
+loop of equal calls allocates no block; ``taped_forward`` always
+allocates, since its backward keeps them. ``taped_forward`` records the
+network as one tape node whose one input is a tensor over theta itself
+and whose backward, the MLP's own, returns the gradient as one vector in
+theta's layout. ``affine_only`` limits that backward to the BN gamma/beta
+entries, the only ones ``tent`` and ``pseudo_label`` train: it forms no
+weight or bias product, stops at the first layer's gamma/beta and leaves
+every other entry 0.0, so its entries are the full backward's bits. ``batch_norm_arrays``, BN's arithmetic, sits
 beside that backward, which reads its saved values.
 """
 
@@ -110,16 +115,19 @@ class MlpClassifier:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, x, bn: str, draws: int = 1) -> Array:
+    def forward(self, x, bn: str, draws: int = 1, workspace: dict | None = None) -> Array:
         """Inference logits under BN mode ``bn`` (``"eval"``, ``"batch"`` or
         ``"update"``), with no tape.
 
         ``x`` may stack ``draws`` equal batches along its rows; under
         ``"batch"`` each is normalized by its own batch statistics, so the
         logits equal those of ``draws`` separate calls, one row per input row.
-        Only a single batch may ``"update"`` the running statistics. Raises
-        ``FloatingPointError`` on a NaN/Inf in the input, in theta, or in a
-        linear, batch-norm or logit output.
+        Only a single batch may ``"update"`` the running statistics. With a
+        ``workspace`` (see ``scratch``) each layer's two blocks are its
+        buffers, shared by the hidden layers of one width and reused by the
+        next call of the same shape; the logits are always a new array.
+        Raises ``FloatingPointError`` on a NaN/Inf in the input, in theta, or
+        in a linear, batch-norm or logit output.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
@@ -129,7 +137,7 @@ class MlpClassifier:
         _finite(self.theta, "parameters")
         # (draws, B, F) throughout: matmul runs one product per batch, so
         # each draw's rows are bit-identical to a call of its own
-        logits = self._logits(x.reshape(draws, -1, self.sizes[0]), bn)
+        logits = self._logits(x.reshape(draws, -1, self.sizes[0]), bn, workspace=workspace)
         return _finite(logits.reshape(x.shape[0], -1), "logits")
 
     def taped_forward(self, x, tape: Tape, affine_only: bool = False) -> tuple[Tensor, Tensor]:
@@ -147,15 +155,20 @@ class MlpClassifier:
         tape.record("mlp", (params,), logits, lambda g: (self._backward(g, x, saved, affine_only),))
         return logits, params
 
-    def _logits(self, h: Array, bn: str, saved: list | None = None) -> Array:
-        """The one layer loop: linear, batch norm and in-place ReLU per hidden
-        layer, then the linear head, on one (B, F) batch or a (G, B, F) stack.
-        ``saved``, when given, receives each hidden layer's (x_hat, inv_std,
-        output) for the backward; otherwise no layer's buffers outlive it."""
+    def _logits(self, h: Array, bn: str, saved: list | None = None, workspace: dict | None = None) -> Array:
+        """The one layer loop: linear, batch norm centred in the linear
+        output's block, and in-place ReLU per hidden layer, then the linear
+        head, on one (B, F) batch or a (G, B, F) stack. ``saved``, when
+        given, receives each hidden layer's (x_hat, inv_std, output) for the
+        backward; otherwise no layer's buffers outlive it. A ``workspace``
+        hands every layer of one width the same two blocks, so only a
+        forward that saves nothing passes one."""
         _finite(h, "input")
         p = self.params
         for i in range(self.n_hidden):
-            h = h @ p[f"hidden{i}.weight"]
+            weight = p[f"hidden{i}.weight"]
+            shape = h.shape[:-1] + weight.shape[1:]
+            h = np.matmul(h, weight, out=scratch(workspace, "linear", shape))
             h += p[f"hidden{i}.bias"]
             h, x_hat, inv_std = batch_norm_arrays(
                 _finite(h, "linear output"),
@@ -164,6 +177,8 @@ class MlpClassifier:
                 self.running[f"hidden{i}.running_mean"],
                 self.running[f"hidden{i}.running_var"],
                 bn,
+                out=scratch(workspace, "batch_norm", shape),
+                overwrite_x=True,
             )
             np.maximum(_finite(h, "batch norm output"), 0.0, out=h)
             if saved is not None:
@@ -249,7 +264,15 @@ class MlpClassifier:
 
 
 def batch_norm_arrays(
-    x: Array, gamma: Array, beta: Array, running_mean: Array, running_var: Array, bn: str
+    x: Array,
+    gamma: Array,
+    beta: Array,
+    running_mean: Array,
+    running_var: Array,
+    bn: str,
+    *,
+    out: Array | None = None,
+    overwrite_x: bool = False,
 ) -> tuple[Array, Array, Array]:
     """The batch-normalization arithmetic on plain arrays; returns
     (out, x_hat, inv_std).
@@ -259,7 +282,10 @@ def batch_norm_arrays(
     does the same and folds them into ``running_mean``/``running_var`` in
     place with momentum 0.1 (variance stored unbiased), so only a single
     batch may update them. ``"eval"`` normalizes by the running arrays.
-    eps = 1e-5.
+    eps = 1e-5. ``out``, when given, receives the output (and first the
+    squares of the centred input); with ``overwrite_x`` the centring and
+    scaling run in ``x``'s own buffer, which then holds x_hat. The values
+    are the same either way.
     """
     if x.ndim not in (2, 3):
         raise ValueError("batch norm expects a (B, F) or (G, B, F) input")
@@ -272,10 +298,10 @@ def batch_norm_arrays(
         if bn == "update" and x.size != n * features:
             raise ValueError("only a single batch may update the running statistics")
         batch_mean = x.mean(axis=-2, keepdims=True)
-        x_hat = x - batch_mean
+        x_hat = np.subtract(x, batch_mean, out=x if overwrite_x else None)
         # numpy's own variance formula, so batch_var equals x.var(axis=-2) bit
         # for bit; the squares' buffer takes the output below
-        out = np.multiply(x_hat, x_hat)
+        out = np.multiply(x_hat, x_hat, out=out)
         batch_var = out.sum(axis=-2, keepdims=True) / n
         inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
         x_hat *= inv_std
@@ -285,15 +311,29 @@ def batch_norm_arrays(
             running_var[...] = (1.0 - m) * running_var + m * batch_var.reshape(features) * n / (n - 1)
     elif bn == "eval":
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        x_hat = x - running_mean
+        x_hat = np.subtract(x, running_mean, out=x if overwrite_x else None)
         x_hat *= inv_std
-        out = np.empty_like(x_hat)
+        if out is None:
+            out = np.empty_like(x_hat)
     else:
         raise ValueError(f"unknown BN mode {bn!r}")
     # in place where the values allow: the same operations, fewer buffers
     np.multiply(gamma, x_hat, out=out)
     out += beta
     return out, x_hat, inv_std
+
+
+def scratch(workspace: dict | None, name: str, shape: tuple[int, ...], dtype=np.float64) -> Array:
+    """An uninitialized buffer of ``shape``: with a ``workspace`` (a dict) its
+    own for ``(name, shape)``, made on the first request and handed out again
+    on every later one, so the caller overwrites all of it; without one, a
+    new array."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    buffer = workspace.get((name, shape))
+    if buffer is None:
+        buffer = workspace[name, shape] = np.empty(shape, dtype)
+    return buffer
 
 
 def _finite(values: Array, what: str) -> Array:

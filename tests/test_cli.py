@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from lifelong_tta.cli import (
     main,
     resolve_method,
 )
-from lifelong_tta.engine import PetalConfig
+from lifelong_tta.engine import PetalConfig, run_lifelong
 from lifelong_tta.model import MlpClassifier
 from lifelong_tta.streams import make_source_dataset
 from lifelong_tta.swag import SwagDiagPosterior
@@ -289,6 +290,29 @@ def test_adapt_is_byte_deterministic(trained_dir, tmp_path):
     cmd_adapt(first, ["petal"])
     assert (out / "petal" / "seed0" / "report.json").read_bytes() == a_json
     assert (out / "petal" / "seed0" / "steps.csv").read_bytes() == a_csv
+
+
+def test_adapt_drops_each_runs_state_before_the_next_run_starts(trained_dir, tmp_path, monkeypatch):
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    cfg = dataclasses.replace(cfg, out_dir=str(run), seeds=(0, 1))
+    finished = []  # a weak reference to each finished run's state
+    alive_at_start = []
+    real_run = run_lifelong
+
+    def recording_run(*args):
+        alive_at_start.append([ref() is not None for ref in finished])
+        report, state = real_run(*args)
+        finished.append(weakref.ref(state))
+        return report, state
+
+    monkeypatch.setattr("lifelong_tta.cli.run_lifelong", recording_run)
+    cmd_adapt(cfg, ["petal", "tent"])
+    # no earlier run's state is alive while a later run executes, and none
+    # outlives the command
+    assert alive_at_start == [[], [False], [False] * 2, [False] * 3]
+    assert [ref() for ref in finished] == [None] * 4
 
 
 def test_source_method_is_pure_evaluation(trained_dir):

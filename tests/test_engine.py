@@ -20,6 +20,7 @@ from lifelong_tta.engine import (
     STEP_COLUMNS,
     NonFiniteLossError,
     PetalConfig,
+    _DRAW_BLOCK,
     _objective,
     adapt_step,
     augment,
@@ -183,22 +184,47 @@ def per_draw_teacher_pseudo_label(state, images, cfg):
 @pytest.mark.parametrize("k_aug", [1, 3, 4, 5, 32])
 def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
     dataset, model, posterior = small_bundle
-    # 19 rows: no block boundary falls on a multiple of 4 rows
-    images, _ = batch_from(dataset, n=19, severity=5)
     cfg = fast_cfg(k_aug=k_aug, tau=0.9)
     expected_state = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     # one step moves the teacher off the source model and its BN buffers
     for s in (expected_state, state):
-        adapt_step(s, images, posterior, cfg)
+        adapt_step(s, batch_from(dataset, n=19, severity=5)[0], posterior, cfg)
     running = {name: values.copy() for name, values in state.teacher.running.items()}
-    confidence = softmax(state.source_model.forward(images, "eval")).max(axis=1)
-    assert 0 < (confidence < cfg.tau).sum() < images.shape[0]  # the gate splits the batch
-    expected = per_draw_teacher_pseudo_label(expected_state, images, cfg)
-    assert np.array_equal(teacher_pseudo_label(state, images, cfg), expected)
-    assert state.rng_augment.random() == expected_state.rng_augment.random()
-    for name, values in running.items():
-        assert np.array_equal(state.teacher.running[name], values)
+    # three calls on one state and its workspace, each on other images of the
+    # same 19 rows (no block boundary falls on a multiple of 4 rows): a buffer
+    # an earlier call left stale would show, and a partial last block keeps
+    # buffers of its own shape
+    for seed in (0, 1, 2):
+        images, _ = batch_from(dataset, n=19, severity=5, seed=seed)
+        confidence = softmax(state.source_model.forward(images, "eval")).max(axis=1)
+        assert 0 < (confidence < cfg.tau).sum() < images.shape[0]  # the gate splits the batch
+        expected = per_draw_teacher_pseudo_label(expected_state, images, cfg)
+        assert np.array_equal(teacher_pseudo_label(state, images, cfg), expected)
+        assert state.rng_augment.random() == expected_state.rng_augment.random()
+        for name, values in running.items():
+            assert np.array_equal(state.teacher.running[name], values)
+    augment_rows = {shape[0] for name, shape in state.workspace if name == "augment"}
+    assert augment_rows == {19 * min(k_aug, _DRAW_BLOCK), 19 * (k_aug % _DRAW_BLOCK)} - {0}
+
+
+def test_workspace_is_made_on_the_first_gate_open_step_and_reused_after(small_bundle):
+    dataset, model, posterior = small_bundle
+    cfg = fast_cfg(k_aug=5, tau=2.0)  # the gate opens on every sample
+    for method in ("tent", "pseudo_label"):
+        assert init_adapt_state(model, posterior, fast_cfg(method=method), **seeded_generators(0)).workspace is None
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+    adapt_step(state, batch_from(dataset, seed=0)[0], posterior, dataclasses.replace(cfg, tau=0.0))
+    assert state.workspace == {}  # a shut gate draws nothing
+    adapt_step(state, batch_from(dataset, seed=1)[0], posterior, cfg)
+    buffers = dict(state.workspace)  # holds each array, so no id can be reused
+    assert buffers
+    for seed in (2, 3, 4):
+        report = adapt_step(state, batch_from(dataset, seed=seed)[0], posterior, cfg)
+        assert {key: id(buffer) for key, buffer in state.workspace.items()} == {
+            key: id(buffer) for key, buffer in buffers.items()
+        }
+        assert not any(np.shares_memory(report.predictions, buffer) for buffer in buffers.values())
 
 
 @pytest.mark.parametrize("name, value", [("hidden0.weight", np.nan), ("hidden0.beta", -np.inf)])

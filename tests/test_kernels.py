@@ -137,6 +137,28 @@ def test_affine_batch_equals_fancy_index_reference(seed, b, scale, snap):
     assert np.array_equal(_affine_batch(images, dx, dy, theta), expected)
 
 
+def test_affine_batch_with_one_workspace_across_batch_sizes_equals_reference():
+    rng = np.random.default_rng(5)
+    workspace = {}
+    for b in (7, 64, 7, 130, 64):
+        images = _images(rng, b, 1.0)
+        before = images.copy()
+        dx = rng.uniform(-1.5, 1.5, b)
+        dy = rng.uniform(-1.5, 1.5, b)
+        theta = np.deg2rad(rng.uniform(-40.0, 40.0, b))
+        # far shifts: every source of sample 0 clips to (side - 1, side - 1),
+        # sample 1's rows to 0 and its columns to side - 1
+        dx[:2] = -4.0 * IMAGE_SIDE
+        dy[:2] = -4.0 * IMAGE_SIDE, 4.0 * IMAGE_SIDE
+        theta[:2] = 0.0
+        expected = reference_affine_batch(images, dx, dy, theta)
+        out = _affine_batch(images, dx, dy, theta, workspace)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out[0], np.full((IMAGE_SIDE, IMAGE_SIDE), images[0, -1, -1]))
+        assert np.array_equal(images, before)
+    assert {shape for _, shape in workspace} == {(b, IMAGE_SIDE, IMAGE_SIDE) for b in (7, 64, 130)}
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     seed=SEEDS,
@@ -171,9 +193,14 @@ def test_batch_norm_train_equals_var_reference(seed, n, features, offset, log_sc
     assert np.array_equal(out, expected)
     assert np.array_equal(mean, expected_mean)
     assert np.array_equal(var, expected_var)
-    batched, _, _ = batch_norm_arrays(x, gamma, beta, mean, var, "batch")
+    batched, x_hat, _ = batch_norm_arrays(x, gamma, beta, mean, var, "batch")
     assert np.array_equal(batched, expected)
     assert np.array_equal(mean, expected_mean) and np.array_equal(var, expected_var)
+    # centred in x's own buffer, written into a given one: the same values
+    scratch_x, out = x.copy(), np.full_like(x, np.nan)
+    in_place, in_place_hat, _ = batch_norm_arrays(scratch_x, gamma, beta, mean, var, "batch", out=out, overwrite_x=True)
+    assert in_place is out and in_place_hat is scratch_x
+    assert np.array_equal(out, expected) and np.array_equal(scratch_x, x_hat)
 
 
 _DEFAULT = AugmentParams()
@@ -197,6 +224,24 @@ def test_augment_equals_reference_pipeline(params):
             expected = reference_augment(images, np.random.default_rng(seed), params)
             out = augment(images, np.random.default_rng(seed), params)
             assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize(
+    "params",
+    AUGMENT_CASES,
+    ids=["default", "zero"] + [f.name for f in dataclasses.fields(AugmentParams)],
+)
+def test_augment_with_one_workspace_across_batch_sizes_equals_reference(params):
+    data_rng = np.random.default_rng(12)
+    workspace = {}
+    for seed, (b, draws) in enumerate([(19, 4), (64, 4), (19, 4), (19, 1), (64, 4)]):
+        images = data_rng.random((b, IMAGE_SIDE * IMAGE_SIDE))
+        before = images.copy()
+        reference_rng = np.random.default_rng(seed)
+        expected = np.concatenate([reference_augment(images, reference_rng, params) for _ in range(draws)])
+        out = augment(images, np.random.default_rng(seed), params, draws, workspace)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(images, before)
 
 
 MAGNITUDES = [f.name for f in dataclasses.fields(AugmentParams)]

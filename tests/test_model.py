@@ -217,6 +217,17 @@ def test_block_forward_equals_per_draw_and_taped_forwards(seed, b, draws, widths
     taped = [model.taped_forward(batch, Tape())[0].data for batch in batches]
     assert np.array_equal(block, np.concatenate(per_draw))
     assert np.array_equal(block, np.concatenate(taped))
+    # one workspace across calls: its blocks are overwritten, never read
+    # stale, the input stays intact and the logits are a new array
+    workspace = {}
+    before = x.copy()
+    for bn in ("batch", "eval", "batch"):
+        model.forward(rng.normal(0.5, 2.0, x.shape), bn, draws, workspace)
+        logits = model.forward(x, bn, draws, workspace)
+        assert np.array_equal(logits, model.forward(x, bn, draws))
+        assert np.array_equal(x, before)
+        assert not any(np.shares_memory(logits, buffer) for buffer in workspace.values())
+    assert len(workspace) == 2 * len({(draws, b, width) for width in widths})
 
 
 def loop_oracle_logits(model, x, bn):
