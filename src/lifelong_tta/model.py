@@ -178,7 +178,6 @@ class MlpClassifier:
                 self.running[f"hidden{i}.running_var"],
                 bn,
                 out=scratch(workspace, "batch_norm", shape),
-                overwrite_x=True,
             )
             np.maximum(_finite(h, "batch norm output"), 0.0, out=h)
             if saved is not None:
@@ -271,8 +270,7 @@ def batch_norm_arrays(
     running_var: Array,
     bn: str,
     *,
-    out: Array | None = None,
-    overwrite_x: bool = False,
+    out: Array,
 ) -> tuple[Array, Array, Array]:
     """The batch-normalization arithmetic on plain arrays; returns
     (out, x_hat, inv_std).
@@ -282,10 +280,9 @@ def batch_norm_arrays(
     does the same and folds them into ``running_mean``/``running_var`` in
     place with momentum 0.1 (variance stored unbiased), so only a single
     batch may update them. ``"eval"`` normalizes by the running arrays.
-    eps = 1e-5. ``out``, when given, receives the output (and first the
-    squares of the centred input); with ``overwrite_x`` the centring and
-    scaling run in ``x``'s own buffer, which then holds x_hat. The values
-    are the same either way.
+    eps = 1e-5. The centring and scaling run in ``x``'s own buffer, which
+    then holds x_hat; ``out``, of ``x``'s shape, receives the output (and
+    first the squares of the centred input).
     """
     if x.ndim not in (2, 3):
         raise ValueError("batch norm expects a (B, F) or (G, B, F) input")
@@ -298,10 +295,10 @@ def batch_norm_arrays(
         if bn == "update" and x.size != n * features:
             raise ValueError("only a single batch may update the running statistics")
         batch_mean = x.mean(axis=-2, keepdims=True)
-        x_hat = np.subtract(x, batch_mean, out=x if overwrite_x else None)
+        x_hat = np.subtract(x, batch_mean, out=x)
         # numpy's own variance formula, so batch_var equals x.var(axis=-2) bit
         # for bit; the squares' buffer takes the output below
-        out = np.multiply(x_hat, x_hat, out=out)
+        np.multiply(x_hat, x_hat, out=out)
         batch_var = out.sum(axis=-2, keepdims=True) / n
         inv_std = 1.0 / np.sqrt(batch_var + BN_EPS)
         x_hat *= inv_std
@@ -311,10 +308,8 @@ def batch_norm_arrays(
             running_var[...] = (1.0 - m) * running_var + m * batch_var.reshape(features) * n / (n - 1)
     elif bn == "eval":
         inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
-        x_hat = np.subtract(x, running_mean, out=x if overwrite_x else None)
+        x_hat = np.subtract(x, running_mean, out=x)
         x_hat *= inv_std
-        if out is None:
-            out = np.empty_like(x_hat)
     else:
         raise ValueError(f"unknown BN mode {bn!r}")
     # in place where the values allow: the same operations, fewer buffers

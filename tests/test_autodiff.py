@@ -103,7 +103,7 @@ def test_relu_all_negative():
 
 def test_batch_norm_two_point_hand_computation():
     x = np.array([[1.0], [3.0]])
-    out, _, _ = batch_norm_arrays(x, np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), "batch")
+    out, _, _ = batch_norm_arrays(x.copy(), np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), "batch", out=np.empty_like(x))
     expected = (x - 2.0) / np.sqrt(1.0 + 1e-5)
     assert np.abs(out - expected).max() < 1e-12
     assert abs(out[0, 0] + 0.999995) < 1e-6
@@ -111,26 +111,28 @@ def test_batch_norm_two_point_hand_computation():
 
 def test_batch_norm_zero_gamma_gives_beta():
     x = rand_rng(2).normal(size=(5, 2))
-    out, _, _ = batch_norm_arrays(x, np.zeros(2), np.array([0.7, -0.2]), np.zeros(2), np.ones(2), "batch")
+    out, _, _ = batch_norm_arrays(
+        x, np.zeros(2), np.array([0.7, -0.2]), np.zeros(2), np.ones(2), "batch", out=np.empty_like(x)
+    )
     assert np.allclose(out, np.broadcast_to([0.7, -0.2], (5, 2)))
 
 
 def test_batch_norm_eval_with_unit_stats_is_near_identity():
     x = rand_rng(3).normal(size=(4, 3))
-    out, _, _ = batch_norm_arrays(x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval")
+    out, _, _ = batch_norm_arrays(x.copy(), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), "eval", out=np.empty_like(x))
     assert np.abs(out - x).max() < 1e-4
 
 
 def test_batch_norm_rejects_small_train_batch():
     for bn in ("batch", "update"):
         with pytest.raises(ValueError):
-            batch_norm_arrays(np.array([[1.0]]), np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), bn)
+            batch_norm_arrays(np.array([[1.0]]), np.ones(1), np.zeros(1), np.zeros(1), np.ones(1), bn, out=np.empty((1, 1)))
 
 
 def test_batch_norm_updates_running_stats_with_momentum():
     mean, var = np.zeros(1), np.ones(1)
     x = np.array([[1.0], [3.0]])
-    batch_norm_arrays(x, np.ones(1), np.zeros(1), mean, var, "update")
+    batch_norm_arrays(x, np.ones(1), np.zeros(1), mean, var, "update", out=np.empty_like(x))
     assert np.allclose(mean, 0.9 * 0.0 + 0.1 * 2.0)
     # running variance uses the unbiased batch variance
     assert np.allclose(var, 0.9 * 1.0 + 0.1 * 2.0)
@@ -139,7 +141,7 @@ def test_batch_norm_updates_running_stats_with_momentum():
 def test_batch_norm_train_output_is_standardized():
     rng = rand_rng(4)
     x = rng.normal(3.0, 2.5, size=(64, 5))
-    out, _, _ = batch_norm_arrays(x, np.ones(5), np.zeros(5), np.zeros(5), np.ones(5), "update")
+    out, _, _ = batch_norm_arrays(x, np.ones(5), np.zeros(5), np.zeros(5), np.ones(5), "update", out=np.empty_like(x))
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
 

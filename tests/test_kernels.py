@@ -189,18 +189,17 @@ def test_batch_norm_train_equals_var_reference(seed, n, features, offset, log_sc
     start_mean, start_var = rng.normal(size=features), rng.random(features) + 0.5
     expected, expected_mean, expected_var = reference_batch_norm_train(x, gamma, beta, start_mean, start_var)
     mean, var = start_mean.copy(), start_var.copy()
-    out, _, _ = batch_norm_arrays(x, gamma, beta, mean, var, "update")
+    out, _, _ = batch_norm_arrays(x.copy(), gamma, beta, mean, var, "update", out=np.empty_like(x))
     assert np.array_equal(out, expected)
     assert np.array_equal(mean, expected_mean)
     assert np.array_equal(var, expected_var)
-    batched, x_hat, _ = batch_norm_arrays(x, gamma, beta, mean, var, "batch")
+    # centred in x's own buffer, written into the given one
+    centred, given = x.copy(), np.full_like(x, np.nan)
+    batched, x_hat, _ = batch_norm_arrays(centred, gamma, beta, mean, var, "batch", out=given)
+    assert batched is given and x_hat is centred
     assert np.array_equal(batched, expected)
+    assert np.array_equal(x_hat, (x - x.mean(axis=0)) * (1.0 / np.sqrt(x.var(axis=0) + 1e-5)))
     assert np.array_equal(mean, expected_mean) and np.array_equal(var, expected_var)
-    # centred in x's own buffer, written into a given one: the same values
-    scratch_x, out = x.copy(), np.full_like(x, np.nan)
-    in_place, in_place_hat, _ = batch_norm_arrays(scratch_x, gamma, beta, mean, var, "batch", out=out, overwrite_x=True)
-    assert in_place is out and in_place_hat is scratch_x
-    assert np.array_equal(out, expected) and np.array_equal(scratch_x, x_hat)
 
 
 _DEFAULT = AugmentParams()

@@ -362,7 +362,7 @@ def test_block_forward_refuses_to_update_stats_and_ragged_blocks():
         with pytest.raises(ValueError, match="unknown BN mode"):
             model.forward(x, bn)
         with pytest.raises(ValueError, match="unknown BN mode"):
-            batch_norm_arrays(x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), bn)
+            batch_norm_arrays(x.copy(), np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), bn, out=np.empty_like(x))
     with pytest.raises(ValueError):
         model.forward(x, "batch", 3)
     with pytest.raises(ValueError):
