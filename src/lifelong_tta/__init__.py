@@ -1,12 +1,13 @@
 """Continual test-time adaptation at desk scale.
 
-A small numpy stack: a tape-based autodiff core, a batch-normalized MLP with
-a named parameter registry, a diagonal-Gaussian posterior fitted from SGD
-iterates, a synthetic corruption-stream benchmark, the adaptation engine with
-its baselines, and proper-scoring metrics.
+A small numpy stack: an autodiff core whose tape is a plain list, a
+batch-normalized MLP with a named parameter registry, a diagonal-Gaussian
+posterior fitted from SGD iterates, a synthetic corruption-stream
+benchmark, the adaptation engine with its baselines, and proper-scoring
+metrics.
 """
 
-from .autodiff import Tape, Tensor, backward, softmax
+from .autodiff import Tensor, backward, softmax
 from .engine import (
     AdaptState,
     AugmentParams,

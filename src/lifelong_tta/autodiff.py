@@ -4,9 +4,12 @@ Implements only what the self-training objectives add to the model, which
 records its whole forward as one node on theta: softmax-based losses against
 constant array targets, a diagonal-Gaussian log-density of the parameter
 vector (whose constant per-piece normalizer sums, ``log_normalizers``, the
-caller computes once per posterior and passes in), and
-scalar combination. Each op records itself on the ``Tape`` it
-is given; ``backward`` replays the tape in reverse and accumulates a gradient per
+caller computes once per posterior and passes in), and scalar combination.
+A tape is a plain list: each op appends one ``(op, inputs, output,
+grad_fn)`` tuple to the list it is given, where ``grad_fn`` maps the
+output's gradient to one gradient per input, in input order, so append
+order is a topological order and the list's length is its node count.
+``backward`` replays the tape in reverse and accumulates a gradient per
 tensor, and every tensor on a tape is differentiated.
 
 Everything is float64 and must stay finite: NaN/Inf raises immediately
@@ -16,8 +19,7 @@ instead of propagating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,45 +53,18 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
 
-
-@dataclass(eq=False)
-class TapeNode:
-    """One recorded operation. ``grad_fn`` maps the output gradient to one
-    gradient per input, in input order."""
-
-    op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    grad_fn: Callable[[Array], tuple]
-
-
-class Tape:
-    """Append-only record of ops; append order is a topological order."""
-
-    def __init__(self) -> None:
-        self.nodes: list[TapeNode] = []
-
-    def record(self, op: str, inputs, output: Tensor, grad_fn) -> None:
-        self.nodes.append(TapeNode(op, tuple(inputs), output, grad_fn))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def backward(root: Tensor, tape: Tape) -> dict[Tensor, Array]:
+def backward(root: Tensor, tape: list) -> dict[Tensor, Array]:
     """Gradients of a scalar ``root`` w.r.t. every tensor on the tape, keyed
     by tensor identity, each of its tensor's shape."""
     if root.shape != ():
         raise ValueError("backward root must be a scalar tensor")
     grads = {root: np.ones(())}
-    for node in reversed(tape.nodes):
-        g_out = grads.get(node.output)
+    for _, inputs, output, grad_fn in reversed(tape):
+        g_out = grads.get(output)
         if g_out is None:
             continue
-        for inp, g_in in zip(node.inputs, node.grad_fn(g_out)):
+        for inp, g_in in zip(inputs, grad_fn(g_out)):
             held = grads.get(inp)
             grads[inp] = g_in if held is None else held + g_in
     return grads
@@ -122,7 +97,7 @@ def _check_rows_are_distributions(rows: Array, what: str, tol: float = 1e-6) -> 
         raise ValueError(f"{what} rows must be probability distributions")
 
 
-def soft_cross_entropy(target: Array, logits: Tensor, tape: Tape) -> Tensor:
+def soft_cross_entropy(target: Array, logits: Tensor, tape: list) -> Tensor:
     """Batch-mean cross-entropy of softmax(logits) against soft targets.
 
     The target is a constant array: the gradient flows to the logits only and
@@ -139,11 +114,11 @@ def soft_cross_entropy(target: Array, logits: Tensor, tape: Tape) -> Tensor:
     def grad_fn(g, probs=probs, target=target, n=n):
         return ((probs - target) * (g / n),)
 
-    tape.record("soft_cross_entropy", (logits,), out, grad_fn)
+    tape.append(("soft_cross_entropy", (logits,), out, grad_fn))
     return out
 
 
-def softmax_entropy_mean(logits: Tensor, tape: Tape) -> Tensor:
+def softmax_entropy_mean(logits: Tensor, tape: list) -> Tensor:
     """Batch-mean entropy of the softmax predictions."""
     if logits.data.ndim != 2:
         raise ValueError("softmax_entropy_mean expects a (B, C) input")
@@ -156,7 +131,7 @@ def softmax_entropy_mean(logits: Tensor, tape: Tape) -> Tensor:
     def grad_fn(g, probs=probs, log_probs=log_probs, row_entropy=row_entropy, n=n):
         return (-(g / n) * probs * (log_probs + row_entropy[:, None]),)
 
-    tape.record("softmax_entropy_mean", (logits,), out, grad_fn)
+    tape.append(("softmax_entropy_mean", (logits,), out, grad_fn))
     return out
 
 
@@ -173,7 +148,7 @@ def gaussian_log_density(
     sigma2: Array,
     pieces: Sequence[slice],
     normalizers: Sequence[float],
-    tape: Tape,
+    tape: list,
 ) -> Tensor:
     """Independent-Gaussian log-density of the vector ``theta``.
 
@@ -201,11 +176,11 @@ def gaussian_log_density(
         grad *= g
         return (grad,)
 
-    tape.record("gaussian_log_density", (theta,), out, grad_fn)
+    tape.append(("gaussian_log_density", (theta,), out, grad_fn))
     return out
 
 
-def weighted_sum(terms: Sequence[tuple[float, Tensor]], tape: Tape) -> Tensor:
+def weighted_sum(terms: Sequence[tuple[float, Tensor]], tape: list) -> Tensor:
     """Sum of coefficient * scalar-tensor terms."""
     total = 0.0
     for coef, term in terms:
@@ -218,6 +193,6 @@ def weighted_sum(terms: Sequence[tuple[float, Tensor]], tape: Tape) -> Tensor:
     def grad_fn(g, coefs=coefs):
         return tuple(np.asarray(g * c) for c in coefs)
 
-    tape.record("weighted_sum", tuple(t for _, t in terms), out, grad_fn)
+    tape.append(("weighted_sum", tuple(t for _, t in terms), out, grad_fn))
     return out
 

@@ -28,8 +28,8 @@ BN-affine-only methods run the model's ``affine_only`` backward, which forms
 no weight or bias gradient; ``adam_delta`` and ``ema_update`` update the
 moments and the teacher in place, with the operations and order of their
 textbook expressions and so with those expressions' bits; and ``petal``'s
-run state holds the posterior's constant log-density normalizer sums, so a
-step computes only the anchor's quadratic part.
+run state holds its anchor, the posterior with its constant log-density
+normalizer sums, so a step computes only the anchor's quadratic part.
 
 The K draws run in blocks of four: per block, one ``augment`` call takes the
 random numbers draw by draw and runs each transform once over all four, and
@@ -45,17 +45,20 @@ block and faults no page in. ``augment``, ``_affine_batch`` and
 operations, in the order, of their allocating form, which is the same code
 called without a workspace.
 
-Only the student's objective is taped, the model as one node and each loss
-op as its own; its one parameter input is a tensor over the student's theta,
-so the gradient is one vector in theta's layout. The gate, the teacher, the
-forward-only step and evaluation run the untaped ``forward`` on plain
-arrays. A ``Tensor`` holds no NaN or Inf, so a forward or loss that leaves
-the finite range raises inside the step, which aborts with
-``NonFiniteLossError``.
+Only the student's objective is taped, on a plain list, the model as one
+node and each loss op as its own; its one parameter input is a tensor over
+the student's theta, so the gradient is one vector in theta's layout. The
+gate, the teacher, the forward-only step and evaluation run the untaped
+``forward`` on plain arrays. A ``Tensor`` holds no NaN or Inf, so a
+forward or loss that leaves the finite range raises inside the step, which
+aborts with ``NonFiniteLossError``.
 
 One frozen, eval-BN source model holds the posterior mode theta_0: it gates
-augmentation and is the restore target. Only the methods that read a teacher
-or Adam moments get them. ``init_adapt_state`` is the one constructor of a
+augmentation and is the restore target. Only the methods that read a
+teacher, Adam moments or an anchor get them, and a step reads those fields,
+not the method's name: moments make a gradient step, a teacher makes
+pseudo-labels, an EMA update and a restore, an anchor adds the posterior
+term at alpha != 0. ``init_adapt_state`` is the one constructor of a
 run's state; the oracle ``tent_online`` reset is a second call of it at each
 segment boundary, on the generators the run already holds, so the random
 streams continue across the reset.
@@ -76,7 +79,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .autodiff import (
-    Tape,
     backward,
     gaussian_log_density,
     log_normalizers,
@@ -354,13 +356,14 @@ def adam_delta(opt: AdamState, grad: Array, lr: float) -> Array:
 
 @dataclass(eq=False)
 class AdaptState:
-    """What a run carries between steps. ``source_model`` (frozen, eval BN)
-    is the only theta_0: the gate's weights and the restore target.
-    ``teacher`` is None except for petal/cotta; ``opt``, the Adam moments of
-    the ``trained`` coordinates, is None for source/bn_adapt.
-    ``log_normalizers``, the posterior's constant log-density sums, is None
-    except for petal. ``workspace``, the teacher blocks' buffers keyed by
-    (name, shape), is None except for petal/cotta; it holds nothing until
+    """What a run carries between steps, and what its steps read to know what
+    to do. ``source_model`` (frozen, eval BN) is the only theta_0: the gate's
+    weights and the restore target. ``teacher`` is None except for
+    petal/cotta; ``opt``, the Adam moments of the ``trained`` coordinates, is
+    None for source/bn_adapt, which take no gradient step. ``anchor``, the
+    posterior and its constant per-piece log-density normalizer sums, is
+    None except for petal. ``workspace``, the teacher blocks' buffers keyed
+    by (name, shape), is None except for petal/cotta; it holds nothing until
     the first gate-open step."""
 
     student: MlpClassifier
@@ -371,7 +374,7 @@ class AdaptState:
     opt: AdamState | None
     rng_augment: np.random.Generator
     rng_restore: np.random.Generator
-    log_normalizers: tuple[float, ...] | None
+    anchor: tuple[SwagDiagPosterior, tuple[float, ...]] | None
     workspace: dict | None
 
 
@@ -386,9 +389,9 @@ def init_adapt_state(
     """The frozen source model, the student and (for ``petal``/``cotta``) the
     teacher all start from the posterior mode, with zero Adam moments. The
     state draws augmentations from ``rng_augment`` and stochastic restores
-    from ``rng_restore``; for ``petal`` it holds the posterior's
-    ``log_normalizers``, so a step computes only the parameter-dependent part
-    of the anchor."""
+    from ``rng_restore``; for ``petal`` it holds the anchor, ``posterior``
+    with its ``log_normalizers``, so a step computes only the
+    parameter-dependent part of the log-density."""
     frozen_source = source_model.clone()
     frozen_source.load(posterior.mu)
     student = frozen_source.clone()
@@ -400,7 +403,7 @@ def init_adapt_state(
         trained = slice(None)
     # no moments for the methods that take no gradient step
     opt = None if cfg.method in FORWARD_ONLY_METHODS else AdamState.zeros(student.theta[trained].size)
-    normalizers = log_normalizers(posterior.sigma2, student.pieces) if cfg.method == "petal" else None
+    anchor = (posterior, log_normalizers(posterior.sigma2, student.pieces)) if cfg.method == "petal" else None
     return AdaptState(
         student=student,
         teacher=teacher,
@@ -410,7 +413,7 @@ def init_adapt_state(
         opt=opt,
         rng_augment=rng_augment,
         rng_restore=rng_restore,
-        log_normalizers=normalizers,
+        anchor=anchor,
         workspace=None if teacher is None else {},
     )
 
@@ -550,24 +553,17 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
 # adaptation steps
 
 
-def _objective(
-    state: AdaptState,
-    images: Array,
-    pseudo: Array | None,
-    posterior: SwagDiagPosterior | None,
-    cfg: PetalConfig,
-    tape: Tape,
-):
+def _objective(state: AdaptState, images: Array, pseudo: Array | None, cfg: PetalConfig, tape: list):
     """The method's taped loss; returns (loss node, theta tensor, logits).
 
     The student's taped forward runs ``"update"`` BN and adapts its statistics.
     ``tent`` takes the mean prediction entropy; every other method the
     cross-entropy to its targets: the teacher's ``pseudo`` rows, or for
-    ``pseudo_label`` the one-hot argmax of its own prediction. ``petal`` with
-    alpha != 0 subtracts alpha times the source-posterior log-density of the
-    student parameters, so ``cotta`` is ``petal`` at alpha = 0. A method
-    without a teacher trains only the BN affine coordinates, so its backward
-    forms only their entries.
+    ``pseudo_label`` the one-hot argmax of its own prediction. A state with
+    an anchor (``petal``'s) subtracts, at alpha != 0, alpha times the
+    source-posterior log-density of the student parameters, so ``cotta`` is
+    ``petal`` at alpha = 0. A state without a teacher trains only the BN
+    affine coordinates, so its backward forms only their entries.
     """
     logits, params = state.student.taped_forward(images, tape, affine_only=state.teacher is None)
     if cfg.method == "tent":
@@ -575,20 +571,14 @@ def _objective(
     if cfg.method == "pseudo_label":
         pseudo = one_hot(softmax(logits.data).argmax(axis=1), logits.shape[1])
     loss = soft_cross_entropy(pseudo, logits, tape)
-    if cfg.method == "petal" and cfg.alpha != 0.0:
-        log_q = gaussian_log_density(
-            params, posterior.mu, posterior.sigma2, state.student.pieces, state.log_normalizers, tape
-        )
+    if state.anchor is not None and cfg.alpha != 0.0:
+        posterior, normalizers = state.anchor
+        log_q = gaussian_log_density(params, posterior.mu, posterior.sigma2, state.student.pieces, normalizers, tape)
         loss = weighted_sum([(1.0, loss), (-cfg.alpha, log_q)], tape)
     return loss, params, logits
 
 
-def adapt_step(
-    state: AdaptState,
-    images: Array,
-    posterior: SwagDiagPosterior | None,
-    cfg: PetalConfig,
-) -> StepReport:
+def adapt_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
     """The one gradient step, of ``petal``, ``cotta``, ``tent`` and
     ``pseudo_label``; its predictions are computed before the update that
     uses this batch's gradient.
@@ -596,16 +586,17 @@ def adapt_step(
     Every method takes one Adam step on the coordinates it trains.
     ``petal``/``cotta`` learn from teacher pseudo-labels, which are also
     their predictions, then EMA-update the teacher and restore;
-    ``tent``/``pseudo_label`` have no teacher, predict from the student, read
-    no ``posterior`` (it may be None) and move only the BN affine parameters.
+    ``tent``/``pseudo_label`` have no teacher, predict from the student and
+    move only the BN affine parameters. A state without Adam moments
+    (``source``/``bn_adapt``) is refused.
     """
-    if cfg.method in FORWARD_ONLY_METHODS:
+    if state.opt is None:
         raise ValueError(f"adapt_step does not handle method {cfg.method!r}, which takes no gradient step")
-    has_teacher = cfg.method in ADAPT_METHODS
-    tape = Tape()
+    has_teacher = state.teacher is not None
+    tape = []
     try:
         pseudo = teacher_pseudo_label(state, images, cfg) if has_teacher else None
-        loss, params, logits = _objective(state, images, pseudo, posterior, cfg, tape)
+        loss, params, logits = _objective(state, images, pseudo, cfg, tape)
     except FloatingPointError as exc:  # a Tensor holds no NaN/Inf, so the loss is finite past here
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
     grad_vec = backward(loss, tape)[params]
@@ -622,8 +613,8 @@ def adapt_step(
 def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
     """The forward-only step of ``source`` and ``bn_adapt``: ``"eval"`` BN
     (``source``) leaves the running statistics alone, ``"update"``
-    (``bn_adapt``) refreshes them."""
-    if cfg.method not in FORWARD_ONLY_METHODS:
+    (``bn_adapt``) refreshes them. A state with Adam moments is refused."""
+    if state.opt is not None:
         raise ValueError(f"baseline_step does not handle method {cfg.method!r}, which takes a gradient step")
     try:
         preds = softmax(state.student.forward(images, "eval" if cfg.method == "source" else "update"))
@@ -705,10 +696,7 @@ def run_lifelong(
                 source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
             )
             state = replace(fresh, step=state.step, workspace=state.workspace)
-        if cfg.method in FORWARD_ONLY_METHODS:
-            report = baseline_step(state, batch.images, cfg)
-        else:
-            report = adapt_step(state, batch.images, posterior, cfg)
+        report = (baseline_step if state.opt is None else adapt_step)(state, batch.images, cfg)
         err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
         values = (
             len(rows),

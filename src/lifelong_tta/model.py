@@ -19,13 +19,14 @@ it there and writes batch norm and ReLU into a second, so a stack of G
 batches needs two (G, B, width) blocks per layer width. ``forward`` takes
 them from a caller's workspace (``scratch``) when it is given one, so a
 loop of equal calls allocates no block; ``taped_forward`` always
-allocates, since its backward keeps them. ``taped_forward`` records the
-network as one tape node whose one input is a tensor over theta itself
-and whose backward, the MLP's own, returns the gradient as one vector in
-theta's layout. ``affine_only`` limits that backward to the BN gamma/beta
-entries, the only ones ``tent`` and ``pseudo_label`` train: it forms no
-weight or bias product, stops at the first layer's gamma/beta and leaves
-every other entry 0.0, so its entries are the full backward's bits. ``batch_norm_arrays``, BN's arithmetic, sits
+allocates, since its backward keeps them. ``taped_forward`` appends the
+network to a tape (a plain list) as one ``"mlp"`` node whose one input is
+a tensor over theta itself and whose backward, the MLP's own, returns the
+gradient as one vector in theta's layout. ``affine_only`` limits that
+backward to the BN gamma/beta entries, the only ones ``tent`` and
+``pseudo_label`` train: it forms no weight or bias product, stops at the
+first layer's gamma/beta and leaves every other entry 0.0, so its entries
+are the full backward's bits. ``batch_norm_arrays``, BN's arithmetic, sits
 beside that backward, which reads its saved values.
 """
 
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 Array = np.ndarray
@@ -140,8 +141,8 @@ class MlpClassifier:
         logits = self._logits(x.reshape(draws, -1, self.sizes[0]), bn, workspace=workspace)
         return _finite(logits.reshape(x.shape[0], -1), "logits")
 
-    def taped_forward(self, x, tape: Tape, affine_only: bool = False) -> tuple[Tensor, Tensor]:
-        """``"update"``-mode logits of one batch, recorded on ``tape`` as one
+    def taped_forward(self, x, tape: list, affine_only: bool = False) -> tuple[Tensor, Tensor]:
+        """``"update"``-mode logits of one batch, appended to ``tape`` as one
         node whose one input is a tensor over ``theta`` (no copy) and whose
         backward is ``_backward``; returns (logits, that tensor). Building
         that tensor is the one check that theta is finite. With
@@ -152,7 +153,7 @@ class MlpClassifier:
         params = Tensor(self.theta)
         saved: list[tuple[Array, Array, Array]] = []
         logits = Tensor(self._logits(x, "update", saved))
-        tape.record("mlp", (params,), logits, lambda g: (self._backward(g, x, saved, affine_only),))
+        tape.append(("mlp", (params,), logits, lambda g: (self._backward(g, x, saved, affine_only),)))
         return logits, params
 
     def _logits(self, h: Array, bn: str, saved: list | None = None, workspace: dict | None = None) -> Array:

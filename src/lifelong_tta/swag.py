@@ -5,12 +5,13 @@ the fitted posterior holds the mean ``mu`` (the maximum-a-posteriori
 initialization) and the variances ``sigma2`` as plain vectors in the model's
 theta layout, and saves and loads them as a checkpoint through the model's
 ``views``. Its log-density is ``autodiff.gaussian_log_density`` of the
-model's theta tensor over ``mu``/``sigma2``. ``train_source`` reads each SGD
-step's gradient off the tape as one theta vector; it returns the fitted
-posterior and the trained model's eval-mode accuracy on its training set,
-the one training number ``train-source`` reports. Variances are floored at
-1e-8 so that density stays finite and its gradient bounded even when few
-iterates were collected.
+model's theta tensor over ``mu``/``sigma2``. ``train_source`` tapes each SGD
+step's forward and loss on a fresh list and reads the gradient off it as
+one theta vector; it returns the fitted posterior and the trained model's
+eval-mode accuracy on its training set, the one training number
+``train-source`` reports. Variances are floored at 1e-8 so that density
+stays finite and its gradient bounded even when few iterates were
+collected.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, backward, soft_cross_entropy, softmax
+from .autodiff import backward, soft_cross_entropy, softmax
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .model import MlpClassifier
 
@@ -127,7 +128,7 @@ def train_source(
             idx = order[start : start + batch_size]
             if idx.size < 2:
                 continue  # batch-statistics BN needs at least two samples
-            tape = Tape()
+            tape = []
             try:
                 logits, params = model.taped_forward(images[idx], tape)
                 loss = soft_cross_entropy(targets[idx], logits, tape)

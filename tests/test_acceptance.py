@@ -13,14 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density, log_normalizers
+from lifelong_tta.autodiff import Tensor, backward, gaussian_log_density, log_normalizers
 from lifelong_tta.cli import ExperimentConfig, cmd_adapt, cmd_train_source
 from lifelong_tta.cli import DatasetConfig, ModelConfig, ScheduleConfig, SourceTrainConfig
 from lifelong_tta.engine import (
     PetalConfig,
     _objective,
     adapt_step,
-    evaluate_model,
     init_adapt_state,
 )
 from lifelong_tta.metrics import per_sample_scores
@@ -66,23 +65,23 @@ def _random_case(seed):
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(seed))
     # move the student off the posterior mode so the anchor gradient is live
     state.student.load(state.student.flatten() + rng.normal(scale=0.05, size=state.student.theta.size))
-    return state, images, pseudo, posterior, cfg
+    return state, images, pseudo, cfg
 
 
 def test_criterion_1_gradient_correctness():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        state, images, pseudo, posterior, cfg = _random_case(seed)
+        state, images, pseudo, cfg = _random_case(seed)
 
         def loss_at(values):
             state.student.load(values)
-            loss, _, _ = _objective(state, images, pseudo, posterior, cfg, Tape())
+            loss, _, _ = _objective(state, images, pseudo, cfg, [])
             return loss.item()
 
         theta = state.student.flatten()
-        tape = Tape()
-        loss, params, _ = _objective(state, images, pseudo, posterior, cfg, tape)
+        tape = []
+        loss, params, _ = _objective(state, images, pseudo, cfg, tape)
         auto = backward(loss, tape)[params]
         numeric = finite_diff_gradient(loss_at, theta, 1e-5)
         rel = np.abs(auto - numeric) / np.maximum(np.abs(numeric), 1e-6)
@@ -111,8 +110,8 @@ def test_criterion_2_cotta_reduction(default_bundle):
     identical = True
     steps = 0
     for batch, _ in stream_batches(bundle.schedule, bundle.eval_set, np.random.default_rng(0)):
-        adapt_step(petal_state, batch.images, bundle.posterior, petal_cfg)
-        adapt_step(cotta_state, batch.images, bundle.posterior, cotta_cfg)
+        adapt_step(petal_state, batch.images, petal_cfg)
+        adapt_step(cotta_state, batch.images, cotta_cfg)
         identical &= np.array_equal(
             petal_state.student.flatten(), cotta_state.student.flatten()
         )
@@ -158,7 +157,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     schedule = build_schedule(("gaussian_noise", "contrast"), "continual5", 100, 16)
     counts = []
     for batch, _ in stream_batches(schedule, dataset, np.random.default_rng(1)):
-        report = adapt_step(state, batch.images, posterior, cfg)
+        report = adapt_step(state, batch.images, cfg)
         counts.append(report.restored)
     d_small = state.source_model.theta.size
     mean = d_small * 0.01
@@ -172,7 +171,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     full_cfg = PetalConfig(method="petal", restore="fim", delta=1.0, k_aug=2)
     full_state = init_adapt_state(model, posterior, full_cfg, **seeded_generators(0))
     batch, _ = next(stream_batches(schedule, dataset, np.random.default_rng(2)))
-    adapt_step(full_state, batch.images, posterior, full_cfg)
+    adapt_step(full_state, batch.images, full_cfg)
     full_reset = np.array_equal(full_state.student.flatten(), full_state.source_model.theta)
 
     check(
@@ -270,8 +269,8 @@ def test_criterion_6_swag_fidelity():
         whole = [slice(None)]
         return gaussian_log_density(theta, post.mu, post.sigma2, whole, log_normalizers(post.sigma2, whole), tape)
 
-    numeric = finite_diff_gradient(lambda v: log_q(Tensor(v), Tape()).item(), probe, 1e-5)
-    tape = Tape()
+    numeric = finite_diff_gradient(lambda v: log_q(Tensor(v), []).item(), probe, 1e-5)
+    tape = []
     theta = Tensor(probe)
     analytic = backward(log_q(theta, tape), tape)[theta]
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
@@ -325,18 +324,13 @@ def test_criterion_8_calibration_direction(headline_runs):
           "; ".join(details))
 
 
-def test_forgetting_guard(headline_runs, default_bundle):
+def test_forgetting_guard(headline_runs):
     # the restored student keeps clean-data competence at least as well as the
     # no-restore run (the mechanism's stated purpose); not a numbered
     # criterion but part of the engine's invariants
-    clean = default_bundle.eval_set
     medians = {}
     for label in ("petal_fim", "petal_none"):
-        errs = [
-            evaluate_model(state.student, clean.images, clean.labels).error
-            for state in headline_runs.states[label]
-        ]
-        medians[label] = float(np.median(errs))
+        medians[label] = float(np.median(headline_runs.clean_errors[label]))
     assert medians["petal_fim"] <= medians["petal_none"], medians
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong_tta.autodiff import (
-    Tape,
     Tensor,
     backward,
     gaussian_log_density,
@@ -20,11 +19,11 @@ from helpers import finite_diff_gradient
 
 
 def sum_all(x, tape=None):
-    """Sum of all entries as a scalar tensor, recorded on ``tape``: the
+    """Sum of all entries as a scalar tensor, appended to ``tape``: the
     test-local reduction the gradient tests take ``backward`` from."""
     out = Tensor(np.asarray(x.data.sum()))
     if tape is not None:
-        tape.record("sum_all", (x,), out, lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),))
+        tape.append(("sum_all", (x,), out, lambda g, shape=x.shape: (np.broadcast_to(g, shape).copy(),)))
     return out
 
 
@@ -82,7 +81,7 @@ def test_linear_shape_mismatch():
     with pytest.raises(ValueError):
         model.forward([[1.0, 2.0]], "eval")
     with pytest.raises(ValueError):
-        model.taped_forward([[1.0, 2.0], [3.0, 4.0]], Tape())
+        model.taped_forward([[1.0, 2.0], [3.0, 4.0]], [])
 
 
 def test_relu_all_negative():
@@ -92,7 +91,7 @@ def test_relu_all_negative():
     model.params["hidden0.gamma"][...] = 0.0
     model.params["hidden0.beta"][...] = [-3.0, -0.5]
     model.params["out.bias"][...] = 0.0
-    tape = Tape()
+    tape = []
     logits, params = model.taped_forward(rand_rng(6).normal(size=(4, 3)), tape)
     loss = sum_all(logits, tape)
     assert loss.item() == 0.0
@@ -163,11 +162,11 @@ def test_softmax_rows_sum_to_one(seed):
 
 def test_soft_cross_entropy_saturated_target():
     logits = Tensor([[60.0, -60.0]])
-    assert soft_cross_entropy(np.array([[1.0, 0.0]]), logits, Tape()).item() < 1e-12
+    assert soft_cross_entropy(np.array([[1.0, 0.0]]), logits, []).item() < 1e-12
 
 
 def test_soft_cross_entropy_uniform_is_ln2():
-    value = soft_cross_entropy(np.array([[0.5, 0.5]]), Tensor([[0.0, 0.0]]), Tape()).item()
+    value = soft_cross_entropy(np.array([[0.5, 0.5]]), Tensor([[0.0, 0.0]]), []).item()
     assert abs(value - np.log(2.0)) < 1e-12
 
 
@@ -176,7 +175,7 @@ def test_soft_cross_entropy_matches_summation_oracle():
     logits = rng.normal(size=(3, 4))
     target = rng.random((3, 4))
     target /= target.sum(axis=1, keepdims=True)
-    value = soft_cross_entropy(target, Tensor(logits), Tape()).item()
+    value = soft_cross_entropy(target, Tensor(logits), []).item()
     total = 0.0
     for b in range(3):
         row = np.exp(logits[b] - logits[b].max())
@@ -188,14 +187,14 @@ def test_soft_cross_entropy_matches_summation_oracle():
 
 def test_soft_cross_entropy_rejects_bad_target():
     with pytest.raises(ValueError):
-        soft_cross_entropy(np.array([[0.9, 0.3]]), Tensor([[0.0, 0.0]]), Tape())
+        soft_cross_entropy(np.array([[0.9, 0.3]]), Tensor([[0.0, 0.0]]), [])
     with pytest.raises(ValueError):
-        soft_cross_entropy(np.array([[-0.1, 1.1]]), Tensor([[0.0, 0.0]]), Tape())
+        soft_cross_entropy(np.array([[-0.1, 1.1]]), Tensor([[0.0, 0.0]]), [])
     # a non-finite target is refused as a non-finite tensor is; the row
     # checks alone let NaN through
     for bad in ([[np.nan, 1.0]], [[np.inf, 0.0]]):
         with pytest.raises(FloatingPointError):
-            soft_cross_entropy(np.array(bad), Tensor([[0.0, 0.0]]), Tape())
+            soft_cross_entropy(np.array(bad), Tensor([[0.0, 0.0]]), [])
 
 
 def test_soft_cross_entropy_gradient_closed_form():
@@ -203,7 +202,7 @@ def test_soft_cross_entropy_gradient_closed_form():
     logits = Tensor(rng.normal(size=(5, 3)))
     target = rng.random((5, 3))
     target /= target.sum(axis=1, keepdims=True)
-    tape = Tape()
+    tape = []
     loss = soft_cross_entropy(target, logits, tape)
     grad = backward(loss, tape)[logits]
     expected = (softmax(logits.data) - target) / 5
@@ -214,13 +213,13 @@ def test_soft_cross_entropy_gradient_zero_at_match_point():
     # the loss over logits is minimized exactly where softmax(logits) == target
     target = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
     logits = Tensor(np.log(target))
-    tape = Tape()
+    tape = []
     loss = soft_cross_entropy(target, logits, tape)
     assert np.abs(backward(loss, tape)[logits]).max() < 1e-12
 
 
 def test_entropy_gradient_zero_at_uniform():
-    tape = Tape()
+    tape = []
     logits = Tensor(np.zeros((3, 4)))
     ent = softmax_entropy_mean(logits, tape)
     assert abs(ent.item() - np.log(4.0)) < 1e-12
@@ -228,14 +227,14 @@ def test_entropy_gradient_zero_at_uniform():
 
 
 def test_backward_sum_gives_ones():
-    tape = Tape()
+    tape = []
     x = Tensor(rand_rng(7).normal(size=(2, 3)))
     grad = backward(sum_all(x, tape), tape)[x]
     assert np.array_equal(grad, np.ones((2, 3)))
 
 
 def test_backward_rejects_non_scalar_root():
-    tape = Tape()
+    tape = []
     logits, _ = MlpClassifier((3, 4, 2), seed=0).taped_forward(rand_rng(7).normal(size=(3, 3)), tape)
     with pytest.raises(ValueError):
         backward(logits, tape)
@@ -260,18 +259,18 @@ def _taped_objective(seed, tape):
 def test_tape_is_topologically_ordered():
     # every input is either the one leaf, theta, or the output of an earlier
     # node; the constant target is not on the tape
-    tape = Tape()
+    tape = []
     _, params = _taped_objective(8, tape)
     leaves = {id(params)}
     produced = set()
-    for node in tape.nodes:
-        for inp in node.inputs:
+    for _, inputs, output, _ in tape:
+        for inp in inputs:
             assert id(inp) in leaves or id(inp) in produced
-        produced.add(id(node.output))
+        produced.add(id(output))
 
 
 def test_gradient_shapes_match_values():
-    tape = Tape()
+    tape = []
     loss, params = _taped_objective(9, tape)
     grads = backward(loss, tape)
     assert params in grads
@@ -331,11 +330,11 @@ def test_every_op_gradient_matches_finite_differences(seed):
 
         def value_at(values):
             model.load(values)
-            tape = Tape()
+            tape = []
             return objective(*model.taped_forward(x, tape), tape).item()
 
         model.load(theta0)
-        tape = Tape()
+        tape = []
         logits, params = model.taped_forward(x, tape)
         auto = backward(objective(logits, params, tape), tape)[params]
         numeric = finite_diff_gradient(value_at, theta0, 1e-5)
@@ -348,7 +347,7 @@ def test_gaussian_log_density_matches_per_coordinate_formula():
     theta = Tensor(rng.normal(size=5))
     mu = rng.normal(size=5)
     var = rng.random(5) + 0.2
-    value = gaussian_log_density(theta, mu, var, [slice(None)], log_normalizers(var, [slice(None)]), Tape()).item()
+    value = gaussian_log_density(theta, mu, var, [slice(None)], log_normalizers(var, [slice(None)]), []).item()
     expected = sum(
         -0.5 * (theta.data[i] - mu[i]) ** 2 / var[i] - 0.5 * np.log(2 * np.pi * var[i])
         for i in range(5)
@@ -364,7 +363,7 @@ def test_gaussian_log_density_sums_one_parameter_at_a_time():
     model = MlpClassifier((5, 7, 6, 3), seed=1)
     mu = rng.normal(size=model.theta.size)
     var = rng.random(model.theta.size) + 0.05
-    tape = Tape()
+    tape = []
     theta = Tensor(model.theta)
     value = gaussian_log_density(theta, mu, var, model.pieces, log_normalizers(var, model.pieces), tape)
     expected = 0.0
@@ -376,9 +375,9 @@ def test_gaussian_log_density_sums_one_parameter_at_a_time():
     assert [(p.start, p.stop) for p in model.pieces] == list(zip([0] + ends[:-1], ends))
     assert np.array_equal(backward(value, tape)[theta], -(model.theta - mu) / var)
     with pytest.raises(ValueError):
-        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces, log_normalizers(var[:-1], model.pieces), Tape())
+        gaussian_log_density(theta, mu[:-1], var[:-1], model.pieces, log_normalizers(var[:-1], model.pieces), [])
 
 
 def test_weighted_sum_requires_scalars():
     with pytest.raises(ValueError):
-        weighted_sum([(1.0, Tensor([1.0, 2.0]))], Tape())
+        weighted_sum([(1.0, Tensor([1.0, 2.0]))], [])

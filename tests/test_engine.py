@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifelong_tta.autodiff import (
-    Tape,
     backward,
     log_normalizers,
     soft_cross_entropy,
@@ -189,7 +188,7 @@ def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(3))
     # one step moves the teacher off the source model and its BN buffers
     for s in (expected_state, state):
-        adapt_step(s, batch_from(dataset, n=19, severity=5)[0], posterior, cfg)
+        adapt_step(s, batch_from(dataset, n=19, severity=5)[0], cfg)
     running = {name: values.copy() for name, values in state.teacher.running.items()}
     # three calls on one state and its workspace, each on other images of the
     # same 19 rows (no block boundary falls on a multiple of 4 rows): a buffer
@@ -214,13 +213,13 @@ def test_workspace_is_made_on_the_first_gate_open_step_and_reused_after(small_bu
     for method in ("tent", "pseudo_label"):
         assert init_adapt_state(model, posterior, fast_cfg(method=method), **seeded_generators(0)).workspace is None
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    adapt_step(state, batch_from(dataset, seed=0)[0], posterior, dataclasses.replace(cfg, tau=0.0))
+    adapt_step(state, batch_from(dataset, seed=0)[0], dataclasses.replace(cfg, tau=0.0))
     assert state.workspace == {}  # a shut gate draws nothing
-    adapt_step(state, batch_from(dataset, seed=1)[0], posterior, cfg)
+    adapt_step(state, batch_from(dataset, seed=1)[0], cfg)
     buffers = dict(state.workspace)  # holds each array, so no id can be reused
     assert buffers
     for seed in (2, 3, 4):
-        report = adapt_step(state, batch_from(dataset, seed=seed)[0], posterior, cfg)
+        report = adapt_step(state, batch_from(dataset, seed=seed)[0], cfg)
         assert {key: id(buffer) for key, buffer in state.workspace.items()} == {
             key: id(buffer) for key, buffer in buffers.items()
         }
@@ -235,7 +234,7 @@ def test_non_finite_teacher_parameter_aborts_the_step(small_bundle, name, value)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     state.teacher.params[name].flat[0] = value
     with pytest.raises(NonFiniteLossError):
-        adapt_step(state, images, posterior, cfg)
+        adapt_step(state, images, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +247,9 @@ def test_petal_loss_alpha_zero_is_plain_cross_entropy(small_bundle):
     cfg = fast_cfg(alpha=0.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     pseudo = teacher_pseudo_label(state, images, cfg)
-    tape = Tape()
-    loss, _, logits = _objective(state, images, pseudo, posterior, cfg, tape)
-    reference = soft_cross_entropy(pseudo, logits, Tape()).item()
+    tape = []
+    loss, _, logits = _objective(state, images, pseudo, cfg, tape)
+    reference = soft_cross_entropy(pseudo, logits, []).item()
     assert loss.item() == reference
 
 
@@ -262,9 +261,9 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
     pseudo = teacher_pseudo_label(state, images, cfg)
     # student still sits at the posterior mode, so log q(theta) is the
     # normalizer sum and the loss separates exactly
-    tape = Tape()
-    loss, _, logits = _objective(state, images, pseudo, posterior, cfg, tape)
-    ce = soft_cross_entropy(pseudo, logits, Tape()).item()
+    tape = []
+    loss, _, logits = _objective(state, images, pseudo, cfg, tape)
+    ce = soft_cross_entropy(pseudo, logits, []).item()
     assert np.array_equal(state.student.theta, posterior.mu)
     # at theta = mu the quadratic term is zero: log q is the normalizer alone
     log_q = -0.5 * np.log(2 * np.pi * posterior.sigma2).sum()
@@ -274,14 +273,17 @@ def test_petal_loss_at_posterior_mode_matches_closed_form(small_bundle):
 
 @pytest.mark.parametrize("method", ["petal", "cotta", "tent", "pseudo_label", "source"])
 def test_petal_state_holds_the_posterior_normalizers(small_bundle, method):
-    # petal's run state carries the log-density's constant per-piece sums,
-    # computed once from the posterior; no other method reads them
+    # petal's run state carries its anchor: the posterior and the
+    # log-density's constant per-piece sums, computed once from it; no other
+    # method reads them
     dataset, model, posterior = small_bundle
     state = init_adapt_state(model, posterior, fast_cfg(method=method), **seeded_generators(0))
     if method == "petal":
-        assert state.log_normalizers == log_normalizers(posterior.sigma2, state.student.pieces)
+        held, normalizers = state.anchor
+        assert held is posterior
+        assert normalizers == log_normalizers(posterior.sigma2, state.student.pieces)
     else:
-        assert state.log_normalizers is None
+        assert state.anchor is None
 
 
 def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
@@ -289,7 +291,7 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
     images, _ = batch_from(dataset)
     cfg = fast_cfg(alpha=0.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    tape = Tape()
+    tape = []
     logits, params = state.student.taped_forward(images, tape)
     pseudo = softmax(logits.data)
     loss = soft_cross_entropy(pseudo, logits, tape)
@@ -298,14 +300,13 @@ def test_petal_loss_self_labels_have_zero_gradient(small_bundle):
 
 
 def test_petal_loss_rejects_mismatched_posterior(small_bundle):
-    dataset, model, posterior = small_bundle
-    images, _ = batch_from(dataset)
+    # the posterior enters a run through its state, so a posterior of another
+    # model's layout is refused there, before any step
+    _, model, _ = small_bundle
     other = MlpClassifier((64, 16, 8), seed=0)
     wrong = SwagDiagEstimator(other.theta.size).collect(other.flatten()).finalize()
-    cfg = fast_cfg(alpha=1e-3)
-    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(ValueError):
-        _objective(state, images, teacher_pseudo_label(state, images, cfg), wrong, cfg, Tape())
+        init_adapt_state(model, wrong, fast_cfg(alpha=1e-3), **seeded_generators(0))
 
 
 def test_petal_step_tapes_theta_as_one_tensor(small_bundle, monkeypatch):
@@ -332,15 +333,15 @@ def test_petal_step_tapes_theta_as_one_tensor(small_bundle, monkeypatch):
 
     monkeypatch.setattr(autodiff.Tensor, "__init__", recording_init)
     monkeypatch.setattr(engine, "backward", recording_backward)
-    adapt_step(state, images, posterior, fast_cfg(alpha=1e-3, tau=2.0))
+    adapt_step(state, images, fast_cfg(alpha=1e-3, tau=2.0))
     ((tape, grads),) = taped
-    (node,) = [node for node in tape.nodes if node.op == "mlp"]
-    (params,) = node.inputs
+    (node,) = [node for node in tape if node[0] == "mlp"]
+    _, (params,), output, _ = node
     assert np.shares_memory(params.data, state.student.theta)
     assert grads[params].shape == state.student.theta.shape
     shaped = [t for t in built if t.shape != ()]
-    assert len(shaped) == 2 and shaped[0] is params and shaped[1] is node.output
-    assert node.output.shape == (images.shape[0], model.sizes[-1])
+    assert len(shaped) == 2 and shaped[0] is params and shaped[1] is output
+    assert output.shape == (images.shape[0], model.sizes[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ def test_parameter_views_and_source_survive_steps(small_bundle, method):
         if method in ("source", "bn_adapt"):
             baseline_step(state, images, cfg)
         else:
-            adapt_step(state, images, posterior if has_teacher else None, cfg)
+            adapt_step(state, images, cfg)
         for net in nets:
             flat = net.flatten()
             assert not np.shares_memory(flat, net.theta)
@@ -541,7 +542,7 @@ def test_zero_lr_no_restore_leaves_parameters_fixed(small_bundle):
     cfg = fast_cfg(eta=0.0, restore="none")
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.student.flatten()
-    report = adapt_step(state, images, posterior, cfg)
+    report = adapt_step(state, images, cfg)
     assert np.array_equal(state.student.flatten(), before)
     assert report.restored == 0
     assert state.step == 1
@@ -555,7 +556,7 @@ def test_online_predictions_precede_the_update(small_bundle):
     cfg = fast_cfg()
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(11))
     replay = init_adapt_state(model, posterior, cfg, **seeded_generators(11))
-    report = adapt_step(state, images, posterior, cfg)
+    report = adapt_step(state, images, cfg)
     expected = teacher_pseudo_label(replay, images, cfg)
     assert np.array_equal(report.predictions, expected)
 
@@ -567,7 +568,7 @@ def test_fim_restore_count_is_exact_every_step(small_bundle):
     dim = state.source_model.theta.size
     for seed in range(5):
         images, _ = batch_from(dataset, severity=5, seed=seed)
-        report = adapt_step(state, images, posterior, cfg)
+        report = adapt_step(state, images, cfg)
         assert report.restored == math.floor(0.03 * dim)
 
 
@@ -576,7 +577,7 @@ def test_delta_one_resets_student_to_source(small_bundle):
     images, _ = batch_from(dataset, severity=5)
     cfg = fast_cfg(restore="fim", delta=1.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
-    adapt_step(state, images, posterior, cfg)
+    adapt_step(state, images, cfg)
     assert np.array_equal(state.student.flatten(), state.source_model.theta)
 
 
@@ -588,8 +589,8 @@ def test_cotta_equals_petal_with_alpha_zero(small_bundle):
     cotta_state = init_adapt_state(model, posterior, cotta_cfg, **seeded_generators(4))
     for seed in range(10):
         images, _ = batch_from(dataset, severity=5, seed=seed)
-        petal_report = adapt_step(petal_state, images, posterior, petal_cfg)
-        cotta_report = adapt_step(cotta_state, images, posterior, cotta_cfg)
+        petal_report = adapt_step(petal_state, images, petal_cfg)
+        cotta_report = adapt_step(cotta_state, images, cotta_cfg)
         assert np.array_equal(
             petal_state.student.flatten(), cotta_state.student.flatten()
         )
@@ -611,9 +612,9 @@ def test_cotta_objective_equals_petal_at_alpha_zero(small_bundle):
         cfg = fast_cfg(method=method, alpha=alpha, tau=2.0)
         state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
         pseudo = teacher_pseudo_label(state, images, cfg)
-        tape = Tape()
-        loss, params, _ = _objective(state, images, pseudo, posterior, cfg, tape)
-        return loss.item(), backward(loss, tape)[params], [node.op for node in tape.nodes]
+        tape = []
+        loss, params, _ = _objective(state, images, pseudo, cfg, tape)
+        return loss.item(), backward(loss, tape)[params], [op for op, _, _, _ in tape]
 
     petal_value, petal_grad, petal_ops = objective("petal", 0.0)
     cotta_value, cotta_grad, cotta_ops = objective("cotta", 0.0)
@@ -634,7 +635,7 @@ def test_non_finite_loss_aborts(small_bundle):
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(NonFiniteLossError), np.errstate(over="ignore", invalid="ignore"):
         for seed in range(5):
-            adapt_step(state, images, posterior, cfg)
+            adapt_step(state, images, cfg)
 
 
 @pytest.mark.parametrize("method", ["tent", "petal"])
@@ -647,7 +648,7 @@ def test_non_finite_theta_aborts_before_the_update(small_bundle, method):
     before = state.student.theta.tobytes()
     teacher_before = None if state.teacher is None else state.teacher.theta.tobytes()
     with pytest.raises(NonFiniteLossError, match="non-finite forward at step 0") as info:
-        adapt_step(state, images, posterior if method == "petal" else None, cfg)
+        adapt_step(state, images, cfg)
     assert isinstance(info.value.__cause__, FloatingPointError)
     assert state.student.theta.tobytes() == before
     assert state.opt.step == 0 and not state.opt.m.any() and not state.opt.v.any()
@@ -663,8 +664,47 @@ def test_adapt_step_rejects_baseline_methods(small_bundle):
         cfg = fast_cfg(method=method)
         state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
         with pytest.raises(ValueError, match=method):
-            adapt_step(state, images, posterior, cfg)
+            adapt_step(state, images, cfg)
         assert state.step == 0
+
+
+def test_baseline_step_rejects_gradient_methods(small_bundle):
+    # the gradient methods hold Adam moments, which the forward-only step
+    # would leave unread
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset)
+    for method in ("tent", "pseudo_label", "cotta", "petal"):
+        cfg = fast_cfg(method=method)
+        state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+        before = state.student.theta.tobytes()
+        with pytest.raises(ValueError, match=method):
+            baseline_step(state, images, cfg)
+        assert state.step == 0 and state.student.theta.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "method, alpha, nodes",
+    [("petal", 1e-3, 4), ("petal", 0.0, 2), ("cotta", 1e-3, 2), ("tent", 1e-3, 2), ("pseudo_label", 1e-3, 2)],
+)
+def test_step_tape_length(small_bundle, monkeypatch, method, alpha, nodes):
+    # a tape is a list of nodes, so its length is the node count the step
+    # backpropagates through: the model and the loss, plus the log-density
+    # and the weighted sum when petal's anchor is on
+    from lifelong_tta import engine
+
+    dataset, model, posterior = small_bundle
+    images, _ = batch_from(dataset)
+    cfg = fast_cfg(method=method, alpha=alpha, tau=2.0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+    lengths, engine_backward = [], engine.backward
+
+    def counting_backward(root, tape):
+        lengths.append(len(tape))
+        return engine_backward(root, tape)
+
+    monkeypatch.setattr(engine, "backward", counting_backward)
+    adapt_step(state, images, cfg)
+    assert lengths == [nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +746,7 @@ def test_tent_with_zero_lr_equals_bn_adapt(small_bundle):
     bn_cfg = fast_cfg(method="bn_adapt")
     tent_state = init_adapt_state(model, posterior, tent_cfg, **seeded_generators(0))
     bn_state = init_adapt_state(model, posterior, bn_cfg, **seeded_generators(0))
-    tent_report = adapt_step(tent_state, images, None, tent_cfg)
+    tent_report = adapt_step(tent_state, images, tent_cfg)
     bn_report = baseline_step(bn_state, images, bn_cfg)
     assert np.array_equal(tent_report.predictions, bn_report.predictions)
     assert np.array_equal(
@@ -721,7 +761,7 @@ def test_tent_and_pseudo_label_touch_only_bn_affine(small_bundle):
         cfg = fast_cfg(method=method)
         state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
         before = state.student.views(state.student.flatten())
-        adapt_step(state, images, None, cfg)
+        adapt_step(state, images, cfg)
         for name, after in state.student.params.items():
             same = np.array_equal(before[name], after)
             if name.endswith(".gamma") or name.endswith(".beta"):
@@ -747,7 +787,7 @@ def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, s
             student.running = {name: values.copy() for name, values in source.running.items()}
             m, v, t = np.zeros(student.theta.size), np.zeros(student.theta.size), 0
         previous = batch.segment
-        tape = Tape()
+        tape = []
         logits, params = student.taped_forward(batch.images, tape)
         if cfg.method == "tent":
             loss = softmax_entropy_mean(logits, tape)
@@ -805,7 +845,7 @@ def test_adam_step_moves_only_trained_coordinates(small_bundle, monkeypatch, met
 
     monkeypatch.setattr(engine, "backward", recording)
     before = state.student.flatten()
-    adapt_step(state, images, posterior if method == "petal" else None, cfg)
+    adapt_step(state, images, cfg)
     (grad,) = grads
     after = state.student.theta
     trained = np.zeros(after.size, dtype=bool)
@@ -881,7 +921,7 @@ def test_single_batch_run_equals_one_step(small_bundle):
     batch, _ = next(
         stream_batches(schedule, dataset, np.random.Generator(np.random.PCG64(stream_ss)))
     )
-    manual_report = adapt_step(manual, batch.images, posterior, cfg)
+    manual_report = adapt_step(manual, batch.images, cfg)
     assert np.array_equal(manual.student.flatten(), state.student.flatten())
     assert np.array_equal(manual.teacher.flatten(), state.teacher.flatten())
     assert manual_report.restored == report.rows[0]["restored"]
@@ -1006,7 +1046,7 @@ def test_tent_online_run_equals_a_replay_that_reinitializes_at_each_boundary(sma
             manual = init_adapt_state(
                 model, posterior, cfg, rng_augment=manual.rng_augment, rng_restore=manual.rng_restore
             )
-        step = adapt_step(manual, batch.images, posterior, cfg)
+        step = adapt_step(manual, batch.images, cfg)
         err, nll_values, brier_values = per_sample_scores(step.predictions, labels)
         expected.append(
             (

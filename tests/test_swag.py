@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from lifelong_tta.autodiff import Tape, Tensor, backward, gaussian_log_density, log_normalizers, softmax
+from lifelong_tta.autodiff import Tensor, backward, gaussian_log_density, log_normalizers, softmax
 from lifelong_tta.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from lifelong_tta.model import MlpClassifier
 from lifelong_tta.swag import SwagDiagEstimator, SwagDiagPosterior, train_source
@@ -71,12 +71,12 @@ def log_density(post, theta, tape):
 
 
 def log_q(post, theta):
-    return log_density(post, theta, Tape())[0].item()
+    return log_density(post, theta, [])[0].item()
 
 
 def grad_log_q(post, theta):
     """The taped gradient of log q, as one vector in theta's layout."""
-    tape = Tape()
+    tape = []
     value, params = log_density(post, theta, tape)
     return backward(value, tape)[params]
 
