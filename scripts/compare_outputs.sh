@@ -5,27 +5,28 @@
 #   bash scripts/compare_outputs.sh BASE_TREE HEAD_TREE WORK_DIR
 #
 # Each tree runs with its own src/ on PYTHONPATH: train-source, adapt with
-# every method name on a one-batch-per-segment stream, then petal_fim and
-# cotta with K = 5 teacher draws, then the four gradient methods (petal_fim,
-# cotta, tent, pseudo_label) under the oracle segment reset at two batches
-# per segment, so the state, Adam moments included, is kept within a segment
-# and rebuilt across segments, then petal_fim and cotta at alpha = 0, where
-# petal's objective takes no posterior anchor and equals cotta's, then
-# petal_fim and cotta with adapt values read from a config file (pi, delta
-# and an augment magnitude), then source, bn_adapt, tent and pseudo_label,
+# every method name on a one-batch-per-segment stream (petal among them, which
+# keeps the config's restore mode), then adapt without --method, which runs
+# the config file's adapt.method (cotta, with stochastic restore), then
+# petal_fim and cotta with K = 5 teacher draws, then the four gradient methods
+# (petal_fim, cotta, tent, pseudo_label) under the oracle segment reset at two
+# batches per segment, so the state, Adam moments included, is kept within a
+# segment and rebuilt across segments, then petal_fim and cotta at alpha = 0,
+# where petal's objective takes no posterior anchor and equals cotta's, then
+# petal_fim and cotta with adapt values read from a config file (pi, delta and
+# an augment magnitude), then source, bn_adapt, tent and pseudo_label,
 # petal_fim with the gate shut (--tau 0) and petal_fim and cotta at the
 # default tau, where the gate opens and K = 32 teacher draws run, at the
 # default 25 batches per segment, so a full stream (100 steps each) of
 # running-statistic updates, BN-affine-only backwards, Adam steps, EMA
-# updates, posterior anchors and augmented teacher blocks, whose buffers a
-# run reuses from step to step, is compared, then a train-source whose
-# source section sets every field away from its default (epochs,
-# swag_epochs, momentum, batch_size, shuffle_seed). The resolved
-# --dump-config of each config file is compared too. Both sides write under
-# the same relative paths, so paths recorded inside the outputs compare
-# equal. The differing files go to stdout and, when set, to
-# $GITHUB_STEP_SUMMARY. Exits 1 if any file differs or exists on one side
-# only.
+# updates, posterior anchors and augmented teacher blocks, whose buffers a run
+# reuses from step to step, is compared, then a train-source whose source
+# section sets every field away from its default (epochs, swag_epochs,
+# momentum, batch_size, shuffle_seed). The resolved --dump-config of each
+# config file is compared too. Both sides write under the same relative paths,
+# so paths recorded inside the outputs compare equal. The differing files go
+# to stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file
+# differs or exists on one side only.
 set -euo pipefail
 
 if [ "$#" -ne 3 ]; then
@@ -36,7 +37,7 @@ base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 mkdir -p "$3"
 work=$(cd "$3" && pwd)
-methods=source,bn_adapt,pseudo_label,tent,cotta,petal_fim,petal_sres,petal_none
+methods=source,bn_adapt,pseudo_label,tent,cotta,petal,petal_fim,petal_sres,petal_none
 
 run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/NAME.sha256
     local src="$1/src" side="$work/$2"
@@ -48,6 +49,11 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0]}' > tiny.json
         python3 -m lifelong_tta train-source --config tiny.json --out runs/main > /dev/null
         python3 -m lifelong_tta adapt --config tiny.json --out runs/main --method "$methods" > /dev/null
+        mkdir -p runs/config_method
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/config_method/
+        echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
+               "adapt": {"method": "cotta", "restore": "stochastic"}}' > config_method.json
+        python3 -m lifelong_tta adapt --config config_method.json --out runs/config_method > /dev/null
         # K = 5: one full block of four teacher draws and a partial block of one
         mkdir -p runs/k5
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/k5/
@@ -82,7 +88,7 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
             > source.json
         python3 -m lifelong_tta train-source --config source.json --out runs/source_file > /dev/null
         mkdir -p runs/configs
-        for config in tiny two adapt source; do
+        for config in tiny two adapt source config_method; do
             python3 -m lifelong_tta adapt --config "$config.json" --dump-config > "runs/configs/$config.json"
         done
         find runs -type f | LC_ALL=C sort | xargs sha256sum

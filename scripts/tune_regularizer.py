@@ -24,9 +24,8 @@ from lifelong_tta.cli import (  # noqa: E402
     eval_dataset_seed,
     load_checkpoints,
     load_config,
-    resolve_method,
 )
-from lifelong_tta.engine import run_lifelong  # noqa: E402
+from lifelong_tta.engine import method_config, run_lifelong  # noqa: E402
 from lifelong_tta.streams import build_schedule, make_source_dataset  # noqa: E402
 
 GRID = (1e-6, 1e-7, 1e-9, 1e-10, 5e-10, 1e-11, 5e-11, 1e-12)
@@ -52,10 +51,10 @@ def main() -> int:
         cfg.schedule.batches_per_segment,
         cfg.schedule.batch_size,
     )
-    method, restore = resolve_method("petal_fim")  # as `adapt --method petal_fim` runs it
+    tuned = method_config(cfg.adapt, "petal_fim")  # as `adapt --method petal_fim` runs it
     best = None
     for alpha in GRID:
-        petal_cfg = dataclasses.replace(cfg.adapt, method=method, restore=restore, alpha=alpha)
+        petal_cfg = dataclasses.replace(tuned, alpha=alpha)
         errors = []
         for seed in cfg.seeds:
             report = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)[0]

@@ -26,13 +26,13 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .engine import (
-    ADAPT_METHODS,
-    BASELINE_METHODS,
+    METHODS,
     RESTORE_MODES,
     NonFiniteLossError,
     PetalConfig,
     at_least,
     evaluate_model,
+    method_config,
     one_of,
     ranged,
     run_lifelong,
@@ -49,13 +49,6 @@ HELD_OUT_KIND = "impulse_noise"
 
 MODEL_CHECKPOINT = "source_model.ptta"
 POSTERIOR_CHECKPOINT = "posterior.ptta"
-
-# petal variants addressable as method names on the command line
-METHOD_VARIANTS = {
-    "petal_fim": ("petal", "fim"),
-    "petal_sres": ("petal", "stochastic"),
-    "petal_none": ("petal", "none"),
-}
 
 
 @dataclass(frozen=True)
@@ -280,15 +273,6 @@ def cmd_train_source(cfg: ExperimentConfig) -> dict:
     return summary
 
 
-def resolve_method(name: str) -> tuple[str, str | None]:
-    """Map a CLI method name to (engine method, restore override)."""
-    if name in METHOD_VARIANTS:
-        return METHOD_VARIANTS[name]
-    if name in ADAPT_METHODS + BASELINE_METHODS:
-        return name, None
-    raise ValueError(f"unknown method {name!r}")
-
-
 def load_checkpoints(cfg: ExperimentConfig) -> tuple[MlpClassifier, SwagDiagPosterior]:
     out = Path(cfg.out_dir)
     model_path = out / MODEL_CHECKPOINT
@@ -309,7 +293,9 @@ def load_checkpoints(cfg: ExperimentConfig) -> tuple[MlpClassifier, SwagDiagPost
 
 
 def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
-    """Run every (method, seed) pair and write its report files."""
+    """Run every (method, seed) pair and write its report files; every name
+    is turned into its config, and an unknown one refused, before any run."""
+    configs = [(name, method_config(cfg.adapt, name)) for name in methods]
     model, posterior = load_checkpoints(cfg)
     dataset = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
     schedule = build_schedule(
@@ -320,11 +306,7 @@ def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
         order_seed=cfg.schedule.order_seed,
     )
     run_dirs = []
-    for name in methods:
-        engine_method, restore_override = resolve_method(name)
-        petal_cfg = dataclasses.replace(cfg.adapt, method=engine_method)
-        if restore_override is not None:
-            petal_cfg = dataclasses.replace(petal_cfg, restore=restore_override)
+    for name, petal_cfg in configs:
         for seed in cfg.seeds:
             # only the report: the run's state goes before the next run starts
             report = run_lifelong(schedule, dataset, posterior, model, petal_cfg, seed)[0]
@@ -472,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument(
         "--method",
         help="comma-separated method names (default: the config's adapt.method): "
-        + ",".join(sorted(set(ADAPT_METHODS + BASELINE_METHODS) | set(METHOD_VARIANTS))),
+        + ",".join(sorted(METHODS)),
     )
     p_adapt.add_argument("--seeds", help="comma-separated integer seeds")
     p_adapt.add_argument("--schedule", choices=SCHEDULE_MODES)
@@ -515,8 +497,6 @@ def main(argv=None) -> int:
                 methods = [m.strip() for m in names.split(",") if m.strip()]
                 if not methods or len(set(methods)) != len(methods):
                     raise ValueError(f"--method must name distinct methods, got {args.method!r}")
-                for name in methods:
-                    resolve_method(name)
                 run_dirs = cmd_adapt(cfg, methods)
                 for run_dir in run_dirs:
                     sys.stdout.write(f"{run_dir}\n")

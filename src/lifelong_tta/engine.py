@@ -54,14 +54,17 @@ forward or loss that leaves the finite range raises inside the step, which
 aborts with ``NonFiniteLossError``.
 
 One frozen, eval-BN source model holds the posterior mode theta_0: it gates
-augmentation and is the restore target. Only the methods that read a
-teacher, Adam moments or an anchor get them, and a step reads those fields,
-not the method's name: moments make a gradient step, a teacher makes
-pseudo-labels, an EMA update and a restore, an anchor adds the posterior
-term at alpha != 0. ``init_adapt_state`` is the one constructor of a
-run's state; the oracle ``tent_online`` reset is a second call of it at each
-segment boundary, on the generators the run already holds, so the random
-streams continue across the reset.
+augmentation and is the restore target. ``METHODS`` is the one table of
+methods: each name the CLI accepts is one ``Method`` row of what the engine
+reads (the objective, the anchor, the forward-only BN mode, a pinned restore
+mode), and ``method_config`` turns a name into its config. Only the methods
+whose row calls for a teacher, Adam moments or an anchor get them, and a
+step reads those fields and its row, not the method's name: moments make a
+gradient step, a teacher makes pseudo-labels, an EMA update and a restore,
+an anchor adds the posterior term at alpha != 0. ``init_adapt_state`` is
+the one constructor of a run's state; the oracle ``tent_online`` reset is a
+second call of it at each segment boundary, on the generators the run
+already holds, so the random streams continue across the reset.
 
 ``run_lifelong`` appends one row per step, keyed by ``STEP_COLUMNS``; the
 rows are ``steps.csv``, and the per-segment and overall summaries are the
@@ -94,9 +97,6 @@ from .swag import SwagDiagPosterior, one_hot
 
 Array = np.ndarray
 
-ADAPT_METHODS = ("petal", "cotta")
-BASELINE_METHODS = ("source", "bn_adapt", "pseudo_label", "tent")
-FORWARD_ONLY_METHODS = ("source", "bn_adapt")  # no gradient step
 RESTORE_MODES = ("none", "stochastic", "fim")
 
 # winner of the regularizer-weight grid on the held-out tuning corruption
@@ -143,6 +143,41 @@ class AugmentParams:
 
 
 @dataclass(frozen=True)
+class Method:
+    """What the engine reads of one method name, a row of ``METHODS``.
+
+    ``objective`` is what the gradient step minimizes: None for a
+    forward-only method, ``"entropy"`` (the mean prediction entropy),
+    ``"self_label"`` (the cross-entropy to the one-hot argmax of the
+    student's own prediction) or ``"teacher_ce"`` (the cross-entropy to the
+    teacher's pseudo-labels). The rest of a run's state follows from it:
+    every objective gets Adam moments, and ``"teacher_ce"`` a teacher, its
+    workspace, the EMA update, the restore and all of theta to train; the
+    other objectives train only the BN affine coordinates.
+    """
+
+    name: str  # the engine method: PetalConfig.method and report.json's "method"
+    objective: str | None = None
+    anchor: bool = False  # the source-posterior log-density term, at alpha != 0
+    bn_mode: str | None = None  # the forward-only step's BN mode
+    restore: str | None = None  # the restore mode the name pins; None keeps the config's
+
+
+# every method name the CLI accepts; the rows whose name is their key are the engine methods
+METHODS = {
+    "petal": Method("petal", "teacher_ce", anchor=True),
+    "cotta": Method("cotta", "teacher_ce"),
+    "source": Method("source", bn_mode="eval"),
+    "bn_adapt": Method("bn_adapt", bn_mode="update"),
+    "pseudo_label": Method("pseudo_label", "self_label"),
+    "tent": Method("tent", "entropy"),
+    "petal_fim": Method("petal", "teacher_ce", anchor=True, restore="fim"),
+    "petal_sres": Method("petal", "teacher_ce", anchor=True, restore="stochastic"),
+    "petal_none": Method("petal", "teacher_ce", anchor=True, restore="none"),
+}
+
+
+@dataclass(frozen=True)
 class PetalConfig:
     """Knobs of the adaptation step.
 
@@ -152,7 +187,7 @@ class PetalConfig:
     hold the augmentation gate fully open.
     """
 
-    method: str = one_of(ADAPT_METHODS + BASELINE_METHODS, "petal")
+    method: str = one_of(tuple(name for name, row in METHODS.items() if row.name == name), "petal")
     k_aug: int = at_least(1, 32)
     tau: float = unit(0.72)
     alpha: float = at_least(0, DEFAULT_ALPHA)
@@ -163,6 +198,15 @@ class PetalConfig:
     delta: float = unit(0.03)
     tent_online: bool = False
     augment: AugmentParams = field(default_factory=AugmentParams)
+
+
+def method_config(cfg: PetalConfig, name: str) -> PetalConfig:
+    """``cfg`` set to run the method ``name``, a key of ``METHODS``: its engine
+    method, and the restore mode the name pins if it pins one."""
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}")
+    row = METHODS[name]
+    return replace(cfg, method=row.name, restore=row.restore or cfg.restore)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +401,17 @@ def adam_delta(opt: AdamState, grad: Array, lr: float) -> Array:
 @dataclass(eq=False)
 class AdaptState:
     """What a run carries between steps, and what its steps read to know what
-    to do. ``source_model`` (frozen, eval BN) is the only theta_0: the gate's
-    weights and the restore target. ``teacher`` is None except for
-    petal/cotta; ``opt``, the Adam moments of the ``trained`` coordinates, is
-    None for source/bn_adapt, which take no gradient step. ``anchor``, the
-    posterior and its constant per-piece log-density normalizer sums, is
-    None except for petal. ``workspace``, the teacher blocks' buffers keyed
-    by (name, shape), is None except for petal/cotta; it holds nothing until
-    the first gate-open step."""
+    to do. ``method`` is the run's row of ``METHODS``. ``source_model``
+    (frozen, eval BN) is the only theta_0: the gate's weights and the restore
+    target. ``teacher`` is None except for a ``"teacher_ce"`` objective;
+    ``opt``, the Adam moments of the ``trained`` coordinates, is None for a
+    forward-only method. ``anchor``, the posterior and its constant per-piece
+    log-density normalizer sums, is None unless the row's ``anchor`` is on.
+    ``workspace``, the teacher blocks' buffers keyed by (name, shape), is
+    None without a teacher; it holds nothing until the first gate-open
+    step."""
 
+    method: Method
     student: MlpClassifier
     teacher: MlpClassifier | None
     source_model: MlpClassifier
@@ -386,25 +432,26 @@ def init_adapt_state(
     rng_augment: np.random.Generator,
     rng_restore: np.random.Generator,
 ) -> AdaptState:
-    """The frozen source model, the student and (for ``petal``/``cotta``) the
-    teacher all start from the posterior mode, with zero Adam moments. The
-    state draws augmentations from ``rng_augment`` and stochastic restores
-    from ``rng_restore``; for ``petal`` it holds the anchor, ``posterior``
-    with its ``log_normalizers``, so a step computes only the
-    parameter-dependent part of the log-density."""
+    """The state of a run of ``cfg.method``, whose ``METHODS`` row it looks up
+    once and keeps. The frozen source model, the student and (for a
+    ``"teacher_ce"`` objective) the teacher all start from the posterior
+    mode, with zero Adam moments. The state draws augmentations from
+    ``rng_augment`` and stochastic restores from ``rng_restore``; with the
+    anchor on it holds ``posterior`` with its ``log_normalizers``, so a step
+    computes only the parameter-dependent part of the log-density."""
+    method = METHODS[cfg.method]
     frozen_source = source_model.clone()
     frozen_source.load(posterior.mu)
     student = frozen_source.clone()
-    teacher = frozen_source.clone() if cfg.method in ADAPT_METHODS else None
-    if teacher is None:  # tent and pseudo_label move only the BN affine parameters;
-        # source and bn_adapt take no step, so nothing reads theirs
-        trained = np.flatnonzero(param_mask(frozen_source, bn_affine_filter))
-    else:  # a basic slice: theta[trained] is a view, so the step copies nothing
-        trained = slice(None)
+    teacher = frozen_source.clone() if method.objective == "teacher_ce" else None
+    # the teacher objective trains all of theta, as a basic slice, so theta[trained] is a view and the
+    # step copies nothing; the others move only the BN affine parameters (unread without an objective)
+    trained = slice(None) if teacher is not None else np.flatnonzero(param_mask(frozen_source, bn_affine_filter))
     # no moments for the methods that take no gradient step
-    opt = None if cfg.method in FORWARD_ONLY_METHODS else AdamState.zeros(student.theta[trained].size)
-    anchor = (posterior, log_normalizers(posterior.sigma2, student.pieces)) if cfg.method == "petal" else None
+    opt = None if method.objective is None else AdamState.zeros(student.theta[trained].size)
+    anchor = (posterior, log_normalizers(posterior.sigma2, student.pieces)) if method.anchor else None
     return AdaptState(
+        method=method,
         student=student,
         teacher=teacher,
         source_model=frozen_source,
@@ -554,21 +601,21 @@ def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
 
 
 def _objective(state: AdaptState, images: Array, pseudo: Array | None, cfg: PetalConfig, tape: list):
-    """The method's taped loss; returns (loss node, theta tensor, logits).
+    """The state's objective, taped; returns (loss node, theta tensor, logits).
 
     The student's taped forward runs ``"update"`` BN and adapts its statistics.
-    ``tent`` takes the mean prediction entropy; every other method the
-    cross-entropy to its targets: the teacher's ``pseudo`` rows, or for
-    ``pseudo_label`` the one-hot argmax of its own prediction. A state with
-    an anchor (``petal``'s) subtracts, at alpha != 0, alpha times the
-    source-posterior log-density of the student parameters, so ``cotta`` is
-    ``petal`` at alpha = 0. A state without a teacher trains only the BN
+    ``"entropy"`` takes the mean prediction entropy; the other objectives the
+    cross-entropy to their targets: the teacher's ``pseudo`` rows, or for
+    ``"self_label"`` the one-hot argmax of the student's own prediction. A
+    state with an anchor (``petal``'s) subtracts, at alpha != 0, alpha times
+    the source-posterior log-density of the student parameters, so ``cotta``
+    is ``petal`` at alpha = 0. A state without a teacher trains only the BN
     affine coordinates, so its backward forms only their entries.
     """
     logits, params = state.student.taped_forward(images, tape, affine_only=state.teacher is None)
-    if cfg.method == "tent":
+    if state.method.objective == "entropy":
         return softmax_entropy_mean(logits, tape), params, logits
-    if cfg.method == "pseudo_label":
+    if state.method.objective == "self_label":
         pseudo = one_hot(softmax(logits.data).argmax(axis=1), logits.shape[1])
     loss = soft_cross_entropy(pseudo, logits, tape)
     if state.anchor is not None and cfg.alpha != 0.0:
@@ -611,13 +658,14 @@ def adapt_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport
 
 
 def baseline_step(state: AdaptState, images: Array, cfg: PetalConfig) -> StepReport:
-    """The forward-only step of ``source`` and ``bn_adapt``: ``"eval"`` BN
-    (``source``) leaves the running statistics alone, ``"update"``
-    (``bn_adapt``) refreshes them. A state with Adam moments is refused."""
+    """The forward-only step of ``source`` and ``bn_adapt``, in the BN mode of
+    the state's ``METHODS`` row: ``"eval"`` (``source``) leaves the running
+    statistics alone, ``"update"`` (``bn_adapt``) refreshes them. A state
+    with Adam moments is refused."""
     if state.opt is not None:
         raise ValueError(f"baseline_step does not handle method {cfg.method!r}, which takes a gradient step")
     try:
-        preds = softmax(state.student.forward(images, "eval" if cfg.method == "source" else "update"))
+        preds = softmax(state.student.forward(images, state.method.bn_mode))
     except FloatingPointError as exc:
         raise NonFiniteLossError(f"non-finite forward at step {state.step}: {exc}") from exc
     state.step += 1

@@ -1,11 +1,10 @@
-import dataclasses
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from lifelong_tta.cli import ExperimentConfig, cmd_train_source, eval_dataset_seed, load_checkpoints, resolve_method
-from lifelong_tta.engine import evaluate_model, run_lifelong
+from lifelong_tta.cli import ExperimentConfig, cmd_train_source, eval_dataset_seed, load_checkpoints
+from lifelong_tta.engine import evaluate_model, method_config, run_lifelong
 from lifelong_tta.streams import build_schedule, make_source_dataset
 
 
@@ -51,10 +50,7 @@ def headline_runs(default_bundle):
     reports: dict[str, list] = {}
     clean_errors: dict[str, list[float]] = {}
     for label in HEADLINE_METHODS:
-        method, restore_mode = resolve_method(label)
-        petal_cfg = dataclasses.replace(bundle.cfg.adapt, method=method)
-        if restore_mode is not None:
-            petal_cfg = dataclasses.replace(petal_cfg, restore=restore_mode)
+        petal_cfg = method_config(bundle.cfg.adapt, label)
         reports[label] = []
         clean_errors[label] = []
         for seed in bundle.cfg.seeds:

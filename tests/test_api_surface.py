@@ -77,6 +77,29 @@ def test_every_public_name_is_used_by_the_program():
         assert name in {bare for _, bare in defined} and name not in used, name
 
 
+def _method_name_comparisons(tree):
+    """Lines of the comparisons with a ``.method`` attribute on one side,
+    which can only test a method's name against a string or a tuple of them."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Attribute) and side.attr == "method" for side in (node.left, *node.comparators))
+    ]
+
+
+def test_engine_reads_method_rows_never_method_names():
+    # a step reads its METHODS row's fields; a new method is a new row, not a
+    # new name test in the engine
+    assert _method_name_comparisons(_parse(PACKAGE / "engine.py")) == []
+
+
+def test_a_method_name_comparison_is_found():
+    # a name against a string or a tuple of names is found; a read of the row's field is not
+    found = ast.parse("if cfg.method == 'tent':\n    pass\nx = cfg.method in NAMES\ny = row.objective == 'entropy'\n")
+    assert _method_name_comparisons(found) == [1, 3]
+
+
 def test_a_mention_inside_its_own_definition_does_not_count():
     self_only = ast.parse("def f(tape):\n    tape.record('f', f)\n")
     assert "f" not in set(_mentions(self_only))

@@ -33,13 +33,15 @@ from lifelong_tta.cli import (
     cmd_train_source,
     config_from_dict,
     config_to_dict,
+    load_checkpoints,
     main,
-    resolve_method,
 )
-from lifelong_tta.engine import PetalConfig, run_lifelong
-from lifelong_tta.model import MlpClassifier
+from lifelong_tta.engine import METHODS, PetalConfig, init_adapt_state, method_config, run_lifelong
+from lifelong_tta.model import MlpClassifier, bn_affine_filter, param_mask
 from lifelong_tta.streams import make_source_dataset
 from lifelong_tta.swag import SwagDiagPosterior
+
+from helpers import seeded_generators
 
 
 def tiny_config(out_dir, **adapt_overrides):
@@ -174,13 +176,42 @@ def test_config_type_check_accepts_ints_as_floats_and_null_order_seed():
     assert config_from_dict({"seeds": [7, 8]}).seeds == (7, 8)
 
 
-def test_resolve_method_aliases():
-    assert resolve_method("petal_fim") == ("petal", "fim")
-    assert resolve_method("petal_sres") == ("petal", "stochastic")
-    assert resolve_method("petal_none") == ("petal", "none")
-    assert resolve_method("tent") == ("tent", None)
-    with pytest.raises(ValueError):
-        resolve_method("nope")
+def test_method_config_aliases():
+    def resolved(name, restore="fim"):
+        cfg = method_config(PetalConfig(restore=restore), name)
+        return cfg.method, cfg.restore
+
+    assert resolved("petal_fim", restore="none") == ("petal", "fim")
+    assert resolved("petal_sres") == ("petal", "stochastic")
+    assert resolved("petal_none") == ("petal", "none")
+    assert resolved("tent", restore="stochastic") == ("tent", "stochastic")  # the config's restore stays
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        method_config(PetalConfig(), "nope")
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_methods_row_sets_up_the_run_state(trained_dir, monkeypatch, capsys, name):
+    # a row's objective and anchor decide what the run state holds: a teacher
+    # and its workspace for the teacher objective, Adam moments for any
+    # objective, the anchor where it is on; the teacher objective trains all
+    # of theta, every other row only the BN gamma/beta coordinates
+    out, cfg = trained_dir
+    model, posterior = load_checkpoints(cfg)
+    row = METHODS[name]
+    state = init_adapt_state(model, posterior, method_config(cfg.adapt, name), **seeded_generators(0))
+    teacher = row.objective == "teacher_ce"
+    assert (state.teacher is not None, state.workspace is not None) == (teacher, teacher)
+    assert (state.opt is not None) == (row.objective is not None)
+    assert (state.anchor is not None) == row.anchor
+    everything = np.arange(model.theta.size)
+    affine = np.flatnonzero(param_mask(model, bn_affine_filter))
+    assert np.array_equal(everything[state.trained], everything if teacher else affine)
+    # the `adapt --help` list of names is the table's
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    with pytest.raises(SystemExit):
+        main(["adapt", "--help"])
+    listed = re.search(r"adapt\.method\): (\S+)", capsys.readouterr().out).group(1)
+    assert listed.split(",") == sorted(METHODS)
 
 
 def test_dump_config_includes_defaults(capsys):
@@ -236,6 +267,15 @@ def _copy_checkpoints(out, run):
     run.mkdir()
     for leaf in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
         shutil.copy(Path(out) / leaf, run / leaf)
+
+
+def test_cmd_adapt_refuses_an_unknown_name_before_any_run(trained_dir, tmp_path):
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        cmd_adapt(dataclasses.replace(cfg, out_dir=str(run)), ["source", "nope"])
+    assert sorted(p.name for p in run.iterdir()) == sorted([MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT])
 
 
 def test_adapt_runs_the_config_method_without_method_flag(trained_dir, tmp_path, capsys):
