@@ -8,13 +8,13 @@
 # every method name on a one-batch-per-segment stream (petal among them, which
 # keeps the config's restore mode), then adapt without --method, which runs
 # the config file's adapt.method (cotta, with stochastic restore), then
-# petal_fim and cotta with K = 5 teacher draws, then the four gradient methods
-# (petal_fim, cotta, tent, pseudo_label) under the oracle segment reset at two
-# batches per segment, so the state, Adam moments included, is kept within a
-# segment and rebuilt across segments, then petal_fim and cotta at alpha = 0,
-# where petal's objective takes no posterior anchor and equals cotta's, then
-# petal_fim and cotta with adapt values read from a config file (pi, delta and
-# an augment magnitude), then source, bn_adapt, tent and pseudo_label,
+# petal_fim and cotta with K = 5 teacher draws, then tent_online (tent under
+# the oracle segment reset) at two batches per segment, so the state, Adam
+# moments included, is kept within a segment and rebuilt across segments, then
+# petal_fim and cotta at alpha = 0, where petal's objective takes no posterior
+# anchor and equals cotta's, then petal_fim and cotta with adapt values read
+# from a config file (pi, delta and an augment magnitude), then source,
+# bn_adapt, tent and pseudo_label,
 # petal_fim with the gate shut (--tau 0) and petal_fim and cotta at the
 # default tau, where the gate opens and K = 32 teacher draws run, at the
 # default 25 batches per segment, so a full stream (100 steps each) of
@@ -37,7 +37,7 @@ base=$(cd "$1" && pwd)
 head=$(cd "$2" && pwd)
 mkdir -p "$3"
 work=$(cd "$3" && pwd)
-methods=source,bn_adapt,pseudo_label,tent,cotta,petal,petal_fim,petal_sres,petal_none
+methods=source,bn_adapt,pseudo_label,tent,cotta,petal,petal_fim,petal_sres,petal_none,tent_online
 
 run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/NAME.sha256
     local src="$1/src" side="$work/$2"
@@ -61,8 +61,7 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/online
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/online/
         echo '{"schedule": {"batches_per_segment": 2}, "seeds": [0]}' > two.json
-        python3 -m lifelong_tta adapt --config two.json --out runs/online --method petal_fim,cotta,tent,pseudo_label \
-            --tent-online > /dev/null
+        python3 -m lifelong_tta adapt --config two.json --out runs/online --method tent_online > /dev/null
         mkdir -p runs/alpha0
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/alpha0/
         python3 -m lifelong_tta adapt --config tiny.json --out runs/alpha0 --method petal_fim,cotta --alpha 0 > /dev/null

@@ -208,7 +208,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """``cfg`` with the flags given in ``args`` applied: an absent flag (or
     one a command does not have) is None, so ``--alpha 0`` still overrides."""
     adapt_updates = {}
-    for name in ("restore", "delta", "rho", "alpha", "tau", "k_aug", "tent_online"):
+    for name in ("restore", "delta", "rho", "alpha", "tau", "k_aug"):
         value = getattr(args, name, None)
         if value is not None:
             adapt_updates[name] = value
@@ -464,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--alpha", type=float)
     p_adapt.add_argument("--tau", type=float)
     p_adapt.add_argument("--k-aug", dest="k_aug", type=int)
-    p_adapt.add_argument("--tent-online", action="store_true", default=None,
-                         help="oracle-assisted: reset the model at segment boundaries")
 
     p_report = sub.add_parser("report", help="aggregate run directories into a table")
     p_report.add_argument("run_dirs", nargs="+")
@@ -495,8 +493,10 @@ def main(argv=None) -> int:
             if args.command == "adapt":
                 names = cfg.adapt.method if args.method is None else args.method
                 methods = [m.strip() for m in names.split(",") if m.strip()]
-                if not methods or len(set(methods)) != len(methods):
-                    raise ValueError(f"--method must name distinct methods, got {args.method!r}")
+                if not methods:
+                    raise ValueError(f"--method must name at least one method, got {args.method!r}")
+                if len(set(methods)) != len(methods):
+                    raise ValueError(f"--method must not name a method twice, got {args.method!r}")
                 run_dirs = cmd_adapt(cfg, methods)
                 for run_dir in run_dirs:
                     sys.stdout.write(f"{run_dir}\n")

@@ -55,15 +55,17 @@ aborts with ``NonFiniteLossError``.
 
 One frozen, eval-BN source model holds the posterior mode theta_0: it gates
 augmentation and is the restore target. ``METHODS`` is the one table of
-methods: each name the CLI accepts is one ``Method`` row of what the engine
-reads (the objective, the anchor, the forward-only BN mode, a pinned restore
-mode), and ``method_config`` turns a name into its config. Only the methods
-whose row calls for a teacher, Adam moments or an anchor get them, and a
-step reads those fields and its row, not the method's name: moments make a
-gradient step, a teacher makes pseudo-labels, an EMA update and a restore,
-an anchor adds the posterior term at alpha != 0. ``init_adapt_state`` is
-the one constructor of a run's state; the oracle ``tent_online`` reset is a
-second call of it at each segment boundary, on the generators the run
+methods: each name the CLI and a config's ``adapt.method`` accept is one
+``Method`` row of what the engine reads (the objective, the anchor, the
+forward-only BN mode, a pinned restore mode, the segment reset), and
+``method_config`` turns a name into its config, which keeps the name. Only
+the methods whose row calls for a teacher, Adam moments or an anchor get
+them, and a step reads those fields and its row, not the method's name:
+moments make a gradient step, a teacher makes pseudo-labels, an EMA update
+and a restore, an anchor adds the posterior term at alpha != 0.
+``init_adapt_state`` is the one constructor of a run's state; a row's
+oracle segment reset (CoTTA's TENT-online baseline is the one row with it)
+is a second call of it at each segment boundary, on the generators the run
 already holds, so the random streams continue across the reset.
 
 ``run_lifelong`` appends one row per step, keyed by ``STEP_COLUMNS``; the
@@ -153,17 +155,19 @@ class Method:
     teacher's pseudo-labels). The rest of a run's state follows from it:
     every objective gets Adam moments, and ``"teacher_ce"`` a teacher, its
     workspace, the EMA update, the restore and all of theta to train; the
-    other objectives train only the BN affine coordinates.
+    other objectives train only the BN affine coordinates. ``reset`` is the
+    oracle segment reset: the run starts each segment from a fresh state.
     """
 
-    name: str  # the engine method: PetalConfig.method and report.json's "method"
+    name: str  # the engine method: report.json's "method"
     objective: str | None = None
     anchor: bool = False  # the source-posterior log-density term, at alpha != 0
     bn_mode: str | None = None  # the forward-only step's BN mode
     restore: str | None = None  # the restore mode the name pins; None keeps the config's
+    reset: bool = False  # a fresh state at each change of segment id
 
 
-# every method name the CLI accepts; the rows whose name is their key are the engine methods
+# every method name the CLI and a config accept; a row's name is its engine method
 METHODS = {
     "petal": Method("petal", "teacher_ce", anchor=True),
     "cotta": Method("cotta", "teacher_ce"),
@@ -174,6 +178,7 @@ METHODS = {
     "petal_fim": Method("petal", "teacher_ce", anchor=True, restore="fim"),
     "petal_sres": Method("petal", "teacher_ce", anchor=True, restore="stochastic"),
     "petal_none": Method("petal", "teacher_ce", anchor=True, restore="none"),
+    "tent_online": Method("tent", "entropy", reset=True),
 }
 
 
@@ -187,7 +192,7 @@ class PetalConfig:
     hold the augmentation gate fully open.
     """
 
-    method: str = one_of(tuple(name for name, row in METHODS.items() if row.name == name), "petal")
+    method: str = one_of(tuple(METHODS), "petal")
     k_aug: int = at_least(1, 32)
     tau: float = unit(0.72)
     alpha: float = at_least(0, DEFAULT_ALPHA)
@@ -196,17 +201,15 @@ class PetalConfig:
     restore: str = one_of(RESTORE_MODES, "fim")
     rho: float = unit(0.01)
     delta: float = unit(0.03)
-    tent_online: bool = False
     augment: AugmentParams = field(default_factory=AugmentParams)
 
 
 def method_config(cfg: PetalConfig, name: str) -> PetalConfig:
-    """``cfg`` set to run the method ``name``, a key of ``METHODS``: its engine
-    method, and the restore mode the name pins if it pins one."""
+    """``cfg`` set to run the method ``name``, a key of ``METHODS``: the name
+    itself, and the restore mode the name pins if it pins one."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
-    row = METHODS[name]
-    return replace(cfg, method=row.name, restore=row.restore or cfg.restore)
+    return replace(cfg, method=name, restore=METHODS[name].restore or cfg.restore)
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +724,14 @@ def run_lifelong(
 ) -> tuple[RunReport, AdaptState]:
     """Stream every scheduled batch through the configured method.
 
-    Segment boundaries are never used to reset state, except under the
-    oracle-assisted ``tent_online`` flag: at each change of segment id the
-    run takes a fresh ``init_adapt_state`` (student, teacher and Adam moments
-    back at the source), handing it the generators it holds, so the random
-    streams continue and ``step`` keeps counting.
+    Segment boundaries are never used to reset state, except by a
+    ``METHODS`` row whose ``reset`` is on (the oracle-assisted
+    TENT-online): at each change of segment id the run takes a fresh
+    ``init_adapt_state`` (student and Adam moments back at the source),
+    handing it the generators it holds, so the random streams continue and
+    ``step`` keeps counting. The fresh state brings its own workspace, None
+    for the one reset row, which has no teacher. The report's ``method`` is
+    the row's engine method.
     """
     stream_ss, augment_ss, restore_ss = np.random.SeedSequence(seed).spawn(3)
     state = init_adapt_state(
@@ -739,11 +745,11 @@ def run_lifelong(
     acc = MetricAccumulator()
     rows: list[dict] = []
     for batch, labels in stream_batches(schedule, dataset, stream_rng):
-        if cfg.tent_online and rows and batch.segment != rows[-1]["segment"]:
+        if state.method.reset and rows and batch.segment != rows[-1]["segment"]:
             fresh = init_adapt_state(
                 source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
             )
-            state = replace(fresh, step=state.step, workspace=state.workspace)
+            state = replace(fresh, step=state.step)
         report = (baseline_step if state.opt is None else adapt_step)(state, batch.images, cfg)
         err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
         values = (
@@ -767,7 +773,7 @@ def run_lifelong(
     ]
     report = RunReport(
         seed=seed,
-        method=cfg.method,
+        method=state.method.name,
         config=asdict(cfg),
         schedule=schedule.to_document(),
         segments=segments,

@@ -98,7 +98,6 @@ def test_config_rejects_unknown_keys():
 BAD_CONFIG_TYPES = {
     "k_aug_string": {"adapt": {"k_aug": "x"}},
     "tau_string": {"adapt": {"tau": "0.5"}},
-    "flag_as_int": {"adapt": {"tent_online": 1}},
     "seeds_string": {"seeds": "abc"},
     "seed_float": {"seeds": [0, 1.5]},
     "seed_bool": {"seeds": [True]},
@@ -153,12 +152,13 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("predict_from", "teacher"),
-                                        ("reset_optimizer_state", False)])
+                                        ("reset_optimizer_state", False), ("tent_online", False)])
 def test_cli_refuses_removed_adapt_keys(tmp_path, capsys, key, value):
-    # the adapt section has no optimizer, predict_from or
-    # reset_optimizer_state key (steps are Adam steps, petal/cotta predict
-    # from the teacher, a restore leaves the moments alone): a config naming
-    # one, even at its former default, is refused before --out is made
+    # the adapt section has no optimizer, predict_from, reset_optimizer_state
+    # or tent_online key (steps are Adam steps, petal/cotta predict from the
+    # teacher, a restore leaves the moments alone, the oracle reset is the
+    # tent_online method): a config naming one, even at its former default,
+    # is refused before --out is made
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"adapt": {key: value}}), encoding="utf-8")
     out = tmp_path / "out"
@@ -166,6 +166,14 @@ def test_cli_refuses_removed_adapt_keys(tmp_path, capsys, key, value):
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: unknown keys in config.adapt: [{key!r}]\n"
     assert not out.exists()
+
+
+def test_adapt_has_no_tent_online_flag(capsys):
+    # the oracle reset is a method name, `--method tent_online`, not a flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["adapt", "--tent-online"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tent-online" in capsys.readouterr().err
 
 
 def test_config_type_check_accepts_ints_as_floats_and_null_order_seed():
@@ -181,10 +189,12 @@ def test_method_config_aliases():
         cfg = method_config(PetalConfig(restore=restore), name)
         return cfg.method, cfg.restore
 
-    assert resolved("petal_fim", restore="none") == ("petal", "fim")
-    assert resolved("petal_sres") == ("petal", "stochastic")
-    assert resolved("petal_none") == ("petal", "none")
+    # the config keeps the name, whose row the run state looks up
+    assert resolved("petal_fim", restore="none") == ("petal_fim", "fim")
+    assert resolved("petal_sres") == ("petal_sres", "stochastic")
+    assert resolved("petal_none") == ("petal_none", "none")
     assert resolved("tent", restore="stochastic") == ("tent", "stochastic")  # the config's restore stays
+    assert resolved("tent_online", restore="none") == ("tent_online", "none")
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         method_config(PetalConfig(), "nope")
 
@@ -291,6 +301,32 @@ def test_adapt_runs_the_config_method_without_method_flag(trained_dir, tmp_path,
     assert sorted(p.name for p in run.iterdir()) == sorted([MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT, "tent"])
     report = json.loads((run / "tent" / "seed0" / "report.json").read_text())
     assert report["method"] == "tent" and report["experiment"]["adapt"]["method"] == "tent"
+
+
+@pytest.mark.parametrize("name", ["petal_fim", "tent_online"])
+def test_config_method_runs_as_the_method_flag_does(trained_dir, tmp_path, capsys, name):
+    # every METHODS key is a config's adapt.method, not only the engine
+    # methods: the config's run writes the steps and the report of the flag's
+    out, cfg = trained_dir
+    by_config, by_flag = tmp_path / "config", tmp_path / "flag"
+    for run in (by_config, by_flag):
+        _copy_checkpoints(out, run)
+    doc = config_to_dict(cfg)
+    plain_path = tmp_path / "plain.json"
+    plain_path.write_text(json.dumps(doc), encoding="utf-8")
+    doc["adapt"]["method"] = name
+    named_path = tmp_path / "named.json"
+    named_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["adapt", "--config", str(named_path), "--out", str(by_config)]) == 0
+    assert main(["adapt", "--config", str(plain_path), "--out", str(by_flag), "--method", name]) == 0
+    capsys.readouterr()
+    config_run, flag_run = (run / name / "seed0" for run in (by_config, by_flag))
+    assert (config_run / "steps.csv").read_bytes() == (flag_run / "steps.csv").read_bytes()
+    config_report, flag_report = (json.loads((run / "report.json").read_text()) for run in (config_run, flag_run))
+    assert config_report.pop("experiment")["adapt"]["method"] == name
+    assert flag_report.pop("experiment")["adapt"]["method"] == cfg.adapt.method
+    assert config_report == flag_report
+    assert config_report["config"]["method"] == config_report["method_label"] == name
 
 
 def test_integer_in_a_float_field_writes_the_flags_report(trained_dir, tmp_path, capsys):
@@ -550,14 +586,15 @@ def test_cli_rejects_bad_augment_params(trained_dir, tmp_path, capsys, case):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-# adapt argument lists refused before any run writes a file: (flags, the
-# name the message must contain)
+# adapt argument lists refused before any run writes a file: (flags, what
+# the message must contain)
 REFUSED_RUN_LISTS = {
     "negative_seed": (["--method", "source", "--seeds", "0,-1"], "seeds"),
     "duplicate_seed": (["--method", "source", "--seeds", "0,0"], "seeds"),
     "non_integer_seed": (["--method", "source", "--seeds", "0,x"], "seeds"),
-    "duplicate_method": (["--method", "source,bn_adapt,source", "--seeds", "0"], "--method"),
-    "no_method": (["--method", ",", "--seeds", "0"], "--method"),
+    "duplicate_method": (["--method", "source,bn_adapt,source", "--seeds", "0"],
+                         "--method must not name a method twice, got 'source,bn_adapt,source'"),
+    "no_method": (["--method", " , ", "--seeds", "0"], "--method must name at least one method, got ' , '"),
 }
 
 

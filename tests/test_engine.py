@@ -14,6 +14,7 @@ from lifelong_tta.autodiff import (
     softmax_entropy_mean,
 )
 from lifelong_tta.engine import (
+    METHODS,
     AdamState,
     AugmentParams,
     STEP_COLUMNS,
@@ -29,6 +30,7 @@ from lifelong_tta.engine import (
     fim_diag,
     fim_mask,
     init_adapt_state,
+    method_config,
     restore,
     run_lifelong,
     stochastic_mask,
@@ -770,10 +772,11 @@ def test_tent_and_pseudo_label_touch_only_bn_affine(small_bundle):
                 assert same, f"{method} must not update {name}"
 
 
-def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed):
+def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed, reset):
     """tent/pseudo_label as they ran before their optimizer state shrank to
     the BN affine coordinates: full-length Adam moments, with the gradient
-    zeroed everywhere else before each step. Returns the student."""
+    zeroed everywhere else before each step, and with ``reset`` the state
+    rebuilt at each segment boundary. Returns the student."""
     ref = init_adapt_state(model, posterior, cfg, **seeded_generators(seed))
     student, source = ref.student, ref.source_model
     frozen = ~param_mask(student, bn_affine_filter)
@@ -782,14 +785,14 @@ def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, s
     previous = None
     stream_ss, _, _ = np.random.SeedSequence(seed).spawn(3)
     for batch, _ in stream_batches(schedule, dataset, np.random.Generator(np.random.PCG64(stream_ss))):
-        if cfg.tent_online and previous is not None and batch.segment != previous:
+        if reset and previous is not None and batch.segment != previous:
             student.theta[:] = source.theta
             student.running = {name: values.copy() for name, values in source.running.items()}
             m, v, t = np.zeros(student.theta.size), np.zeros(student.theta.size), 0
         previous = batch.segment
         tape = []
         logits, params = student.taped_forward(batch.images, tape)
-        if cfg.method == "tent":
+        if cfg.method in ("tent", "tent_online"):
             loss = softmax_entropy_mean(logits, tape)
         else:
             hard = softmax(logits.data).argmax(axis=1)
@@ -805,24 +808,23 @@ def _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, s
     return student
 
 
-@pytest.mark.parametrize("tent_online", [False, True])
-@pytest.mark.parametrize("method", ["tent", "pseudo_label"])
-def test_selftrain_adam_on_bn_affine_matches_full_length_reference(small_bundle, method, tent_online):
+@pytest.mark.parametrize("method, reset", [("tent", False), ("pseudo_label", False), ("tent_online", True)])
+def test_selftrain_adam_on_bn_affine_matches_full_length_reference(small_bundle, method, reset):
     # the moments cover only the BN affine coordinates; a frozen coordinate's
     # full-length update was exactly 0.0, so theta keeps every bit
     dataset, model, posterior = small_bundle
     schedule = build_schedule(("gaussian_noise",), "gradual", 1, 16)  # 5 segments of one batch
-    cfg = fast_cfg(method=method, tent_online=tent_online, eta=0.01)
+    cfg = fast_cfg(method=method, eta=0.01)
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=2)
     assert len(report.rows) == 5
-    reference = _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed=2)
+    reference = _full_length_selftrain_reference(dataset, model, posterior, schedule, cfg, seed=2, reset=reset)
     assert state.student.theta.tobytes() == reference.theta.tobytes()
     for name, values in state.student.running.items():
         assert values.tobytes() == reference.running[name].tobytes()
     assert not np.array_equal(state.student.theta, state.source_model.theta)
     trained = int(param_mask(state.student, bn_affine_filter).sum())
     assert state.opt.m.size == state.opt.v.size == trained
-    assert state.opt.step == (1 if tent_online else 5)
+    assert state.opt.step == (1 if reset else 5)
 
 
 @pytest.mark.parametrize("method", ["tent", "petal"])
@@ -941,33 +943,43 @@ def test_run_is_deterministic(small_bundle):
 def test_tent_online_resets_at_segment_boundaries(small_bundle):
     dataset, model, posterior = small_bundle
     schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 2, 8)
-    cfg = fast_cfg(method="tent", tent_online=True, eta=0.05)
+    cfg = fast_cfg(method="tent_online", eta=0.05)
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     # after the run the optimizer has only seen the final segment's two steps
     assert state.opt.step == 2
+    assert report.method == "tent" and report.config["method"] == "tent_online"
 
 
-def test_tent_online_resets_the_teacher_too(small_bundle, monkeypatch):
-    # petal and cotta predict from the teacher, so the oracle reset must
-    # bring it back to theta_0 along with the student
+@pytest.mark.parametrize("name", list(METHODS))
+def test_only_the_reset_row_starts_a_segment_from_theta0_with_fresh_moments(small_bundle, monkeypatch, name):
+    # entering the second segment, a reset row's student is theta_0 with its
+    # source running statistics and zero Adam moments; every other row
+    # carries its state on (or, without an objective, has no moments)
     import lifelong_tta.engine as engine
 
     dataset, model, posterior = small_bundle
     schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 2, 8)
-    cfg = fast_cfg(tent_online=True, pi=0.9)
+    cfg = method_config(fast_cfg(eta=0.05), name)
     seen = []
-    step = engine.adapt_step
+    for step_name in ("adapt_step", "baseline_step"):
 
-    def recording(state, *args):
-        seen.append((state.student.theta.copy(), state.teacher.theta.copy(), state.source_model.theta.copy()))
-        return step(state, *args)
+        def recording(state, *args, step=getattr(engine, step_name)):
+            student, source = state.student, state.source_model
+            seen.append(
+                state.opt is not None
+                and state.opt.step == 0
+                and not state.opt.m.any()
+                and not state.opt.v.any()
+                and np.array_equal(student.theta, source.theta)
+                and all(np.array_equal(values, source.running[key]) for key, values in student.running.items())
+            )
+            return step(state, *args)
 
-    monkeypatch.setattr(engine, "adapt_step", recording)
+        monkeypatch.setattr(engine, step_name, recording)
     run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     assert len(seen) == 4
-    student, teacher, source = seen[2]  # entering the second segment's first step
-    assert not np.array_equal(seen[1][1], source)  # the teacher had moved
-    assert np.array_equal(student, source) and np.array_equal(teacher, source)
+    assert seen[0] == (METHODS[name].objective is not None)  # every run starts fresh
+    assert seen[2] == METHODS[name].reset
 
 
 def test_run_report_has_config_echo_and_segments(small_bundle):
@@ -1025,11 +1037,11 @@ def test_segment_restored_mean_is_the_mean_of_its_rows(small_bundle):
 
 
 def test_tent_online_run_equals_a_replay_that_reinitializes_at_each_boundary(small_bundle):
-    # petal_fim with the gate always open, so every step draws augmentations:
-    # the reset must hand the fresh state the augment stream the run holds
+    # the reset must hand the fresh state the generators the run holds and
+    # keep the run's step count
     dataset, model, posterior = small_bundle
     schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 2, 8)
-    cfg = fast_cfg(tent_online=True, tau=2.0)
+    cfg = fast_cfg(method="tent_online")
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=6)
     stream_ss, augment_ss, restore_ss = np.random.SeedSequence(6).spawn(3)
     manual = init_adapt_state(
@@ -1062,7 +1074,7 @@ def test_tent_online_run_equals_a_replay_that_reinitializes_at_each_boundary(sma
     assert [b[1] for b in expected] == [0, 0, 1, 1]
     assert [tuple(row[c] for c in STEP_COLUMNS) for row in report.rows] == expected
     assert state.student.theta.tobytes() == manual.student.theta.tobytes()
-    assert state.teacher.theta.tobytes() == manual.teacher.theta.tobytes()
+    assert state.teacher is manual.teacher is None
     assert state.opt.m.tobytes() == manual.opt.m.tobytes() and state.opt.step == manual.opt.step == 2
     assert state.rng_augment.bit_generator.state == manual.rng_augment.bit_generator.state
     assert state.step == 4  # the reset keeps the run's step count
