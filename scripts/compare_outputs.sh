@@ -8,7 +8,11 @@
 # every method name on a one-batch-per-segment stream (petal among them, which
 # keeps the config's restore mode), then adapt without --method, which runs
 # the config file's adapt.method (cotta, with stochastic restore), then
-# petal_fim and cotta with K = 5 teacher draws, then tent_online (tent under
+# petal_fim and cotta with K = 1, 5 and 9 teacher draws at tau 1, where the
+# gate opens on nearly every step (K = 1: main alone draws; K = 5: the
+# helper process takes one block of four, main a partial block of one;
+# K = 9: the helper one block, main a full and a partial one), then
+# tent_online (tent under
 # the oracle segment reset) at two batches per segment, so the state, Adam
 # moments included, is kept within a segment and rebuilt across segments, then
 # petal_fim and cotta at alpha = 0, where petal's objective takes no posterior
@@ -58,6 +62,13 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/k5
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/k5/
         python3 -m lifelong_tta adapt --config tiny.json --out runs/k5 --method petal_fim,cotta --k-aug 5 > /dev/null
+        # K = 1 and 9 with the gate open: no helper share, then partial blocks
+        for k in 1 9; do
+            mkdir -p "runs/k${k}_open"
+            cp runs/main/source_model.ptta runs/main/posterior.ptta "runs/k${k}_open/"
+            python3 -m lifelong_tta adapt --config tiny.json --out "runs/k${k}_open" --method petal_fim,cotta \
+                --k-aug "$k" --tau 1 > /dev/null
+        done
         mkdir -p runs/online
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/online/
         echo '{"schedule": {"batches_per_segment": 2}, "seeds": [0]}' > two.json

@@ -32,10 +32,18 @@ run state holds its anchor, the posterior with its constant log-density
 normalizer sums, so a step computes only the anchor's quadratic part.
 
 The K draws run in blocks of four: per block, one ``augment`` call takes the
-random numbers draw by draw and runs each transform once over all four, and
-one teacher forward normalizes each draw by its own batch statistics. The
-random numbers and the sum of the predictions keep the draw order, so the
-pseudo-labels are bit-identical to those of K one-draw calls. The blocks
+random numbers draw by draw (``draw_numbers``) and runs each transform once
+over all four (``transform``), and one teacher forward normalizes each draw
+by its own batch statistics. The random numbers and the sum of the
+predictions keep the draw order, so the pseudo-labels are bit-identical to
+those of K one-draw calls. A run uses a second process for them:
+``run_lifelong`` gives its teacher state a ``DrawHelper``, which forks
+(``os.fork``) on the run's first gate-open step and is reaped when the run
+ends. On a gate-open step main draws the random numbers of the lowest whole
+blocks, about half the draws, into a shared mapping, hands them over and
+runs its own blocks while the helper transforms and forwards those; then it
+adds all K rows in draw order, so the helper changes no output bit. A state
+stepped outside ``run_lifelong`` has no helper and runs every block. The blocks
 live in the run's workspace (``AdaptState.workspace``, petal/cotta only):
 the augmentation block, the bilinear resampling's scratch and the teacher
 forward's two activation blocks, one set per block shape, made on the first
@@ -79,6 +87,13 @@ batch's gradient; evaluation is strictly online.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
+import struct
+import sys
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -295,63 +310,95 @@ def augment(
     """``draws`` randomized draws of the augmentation pipeline, clipped to [0, 1].
 
     ``images`` is (B, 64) and stays intact. The draws are stacked along the
-    first axis, draw k in rows k*B to (k+1)*B. Draw by draw, the random
-    numbers are taken in the pipeline's order (contrast, brightness, dx, dy,
-    rotation, blur flags, flip flags, noise), each only when its magnitude is
-    non-zero, so one call equals ``draws`` calls of one draw on the same
-    generator. With all magnitudes zero every draw is the input,
-    bit-identical. The block and its scratch are ``workspace`` buffers (see
+    first axis, draw k in rows k*B to (k+1)*B. ``draw_numbers`` takes the
+    random numbers draw by draw and ``transform`` applies them, so one call
+    equals ``draws`` calls of one draw on the same generator. With all
+    magnitudes zero every draw is the input, bit-identical. The block, its
+    random numbers and its scratch are ``workspace`` buffers (see
     ``scratch``), so the result is valid until the next call of the same
     shape; without a workspace they are new arrays.
     """
     if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
         raise ValueError("augment expects (B, 64) flattened images")
-    batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    b = batch.shape[0]
-    shape = (draws * b, IMAGE_SIDE, IMAGE_SIDE)
-    contrast, brightness, dx, dy, rotation, blur, flip = ([] for _ in range(7))
-    noise = scratch(workspace, "augment.noise", shape) if params.noise_std else None
+    b = images.shape[0]
+    numbers = scratch(workspace, "augment.numbers", (draws, len(_NUMBERS), b))
+    noise = scratch(workspace, "augment.noise", (draws * b, IMAGE_SIDE, IMAGE_SIDE)) if params.noise_std else None
+    draw_numbers(rng, params, numbers, noise)
+    return transform(images, params, numbers, noise, workspace)
+
+
+# the per-sample random numbers of one draw, in the order a draw takes them;
+# the noise, B x 64 standard normals, comes last and is held apart
+_NUMBERS = ("contrast", "brightness", "dx", "dy", "rotation", "blur", "flip")
+
+
+def draw_numbers(rng: np.random.Generator, params: AugmentParams, numbers: Array, noise: Array | None) -> None:
+    """The random numbers of ``numbers.shape[0]`` draws of B samples each,
+    written in place.
+
+    Draw by draw they are taken in the pipeline's order (contrast,
+    brightness, dx, dy, rotation, blur and flip uniforms, noise), each only
+    when its magnitude is non-zero: draw k's go to ``numbers[k]`` (rows named
+    by ``_NUMBERS``) and its standard normals to rows k*B to (k+1)*B of
+    ``noise``, which is None at zero noise. A row whose magnitude is zero is
+    left as it was."""
+    draws, _, b = numbers.shape
     for k in range(draws):
+        contrast, brightness, dx, dy, rotation, blur, flip = numbers[k]
         if params.contrast:
-            contrast.append(rng.uniform(1.0 - params.contrast, 1.0 + params.contrast, b))
+            contrast[...] = rng.uniform(1.0 - params.contrast, 1.0 + params.contrast, b)
         if params.brightness:
-            brightness.append(rng.uniform(-params.brightness, params.brightness, b))
+            brightness[...] = rng.uniform(-params.brightness, params.brightness, b)
         if params.max_shift_px or params.max_rot_deg:
-            dx.append(rng.uniform(-params.max_shift_px, params.max_shift_px, b))
-            dy.append(rng.uniform(-params.max_shift_px, params.max_shift_px, b))
-            rotation.append(rng.uniform(-params.max_rot_deg, params.max_rot_deg, b))
+            dx[...] = rng.uniform(-params.max_shift_px, params.max_shift_px, b)
+            dy[...] = rng.uniform(-params.max_shift_px, params.max_shift_px, b)
+            rotation[...] = rng.uniform(-params.max_rot_deg, params.max_rot_deg, b)
         if params.blur_prob:
-            blur.append(rng.random(b) < params.blur_prob)
+            rng.random(out=blur)
         if params.flip_prob:
-            flip.append(rng.random(b) < params.flip_prob)
+            rng.random(out=flip)
         if params.noise_std:
             # the standard normals z that rng.normal(0.0, std) would scale
             rng.standard_normal(out=noise[k * b : (k + 1) * b])
-    # each transform runs once over every draw, in place on the block
-    out = scratch(workspace, "augment", shape)
+
+
+def transform(
+    images: Array, params: AugmentParams, numbers: Array, noise: Array | None, workspace: dict | None = None
+) -> Array:
+    """The draws whose random numbers ``draw_numbers`` wrote into ``numbers``
+    and ``noise``, stacked as ``augment`` returns them. Each transform runs
+    once over every draw, in place on the block; ``noise`` is scaled in
+    place. The block and its scratch are ``workspace`` buffers."""
+    batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+    draws, _, b = numbers.shape
+    out = scratch(workspace, "augment", (draws * b, IMAGE_SIDE, IMAGE_SIDE))
     out.reshape(draws, b, IMAGE_SIDE, IMAGE_SIDE)[...] = batch
-    if contrast:
+
+    def column(name: str) -> Array:  # one number per row of the block
+        return numbers[:, _NUMBERS.index(name)].reshape(-1)
+
+    if params.contrast:
         out -= 0.5
-        out *= np.concatenate(contrast)[:, None, None]
+        out *= column("contrast")[:, None, None]
         out += 0.5
-    if brightness:
-        out += np.concatenate(brightness)[:, None, None]
-    if dx:
-        theta = np.deg2rad(np.concatenate(rotation))
-        out = _affine_batch(out, np.concatenate(dx), np.concatenate(dy), theta, workspace)
-    if blur:
-        flags = np.concatenate(blur)
+    if params.brightness:
+        out += column("brightness")[:, None, None]
+    if params.max_shift_px or params.max_rot_deg:
+        theta = np.deg2rad(column("rotation"))
+        out = _affine_batch(out, column("dx"), column("dy"), theta, workspace)
+    if params.blur_prob:
+        flags = column("blur") < params.blur_prob
         if flags.any():
             out[flags] = _box_blur(out[flags], 3, 1)
-    if flip:
-        flags = np.concatenate(flip)
+    if params.flip_prob:
+        flags = column("flip") < params.flip_prob
         out[flags] = out[flags, :, ::-1]
     if noise is not None:
         # rng.normal's own arithmetic, 0.0 + std * z, so the same bits
         noise *= params.noise_std
         noise += 0.0
         out += noise
-    if contrast or brightness or dx or blur or flip or noise is not None:
+    if any(vars(params).values()):  # some magnitude is non-zero
         np.clip(out, 0.0, 1.0, out=out)
     return out.reshape(draws * b, IMAGE_SIDE * IMAGE_SIDE)
 
@@ -412,7 +459,9 @@ class AdaptState:
     log-density normalizer sums, is None unless the row's ``anchor`` is on.
     ``workspace``, the teacher blocks' buffers keyed by (name, shape), is
     None without a teacher; it holds nothing until the first gate-open
-    step."""
+    step. ``helper``, the process that runs part of the teacher's draws, is
+    a ``DrawHelper`` only while ``run_lifelong`` runs a teacher state, and
+    None otherwise."""
 
     method: Method
     student: MlpClassifier
@@ -425,6 +474,7 @@ class AdaptState:
     rng_restore: np.random.Generator
     anchor: tuple[SwagDiagPosterior, tuple[float, ...]] | None
     workspace: dict | None
+    helper: DrawHelper | None = None
 
 
 def init_adapt_state(
@@ -484,19 +534,167 @@ class StepReport:
 
 
 # Augmentation draws per teacher block: one augment call and one teacher
-# forward each, in the run's workspace. Sweep on a 2-core VM (numpy 2.4.6,
-# one BLAS thread), `perfbench/run.py --workload petal_long --seconds 20
-# --trace 0`, seed 0, medians of 3 interleaved rounds; minor faults per step
-# over 40 gate-open petal steps (tau 2, default model and stream):
-#   draws  step_ms_p50  minor faults/step  peak_rss_mb
-#   4      18.4         0.2                47.0
-#   8      16.9         0.1                48.7
-#   16     17.2         0.1                52.2
-# (without the workspace, at 4 draws: 21.8 ms, about 560 faults, 46.5 MB).
-# The workspace grows with the block, about 1.75 MB at 4 draws: 8 draws are
-# 8% faster than 4, but their peak RSS is 4.7% above the allocating code's
-# (16 draws: 12%), against 1.1% at 4 draws.
+# forward each, in the run's workspace (or the helper's). Sweep with the
+# helper taking 16 of the 32 draws, on a 2-core VM (numpy 2.4.6, one BLAS
+# thread), `perfbench/run.py --workload petal_long --seconds 20 --trace 0`,
+# seed 0, medians of 3 interleaved rounds against the in-process loop at 4:
+#   draws  step_ms_p50  step_ms_p90  peak_rss_mb
+#   4      11.81        13.82        47.93 (+2.0%)
+#   8      11.51        13.21        49.59 (+5.5%)
+# (in-process, 4 draws: 17.11 ms, 19.06 ms, 47.00 MB). 8 draws are 2.5%
+# faster than 4, but main's workspace grows with the block, so their peak
+# RSS is past +3% of the in-process loop's.
 _DRAW_BLOCK = 4
+
+
+def _helper_share(k_aug: int) -> int:
+    """How many of the K draws, the lowest, a step hands the helper: the
+    whole blocks nearest half of them, leaving main at least one draw. So
+    each side's blocks are blocks of the in-process loop, and the first
+    block that meets a NaN raises the in-process message."""
+    blocks = (k_aug + _DRAW_BLOCK) // (2 * _DRAW_BLOCK)
+    return _DRAW_BLOCK * min(blocks, (k_aug - 1) // _DRAW_BLOCK)
+
+
+class DrawHelper:
+    """One forked process that augments and forwards the lowest draws of each
+    gate-open step of a run, on a second core.
+
+    ``run_lifelong`` makes one per teacher run and closes it when the run
+    ends; ``submit`` forks the process on the first step that hands it
+    draws. Main writes the teacher's theta, the images and the random numbers
+    of the helper's draws into an anonymous shared mapping, made at the fork
+    for that step's (draws, B), and sends the augmentation magnitudes down a
+    pipe; the helper runs ``transform`` and a ``"batch"`` teacher forward
+    per block and writes the softmax rows back into the mapping. It never
+    touches a generator. Its reply is None, or the message of the
+    ``FloatingPointError`` its first failing block raised. It ignores
+    SIGINT and leaves by ``os._exit``, on end of file when main closes the
+    pipe or dies.
+    """
+
+    def __init__(self) -> None:
+        self.pid: int | None = None
+
+    def submit(self, teacher: MlpClassifier, images: Array, rng: np.random.Generator, params, draws: int) -> bool:
+        """Draw the numbers of the lowest ``draws`` draws from ``rng`` and start
+        the helper on them; False, with nothing drawn, when the mapping was
+        made for another (draws, B)."""
+        b = images.shape[0]
+        if self.pid is None:
+            self._fork(teacher, draws, b)
+        elif self.numbers.shape != (draws, len(_NUMBERS), b):
+            return False
+        self.theta[...] = teacher.theta
+        self.images[...] = images
+        draw_numbers(rng, params, self.numbers, self.noise if params.noise_std else None)
+        try:
+            _send(self._requests, params)
+        except OSError:
+            raise self._exited() from None
+        return True
+
+    def collect(self) -> Array:
+        """The helper's (draws, B, C) probability rows, a view of the mapping
+        valid until the next ``submit``; raises the ``FloatingPointError`` of
+        its first failing block."""
+        try:
+            error = _receive(self._replies)
+        except EOFError:
+            raise self._exited() from None
+        if error is not None:
+            raise FloatingPointError(error)
+        return self.probs
+
+    def _exited(self) -> RuntimeError:
+        return RuntimeError(f"the teacher draw helper process {self.pid} exited mid-run")
+
+    def close(self) -> None:
+        """End the helper, if it was forked, and reap it."""
+        if self.pid is None:
+            return
+        os.close(self._requests)
+        os.close(self._replies)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        self.theta = self.images = self.numbers = self.noise = self.probs = None  # unmaps once no view is left
+
+    def _fork(self, teacher: MlpClassifier, draws: int, b: int) -> None:
+        sizes = (teacher.theta.size, b * IMAGE_SIDE**2, draws * len(_NUMBERS) * b, draws * b * IMAGE_SIDE**2)
+        sizes += (draws * b * teacher.sizes[-1],)
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64)
+        theta, images, numbers, noise, probs = np.split(flat, np.cumsum(sizes)[:-1])
+        self.theta, self.images = theta, images.reshape(b, -1)
+        self.numbers = numbers.reshape(draws, len(_NUMBERS), b)
+        self.noise = noise.reshape(draws * b, IMAGE_SIDE, IMAGE_SIDE)
+        self.probs = probs.reshape(draws, b, -1)
+        requests, self._requests = os.pipe()
+        self._replies, replies = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self._requests, self._replies, replies):
+                os.close(fd)
+            raise
+        if self.pid:
+            os.close(requests)
+            os.close(replies)
+            return
+        try:  # the helper: never returns into the caller's code
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(self._requests)
+            os.close(self._replies)
+            self._serve(teacher, requests, replies)
+        except BrokenPipeError:  # main stopped reading mid-step
+            pass
+        except Exception:  # a fault of the helper's own: main sees its exit
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(0)
+
+    def _serve(self, teacher: MlpClassifier, requests: int, replies: int) -> None:
+        workspace: dict = {}
+        draws, _, b = self.numbers.shape
+        while True:
+            try:
+                params = _receive(requests)
+            except EOFError:
+                return
+            teacher.load(self.theta)
+            error = None
+            for start in range(0, draws, _DRAW_BLOCK):
+                stop = min(start + _DRAW_BLOCK, draws)
+                noise = self.noise[start * b : stop * b] if params.noise_std else None
+                block = transform(self.images, params, self.numbers[start:stop], noise, workspace)
+                try:
+                    logits = teacher.forward(block, "batch", stop - start, workspace)
+                except FloatingPointError as exc:
+                    error = str(exc)
+                    break
+                self.probs[start:stop] = softmax(logits).reshape(stop - start, b, -1)
+            _send(replies, error)
+
+
+def _send(fd: int, message) -> None:
+    data = pickle.dumps(message)
+    os.write(fd, struct.pack("<I", len(data)) + data)  # under PIPE_BUF bytes: one atomic write
+
+
+def _receive(fd: int):
+    """The next ``_send`` message on ``fd``; ``EOFError`` once every writer has closed it."""
+    (size,) = struct.unpack("<I", _read(fd, 4))
+    return pickle.loads(_read(fd, size))
+
+
+def _read(fd: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
 
 
 def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> Array:
@@ -508,10 +706,14 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     The draws run in blocks of ``_DRAW_BLOCK``: one ``augment`` call and one
     teacher forward per block, both in ``state.workspace``, each draw
     normalized by its own batch statistics, and the teacher's running
-    statistics stay untouched. The random numbers and the sum run in draw
-    order, so the labels equal those of one augment call and one forward per
-    draw, bit for bit. The returned rows are a new array, never a workspace
-    buffer.
+    statistics stay untouched. A state with a ``DrawHelper`` (a run's, in
+    ``run_lifelong``) first draws the random numbers of the lowest
+    ``_helper_share`` draws and hands them to the helper process, then runs
+    its own blocks while the helper runs those; the first failing block,
+    the helper's before main's, raises. The random numbers and the sum run in
+    draw order either way, so the labels equal those of one augment call and
+    one forward per draw, bit for bit. The returned rows are a new array,
+    never a workspace or mapping buffer.
     """
     source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
@@ -519,12 +721,24 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
+    shared = 0 if state.helper is None else _helper_share(cfg.k_aug)
+    if shared and not state.helper.submit(state.teacher, images, state.rng_augment, cfg.augment, shared):
+        shared = 0
+    blocks, error = [], None
+    try:
+        for start in range(shared, cfg.k_aug, _DRAW_BLOCK):
+            draws = min(_DRAW_BLOCK, cfg.k_aug - start)
+            block = augment(images, state.rng_augment, cfg.augment, draws, state.workspace)
+            blocks.append(softmax(state.teacher.forward(block, "batch", draws, state.workspace)))
+    except FloatingPointError as exc:  # raised once the helper, whose draws come first, has answered
+        error = exc
+    if shared:
+        blocks.insert(0, state.helper.collect())
+    if error is not None:
+        raise error
     total = np.zeros_like(direct)
-    for start in range(0, cfg.k_aug, _DRAW_BLOCK):
-        draws = min(_DRAW_BLOCK, cfg.k_aug - start)
-        block = augment(images, state.rng_augment, cfg.augment, draws, state.workspace)
-        probs = softmax(state.teacher.forward(block, "batch", draws, state.workspace))
-        for rows in probs.reshape(draws, *direct.shape):
+    for probs in blocks:
+        for rows in probs.reshape(-1, *direct.shape):
             total += rows
     averaged = total / cfg.k_aug
     return np.where(needs_averaging[:, None], averaged, direct)
@@ -731,7 +945,9 @@ def run_lifelong(
     handing it the generators it holds, so the random streams continue and
     ``step`` keeps counting. The fresh state brings its own workspace, None
     for the one reset row, which has no teacher. The report's ``method`` is
-    the row's engine method.
+    the row's engine method. A teacher run's state holds a ``DrawHelper``
+    while the run lasts; its process is reaped when the run returns or
+    raises, and the returned state holds none.
     """
     stream_ss, augment_ss, restore_ss = np.random.SeedSequence(seed).spawn(3)
     state = init_adapt_state(
@@ -741,27 +957,34 @@ def run_lifelong(
         rng_augment=np.random.Generator(np.random.PCG64(augment_ss)),
         rng_restore=np.random.Generator(np.random.PCG64(restore_ss)),
     )
+    # a teacher run's helper process, forked on its first gate-open step
+    state.helper = DrawHelper() if state.teacher is not None and hasattr(os, "fork") else None
     stream_rng = np.random.Generator(np.random.PCG64(stream_ss))
     acc = MetricAccumulator()
     rows: list[dict] = []
-    for batch, labels in stream_batches(schedule, dataset, stream_rng):
-        if state.method.reset and rows and batch.segment != rows[-1]["segment"]:
-            fresh = init_adapt_state(
-                source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
+    try:
+        for batch, labels in stream_batches(schedule, dataset, stream_rng):
+            if state.method.reset and rows and batch.segment != rows[-1]["segment"]:
+                fresh = init_adapt_state(
+                    source_model, posterior, cfg, rng_augment=state.rng_augment, rng_restore=state.rng_restore
+                )
+                state = replace(fresh, step=state.step, helper=state.helper)
+            report = (baseline_step if state.opt is None else adapt_step)(state, batch.images, cfg)
+            err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
+            values = (
+                len(rows),
+                batch.segment,
+                100.0 * float(err.mean()),
+                float(nll_values.mean()),
+                float(brier_values.mean()),
+                report.loss,
+                report.restored,
             )
-            state = replace(fresh, step=state.step)
-        report = (baseline_step if state.opt is None else adapt_step)(state, batch.images, cfg)
-        err, nll_values, brier_values = acc.update(batch.segment, report.predictions, labels)
-        values = (
-            len(rows),
-            batch.segment,
-            100.0 * float(err.mean()),
-            float(nll_values.mean()),
-            float(brier_values.mean()),
-            report.loss,
-            report.restored,
-        )
-        rows.append(dict(zip(STEP_COLUMNS, values)))
+            rows.append(dict(zip(STEP_COLUMNS, values)))
+    finally:
+        if state.helper is not None:
+            state.helper.close()
+            state.helper = None
     segments = [
         {
             "segment": i,
