@@ -164,7 +164,7 @@ def poison(monkeypatch):
     """``poison(step, draws)``: from then on, the contrast factor of the first
     sample of those draws (numbered within the step) is NaN at that step."""
     target = {}
-    drawn = []  # draws taken so far in the current step
+    drawn = []  # [whether the current step is the target, draws it has taken so far]
 
     def teacher_pseudo_label(state, images, cfg, original=engine.teacher_pseudo_label):
         drawn[:] = [state.step == target["step"], 0]
