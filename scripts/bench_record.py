@@ -5,14 +5,17 @@
 
 The file goes to the root of this checkout, whichever tree is measured.
 The record holds the machine (CPU model, usable cores, Python, numpy, BLAS
-and its thread count), three end-to-end wall times of the tree (``train-source``
-with the default config, the headline ``adapt``: source, bn_adapt, tent,
-cotta and petal_fim on seeds 0-4 of the default stream, and the tier-1 suite),
-the per-method step p50/p90 of one ``perfbench/run.py --seconds 20 --trace 0``
-run of each workload in the tree's ``BENCHMARK.json``, read from that run's
-``result.json``, and the SHA-256 of every file the headline commands write.
-Every command runs in a fresh process with the tree's ``src`` on PYTHONPATH
-and BLAS on one thread, one after another, so run nothing else meanwhile.
+and its thread count), four end-to-end wall times of the tree (``train-source``
+with the default config; the headline ``adapt``: source, bn_adapt, tent,
+cotta and petal_fim on seeds 0-4 of the default stream; the same ``adapt``
+with the BLAS thread variables unset, which must write the same bytes; and
+the tier-1 suite), the per-method step p50/p90 of one
+``perfbench/run.py --seconds 20 --trace 0`` run of each workload in the
+tree's ``BENCHMARK.json``, read from that run's ``result.json``, and the
+SHA-256 of every file the headline commands write. Every command runs in a
+fresh process with the tree's ``src`` on PYTHONPATH and, but for the unpinned
+``adapt``, BLAS on one thread, one after another, so run nothing else
+meanwhile.
 Two records compare only when made on the same machine.
 """
 
@@ -65,17 +68,32 @@ def commit(tree: Path) -> dict:
     return {"commit": head.stdout.strip(), "uncommitted_changes": bool(status.stdout.strip())}
 
 
-def record(tree: Path, work: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in BLAS_THREAD_VARS})
-    program = [sys.executable, "-m", "lifelong_tta"]
-    # relative --out, so report.json records the same out_dir under any work directory
-    train_s, _ = timed(program + ["train-source", "--out", "runs"], work, env)
-    adapt_s, _ = timed(program + ["adapt", "--out", "runs", "--method", HEADLINE_METHODS, "--seeds", "0,1,2,3,4"], work, env)
-    outputs = {
+def digests(work: Path) -> dict:
+    """The SHA-256 of every file under ``work/runs``, keyed by its path from ``work``."""
+    return {
         path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted((work / "runs").rglob("*"))
         if path.is_file()
     }
+
+
+def record(tree: Path, work: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{var: "1" for var in BLAS_THREAD_VARS})
+    program = [sys.executable, "-m", "lifelong_tta"]
+    headline = program + ["adapt", "--out", "runs", "--method", HEADLINE_METHODS, "--seeds", "0,1,2,3,4"]
+    # relative --out, so report.json records the same out_dir under any work directory
+    train_s, _ = timed(program + ["train-source", "--out", "runs"], work, env)
+    adapt_s, _ = timed(headline, work, env)
+    outputs = digests(work)
+    # the headline adapt again with the BLAS thread variables unset, on the same checkpoints
+    unpinned = work / "unpinned"
+    (unpinned / "runs").mkdir(parents=True)
+    for leaf in ("source_model.ptta", "posterior.ptta"):
+        shutil.copy(work / "runs" / leaf, unpinned / "runs" / leaf)
+    unpinned_env = {var: value for var, value in env.items() if var not in BLAS_THREAD_VARS}
+    unpinned_s, _ = timed(headline, unpinned, unpinned_env)
+    if digests(unpinned) != outputs:
+        raise SystemExit("error: the headline adapt with BLAS unpinned wrote other bytes than with BLAS pinned")
     suite_s, suite_out = timed([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"], tree, env)
     suite_line = suite_out.strip().splitlines()[-1]
 
@@ -108,7 +126,8 @@ def record(tree: Path, work: Path) -> dict:
             "blas": environment["blas"],
             "blas_threads": environment["blas_threads"],
         },
-        "wall_s": {"train_source": train_s, "headline_adapt": adapt_s, "tier1_suite": suite_s},
+        "wall_s": {"train_source": train_s, "headline_adapt": adapt_s, "headline_adapt_blas_unpinned": unpinned_s,
+                   "tier1_suite": suite_s},
         "tier1_result": suite_line,
         "headline": {"methods": HEADLINE_METHODS.split(","), "seeds": [0, 1, 2, 3, 4], "stream": "continual5"},
         "perfbench": {"seconds": PERFBENCH_SECONDS, "trace": 0, "workloads": workloads},

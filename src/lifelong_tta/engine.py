@@ -39,11 +39,18 @@ predictions keep the draw order, so the pseudo-labels are bit-identical to
 those of K one-draw calls. A run uses a second process for them:
 ``run_lifelong`` gives its teacher state a ``DrawHelper``, which forks
 (``os.fork``) on the run's first gate-open step and is reaped when the run
-ends. On a gate-open step main draws the random numbers of the lowest whole
-blocks, about half the draws, into a shared mapping, hands them over and
-runs its own blocks while the helper transforms and forwards those; then it
-adds all K rows in draw order, so the helper changes no output bit. A state
-stepped outside ``run_lifelong`` has no helper and runs every block. The blocks
+ends. Each gate-open step takes the same fixed-size chunk of the
+augmentation stream, K draws of B samples in draw order, whatever the
+images and theta, so the helper draws the next gate-open step's chunk into
+a shared mapping while main finishes the current step, and main draws none
+of it. On a gate-open step main adopts the helper's generator state, hands
+over theta and the images, and runs the upper draws' blocks on the mapped
+numbers while the helper transforms and forwards the lowest whole blocks,
+about half the draws; then it adds all K rows in draw order, so the helper
+changes no output bit. While the helper lives, both processes run one
+OpenBLAS thread; where numpy's OpenBLAS cannot be set to one thread and
+does not already run one, a run forks no helper. A state stepped outside
+``run_lifelong`` has no helper and runs every block. The blocks
 live in the run's workspace (``AdaptState.workspace``, petal/cotta only):
 the augmentation block, the bilinear resampling's scratch and the teacher
 forward's two activation blocks, one set per block shape, made on the first
@@ -86,12 +93,12 @@ batch's gradient; evaluation is strictly online.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
 import pickle
 import signal
-import struct
 import sys
 import traceback
 from dataclasses import asdict, dataclass, field, replace
@@ -302,7 +309,7 @@ def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array, workspace: 
 
 def augment(
     images: Array,
-    rng: np.random.Generator,
+    rng: np.random.Generator | tuple[Array, Array | None],
     params: AugmentParams = AugmentParams(),
     draws: int = 1,
     workspace: dict | None = None,
@@ -311,19 +318,25 @@ def augment(
 
     ``images`` is (B, 64) and stays intact. The draws are stacked along the
     first axis, draw k in rows k*B to (k+1)*B. ``draw_numbers`` takes the
-    random numbers draw by draw and ``transform`` applies them, so one call
-    equals ``draws`` calls of one draw on the same generator. With all
-    magnitudes zero every draw is the input, bit-identical. The block, its
-    random numbers and its scratch are ``workspace`` buffers (see
-    ``scratch``), so the result is valid until the next call of the same
-    shape; without a workspace they are new arrays.
+    random numbers draw by draw from the generator ``rng`` and ``transform``
+    applies them, so one call equals ``draws`` calls of one draw on the same
+    generator. ``rng`` may instead be the ``(numbers, noise)`` that
+    ``draw_numbers`` already wrote for these draws (main's blocks of a
+    ``DrawHelper`` step); then no generator is called and the noise is
+    scaled in place. With all magnitudes zero every draw is the input,
+    bit-identical. The block, its random numbers and its scratch are
+    ``workspace`` buffers (see ``scratch``), so the result is valid until the
+    next call of the same shape; without a workspace they are new arrays.
     """
     if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
         raise ValueError("augment expects (B, 64) flattened images")
-    b = images.shape[0]
-    numbers = scratch(workspace, "augment.numbers", (draws, len(_NUMBERS), b))
-    noise = scratch(workspace, "augment.noise", (draws * b, IMAGE_SIDE, IMAGE_SIDE)) if params.noise_std else None
-    draw_numbers(rng, params, numbers, noise)
+    if isinstance(rng, tuple):
+        numbers, noise = rng
+    else:
+        b = images.shape[0]
+        numbers = scratch(workspace, "augment.numbers", (draws, len(_NUMBERS), b))
+        noise = scratch(workspace, "augment.noise", (draws * b, IMAGE_SIDE, IMAGE_SIDE)) if params.noise_std else None
+        draw_numbers(rng, params, numbers, noise)
     return transform(images, params, numbers, noise, workspace)
 
 
@@ -535,15 +548,16 @@ class StepReport:
 
 # Augmentation draws per teacher block: one augment call and one teacher
 # forward each, in the run's workspace (or the helper's). Sweep with the
-# helper taking 16 of the 32 draws, on a 2-core VM (numpy 2.4.6, one BLAS
-# thread), `perfbench/run.py --workload petal_long --seconds 20 --trace 0`,
-# seed 0, medians of 3 interleaved rounds against the in-process loop at 4:
+# helper drawing every number a gate-open step ahead and running 16 of the 32
+# draws, on a 2-core VM (numpy 2.4.6, one BLAS thread), `perfbench/run.py
+# --workload petal_long --seconds 20 --trace 0`, seed 0, medians of 3
+# alternating pairs:
 #   draws  step_ms_p50  step_ms_p90  peak_rss_mb
-#   4      11.81        13.82        47.93 (+2.0%)
-#   8      11.51        13.21        49.59 (+5.5%)
-# (in-process, 4 draws: 17.11 ms, 19.06 ms, 47.00 MB). 8 draws are 2.5%
-# faster than 4, but main's workspace grows with the block, so their peak
-# RSS is past +3% of the in-process loop's.
+#   4      10.57        13.00        48.06
+#   8       9.92        12.08        49.62 (+3.2%)
+# (main drawing every number, at 4 draws: 13.65 ms, 15.68 ms, 47.86 MB, medians
+# of 10 pairs). 8 draws are 6% faster than 4, but main's workspace grows with
+# the block, so their peak RSS is past +2% of main drawing every number.
 _DRAW_BLOCK = 4
 
 
@@ -557,95 +571,115 @@ def _helper_share(k_aug: int) -> int:
 
 
 class DrawHelper:
-    """One forked process that augments and forwards the lowest draws of each
-    gate-open step of a run, on a second core.
+    """A forked process that draws a run's augmentation numbers one gate-open
+    step ahead, and augments and forwards the lowest draws of each such step.
 
     ``run_lifelong`` makes one per teacher run and closes it when the run
-    ends; ``submit`` forks the process on the first step that hands it
-    draws. Main writes the teacher's theta, the images and the random numbers
-    of the helper's draws into an anonymous shared mapping, made at the fork
-    for that step's (draws, B), and sends the augmentation magnitudes down a
-    pipe; the helper runs ``transform`` and a ``"batch"`` teacher forward
-    per block and writes the softmax rows back into the mapping. It never
-    touches a generator. Its reply is None, or the message of the
-    ``FloatingPointError`` its first failing block raised. It ignores
-    SIGINT and leaves by ``os._exit``, on end of file when main closes the
-    pipe or dies.
+    ends; ``submit`` forks it, with a copy of the run's augmentation
+    generator, on the first step that hands it draws. After the fork, and
+    each time main's blocks of a step are done, the helper draws all K draws'
+    numbers and noise for the next gate-open step into a shared mapping made
+    for that step's (K, B), and replies with its generator's state. Main
+    adopts the state, writes theta and the images into the mapping and says
+    "go"; the helper forwards its share and replies None, or the message of
+    its first failing block's ``FloatingPointError``. A step of another
+    (K, B) runs in main; the next helper step sends main's generator state
+    down, to draw again from. Both processes run one OpenBLAS thread while
+    the helper lives. It ignores SIGINT and leaves by ``os._exit`` once main
+    closes the pipe or dies.
     """
 
     def __init__(self) -> None:
         self.pid: int | None = None
 
-    def submit(self, teacher: MlpClassifier, images: Array, rng: np.random.Generator, params, draws: int) -> bool:
-        """Draw the numbers of the lowest ``draws`` draws from ``rng`` and start
-        the helper on them; False, with nothing drawn, when the mapping was
-        made for another (draws, B)."""
-        b = images.shape[0]
+    @staticmethod
+    def may_fork() -> bool:
+        """Whether a helper can run here on one BLAS thread: the system forks,
+        and numpy's OpenBLAS can be set to one thread or reports one."""
+        get_threads = _openblas("get") if hasattr(os, "fork") else None
+        return get_threads is not None and (_openblas("set") is not None or get_threads() == 1)
+
+    def submit(self, teacher: MlpClassifier, images: Array, rng: np.random.Generator, params, k_aug: int):
+        """Start the helper on its share of this step's draws and move ``rng`` past all K; the
+        (numbers, noise) of the K draws, mapping views valid until ``collect``, or None, with
+        nothing drawn, when the mapping was made for another (K, B)."""
         if self.pid is None:
-            self._fork(teacher, draws, b)
-        elif self.numbers.shape != (draws, len(_NUMBERS), b):
-            return False
+            self._fork(teacher, rng, params, k_aug, images.shape[0])
+        elif self.numbers.shape != (k_aug, len(_NUMBERS), images.shape[0]):
+            return None
+        drawn = self._ask()
+        if rng.bit_generator.state != self._drawn_from:  # main drew in process since
+            drawn = self._ask(rng.bit_generator.state)
+        rng.bit_generator.state = self._drawn_from = drawn
         self.theta[...] = teacher.theta
         self.images[...] = images
-        draw_numbers(rng, params, self.numbers, self.noise if params.noise_std else None)
-        try:
-            _send(self._requests, params)
-        except OSError:
-            raise self._exited() from None
-        return True
+        self._ask("go", reply=False)
+        return self.numbers, self.noise
 
     def collect(self) -> Array:
-        """The helper's (draws, B, C) probability rows, a view of the mapping
-        valid until the next ``submit``; raises the ``FloatingPointError`` of
-        its first failing block."""
-        try:
-            error = _receive(self._replies)
-        except EOFError:
-            raise self._exited() from None
+        """The helper's (draws, B, C) probability rows, a mapping view valid until the next
+        ``submit``, or the ``FloatingPointError`` of its first failing block. Main calls it once
+        its own blocks are done: the helper then draws the next step's numbers over this step's."""
+        error = self._ask("done")
         if error is not None:
             raise FloatingPointError(error)
         return self.probs
 
-    def _exited(self) -> RuntimeError:
-        return RuntimeError(f"the teacher draw helper process {self.pid} exited mid-run")
+    def _ask(self, request=None, reply: bool = True):
+        """Send ``request`` down the pipe unless it is None, then return the next reply if ``reply``."""
+        try:
+            if request is not None:
+                os.write(self._requests, pickle.dumps(request))  # under PIPE_BUF bytes: one atomic write
+            return pickle.load(self._replies) if reply else None
+        except (OSError, EOFError):
+            raise RuntimeError(f"the teacher draw helper process {self.pid} exited mid-run") from None
 
     def close(self) -> None:
-        """End the helper, if it was forked, and reap it."""
+        """End the helper, if it was forked, reap it and put main's BLAS thread count back."""
         if self.pid is None:
             return
         os.close(self._requests)
-        os.close(self._replies)
+        self._replies.close()
         os.waitpid(self.pid, 0)
         self.pid = None
+        self._set_threads(self._threads)
         self.theta = self.images = self.numbers = self.noise = self.probs = None  # unmaps once no view is left
 
-    def _fork(self, teacher: MlpClassifier, draws: int, b: int) -> None:
-        sizes = (teacher.theta.size, b * IMAGE_SIDE**2, draws * len(_NUMBERS) * b, draws * b * IMAGE_SIDE**2)
-        sizes += (draws * b * teacher.sizes[-1],)
+    def _fork(self, teacher: MlpClassifier, rng: np.random.Generator, params, k_aug: int, b: int) -> None:
+        share = _helper_share(k_aug)
+        noise = k_aug * b * IMAGE_SIDE**2 if params.noise_std else 0
+        sizes = (teacher.theta.size, b * IMAGE_SIDE**2, k_aug * len(_NUMBERS) * b, noise, share * b * teacher.sizes[-1])
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64)
         theta, images, numbers, noise, probs = np.split(flat, np.cumsum(sizes)[:-1])
         self.theta, self.images = theta, images.reshape(b, -1)
-        self.numbers = numbers.reshape(draws, len(_NUMBERS), b)
-        self.noise = noise.reshape(draws * b, IMAGE_SIDE, IMAGE_SIDE)
-        self.probs = probs.reshape(draws, b, -1)
+        self.numbers = numbers.reshape(k_aug, len(_NUMBERS), b)
+        self.noise = noise.reshape(k_aug * b, IMAGE_SIDE, IMAGE_SIDE) if params.noise_std else None
+        self.probs = probs.reshape(share, b, -1)
+        self._drawn_from = rng.bit_generator.state  # where the helper's first draws start
         requests, self._requests = os.pipe()
-        self._replies, replies = os.pipe()
+        replies_in, replies = os.pipe()
+        # where OpenBLAS exports no setter, ``may_fork`` saw it run one thread
+        self._set_threads = _openblas("set") or (lambda count: None)
+        self._threads = _openblas("get")()  # main's count, put back at close
+        self._set_threads(1)  # before the fork, so the helper starts on one thread too
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self._requests, self._replies, replies):
+            for fd in (requests, self._requests, replies_in, replies):
                 os.close(fd)
+            self._set_threads(self._threads)
             raise
         if self.pid:
             os.close(requests)
             os.close(replies)
+            self._replies = os.fdopen(replies_in, "rb")
             return
         try:  # the helper: never returns into the caller's code
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(self._requests)
-            os.close(self._replies)
-            self._serve(teacher, requests, replies)
-        except BrokenPipeError:  # main stopped reading mid-step
+            os.close(replies_in)
+            self._serve(teacher, rng, params, os.fdopen(requests, "rb"), replies)
+        except (BrokenPipeError, EOFError):  # main closed the pipe, or stopped reading mid-step
             pass
         except Exception:  # a fault of the helper's own: main sees its exit
             traceback.print_exc()
@@ -653,48 +687,47 @@ class DrawHelper:
         finally:
             os._exit(0)
 
-    def _serve(self, teacher: MlpClassifier, requests: int, replies: int) -> None:
+    def _serve(self, teacher: MlpClassifier, rng: np.random.Generator, params, requests, replies: int) -> None:
         workspace: dict = {}
-        draws, _, b = self.numbers.shape
+        share, b = self.probs.shape[:2]
         while True:
-            try:
-                params = _receive(requests)
-            except EOFError:
-                return
+            draw_numbers(rng, params, self.numbers, self.noise)
+            os.write(replies, pickle.dumps(rng.bit_generator.state))
+            request = pickle.load(requests)
+            if request != "go":  # main's generator state: draw again from there
+                rng.bit_generator.state = request
+                continue
             teacher.load(self.theta)
             error = None
-            for start in range(0, draws, _DRAW_BLOCK):
-                stop = min(start + _DRAW_BLOCK, draws)
-                noise = self.noise[start * b : stop * b] if params.noise_std else None
-                block = transform(self.images, params, self.numbers[start:stop], noise, workspace)
+            for start in range(0, share, _DRAW_BLOCK):  # the share is whole blocks
+                stop = start + _DRAW_BLOCK
+                block = transform(self.images, params, *_drawn_block(self.numbers, self.noise, start, stop), workspace)
                 try:
-                    logits = teacher.forward(block, "batch", stop - start, workspace)
+                    logits = teacher.forward(block, "batch", _DRAW_BLOCK, workspace)
                 except FloatingPointError as exc:
                     error = str(exc)
                     break
-                self.probs[start:stop] = softmax(logits).reshape(stop - start, b, -1)
-            _send(replies, error)
+                self.probs[start:stop] = softmax(logits).reshape(_DRAW_BLOCK, b, -1)
+            os.write(replies, pickle.dumps(error))
+            pickle.load(requests)  # "done": main reads none of this step's numbers any more
 
 
-def _send(fd: int, message) -> None:
-    data = pickle.dumps(message)
-    os.write(fd, struct.pack("<I", len(data)) + data)  # under PIPE_BUF bytes: one atomic write
+def _drawn_block(numbers: Array, noise: Array | None, start: int, stop: int) -> tuple[Array, Array | None]:
+    """Draws ``start`` to ``stop`` of the ``draw_numbers`` output of a step's draws."""
+    b = numbers.shape[2]
+    return numbers[start:stop], None if noise is None else noise[start * b : stop * b]
 
 
-def _receive(fd: int):
-    """The next ``_send`` message on ``fd``; ``EOFError`` once every writer has closed it."""
-    (size,) = struct.unpack("<I", _read(fd, 4))
-    return pickle.loads(_read(fd, size))
-
-
-def _read(fd: int, size: int) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError
-        data += chunk
-    return data
+def _openblas(action: str):
+    """The ``"get"`` or ``"set"`` thread-count function of the OpenBLAS numpy
+    links, as ``_multiarray_umath`` exports it, or None where it does not."""
+    lib = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        fn = getattr(lib, name.format(action), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = ([], ctypes.c_int) if action == "get" else ([ctypes.c_int], None)
+            return fn
+    return None
 
 
 def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> Array:
@@ -707,13 +740,14 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     teacher forward per block, both in ``state.workspace``, each draw
     normalized by its own batch statistics, and the teacher's running
     statistics stay untouched. A state with a ``DrawHelper`` (a run's, in
-    ``run_lifelong``) first draws the random numbers of the lowest
-    ``_helper_share`` draws and hands them to the helper process, then runs
-    its own blocks while the helper runs those; the first failing block,
-    the helper's before main's, raises. The random numbers and the sum run in
-    draw order either way, so the labels equal those of one augment call and
-    one forward per draw, bit for bit. The returned rows are a new array,
-    never a workspace or mapping buffer.
+    ``run_lifelong``) takes the random numbers of all K draws from the
+    helper, which drew them ahead, and ``state.rng_augment`` moves as if it
+    had drawn them; the helper runs the lowest ``_helper_share`` draws while
+    main runs its own blocks on the rest of those numbers; the first failing
+    block, the helper's before main's, raises. The random numbers and the sum
+    run in draw order either way, so the labels equal those of one augment
+    call and one forward per draw, bit for bit. The returned rows are a new
+    array, never a workspace or mapping buffer.
     """
     source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
@@ -722,17 +756,17 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     if not needs_averaging.any():
         return direct
     shared = 0 if state.helper is None else _helper_share(cfg.k_aug)
-    if shared and not state.helper.submit(state.teacher, images, state.rng_augment, cfg.augment, shared):
-        shared = 0
+    drawn = state.helper.submit(state.teacher, images, state.rng_augment, cfg.augment, cfg.k_aug) if shared else None
     blocks, error = [], None
     try:
-        for start in range(shared, cfg.k_aug, _DRAW_BLOCK):
-            draws = min(_DRAW_BLOCK, cfg.k_aug - start)
-            block = augment(images, state.rng_augment, cfg.augment, draws, state.workspace)
-            blocks.append(softmax(state.teacher.forward(block, "batch", draws, state.workspace)))
+        for start in range(0 if drawn is None else shared, cfg.k_aug, _DRAW_BLOCK):
+            stop = min(start + _DRAW_BLOCK, cfg.k_aug)
+            numbers = state.rng_augment if drawn is None else _drawn_block(*drawn, start, stop)
+            block = augment(images, numbers, cfg.augment, stop - start, state.workspace)
+            blocks.append(softmax(state.teacher.forward(block, "batch", stop - start, state.workspace)))
     except FloatingPointError as exc:  # raised once the helper, whose draws come first, has answered
         error = exc
-    if shared:
+    if drawn is not None:
         blocks.insert(0, state.helper.collect())
     if error is not None:
         raise error
@@ -958,7 +992,7 @@ def run_lifelong(
         rng_restore=np.random.Generator(np.random.PCG64(restore_ss)),
     )
     # a teacher run's helper process, forked on its first gate-open step
-    state.helper = DrawHelper() if state.teacher is not None and hasattr(os, "fork") else None
+    state.helper = DrawHelper() if state.teacher is not None and DrawHelper.may_fork() else None
     stream_rng = np.random.Generator(np.random.PCG64(stream_ss))
     acc = MetricAccumulator()
     rows: list[dict] = []

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from helpers import seeded_generators
 ROOT = Path(__file__).resolve().parents[1]
 TEACHER_METHODS = ("petal", "cotta", "petal_fim", "petal_sres", "petal_none")
 NO_AUGMENT = AugmentParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +130,33 @@ def test_run_with_the_helper_writes_the_bytes_of_an_in_process_replay(bundle, fo
     assert state.rng_augment.bit_generator.state == expected.rng_augment.bit_generator.state
 
 
-def test_a_step_of_another_shape_than_the_helpers_runs_in_process(bundle, forks):
+@pytest.fixture
+def main_draws(monkeypatch):
+    """The generators ``draw_numbers`` is called on in this process, one
+    entry per call; a helper's calls stay in its own copy of the list."""
+    calls = []
+
+    def draw_numbers(rng, params, numbers, noise, original=engine.draw_numbers):
+        calls.append(rng)
+        original(rng, params, numbers, noise)
+
+    monkeypatch.setattr(engine, "draw_numbers", draw_numbers)
+    return calls
+
+
+def test_a_run_with_the_helper_draws_nothing_in_main(bundle, forks, main_draws):
+    cfg = method_config(PetalConfig(k_aug=9, tau=2.0), "cotta")
+    report, state = run_lifelong(bundle[3], bundle[0], bundle[2], bundle[1], cfg, seed=3)
+    assert len(report.rows) == 4 and len(forks) == 1
+    assert main_draws == []
+    assert_no_child_left()
+
+
+def test_a_step_of_another_shape_than_the_helpers_runs_in_process(bundle, forks, main_draws):
     # the mapping is made for the first gate-open step's (draws, B); a batch
-    # of another size runs every draw in main, and the next one of the first
-    # size goes to the helper again
+    # of another size runs every draw in main, from main's generator, and the
+    # next one of the first size goes to the helper again, which draws again
+    # from main's state after the in-process steps
     dataset, model, posterior, _ = bundle
     cfg = PetalConfig(k_aug=9, tau=2.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(2))
@@ -139,13 +164,35 @@ def test_a_step_of_another_shape_than_the_helpers_runs_in_process(bundle, forks)
     state.helper = DrawHelper()
     images = dataset.images.reshape(len(dataset), -1)
     try:
-        for rows in (slice(0, 19), slice(19, 31), slice(31, 50)):
+        for rows, in_process in ((slice(0, 19), False), (slice(19, 31), True), (slice(31, 38), True),
+                                 (slice(38, 57), False), (slice(57, 76), False)):
+            main_draws.clear()
             labels = teacher_pseudo_label(state, images[rows], cfg)
+            assert any(rng is state.rng_augment for rng in main_draws) == in_process
             assert labels.tobytes() == teacher_pseudo_label(expected, images[rows], cfg).tobytes()
+            assert state.rng_augment.bit_generator.state == expected.rng_augment.bit_generator.state
             assert not np.shares_memory(labels, state.helper.probs)
         assert len(forks) == 1
     finally:
         state.helper.close()
+    assert_no_child_left()
+
+
+def test_a_run_ending_on_a_pending_prefetch_reaps_its_helper(bundle, forks, monkeypatch):
+    # after the last gate-open step the helper draws a step that never comes;
+    # it is still drawing when the run returns, and is reaped all the same
+    main = os.getpid()
+
+    def draw_numbers(rng, params, numbers, noise, original=engine.draw_numbers):
+        original(rng, params, numbers, noise)
+        if os.getpid() != main:
+            time.sleep(0.05)
+
+    monkeypatch.setattr(engine, "draw_numbers", draw_numbers)
+    cfg = method_config(PetalConfig(k_aug=5, tau=2.0), "petal_fim")
+    report, state = run_lifelong(bundle[3], bundle[0], bundle[2], bundle[1], cfg, seed=5)
+    assert report.rows == replay(bundle, cfg, seed=5)[0]
+    assert len(forks) == 1 and state.helper is None
     assert_no_child_left()
 
 
@@ -161,26 +208,23 @@ def test_runs_without_teacher_draws_fork_nothing(bundle, forks, name, overrides)
 
 @pytest.fixture
 def poison(monkeypatch):
-    """``poison(step, draws)``: from then on, the contrast factor of the first
-    sample of those draws (numbered within the step) is NaN at that step."""
+    """``poison(k_aug, step, draws)`` arms the next run: the contrast factor of
+    the first sample of those draws (numbered within gate-open step ``step``)
+    is NaN. Draws are counted over the run in draw order, in whichever
+    process takes them: draw d of the run is draw d mod K of gate-open step
+    d // K."""
     target = {}
-    drawn = []  # [whether the current step is the target, draws it has taken so far]
-
-    def teacher_pseudo_label(state, images, cfg, original=engine.teacher_pseudo_label):
-        drawn[:] = [state.step == target["step"], 0]
-        return original(state, images, cfg)
 
     def draw_numbers(rng, params, numbers, noise, original=engine.draw_numbers):
         original(rng, params, numbers, noise)
-        active, first = drawn
         for k in range(numbers.shape[0]):
-            if active and first + k in target["draws"]:
+            step, draw = divmod(target["drawn"] + k, target["k_aug"])
+            if step == target["step"] and draw in target["draws"]:
                 numbers[k, engine._NUMBERS.index("contrast"), 0] = np.nan
-        drawn[1] += numbers.shape[0]
+        target["drawn"] += numbers.shape[0]
 
-    monkeypatch.setattr(engine, "teacher_pseudo_label", teacher_pseudo_label)
     monkeypatch.setattr(engine, "draw_numbers", draw_numbers)
-    return lambda step, draws: target.update(step=step, draws=set(draws))
+    return lambda k_aug, step, draws: target.update(k_aug=k_aug, step=step, draws=set(draws), drawn=0)
 
 
 @pytest.mark.parametrize("draws", [(0,), (15,), (16,), (31,), (3, 20)], ids=str)
@@ -188,9 +232,10 @@ def test_a_nan_in_either_share_raises_the_in_process_message(bundle, forks, pois
     # K = 32: the helper takes draws 0-15, main 16-31; the helper was forked
     # on step 0, so step 2's NaN meets a running helper or main's own blocks
     cfg = method_config(PetalConfig(tau=2.0), "petal_fim")
-    poison(2, draws)
+    poison(cfg.k_aug, 2, draws)
     with pytest.raises(NonFiniteLossError) as expected:
         replay(bundle, cfg, seed=1)
+    poison(cfg.k_aug, 2, draws)
     with pytest.raises(NonFiniteLossError) as raised:
         run_lifelong(bundle[3], bundle[0], bundle[2], bundle[1], cfg, seed=1)
     assert str(raised.value) == str(expected.value) == "non-finite forward at step 2: input contains NaN or Inf"
@@ -215,12 +260,20 @@ def trained(tmp_path_factory):
     return out
 
 
-def cli(script, args, cwd, trained):
-    """A process running ``script`` then ``main(args)``, the package from this checkout."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def cli(script, args, cwd, trained, unset=()):
+    """A process running ``script`` then ``main(args)``, the package from this
+    checkout, without the environment variables named in ``unset``."""
+    env = {name: value for name, value in os.environ.items() if name not in unset}
+    env["PYTHONPATH"] = str(ROOT / "src")
     cmd = [sys.executable, "-c", script + "from lifelong_tta.cli import main\nsys.exit(main(sys.argv[1:]))\n"]
     cmd += [*args, "--config", str(trained / "config.json"), "--method", "petal_fim,cotta"]
     return subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def copy_checkpoints(trained, out):
+    out.mkdir(parents=True)
+    for leaf in ("source_model.ptta", "posterior.ptta"):
+        (out / leaf).write_bytes((trained / leaf).read_bytes())
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins a process to one core")
@@ -230,9 +283,7 @@ def test_outputs_do_not_depend_on_scheduling(trained, tmp_path):
     pin = "import os, sys\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
     runs = []
     for i, script in enumerate((pin, "import sys\n", "import sys\n")):
-        (tmp_path / f"run{i}" / "out").mkdir(parents=True)
-        for leaf in ("source_model.ptta", "posterior.ptta"):
-            (tmp_path / f"run{i}" / "out" / leaf).write_bytes((trained / leaf).read_bytes())
+        copy_checkpoints(trained, tmp_path / f"run{i}" / "out")
         runs.append(cli(script, ["adapt", "--out", "out", "--k-aug", "9"], tmp_path / f"run{i}", trained))
     for proc in runs:
         _, err = proc.communicate(timeout=120)
@@ -243,6 +294,40 @@ def test_outputs_do_not_depend_on_scheduling(trained, tmp_path):
         for i in range(3)
     ]
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1] == outputs[2]
+
+
+def test_with_blas_unpinned_main_and_the_helper_run_one_blas_thread_while_it_lives(trained, tmp_path):
+    # no BLAS thread variable is set, so OpenBLAS starts with its own count;
+    # each transform, main's and the helper's, logs its process's count as
+    # OpenBLAS's getter reports it, and main logs its count at start and exit
+    log = tmp_path / "threads.log"
+    script = (
+        "import atexit, ctypes, os, sys\n"
+        "import numpy as np\n"
+        "import lifelong_tta.engine as engine\n"
+        "lib = ctypes.CDLL((getattr(np, '_core', None) or np.core)._multiarray_umath.__file__)\n"
+        "names = ('scipy_openblas_get_num_threads64_', 'openblas_get_num_threads64_', 'openblas_get_num_threads')\n"
+        "get = next(getattr(lib, name) for name in names if hasattr(lib, name))\n"
+        f"log = open({str(log)!r}, 'a', buffering=1)\n"
+        "def write(tag):\n"
+        "    log.write(f'{tag} {os.getpid()} {get()}\\n')\n"
+        "def transform(*args, original=engine.transform):\n"
+        "    write('transform')\n"
+        "    return original(*args)\n"
+        "engine.transform = transform\n"
+        "write('start')\n"
+        "atexit.register(write, 'exit')\n"
+    )
+    copy_checkpoints(trained, tmp_path / "out")
+    proc = cli(script, ["adapt", "--out", "out", "--k-aug", "9"], tmp_path, trained, unset=BLAS_THREAD_VARS)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    lines = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    (start,), (end,) = ([line for line in lines if line[0] == tag] for tag in ("start", "exit"))
+    main = start[1]
+    transforms = {(pid == main, threads) for tag, pid, threads in lines if tag == "transform"}
+    assert transforms == {(True, "1"), (False, "1")}  # main and helpers, each on one thread
+    assert end == ["exit", main, start[2]]  # main's own count is back once the helpers are reaped
 
 
 def test_killing_the_helper_mid_run_ends_main_with_one_line_and_exit_2(trained, tmp_path):
