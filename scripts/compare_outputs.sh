@@ -8,16 +8,19 @@
 # every method name on a one-batch-per-segment stream (petal among them, which
 # keeps the config's restore mode), then adapt without --method, which runs
 # the config file's adapt.method (cotta, with stochastic restore), then
-# petal_fim and cotta with K = 1, 5 and 9 teacher draws at tau 1, where the
-# gate opens on nearly every step (K = 1: main alone draws; K = 5: the
-# helper process takes one block of four, main a partial block of one;
-# K = 9: the helper one block, main a full and a partial one), then
-# tent_online (tent under
+# petal_fim and cotta with K = 9 teacher draws at the default tau (the helper
+# process takes one block of eight, main a partial block of one) and with
+# K = 1, 5, 9 and 17 at tau 1, where the gate opens on nearly every step
+# (K = 1 and 5: main alone runs one partial block; K = 9: the helper one
+# block, main a partial one; K = 17: the helper one block, main a full and a
+# partial one), then tent_online (tent under
 # the oracle segment reset) at two batches per segment, so the state, Adam
 # moments included, is kept within a segment and rebuilt across segments, then
 # petal_fim and cotta at alpha = 0, where petal's objective takes no posterior
 # anchor and equals cotta's, then petal_fim and cotta with adapt values read
-# from a config file (pi, delta and an augment magnitude), then source,
+# from a config file (pi, delta and an augment magnitude), then petal_fim and
+# cotta at tau 1 from a config file that zeroes the brightness and blur
+# magnitudes, so each draw skips two of its uniform rows, then source,
 # bn_adapt, tent and pseudo_label,
 # petal_fim with the gate shut (--tau 0) and petal_fim and cotta at the
 # default tau, where the gate opens and K = 32 teacher draws run, at the
@@ -58,12 +61,12 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
                "adapt": {"method": "cotta", "restore": "stochastic"}}' > config_method.json
         python3 -m lifelong_tta adapt --config config_method.json --out runs/config_method > /dev/null
-        # K = 5: one full block of four teacher draws and a partial block of one
-        mkdir -p runs/k5
-        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/k5/
-        python3 -m lifelong_tta adapt --config tiny.json --out runs/k5 --method petal_fim,cotta --k-aug 5 > /dev/null
-        # K = 1 and 9 with the gate open: no helper share, then partial blocks
-        for k in 1 9; do
+        # K = 9: the helper's block of eight teacher draws and main's partial block of one
+        mkdir -p runs/k9
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/k9/
+        python3 -m lifelong_tta adapt --config tiny.json --out runs/k9 --method petal_fim,cotta --k-aug 9 > /dev/null
+        # K = 1, 5, 9 and 17 with the gate open: no helper share, then the helper's block and main's blocks
+        for k in 1 5 9 17; do
             mkdir -p "runs/k${k}_open"
             cp runs/main/source_model.ptta runs/main/posterior.ptta "runs/k${k}_open/"
             python3 -m lifelong_tta adapt --config tiny.json --out "runs/k${k}_open" --method petal_fim,cotta \
@@ -81,6 +84,12 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
                "adapt": {"pi": 0.99, "delta": 0.1, "augment": {"flip_prob": 0.25}}}' > adapt.json
         python3 -m lifelong_tta adapt --config adapt.json --out runs/adapt_file --method petal_fim,cotta > /dev/null
+        mkdir -p runs/zero_magnitudes
+        cp runs/main/source_model.ptta runs/main/posterior.ptta runs/zero_magnitudes/
+        echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
+               "adapt": {"augment": {"brightness": 0, "blur_prob": 0}}}' > zero_magnitudes.json
+        python3 -m lifelong_tta adapt --config zero_magnitudes.json --out runs/zero_magnitudes \
+            --method petal_fim,cotta --tau 1 > /dev/null
         mkdir -p runs/default_length
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length/
         echo '{"seeds": [0]}' > default_length.json
@@ -98,7 +107,7 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
             > source.json
         python3 -m lifelong_tta train-source --config source.json --out runs/source_file > /dev/null
         mkdir -p runs/configs
-        for config in tiny two adapt source config_method; do
+        for config in tiny two adapt zero_magnitudes source config_method; do
             python3 -m lifelong_tta adapt --config "$config.json" --dump-config > "runs/configs/$config.json"
         done
         find runs -type f | LC_ALL=C sort | xargs sha256sum

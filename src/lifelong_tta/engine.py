@@ -31,10 +31,11 @@ textbook expressions and so with those expressions' bits; and ``petal``'s
 run state holds its anchor, the posterior with its constant log-density
 normalizer sums, so a step computes only the anchor's quadratic part.
 
-The K draws run in blocks of four: per block, one ``augment`` call takes the
-random numbers draw by draw (``draw_numbers``) and runs each transform once
-over all four (``transform``), and one teacher forward normalizes each draw
-by its own batch statistics. The random numbers and the sum of the
+The K draws run in blocks of eight: per block, one ``augment`` call takes the
+random numbers draw by draw (``draw_numbers``, one generator call per draw
+for its uniforms) and runs each transform once over all eight
+(``transform``), and one teacher forward normalizes each draw by its own
+batch statistics. The random numbers and the sum of the
 predictions keep the draw order, so the pseudo-labels are bit-identical to
 those of K one-draw calls. A run uses a second process for them:
 ``run_lifelong`` gives its teacher state a ``DrawHelper``, which forks
@@ -254,35 +255,38 @@ def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array, workspace: 
     shape = images.shape
     cos = np.cos(theta)[:, None]
     sin = np.sin(theta)[:, None]
-    # the grid is separable: cos * row offset + sin * column offset, summed
-    # by broadcasting two (B, side) products
+    # the grid is separable: cos * row offset + sin * column offset, one
+    # (B, side) product copied down the grid and the other added across it
     src_r = scratch(workspace, "affine.rows", shape)
-    np.add((cos * _OFFSETS)[:, :, None], (sin * _OFFSETS)[:, None, :], out=src_r)
+    src_r[...] = (cos * _OFFSETS)[:, :, None]
+    src_r += (sin * _OFFSETS)[:, None, :]
     src_r += _CENTER
     src_r -= dy[:, None, None]
     src_c = scratch(workspace, "affine.cols", shape)
-    np.add((-sin * _OFFSETS)[:, :, None], (cos * _OFFSETS)[:, None, :], out=src_c)
+    src_c[...] = (-sin * _OFFSETS)[:, :, None]
+    src_c += (cos * _OFFSETS)[:, None, :]
     src_c += _CENTER
     src_c -= dx[:, None, None]
     np.clip(src_r, 0.0, side - 1.0, out=src_r)
     np.clip(src_c, 0.0, side - 1.0, out=src_c)
-    # the clip leaves every coordinate in [0, side - 1], where truncation
-    # equals floor and r1 = r0 + (r0 < side - 1), c1 likewise: one flat
-    # index (pixel (i, r, c) sits at i*side^2 + r*side + c) and two 0/1 steps
-    # give all four taps, in exact integer arithmetic
-    row_step = scratch(workspace, "affine.row_step", shape, np.intp)
-    col_step = scratch(workspace, "affine.col_step", shape, np.intp)
-    index = scratch(workspace, "affine.index", shape, np.intp)
-    np.copyto(row_step, src_r, casting="unsafe")  # r0
-    np.copyto(col_step, src_c, casting="unsafe")  # c0
-    src_r -= row_step  # fr
-    src_c -= col_step  # fc
-    np.multiply(row_step, side, out=index)
-    index += col_step
-    index += (np.arange(b) * (side * side))[:, None, None]
-    np.less(row_step, side - 1, out=row_step)
+    # the clip leaves every coordinate in [0, side - 1], where r1 = r0 +
+    # (r0 < side - 1), c1 likewise: one flat index (pixel (i, r, c) sits at
+    # i*side^2 + r*side + c) and two 0/1 steps give all four taps; the floors
+    # and the index are small whole numbers, exact in float, so the index is
+    # formed in float and cast to integers once; the floors borrow the weight
+    # and tap buffers, which the taps below overwrite
+    r0 = np.floor(src_r, out=scratch(workspace, "affine.weight", shape))
+    c0 = np.floor(src_c, out=scratch(workspace, "affine.tap", shape))
+    src_r -= r0  # fr
+    src_c -= c0  # fc
+    row_step = np.less(r0, side - 1, out=scratch(workspace, "affine.row_step", shape, np.intp))
     row_step *= side
-    np.less(col_step, side - 1, out=col_step)
+    col_step = np.less(c0, side - 1, out=scratch(workspace, "affine.col_step", shape, np.intp))
+    r0 *= side
+    r0 += c0
+    r0 += (np.arange(b) * (side * side))[:, None, None]
+    index = scratch(workspace, "affine.index", shape, np.intp)
+    np.copyto(index, r0, casting="unsafe")
     # top = v00 * (1 - fc) + v01 * fc, bottom likewise one row down, and
     # top * (1 - fr) + bottom * fr, each product and sum as written; every
     # index is in range, so take's mode="clip" never acts, and it spares take
@@ -353,26 +357,42 @@ def draw_numbers(rng: np.random.Generator, params: AugmentParams, numbers: Array
     brightness, dx, dy, rotation, blur and flip uniforms, noise), each only
     when its magnitude is non-zero: draw k's go to ``numbers[k]`` (rows named
     by ``_NUMBERS``) and its standard normals to rows k*B to (k+1)*B of
-    ``noise``, which is None at zero noise. A row whose magnitude is zero is
-    left as it was."""
+    ``noise``, which is None at zero noise. A draw's uniforms are one
+    ``random`` call, which takes the numbers a ``uniform`` or ``random``
+    call per row would take; after the last draw each row is scaled over all
+    draws at once with ``Generator.uniform``'s own arithmetic,
+    low + (high - low) * u, so the numbers and the generator's final state
+    are those of the per-row calls, bit for bit. A row whose magnitude is
+    zero holds no number of the draw and is never read."""
+    shifted = params.max_shift_px or params.max_rot_deg
+    # (on, low, high) per row of _NUMBERS; blur and flip keep the plain uniforms in [0, 1)
+    table = (
+        (params.contrast, 1.0 - params.contrast, 1.0 + params.contrast),
+        (params.brightness, -params.brightness, params.brightness),
+        (shifted, -params.max_shift_px, params.max_shift_px),
+        (shifted, -params.max_shift_px, params.max_shift_px),
+        (shifted, -params.max_rot_deg, params.max_rot_deg),
+        (params.blur_prob, None, None),
+        (params.flip_prob, None, None),
+    )
+    rows = [(row, low, high) for row, (on, low, high) in enumerate(table) if on]
     draws, _, b = numbers.shape
+    taken = numbers[:, : len(rows)]  # each draw's uniforms, packed at the top of its rows
     for k in range(draws):
-        contrast, brightness, dx, dy, rotation, blur, flip = numbers[k]
-        if params.contrast:
-            contrast[...] = rng.uniform(1.0 - params.contrast, 1.0 + params.contrast, b)
-        if params.brightness:
-            brightness[...] = rng.uniform(-params.brightness, params.brightness, b)
-        if params.max_shift_px or params.max_rot_deg:
-            dx[...] = rng.uniform(-params.max_shift_px, params.max_shift_px, b)
-            dy[...] = rng.uniform(-params.max_shift_px, params.max_shift_px, b)
-            rotation[...] = rng.uniform(-params.max_rot_deg, params.max_rot_deg, b)
-        if params.blur_prob:
-            rng.random(out=blur)
-        if params.flip_prob:
-            rng.random(out=flip)
+        if rows:
+            rng.random(out=taken[k])
         if params.noise_std:
             # the standard normals z that rng.normal(0.0, std) would scale
             rng.standard_normal(out=noise[k * b : (k + 1) * b])
+    places = [row for row, _, _ in rows]
+    if places != list(range(len(rows))):  # a zero magnitude above an active row: move each row to its place
+        numbers[:, places] = taken.copy()
+    for row, low, high in rows:
+        if low is not None:
+            # uniform converts both bounds to float and draws low + (high - low) * u
+            low, high = float(low), float(high)
+            numbers[:, row] *= high - low
+            numbers[:, row] += low
 
 
 def transform(
@@ -549,16 +569,15 @@ class StepReport:
 # Augmentation draws per teacher block: one augment call and one teacher
 # forward each, in the run's workspace (or the helper's). Sweep with the
 # helper drawing every number a gate-open step ahead and running 16 of the 32
-# draws, on a 2-core VM (numpy 2.4.6, one BLAS thread), `perfbench/run.py
-# --workload petal_long --seconds 20 --trace 0`, seed 0, medians of 3
-# alternating pairs:
-#   draws  step_ms_p50  step_ms_p90  peak_rss_mb
-#   4      10.57        13.00        48.06
-#   8       9.92        12.08        49.62 (+3.2%)
-# (main drawing every number, at 4 draws: 13.65 ms, 15.68 ms, 47.86 MB, medians
-# of 10 pairs). 8 draws are 6% faster than 4, but main's workspace grows with
-# the block, so their peak RSS is past +2% of main drawing every number.
-_DRAW_BLOCK = 4
+# draws, one generator call per draw's uniforms and the bilinear warp's index
+# formed in float, on a 2-core VM (numpy 2.4.6, one BLAS thread),
+# `perfbench/run.py --workload petal_long --seconds 20 --trace 0`, seed 0,
+# medians of 3 alternating pairs:
+#   draws  step_ms_p50  peak_rss_mb
+#   4      9.82         48.04
+#   8      9.44         49.54 (+3.1%)
+# 8 draws are 3.9% faster than 4; main's workspace grows with the block.
+_DRAW_BLOCK = 8
 
 
 def _helper_share(k_aug: int) -> int:

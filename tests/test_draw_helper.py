@@ -105,13 +105,16 @@ def replay(bundle, cfg, seed):
 
 
 def test_the_helper_takes_whole_blocks_nearest_half_the_draws():
-    assert engine._DRAW_BLOCK == 4
-    shares = {k: _helper_share(k) for k in (1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 32, 33)}
-    assert shares == {1: 0, 2: 0, 3: 0, 4: 0, 5: 4, 7: 4, 8: 4, 9: 4, 12: 8, 13: 8, 32: 16, 33: 16}
+    n = engine._DRAW_BLOCK
+    expected = {1: 0, 2: 0, n - 1: 0, n: 0, n + 1: n, 2 * n - 1: n, 2 * n: n, 2 * n + 1: n, 3 * n: 2 * n,
+                3 * n + 1: 2 * n, 8 * n: 4 * n, 8 * n + 1: 4 * n}
+    assert {k: _helper_share(k) for k in expected} == expected
+    # the default K, and the K = 9 and 17 that the CI and compare_outputs.sh run to cover the helper
+    assert {k: _helper_share(k) for k in (32, 9, 17)} == {32: 16, 9: n, 17: n}
 
 
 @pytest.mark.parametrize("params", [AugmentParams(), NO_AUGMENT], ids=["default", "zero"])
-@pytest.mark.parametrize("k_aug", [1, 2, 5, 9, 32])
+@pytest.mark.parametrize("k_aug", [1, 2, 5, 9, 17, 32])
 @pytest.mark.parametrize("name", TEACHER_METHODS)
 def test_run_with_the_helper_writes_the_bytes_of_an_in_process_replay(bundle, forks, name, k_aug, params):
     cfg = method_config(PetalConfig(k_aug=k_aug, tau=2.0, augment=params), name)  # the gate opens on every step
@@ -189,7 +192,7 @@ def test_a_run_ending_on_a_pending_prefetch_reaps_its_helper(bundle, forks, monk
             time.sleep(0.05)
 
     monkeypatch.setattr(engine, "draw_numbers", draw_numbers)
-    cfg = method_config(PetalConfig(k_aug=5, tau=2.0), "petal_fim")
+    cfg = method_config(PetalConfig(k_aug=9, tau=2.0), "petal_fim")
     report, state = run_lifelong(bundle[3], bundle[0], bundle[2], bundle[1], cfg, seed=5)
     assert report.rows == replay(bundle, cfg, seed=5)[0]
     assert len(forks) == 1 and state.helper is None

@@ -182,7 +182,7 @@ def per_draw_teacher_pseudo_label(state, images, cfg):
     return np.where(needs_averaging[:, None], averaged, direct)
 
 
-@pytest.mark.parametrize("k_aug", [1, 3, 4, 5, 32])
+@pytest.mark.parametrize("k_aug", [1, 3, 4, 5, 12, 32])
 def test_blocked_teacher_equals_the_per_draw_loop(small_bundle, k_aug):
     dataset, model, posterior = small_bundle
     cfg = fast_cfg(k_aug=k_aug, tau=0.9)

@@ -20,10 +20,12 @@ from lifelong_tta.engine import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
+    _NUMBERS,
     AugmentParams,
     _affine_batch,
     adam_delta,
     augment,
+    draw_numbers,
     ema_update,
 )
 from lifelong_tta.model import MlpClassifier, batch_norm_arrays
@@ -267,6 +269,58 @@ def test_block_augment_equals_sequential_reference_draws(seed, b, draws, enabled
     assert np.array_equal(images, before)
     # the block consumed exactly the random numbers of the sequential draws
     assert rng.random() == reference_rng.random()
+
+
+def reference_draw_numbers(rng, params, draws, b):
+    """One generator call per row and draw, in the pipeline's order: the
+    {name: (draws, B) rows} of the magnitudes that are on, and the noise."""
+    shifted = params.max_shift_px or params.max_rot_deg
+    calls = [
+        ("contrast", params.contrast, lambda: rng.uniform(1.0 - params.contrast, 1.0 + params.contrast, b)),
+        ("brightness", params.brightness, lambda: rng.uniform(-params.brightness, params.brightness, b)),
+        ("dx", shifted, lambda: rng.uniform(-params.max_shift_px, params.max_shift_px, b)),
+        ("dy", shifted, lambda: rng.uniform(-params.max_shift_px, params.max_shift_px, b)),
+        ("rotation", shifted, lambda: rng.uniform(-params.max_rot_deg, params.max_rot_deg, b)),
+        ("blur", params.blur_prob, lambda: rng.random(b)),
+        ("flip", params.flip_prob, lambda: rng.random(b)),
+        ("noise", params.noise_std, lambda: rng.standard_normal((b, IMAGE_SIDE, IMAGE_SIDE))),
+    ]
+    rows, noise = {}, []
+    for _ in range(draws):
+        for name, on, call in calls:
+            if on:
+                (noise if name == "noise" else rows.setdefault(name, [])).append(call())
+    return {name: np.stack(values) for name, values in rows.items()}, np.concatenate(noise) if noise else None
+
+
+DRAW_NUMBER_CASES = {
+    "default": _DEFAULT,
+    **{f"no_{name}": dataclasses.replace(_DEFAULT, **{name: 0.0}) for name in MAGNITUDES},
+    "no_affine": dataclasses.replace(_DEFAULT, max_shift_px=0.0, max_rot_deg=0.0),
+    "zero": _ZERO,
+}
+
+
+@pytest.mark.parametrize("params", DRAW_NUMBER_CASES.values(), ids=DRAW_NUMBER_CASES.keys())
+def test_draw_numbers_equals_one_generator_call_per_row_and_draw(params):
+    # the teacher's 32 draws of 64 samples, at the defaults and with each
+    # magnitude zeroed in turn, so the skipped rows fall everywhere in the order
+    draws, b = 32, 64
+    numbers = np.full((draws, len(_NUMBERS), b), np.nan)
+    noise = np.empty((draws * b, IMAGE_SIDE, IMAGE_SIDE)) if params.noise_std else None
+    rng = np.random.default_rng(21)
+    draw_numbers(rng, params, numbers, noise)
+    reference_rng = np.random.default_rng(21)
+    expected, expected_noise = reference_draw_numbers(reference_rng, params, draws, b)
+    for name, rows in expected.items():
+        assert np.array_equal(numbers[:, _NUMBERS.index(name)], rows), (
+            f"draw_numbers' {name} rows differ from one Generator call per row: draw_numbers scales one random() "
+            "call per draw as low + (high - low) * u, so this numpy's Generator.uniform does not compute that bit "
+            "for bit, or random() did not take the rows in the pipeline's order"
+        )
+    assert (noise is None) == (expected_noise is None)
+    assert noise is None or np.array_equal(noise, expected_noise)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def reference_adam_delta(m, v, step, grad, lr):
