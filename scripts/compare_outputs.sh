@@ -9,11 +9,12 @@
 # keeps the config's restore mode), then adapt without --method, which runs
 # the config file's adapt.method (cotta, with stochastic restore), then
 # petal_fim and cotta with K = 9 teacher draws at the default tau (the helper
-# process takes one block of eight, main a partial block of one) and with
-# K = 1, 5, 9 and 17 at tau 1, where the gate opens on nearly every step
-# (K = 1 and 5: main alone runs one partial block; K = 9: the helper one
-# block, main a partial one; K = 17: the helper one block, main a full and a
-# partial one), then tent_online (tent under
+# process draws all nine and runs one block of eight, main a partial block of
+# one) and with K = 1, 5, 9 and 17 at tau 1, where the gate opens on nearly
+# every step (K = 1 and 5: no helper, so main draws all K in one call and runs
+# one partial block; K = 9: the helper draws all K and runs one block, main a
+# partial one; K = 17: the helper draws all K and runs one block, main a full
+# and a partial one), then tent_online (tent under
 # the oracle segment reset) at two batches per segment, so the state, Adam
 # moments included, is kept within a segment and rebuilt across segments, then
 # petal_fim and cotta at alpha = 0, where petal's objective takes no posterior
@@ -65,7 +66,7 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/k9
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/k9/
         python3 -m lifelong_tta adapt --config tiny.json --out runs/k9 --method petal_fim,cotta --k-aug 9 > /dev/null
-        # K = 1, 5, 9 and 17 with the gate open: no helper share, then the helper's block and main's blocks
+        # the gate open: at K = 1 and 5 main draws all K in one call, at K = 9 and 17 the helper draws them
         for k in 1 5 9 17; do
             mkdir -p "runs/k${k}_open"
             cp runs/main/source_model.ptta runs/main/posterior.ptta "runs/k${k}_open/"

@@ -31,30 +31,31 @@ textbook expressions and so with those expressions' bits; and ``petal``'s
 run state holds its anchor, the posterior with its constant log-density
 normalizer sums, so a step computes only the anchor's quadratic part.
 
-The K draws run in blocks of eight: per block, one ``augment`` call takes the
-random numbers draw by draw (``draw_numbers``, one generator call per draw
-for its uniforms) and runs each transform once over all eight
-(``transform``), and one teacher forward normalizes each draw by its own
-batch statistics. The random numbers and the sum of the
+A gate-open step takes the random numbers of all K draws as one chunk
+(``draw_numbers``, one generator call per draw for its uniforms), K draws of
+B samples in draw order, whatever the images and theta. The draws then run
+in blocks of eight (``_teacher_block``): one ``augment`` call runs each
+transform once over the block's draws, and one teacher forward normalizes
+each draw by its own batch statistics. The random numbers and the sum of the
 predictions keep the draw order, so the pseudo-labels are bit-identical to
 those of K one-draw calls. A run uses a second process for them:
-``run_lifelong`` gives its teacher state a ``DrawHelper``, which forks
-(``os.fork``) on the run's first gate-open step and is reaped when the run
-ends. Each gate-open step takes the same fixed-size chunk of the
-augmentation stream, K draws of B samples in draw order, whatever the
-images and theta, so the helper draws the next gate-open step's chunk into
-a shared mapping while main finishes the current step, and main draws none
-of it. On a gate-open step main adopts the helper's generator state, hands
-over theta and the images, and runs the upper draws' blocks on the mapped
-numbers while the helper transforms and forwards the lowest whole blocks,
+``run_lifelong`` gives its teacher state a ``DrawHelper`` when K leaves the
+helper whole blocks (``_helper_share``, K >= 9), which forks (``os.fork``)
+on the run's first gate-open step and is reaped when the run ends. The helper draws the next gate-open
+step's chunk into a shared mapping while main finishes the current step, so
+main draws none of it. On a gate-open step main hands over theta and the
+images, adopts the helper's generator state, and runs the upper draws'
+blocks on the mapped numbers while the helper runs the lowest whole blocks,
 about half the draws; then it adds all K rows in draw order, so the helper
 changes no output bit. While the helper lives, both processes run one
 OpenBLAS thread; where numpy's OpenBLAS cannot be set to one thread and
 does not already run one, a run forks no helper. A state stepped outside
-``run_lifelong`` has no helper and runs every block. The blocks
+``run_lifelong`` has no helper and draws each gate-open step's chunk itself,
+into its workspace, and runs every block. The blocks
 live in the run's workspace (``AdaptState.workspace``, petal/cotta only):
-the augmentation block, the bilinear resampling's scratch and the teacher
-forward's two activation blocks, one set per block shape, made on the first
+the chunk's numbers and noise where main draws them, the augmentation block,
+the bilinear resampling's scratch and the teacher forward's two activation
+blocks, one set per chunk and block shape, made on the first
 gate-open step and overwritten on every later one, so a step allocates no
 block and faults no page in. ``augment``, ``_affine_batch`` and
 ``MlpClassifier.forward`` write into the buffers they are given with the
@@ -279,9 +280,9 @@ def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array, workspace: 
     c0 = np.floor(src_c, out=scratch(workspace, "affine.tap", shape))
     src_r -= r0  # fr
     src_c -= c0  # fc
-    row_step = np.less(r0, side - 1, out=scratch(workspace, "affine.row_step", shape, np.intp))
+    row_step = np.less(r0, side - 1, out=scratch(workspace, "affine.row_step", shape, np.int8))
     row_step *= side
-    col_step = np.less(c0, side - 1, out=scratch(workspace, "affine.col_step", shape, np.intp))
+    col_step = np.less(c0, side - 1, out=scratch(workspace, "affine.col_step", shape, np.int8))
     r0 *= side
     r0 += c0
     r0 += (np.arange(b) * (side * side))[:, None, None]
@@ -309,39 +310,6 @@ def _affine_batch(images: Array, dx: Array, dy: Array, theta: Array, workspace: 
     bottom *= src_r
     top += bottom
     return top
-
-
-def augment(
-    images: Array,
-    rng: np.random.Generator | tuple[Array, Array | None],
-    params: AugmentParams = AugmentParams(),
-    draws: int = 1,
-    workspace: dict | None = None,
-) -> Array:
-    """``draws`` randomized draws of the augmentation pipeline, clipped to [0, 1].
-
-    ``images`` is (B, 64) and stays intact. The draws are stacked along the
-    first axis, draw k in rows k*B to (k+1)*B. ``draw_numbers`` takes the
-    random numbers draw by draw from the generator ``rng`` and ``transform``
-    applies them, so one call equals ``draws`` calls of one draw on the same
-    generator. ``rng`` may instead be the ``(numbers, noise)`` that
-    ``draw_numbers`` already wrote for these draws (main's blocks of a
-    ``DrawHelper`` step); then no generator is called and the noise is
-    scaled in place. With all magnitudes zero every draw is the input,
-    bit-identical. The block, its random numbers and its scratch are
-    ``workspace`` buffers (see ``scratch``), so the result is valid until the
-    next call of the same shape; without a workspace they are new arrays.
-    """
-    if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
-        raise ValueError("augment expects (B, 64) flattened images")
-    if isinstance(rng, tuple):
-        numbers, noise = rng
-    else:
-        b = images.shape[0]
-        numbers = scratch(workspace, "augment.numbers", (draws, len(_NUMBERS), b))
-        noise = scratch(workspace, "augment.noise", (draws * b, IMAGE_SIDE, IMAGE_SIDE)) if params.noise_std else None
-        draw_numbers(rng, params, numbers, noise)
-    return transform(images, params, numbers, noise, workspace)
 
 
 # the per-sample random numbers of one draw, in the order a draw takes them;
@@ -395,15 +363,24 @@ def draw_numbers(rng: np.random.Generator, params: AugmentParams, numbers: Array
             numbers[:, row] += low
 
 
-def transform(
+def augment(
     images: Array, params: AugmentParams, numbers: Array, noise: Array | None, workspace: dict | None = None
 ) -> Array:
-    """The draws whose random numbers ``draw_numbers`` wrote into ``numbers``
-    and ``noise``, stacked as ``augment`` returns them. Each transform runs
-    once over every draw, in place on the block; ``noise`` is scaled in
-    place. The block and its scratch are ``workspace`` buffers."""
-    batch = images.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
+    """The randomized draws of the augmentation pipeline whose random numbers
+    ``draw_numbers`` wrote into ``numbers`` and ``noise``, clipped to [0, 1].
+
+    ``images`` is (B, 64), one row per sample of the draws, and stays intact.
+    The draws are stacked along the first axis, draw k in rows k*B to
+    (k+1)*B. Each transform runs once over every draw, in place on the block,
+    and ``noise`` is scaled in place, so one call equals one call per draw
+    on that draw's numbers. With all magnitudes zero every draw is the input,
+    bit-identical. The block and its scratch are ``workspace`` buffers (see
+    ``scratch``), so the result is valid until the next call of the same
+    shape; without a workspace they are new arrays."""
     draws, _, b = numbers.shape
+    if images.shape != (b, IMAGE_SIDE * IMAGE_SIDE):
+        raise ValueError(f"augment expects ({b}, 64) flattened images, one row per drawn sample, got {images.shape}")
+    batch = images.reshape(b, IMAGE_SIDE, IMAGE_SIDE)
     out = scratch(workspace, "augment", (draws * b, IMAGE_SIDE, IMAGE_SIDE))
     out.reshape(draws, b, IMAGE_SIDE, IMAGE_SIDE)[...] = batch
 
@@ -590,25 +567,28 @@ def _helper_share(k_aug: int) -> int:
 
 
 class DrawHelper:
-    """A forked process that draws a run's augmentation numbers one gate-open
-    step ahead, and augments and forwards the lowest draws of each such step.
+    """A forked process that draws a teacher run's augmentation numbers one
+    gate-open step ahead, and augments and forwards the lowest draws of each
+    such step.
 
-    ``run_lifelong`` makes one per teacher run and closes it when the run
-    ends; ``submit`` forks it, with a copy of the run's augmentation
-    generator, on the first step that hands it draws. After the fork, and
-    each time main's blocks of a step are done, the helper draws all K draws'
-    numbers and noise for the next gate-open step into a shared mapping made
-    for that step's (K, B), and replies with its generator's state. Main
-    adopts the state, writes theta and the images into the mapping and says
-    "go"; the helper forwards its share and replies None, or the message of
-    its first failing block's ``FloatingPointError``. A step of another
-    (K, B) runs in main; the next helper step sends main's generator state
-    down, to draw again from. Both processes run one OpenBLAS thread while
-    the helper lives. It ignores SIGINT and leaves by ``os._exit`` once main
-    closes the pipe or dies.
+    ``run_lifelong`` makes one for a teacher run whose K hands the helper
+    draws (``_helper_share``), with the run's K and ``AugmentParams``, and
+    closes it when the run ends. The first ``submit`` forks it, with a copy
+    of the run's augmentation generator, and sizes its shared mapping for
+    that step's B, once per run. After the fork, and each time main's blocks
+    of a step are done, the helper draws all K draws' numbers and noise for
+    the next gate-open step into the mapping and replies with its
+    generator's state. Main writes theta and the images into the mapping
+    (a batch of another size does not fit, and the step is refused before
+    anything is sent), adopts the state and says "go"; the helper runs its
+    share through ``_teacher_block`` and replies None, or the message of its
+    first failing block's ``FloatingPointError``. Both processes run one
+    OpenBLAS thread while the helper lives. It ignores SIGINT and leaves by
+    ``os._exit`` once main closes the pipe or dies.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, k_aug: int, params: AugmentParams) -> None:
+        self.k_aug, self.params = k_aug, params
         self.pid: int | None = None
 
     @staticmethod
@@ -618,20 +598,14 @@ class DrawHelper:
         get_threads = _openblas("get") if hasattr(os, "fork") else None
         return get_threads is not None and (_openblas("set") is not None or get_threads() == 1)
 
-    def submit(self, teacher: MlpClassifier, images: Array, rng: np.random.Generator, params, k_aug: int):
+    def submit(self, teacher: MlpClassifier, images: Array, rng: np.random.Generator) -> tuple[Array, Array | None]:
         """Start the helper on its share of this step's draws and move ``rng`` past all K; the
-        (numbers, noise) of the K draws, mapping views valid until ``collect``, or None, with
-        nothing drawn, when the mapping was made for another (K, B)."""
+        (numbers, noise) of the K draws, mapping views valid until ``collect``."""
         if self.pid is None:
-            self._fork(teacher, rng, params, k_aug, images.shape[0])
-        elif self.numbers.shape != (k_aug, len(_NUMBERS), images.shape[0]):
-            return None
-        drawn = self._ask()
-        if rng.bit_generator.state != self._drawn_from:  # main drew in process since
-            drawn = self._ask(rng.bit_generator.state)
-        rng.bit_generator.state = self._drawn_from = drawn
-        self.theta[...] = teacher.theta
-        self.images[...] = images
+            self._fork(teacher, rng, images.shape[0])
+        self.images[...] = images  # raises for a batch of another size, with the pipe untouched
+        self.theta[...] = teacher.theta  # the helper reads neither until "go"
+        rng.bit_generator.state = self._ask()
         self._ask("go", reply=False)
         return self.numbers, self.noise
 
@@ -664,17 +638,16 @@ class DrawHelper:
         self._set_threads(self._threads)
         self.theta = self.images = self.numbers = self.noise = self.probs = None  # unmaps once no view is left
 
-    def _fork(self, teacher: MlpClassifier, rng: np.random.Generator, params, k_aug: int, b: int) -> None:
-        share = _helper_share(k_aug)
-        noise = k_aug * b * IMAGE_SIDE**2 if params.noise_std else 0
+    def _fork(self, teacher: MlpClassifier, rng: np.random.Generator, b: int) -> None:
+        k_aug, share = self.k_aug, _helper_share(self.k_aug)
+        noise = k_aug * b * IMAGE_SIDE**2 if self.params.noise_std else 0
         sizes = (teacher.theta.size, b * IMAGE_SIDE**2, k_aug * len(_NUMBERS) * b, noise, share * b * teacher.sizes[-1])
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64)
         theta, images, numbers, noise, probs = np.split(flat, np.cumsum(sizes)[:-1])
         self.theta, self.images = theta, images.reshape(b, -1)
         self.numbers = numbers.reshape(k_aug, len(_NUMBERS), b)
-        self.noise = noise.reshape(k_aug * b, IMAGE_SIDE, IMAGE_SIDE) if params.noise_std else None
+        self.noise = noise.reshape(k_aug * b, IMAGE_SIDE, IMAGE_SIDE) if self.params.noise_std else None
         self.probs = probs.reshape(share, b, -1)
-        self._drawn_from = rng.bit_generator.state  # where the helper's first draws start
         requests, self._requests = os.pipe()
         replies_in, replies = os.pipe()
         # where OpenBLAS exports no setter, ``may_fork`` saw it run one thread
@@ -697,7 +670,7 @@ class DrawHelper:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(self._requests)
             os.close(replies_in)
-            self._serve(teacher, rng, params, os.fdopen(requests, "rb"), replies)
+            self._serve(teacher, rng, os.fdopen(requests, "rb"), replies)
         except (BrokenPipeError, EOFError):  # main closed the pipe, or stopped reading mid-step
             pass
         except Exception:  # a fault of the helper's own: main sees its exit
@@ -706,35 +679,46 @@ class DrawHelper:
         finally:
             os._exit(0)
 
-    def _serve(self, teacher: MlpClassifier, rng: np.random.Generator, params, requests, replies: int) -> None:
+    def _serve(self, teacher: MlpClassifier, rng: np.random.Generator, requests, replies: int) -> None:
         workspace: dict = {}
         share, b = self.probs.shape[:2]
+        drawn = self.numbers, self.noise
         while True:
-            draw_numbers(rng, params, self.numbers, self.noise)
+            draw_numbers(rng, self.params, self.numbers, self.noise)
             os.write(replies, pickle.dumps(rng.bit_generator.state))
-            request = pickle.load(requests)
-            if request != "go":  # main's generator state: draw again from there
-                rng.bit_generator.state = request
-                continue
+            pickle.load(requests)  # "go": theta and the images are in the mapping
             teacher.load(self.theta)
             error = None
             for start in range(0, share, _DRAW_BLOCK):  # the share is whole blocks
                 stop = start + _DRAW_BLOCK
-                block = transform(self.images, params, *_drawn_block(self.numbers, self.noise, start, stop), workspace)
                 try:
-                    logits = teacher.forward(block, "batch", _DRAW_BLOCK, workspace)
+                    probs = _teacher_block(teacher, self.images, self.params, drawn, start, stop, workspace)
                 except FloatingPointError as exc:
                     error = str(exc)
                     break
-                self.probs[start:stop] = softmax(logits).reshape(_DRAW_BLOCK, b, -1)
+                self.probs[start:stop] = probs.reshape(_DRAW_BLOCK, b, -1)
             os.write(replies, pickle.dumps(error))
             pickle.load(requests)  # "done": main reads none of this step's numbers any more
 
 
-def _drawn_block(numbers: Array, noise: Array | None, start: int, stop: int) -> tuple[Array, Array | None]:
-    """Draws ``start`` to ``stop`` of the ``draw_numbers`` output of a step's draws."""
+def _teacher_block(
+    teacher: MlpClassifier,
+    images: Array,
+    params: AugmentParams,
+    drawn: tuple[Array, Array | None],
+    start: int,
+    stop: int,
+    workspace: dict | None,
+) -> Array:
+    """The teacher's (draws x B, C) probability rows for draws ``start`` to
+    ``stop`` of a step's ``draw_numbers`` output ``drawn``, (numbers, noise):
+    one ``augment`` call and one ``"batch"`` forward, each draw normalized by
+    its own batch statistics."""
+    numbers, noise = drawn
     b = numbers.shape[2]
-    return numbers[start:stop], None if noise is None else noise[start * b : stop * b]
+    noise = None if noise is None else noise[start * b : stop * b]
+    block = augment(images, params, numbers[start:stop], noise, workspace)
+    return softmax(teacher.forward(block, "batch", stop - start, workspace))
 
 
 def _openblas(action: str):
@@ -755,18 +739,18 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     When the frozen source model's max softmax probability on a sample is
     below tau, that sample's label is the teacher's prediction averaged over
     k_aug augmentation draws; otherwise it is the direct teacher prediction.
-    The draws run in blocks of ``_DRAW_BLOCK``: one ``augment`` call and one
-    teacher forward per block, both in ``state.workspace``, each draw
-    normalized by its own batch statistics, and the teacher's running
-    statistics stay untouched. A state with a ``DrawHelper`` (a run's, in
-    ``run_lifelong``) takes the random numbers of all K draws from the
-    helper, which drew them ahead, and ``state.rng_augment`` moves as if it
-    had drawn them; the helper runs the lowest ``_helper_share`` draws while
-    main runs its own blocks on the rest of those numbers; the first failing
-    block, the helper's before main's, raises. The random numbers and the sum
-    run in draw order either way, so the labels equal those of one augment
-    call and one forward per draw, bit for bit. The returned rows are a new
-    array, never a workspace or mapping buffer.
+    A step whose gate opens takes the random numbers of all K draws as one
+    ``draw_numbers`` chunk: from ``state.rng_augment`` into
+    ``state.workspace``, or, for a state with a ``DrawHelper`` (a run's, in
+    ``run_lifelong``), from the helper, which drew them a step ahead, while
+    ``state.rng_augment`` moves as if it had drawn them. The draws run in
+    blocks of ``_DRAW_BLOCK`` through ``_teacher_block``, and the teacher's
+    running statistics stay untouched. With a helper, it runs the lowest
+    ``_helper_share`` draws while main runs the rest, and the first failing
+    block, the helper's before main's, raises. The random numbers and the
+    sum run in draw order either way, so the labels equal those of one
+    augment call and one forward per draw, bit for bit. The returned rows are
+    a new array, never a workspace or mapping buffer.
     """
     source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
@@ -774,18 +758,24 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
-    shared = 0 if state.helper is None else _helper_share(cfg.k_aug)
-    drawn = state.helper.submit(state.teacher, images, state.rng_augment, cfg.augment, cfg.k_aug) if shared else None
+    if state.helper is None:
+        shared, b, noise = 0, images.shape[0], None
+        numbers = scratch(state.workspace, "augment.numbers", (cfg.k_aug, len(_NUMBERS), b))
+        if cfg.augment.noise_std:
+            noise = scratch(state.workspace, "augment.noise", (cfg.k_aug * b, IMAGE_SIDE, IMAGE_SIDE))
+        draw_numbers(state.rng_augment, cfg.augment, numbers, noise)
+        drawn = numbers, noise
+    else:
+        shared = _helper_share(cfg.k_aug)
+        drawn = state.helper.submit(state.teacher, images, state.rng_augment)
     blocks, error = [], None
     try:
-        for start in range(0 if drawn is None else shared, cfg.k_aug, _DRAW_BLOCK):
+        for start in range(shared, cfg.k_aug, _DRAW_BLOCK):
             stop = min(start + _DRAW_BLOCK, cfg.k_aug)
-            numbers = state.rng_augment if drawn is None else _drawn_block(*drawn, start, stop)
-            block = augment(images, numbers, cfg.augment, stop - start, state.workspace)
-            blocks.append(softmax(state.teacher.forward(block, "batch", stop - start, state.workspace)))
+            blocks.append(_teacher_block(state.teacher, images, cfg.augment, drawn, start, stop, state.workspace))
     except FloatingPointError as exc:  # raised once the helper, whose draws come first, has answered
         error = exc
-    if drawn is not None:
+    if state.helper is not None:
         blocks.insert(0, state.helper.collect())
     if error is not None:
         raise error
@@ -1010,8 +1000,9 @@ def run_lifelong(
         rng_augment=np.random.Generator(np.random.PCG64(augment_ss)),
         rng_restore=np.random.Generator(np.random.PCG64(restore_ss)),
     )
-    # a teacher run's helper process, forked on its first gate-open step
-    state.helper = DrawHelper() if state.teacher is not None and DrawHelper.may_fork() else None
+    # a teacher run's helper process, forked on its first gate-open step, if its K hands the helper draws
+    if state.teacher is not None and _helper_share(cfg.k_aug) > 0 and DrawHelper.may_fork():
+        state.helper = DrawHelper(cfg.k_aug, cfg.augment)
     stream_rng = np.random.Generator(np.random.PCG64(stream_ss))
     acc = MetricAccumulator()
     rows: list[dict] = []

@@ -1,9 +1,13 @@
-"""Test-only helpers: a central-difference gradient reference and the
-seeded generators the step tests hand to ``init_adapt_state``."""
+"""Test-only helpers: a central-difference gradient reference, the seeded
+generators the step tests hand to ``init_adapt_state``, and the random
+numbers ``augment`` takes."""
 
 from typing import Callable
 
 import numpy as np
+
+from lifelong_tta.engine import _NUMBERS, AugmentParams, draw_numbers
+from lifelong_tta.streams import IMAGE_SIDE
 
 Array = np.ndarray
 
@@ -33,3 +37,14 @@ def seeded_generators(seed: int) -> dict[str, np.random.Generator]:
         "rng_augment": np.random.Generator(np.random.PCG64(augment_ss)),
         "rng_restore": np.random.Generator(np.random.PCG64(restore_ss)),
     }
+
+
+def drawn_numbers(
+    rng: np.random.Generator, params: AugmentParams, draws: int, b: int
+) -> tuple[Array, Array | None]:
+    """``draw_numbers``' (numbers, noise) for ``draws`` draws of ``b``
+    samples from ``rng``, in new arrays; the noise is None at zero noise."""
+    numbers = np.empty((draws, len(_NUMBERS), b))
+    noise = np.empty((draws * b, IMAGE_SIDE, IMAGE_SIDE)) if params.noise_std else None
+    draw_numbers(rng, params, numbers, noise)
+    return numbers, noise

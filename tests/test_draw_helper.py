@@ -135,12 +135,12 @@ def test_run_with_the_helper_writes_the_bytes_of_an_in_process_replay(bundle, fo
 
 @pytest.fixture
 def main_draws(monkeypatch):
-    """The generators ``draw_numbers`` is called on in this process, one
-    entry per call; a helper's calls stay in its own copy of the list."""
+    """The ``draw_numbers`` calls made in this process, one (generator, number
+    of draws) entry per call; a helper's calls stay in its own copy of the list."""
     calls = []
 
     def draw_numbers(rng, params, numbers, noise, original=engine.draw_numbers):
-        calls.append(rng)
+        calls.append((rng, numbers.shape[0]))
         original(rng, params, numbers, noise)
 
     monkeypatch.setattr(engine, "draw_numbers", draw_numbers)
@@ -155,24 +155,37 @@ def test_a_run_with_the_helper_draws_nothing_in_main(bundle, forks, main_draws):
     assert_no_child_left()
 
 
-def test_a_step_of_another_shape_than_the_helpers_runs_in_process(bundle, forks, main_draws):
-    # the mapping is made for the first gate-open step's (draws, B); a batch
-    # of another size runs every draw in main, from main's generator, and the
-    # next one of the first size goes to the helper again, which draws again
-    # from main's state after the in-process steps
+@pytest.mark.parametrize("k_aug", [9, 17])
+def test_a_state_without_a_helper_draws_each_gate_open_step_in_one_call(bundle, main_draws, k_aug):
+    # all K draws' numbers are one chunk, however many blocks run them
+    dataset, model, posterior, _ = bundle
+    cfg = PetalConfig(k_aug=k_aug, tau=2.0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(6))
+    images = dataset.images.reshape(len(dataset), -1)
+    for step in range(3):
+        main_draws.clear()
+        teacher_pseudo_label(state, images[19 * step : 19 * (step + 1)], cfg)
+        assert main_draws == [(state.rng_augment, k_aug)]
+
+
+def test_helper_steps_write_the_bytes_of_in_process_steps(bundle, forks):
+    # the mapping is sized for the first gate-open step's batch and serves
+    # every later step; a batch of another size is refused before anything
+    # goes down the pipe, so the steps after it are served as if it never came
     dataset, model, posterior, _ = bundle
     cfg = PetalConfig(k_aug=9, tau=2.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(2))
     expected = init_adapt_state(model, posterior, cfg, **seeded_generators(2))
-    state.helper = DrawHelper()
+    state.helper = DrawHelper(cfg.k_aug, cfg.augment)
     images = dataset.images.reshape(len(dataset), -1)
     try:
-        for rows, in_process in ((slice(0, 19), False), (slice(19, 31), True), (slice(31, 38), True),
-                                 (slice(38, 57), False), (slice(57, 76), False)):
-            main_draws.clear()
-            labels = teacher_pseudo_label(state, images[rows], cfg)
-            assert any(rng is state.rng_augment for rng in main_draws) == in_process
-            assert labels.tobytes() == teacher_pseudo_label(expected, images[rows], cfg).tobytes()
+        for step in range(4):
+            if step == 2:
+                with pytest.raises(ValueError):
+                    teacher_pseudo_label(state, images[200:212], cfg)
+            rows = images[19 * step : 19 * (step + 1)]
+            labels = teacher_pseudo_label(state, rows, cfg)
+            assert labels.tobytes() == teacher_pseudo_label(expected, rows, cfg).tobytes()
             assert state.rng_augment.bit_generator.state == expected.rng_augment.bit_generator.state
             assert not np.shares_memory(labels, state.helper.probs)
         assert len(forks) == 1
@@ -302,7 +315,7 @@ def test_outputs_do_not_depend_on_scheduling(trained, tmp_path):
 @pytest.mark.skipif(engine._openblas("set") is None, reason="numpy's BLAS exports no OpenBLAS thread-count setter")
 def test_with_blas_unpinned_main_and_the_helper_run_one_blas_thread_while_it_lives(trained, tmp_path):
     # no BLAS thread variable is set, so OpenBLAS starts with its own count;
-    # each transform, main's and the helper's, logs its process's count as
+    # each augment call, main's and the helper's, logs its process's count as
     # OpenBLAS's getter reports it, and main logs its count at start and exit
     log = tmp_path / "threads.log"
     script = (
@@ -315,10 +328,10 @@ def test_with_blas_unpinned_main_and_the_helper_run_one_blas_thread_while_it_liv
         f"log = open({str(log)!r}, 'a', buffering=1)\n"
         "def write(tag):\n"
         "    log.write(f'{tag} {os.getpid()} {get()}\\n')\n"
-        "def transform(*args, original=engine.transform):\n"
-        "    write('transform')\n"
+        "def augment(*args, original=engine.augment):\n"
+        "    write('augment')\n"
         "    return original(*args)\n"
-        "engine.transform = transform\n"
+        "engine.augment = augment\n"
         "write('start')\n"
         "atexit.register(write, 'exit')\n"
     )
@@ -329,8 +342,8 @@ def test_with_blas_unpinned_main_and_the_helper_run_one_blas_thread_while_it_liv
     lines = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
     (start,), (end,) = ([line for line in lines if line[0] == tag] for tag in ("start", "exit"))
     main = start[1]
-    transforms = {(pid == main, threads) for tag, pid, threads in lines if tag == "transform"}
-    assert transforms == {(True, "1"), (False, "1")}  # main and helpers, each on one thread
+    augments = {(pid == main, threads) for tag, pid, threads in lines if tag == "augment"}
+    assert augments == {(True, "1"), (False, "1")}  # main and helpers, each on one thread
     assert end == ["exit", main, start[2]]  # main's own count is back once the helpers are reaped
 
 

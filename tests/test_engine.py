@@ -47,7 +47,7 @@ from lifelong_tta.streams import (
 )
 from lifelong_tta.swag import SwagDiagEstimator, one_hot, train_source
 
-from helpers import seeded_generators
+from helpers import drawn_numbers, seeded_generators
 
 
 @pytest.fixture(scope="module")
@@ -97,37 +97,44 @@ def batch_from(dataset, n=16, severity=0, seed=0):
 def test_augment_identity_config_is_bit_exact():
     rng = np.random.default_rng(0)
     images = rng.random((5, 64))
-    out = augment(images, rng, NO_AUGMENT)
+    out = augment(images, NO_AUGMENT, *drawn_numbers(rng, NO_AUGMENT, 1, 5))
     assert np.array_equal(out, images)
 
 
 def test_augment_is_deterministic_given_rng_state():
     images = np.random.default_rng(1).random((5, 64))
-    a = augment(images, np.random.default_rng(7))
-    b = augment(images, np.random.default_rng(7))
+    params = AugmentParams()
+    a = augment(images, params, *drawn_numbers(np.random.default_rng(7), params, 1, 5))
+    b = augment(images, params, *drawn_numbers(np.random.default_rng(7), params, 1, 5))
     assert np.array_equal(a, b)
 
 
 def test_augment_output_range():
     rng = np.random.default_rng(2)
     images = rng.random((200, 64))
+    params = AugmentParams()
     for _ in range(50):  # 10^4 augmented images in total
-        out = augment(images, rng)
+        out = augment(images, params, *drawn_numbers(rng, params, 1, 200))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augment_preserves_shape_conventions():
-    # the teacher passes flattened (B, 64) images, the one accepted format
+    # the teacher passes flattened (B, 64) images, the one accepted format,
+    # with one row per sample of the drawn numbers
     rng = np.random.default_rng(3)
+    params = AugmentParams()
     flat = rng.random((4, 64))
-    assert augment(flat, np.random.default_rng(0)).shape == (4, 64)
-    assert augment(flat, np.random.default_rng(0), draws=3).shape == (12, 64)
+    one, three = (drawn_numbers(np.random.default_rng(0), params, draws, 4) for draws in (1, 3))
+    assert augment(flat, params, *one).shape == (4, 64)
+    assert augment(flat, params, *three).shape == (12, 64)
     with pytest.raises(ValueError):
-        augment(rng.random((4, 63)), rng)
+        augment(rng.random((4, 63)), params, *one)
     with pytest.raises(ValueError):
-        augment(rng.random((4, 7, 7)), rng)
+        augment(rng.random((4, 7, 7)), params, *one)
     with pytest.raises(ValueError):
-        augment(flat.reshape(4, 8, 8), rng)
+        augment(flat.reshape(4, 8, 8), params, *one)
+    with pytest.raises(ValueError):
+        augment(rng.random((5, 64)), params, *one)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +181,8 @@ def per_draw_teacher_pseudo_label(state, images, cfg):
     needs_averaging = confidence < cfg.tau
     if not needs_averaging.any():
         return direct
-    draws = [augment(images, state.rng_augment, cfg.augment) for _ in range(cfg.k_aug)]
+    drawn = [drawn_numbers(state.rng_augment, cfg.augment, 1, images.shape[0]) for _ in range(cfg.k_aug)]
+    draws = [augment(images, cfg.augment, *numbers) for numbers in drawn]
     total = np.zeros_like(direct)
     for draw in draws:
         total += softmax(state.teacher.forward(draw, "batch"))

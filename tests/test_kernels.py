@@ -31,6 +31,8 @@ from lifelong_tta.engine import (
 from lifelong_tta.model import MlpClassifier, batch_norm_arrays
 from lifelong_tta.streams import IMAGE_SIDE, _box_blur
 
+from helpers import drawn_numbers
+
 
 def reference_affine_batch(images, dx, dy, theta):
     b, side, _ = images.shape
@@ -223,7 +225,7 @@ def test_augment_equals_reference_pipeline(params):
         images = data_rng.random((b, IMAGE_SIDE * IMAGE_SIDE))
         for seed in range(4):
             expected = reference_augment(images, np.random.default_rng(seed), params)
-            out = augment(images, np.random.default_rng(seed), params)
+            out = augment(images, params, *drawn_numbers(np.random.default_rng(seed), params, 1, b))
             assert np.array_equal(out, expected)
 
 
@@ -240,7 +242,7 @@ def test_augment_with_one_workspace_across_batch_sizes_equals_reference(params):
         before = images.copy()
         reference_rng = np.random.default_rng(seed)
         expected = np.concatenate([reference_augment(images, reference_rng, params) for _ in range(draws)])
-        out = augment(images, np.random.default_rng(seed), params, draws, workspace)
+        out = augment(images, params, *drawn_numbers(np.random.default_rng(seed), params, draws, b), workspace)
         assert np.array_equal(out, expected)
         assert np.array_equal(images, before)
 
@@ -264,7 +266,7 @@ def test_block_augment_equals_sequential_reference_draws(seed, b, draws, enabled
     reference_rng = np.random.default_rng(seed + 1)
     expected = np.concatenate([reference_augment(images, reference_rng, params) for _ in range(draws)])
     rng = np.random.default_rng(seed + 1)
-    out = augment(images, rng, params, draws)
+    out = augment(images, params, *drawn_numbers(rng, params, draws, b))
     assert np.array_equal(out, expected)
     assert np.array_equal(images, before)
     # the block consumed exactly the random numbers of the sequential draws
