@@ -5,9 +5,9 @@
 #   bash scripts/compare_outputs.sh BASE_TREE HEAD_TREE WORK_DIR
 #
 # Each tree runs with its own src/ on PYTHONPATH: train-source, adapt with
-# every method name on a one-batch-per-segment stream (petal among them, which
-# keeps the config's restore mode), then adapt without --method, which runs
-# the config file's adapt.method (cotta, with stochastic restore), then
+# every method name on a one-batch-per-segment stream (petal among them, the
+# row petal_fim repeats), then adapt without --method, which runs the config
+# file's adapt.method (cotta, whose row restores at random), then
 # petal_fim and cotta with K = 9 teacher draws at the default tau (the helper
 # process draws all nine and runs one block of eight, main a partial block of
 # one) and with K = 1, 5, 9 and 17 at tau 1, where the gate opens on nearly
@@ -60,7 +60,7 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
         mkdir -p runs/config_method
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/config_method/
         echo '{"schedule": {"batches_per_segment": 1}, "seeds": [0],
-               "adapt": {"method": "cotta", "restore": "stochastic"}}' > config_method.json
+               "adapt": {"method": "cotta"}}' > config_method.json
         python3 -m lifelong_tta adapt --config config_method.json --out runs/config_method > /dev/null
         # K = 9: the helper's block of eight teacher draws and main's partial block of one
         mkdir -p runs/k9

@@ -27,7 +27,6 @@ import numpy as np
 from .checkpoint import CheckpointError
 from .engine import (
     METHODS,
-    RESTORE_MODES,
     NonFiniteLossError,
     PetalConfig,
     at_least,
@@ -208,7 +207,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """``cfg`` with the flags given in ``args`` applied: an absent flag (or
     one a command does not have) is None, so ``--alpha 0`` still overrides."""
     adapt_updates = {}
-    for name in ("restore", "delta", "rho", "alpha", "tau", "k_aug"):
+    for name in ("delta", "rho", "alpha", "tau", "k_aug"):
         value = getattr(args, name, None)
         if value is not None:
             adapt_updates[name] = value
@@ -313,7 +312,6 @@ def cmd_adapt(cfg: ExperimentConfig, methods: list[str]) -> list[Path]:
             run_dir = Path(cfg.out_dir) / name / f"seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             doc = report.to_document()
-            doc["method_label"] = name
             doc["experiment"] = config_to_dict(cfg)
             (run_dir / "report.json").write_text(
                 json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -332,7 +330,8 @@ def _is_number(value) -> bool:
 
 def _check_report(doc, path: Path) -> str:
     """Reject a report.json that ``cmd_report`` cannot read, naming the file;
-    return its method label."""
+    return the method name that ran: ``method``, or ``method_label`` in an
+    older report, whose ``method`` named the row's engine method."""
 
     def require(ok: bool, what: str) -> None:
         if not ok:
@@ -458,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_adapt.add_argument("--seeds", help="comma-separated integer seeds")
     p_adapt.add_argument("--schedule", choices=SCHEDULE_MODES)
-    p_adapt.add_argument("--restore", choices=RESTORE_MODES)
     p_adapt.add_argument("--delta", type=float)
     p_adapt.add_argument("--rho", type=float)
     p_adapt.add_argument("--alpha", type=float)

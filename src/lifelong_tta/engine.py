@@ -8,11 +8,12 @@ teacher update and a restore. Those two keep a teacher that emits
 pseudo-label probability rows (averaged over K randomized augmentation draws
 when the frozen source model is unconfident on the input); the student
 minimizes the cross-entropy to them (``petal`` adds a source-posterior
-log-density anchor weighted by alpha, so ``cotta`` is ``petal`` at
-alpha = 0), and then a subset of student parameters is restored to the source
-values, chosen either at random or as the coordinates with the smallest squared loss
-gradient. ``tent`` (entropy minimization) and ``pseudo_label`` (hard
-self-labels) have no teacher and move only the BN affine parameters.
+log-density anchor weighted by alpha), and then a subset of student
+parameters is restored to the source values by the row's rule: ``cotta``
+picks them at random, as CoTTA does, ``petal`` as the coordinates with the
+smallest squared loss gradient, so ``cotta`` is ``petal_sres`` at alpha = 0.
+``tent`` (entropy minimization) and ``pseudo_label`` (hard self-labels) have
+no teacher and move only the BN affine parameters.
 ``baseline_step`` is the forward-only step of ``source`` (no adaptation) and
 ``bn_adapt`` (batch-statistics refresh only); the BN mode it passes to the
 forward, ``"eval"`` or ``"update"``, tells them apart.
@@ -74,7 +75,7 @@ One frozen, eval-BN source model holds the posterior mode theta_0: it gates
 augmentation and is the restore target. ``METHODS`` is the one table of
 methods: each name the CLI and a config's ``adapt.method`` accept is one
 ``Method`` row of what the engine reads (the objective, the anchor, the
-forward-only BN mode, a pinned restore mode, the segment reset), and
+forward-only BN mode, the restore rule, the segment reset), and
 ``method_config`` turns a name into its config, which keeps the name. Only
 the methods whose row calls for a teacher, Adam moments or an anchor get
 them, and a step reads those fields and its row, not the method's name:
@@ -122,8 +123,6 @@ from .streams import IMAGE_SIDE, StreamSchedule, SyntheticDataset, _box_blur, st
 from .swag import SwagDiagPosterior, one_hot
 
 Array = np.ndarray
-
-RESTORE_MODES = ("none", "stochastic", "fim")
 
 # winner of the regularizer-weight grid on the held-out tuning corruption
 DEFAULT_ALPHA = 1e-6
@@ -179,36 +178,38 @@ class Method:
     teacher's pseudo-labels). The rest of a run's state follows from it:
     every objective gets Adam moments, and ``"teacher_ce"`` a teacher, its
     workspace, the EMA update, the restore and all of theta to train; the
-    other objectives train only the BN affine coordinates. ``reset`` is the
-    oracle segment reset: the run starts each segment from a fresh state.
+    other objectives train only the BN affine coordinates. A teacher row's
+    ``restore`` is ``"fim"`` (the coordinates of smallest squared gradient),
+    ``"stochastic"`` (at random, CoTTA's rule) or ``"none"``. ``reset`` is
+    the oracle segment reset: the run starts each segment from a fresh state.
     """
 
-    name: str  # the engine method: report.json's "method"
     objective: str | None = None
     anchor: bool = False  # the source-posterior log-density term, at alpha != 0
     bn_mode: str | None = None  # the forward-only step's BN mode
-    restore: str | None = None  # the restore mode the name pins; None keeps the config's
+    restore: str | None = None  # set on every teacher row, None on the others
     reset: bool = False  # a fresh state at each change of segment id
 
 
-# every method name the CLI and a config accept; a row's name is its engine method
+# every method name the CLI and a config accept, and report.json's "method"
 METHODS = {
-    "petal": Method("petal", "teacher_ce", anchor=True),
-    "cotta": Method("cotta", "teacher_ce"),
-    "source": Method("source", bn_mode="eval"),
-    "bn_adapt": Method("bn_adapt", bn_mode="update"),
-    "pseudo_label": Method("pseudo_label", "self_label"),
-    "tent": Method("tent", "entropy"),
-    "petal_fim": Method("petal", "teacher_ce", anchor=True, restore="fim"),
-    "petal_sres": Method("petal", "teacher_ce", anchor=True, restore="stochastic"),
-    "petal_none": Method("petal", "teacher_ce", anchor=True, restore="none"),
-    "tent_online": Method("tent", "entropy", reset=True),
+    "petal": Method("teacher_ce", anchor=True, restore="fim"),
+    "cotta": Method("teacher_ce", restore="stochastic"),
+    "source": Method(bn_mode="eval"),
+    "bn_adapt": Method(bn_mode="update"),
+    "pseudo_label": Method("self_label"),
+    "tent": Method("entropy"),
+    "petal_fim": Method("teacher_ce", anchor=True, restore="fim"),
+    "petal_sres": Method("teacher_ce", anchor=True, restore="stochastic"),
+    "petal_none": Method("teacher_ce", anchor=True, restore="none"),
+    "tent_online": Method("entropy", reset=True),
 }
 
 
 @dataclass(frozen=True)
 class PetalConfig:
-    """Knobs of the adaptation step.
+    """Knobs of the adaptation step; ``method`` names the ``METHODS`` row
+    that owns every rule, the restore rule too, and the rest are magnitudes.
 
     Each field declares its range. ``cli.validate_config`` checks every
     config read from a file or a flag; code that builds a ``PetalConfig``
@@ -222,18 +223,16 @@ class PetalConfig:
     alpha: float = at_least(0, DEFAULT_ALPHA)
     pi: float = unit(0.999)
     eta: float = at_least(0, 1e-3)
-    restore: str = one_of(RESTORE_MODES, "fim")
-    rho: float = unit(0.01)
-    delta: float = unit(0.03)
+    rho: float = unit(0.01)  # the "stochastic" restore's rate
+    delta: float = unit(0.03)  # the "fim" restore's share
     augment: AugmentParams = field(default_factory=AugmentParams)
 
 
 def method_config(cfg: PetalConfig, name: str) -> PetalConfig:
-    """``cfg`` set to run the method ``name``, a key of ``METHODS``: the name
-    itself, and the restore mode the name pins if it pins one."""
+    """``cfg`` set to run the method ``name``, a key of ``METHODS``."""
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r}")
-    return replace(cfg, method=name, restore=METHODS[name].restore or cfg.restore)
+    return replace(cfg, method=name)
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +845,9 @@ def restore(theta: Array, theta0: Array, mask: Array) -> None:
 
 
 def _apply_restore(state: AdaptState, grad_vec: Array, cfg: PetalConfig) -> int:
-    if cfg.restore == "none":
+    if state.method.restore == "none":
         return 0
-    if cfg.restore == "fim":
+    if state.method.restore == "fim":
         mask = fim_mask(fim_diag(grad_vec), cfg.delta)
     else:
         mask = stochastic_mask(grad_vec.size, cfg.rho, state.rng_restore)
@@ -868,9 +867,10 @@ def _objective(state: AdaptState, images: Array, pseudo: Array | None, cfg: Peta
     cross-entropy to their targets: the teacher's ``pseudo`` rows, or for
     ``"self_label"`` the one-hot argmax of the student's own prediction. A
     state with an anchor (``petal``'s) subtracts, at alpha != 0, alpha times
-    the source-posterior log-density of the student parameters, so ``cotta``
-    is ``petal`` at alpha = 0. A state without a teacher trains only the BN
-    affine coordinates, so its backward forms only their entries.
+    the source-posterior log-density of the student parameters, so
+    ``cotta``'s objective is ``petal``'s at alpha = 0. A state without a
+    teacher trains only the BN affine coordinates, so its backward forms
+    only their entries.
     """
     logits, params = state.student.taped_forward(images, tape, affine_only=state.teacher is None)
     if state.method.objective == "entropy":
@@ -988,9 +988,9 @@ def run_lifelong(
     handing it the generators it holds, so the random streams continue and
     ``step`` keeps counting. The fresh state brings its own workspace, None
     for the one reset row, which has no teacher. The report's ``method`` is
-    the row's engine method. A teacher run's state holds a ``DrawHelper``
-    while the run lasts; its process is reaped when the run returns or
-    raises, and the returned state holds none.
+    ``cfg.method``, the name that ran. A teacher run's state holds a
+    ``DrawHelper`` while the run lasts; its process is reaped when the run
+    returns or raises, and the returned state holds none.
     """
     stream_ss, augment_ss, restore_ss = np.random.SeedSequence(seed).spawn(3)
     state = init_adapt_state(
@@ -1040,7 +1040,7 @@ def run_lifelong(
     ]
     report = RunReport(
         seed=seed,
-        method=state.method.name,
+        method=cfg.method,
         config=asdict(cfg),
         schedule=schedule.to_document(),
         segments=segments,

@@ -101,9 +101,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_cotta_reduction(default_bundle):
     bundle = default_bundle
-    petal_cfg = dataclasses.replace(
-        bundle.cfg.adapt, method="petal", alpha=0.0, restore="stochastic", rho=0.01
-    )
+    petal_cfg = dataclasses.replace(bundle.cfg.adapt, method="petal_sres", alpha=0.0, rho=0.01)
     cotta_cfg = dataclasses.replace(petal_cfg, method="cotta")
     petal_state = init_adapt_state(bundle.model, bundle.posterior, petal_cfg, **seeded_generators(0))
     cotta_state = init_adapt_state(bundle.model, bundle.posterior, cotta_cfg, **seeded_generators(0))
@@ -152,7 +150,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     for _ in range(5):
         est.collect(model.flatten() + rng.normal(scale=1e-3, size=model.theta.size))
     posterior = est.finalize()
-    cfg = PetalConfig(method="petal", restore="stochastic", rho=0.01, k_aug=2)
+    cfg = PetalConfig(method="petal_sres", rho=0.01, k_aug=2)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     schedule = build_schedule(("gaussian_noise", "contrast"), "continual5", 100, 16)
     counts = []
@@ -168,7 +166,7 @@ def test_criterion_3_restore_semantics(headline_runs, default_bundle):
     total_ok = abs(sum(counts) - total_mean) <= 6 * total_sigma
 
     # delta = 1 resets the student to the source parameters bit-exactly
-    full_cfg = PetalConfig(method="petal", restore="fim", delta=1.0, k_aug=2)
+    full_cfg = PetalConfig(method="petal_fim", delta=1.0, k_aug=2)
     full_state = init_adapt_state(model, posterior, full_cfg, **seeded_generators(0))
     batch, _ = next(stream_batches(schedule, dataset, np.random.default_rng(2)))
     adapt_step(full_state, batch.images, full_cfg)

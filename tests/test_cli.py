@@ -45,7 +45,7 @@ from helpers import seeded_generators
 
 
 def tiny_config(out_dir, **adapt_overrides):
-    adapt = PetalConfig(method="petal", k_aug=3, alpha=1e-6, restore="fim", **adapt_overrides)
+    adapt = PetalConfig(method="petal", k_aug=3, alpha=1e-6, **adapt_overrides)
     return ExperimentConfig(
         dataset=DatasetConfig(seed=0, n_per_class=20),
         model=ModelConfig(sizes=(64, 24, 8)),
@@ -121,7 +121,6 @@ BAD_CONFIG_TYPES = {
     "kinds_unknown": {"schedule": {"kinds": ["fog"]}},
     "sizes_no_hidden_layer": {"model": {"sizes": [64, 8]}},
     "method_unknown": {"adapt": {"method": "x"}},
-    "restore_unknown": {"adapt": {"restore": "x"}},
     "k_aug_zero": {"adapt": {"k_aug": 0}},
     "pi_above_one": {"adapt": {"pi": 2}},
     "eta_negative": {"adapt": {"eta": -1}},
@@ -152,13 +151,15 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("predict_from", "teacher"),
-                                        ("reset_optimizer_state", False), ("tent_online", False)])
+                                        ("reset_optimizer_state", False), ("tent_online", False),
+                                        ("restore", "stochastic")])
 def test_cli_refuses_removed_adapt_keys(tmp_path, capsys, key, value):
-    # the adapt section has no optimizer, predict_from, reset_optimizer_state
-    # or tent_online key (steps are Adam steps, petal/cotta predict from the
-    # teacher, a restore leaves the moments alone, the oracle reset is the
-    # tent_online method): a config naming one, even at its former default,
-    # is refused before --out is made
+    # the adapt section has no optimizer, predict_from, reset_optimizer_state,
+    # tent_online or restore key (steps are Adam steps, petal/cotta predict
+    # from the teacher, a restore leaves the moments alone, the oracle reset
+    # is the tent_online method, a method's row owns its restore rule): a
+    # config naming one, even at its former default, is refused before --out
+    # is made
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"adapt": {key: value}}), encoding="utf-8")
     out = tmp_path / "out"
@@ -185,16 +186,19 @@ def test_config_type_check_accepts_ints_as_floats_and_null_order_seed():
 
 
 def test_method_config_aliases():
-    def resolved(name, restore="fim"):
-        cfg = method_config(PetalConfig(restore=restore), name)
-        return cfg.method, cfg.restore
+    def resolved(name):
+        cfg = method_config(PetalConfig(), name)
+        assert cfg == dataclasses.replace(PetalConfig(), method=name)  # the name is all it sets
+        return cfg.method, METHODS[cfg.method].restore
 
-    # the config keeps the name, whose row the run state looks up
-    assert resolved("petal_fim", restore="none") == ("petal_fim", "fim")
+    # the config keeps the name, whose row the run state looks up and whose restore rule it reads
+    assert resolved("petal") == ("petal", "fim")
+    assert resolved("petal_fim") == ("petal_fim", "fim")
     assert resolved("petal_sres") == ("petal_sres", "stochastic")
     assert resolved("petal_none") == ("petal_none", "none")
-    assert resolved("tent", restore="stochastic") == ("tent", "stochastic")  # the config's restore stays
-    assert resolved("tent_online", restore="none") == ("tent_online", "none")
+    assert resolved("cotta") == ("cotta", "stochastic")
+    assert resolved("tent") == ("tent", None)
+    assert resolved("tent_online") == ("tent_online", None)
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         method_config(PetalConfig(), "nope")
 
@@ -230,6 +234,37 @@ def test_dump_config_includes_defaults(capsys):
     assert doc["adapt"]["alpha"] == 0.5
     assert doc["adapt"]["pi"] == 0.999
     assert doc["seeds"] == [0, 1, 2, 3, 4]
+
+
+# each adapt flag, its config-file key and a value other than the default
+FLAG_KEYS = [
+    ("--delta", "0.5", ("adapt", "delta"), 0.5),
+    ("--rho", "0.25", ("adapt", "rho"), 0.25),
+    ("--alpha", "0.001", ("adapt", "alpha"), 0.001),
+    ("--tau", "0.5", ("adapt", "tau"), 0.5),
+    ("--k-aug", "5", ("adapt", "k_aug"), 5),
+    ("--schedule", "gradual", ("schedule", "mode"), "gradual"),
+    ("--seeds", "3,4", ("seeds",), [3, 4]),
+    ("--out", "elsewhere", ("out_dir",), "elsewhere"),
+]
+
+
+@pytest.mark.parametrize("flag, text, key, value", FLAG_KEYS, ids=[case[0] for case in FLAG_KEYS])
+def test_adapt_flag_and_config_key_dump_the_same_config(tmp_path, capsys, flag, text, key, value):
+    doc = config_to_dict(ExperimentConfig())
+    section = doc
+    for name in key[:-1]:
+        section = section[name]
+    assert section[key[-1]] != value
+    section[key[-1]] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["adapt", "--dump-config", flag, text]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["adapt", "--dump-config", "--config", str(config_path)]) == 0
+    by_key = capsys.readouterr().out
+    assert by_flag == by_key
+    assert json.loads(by_flag) == json.loads(json.dumps(doc))
 
 
 def test_train_source_writes_checkpoints(trained_dir):
@@ -326,7 +361,7 @@ def test_config_method_runs_as_the_method_flag_does(trained_dir, tmp_path, capsy
     assert config_report.pop("experiment")["adapt"]["method"] == name
     assert flag_report.pop("experiment")["adapt"]["method"] == cfg.adapt.method
     assert config_report == flag_report
-    assert config_report["config"]["method"] == config_report["method_label"] == name
+    assert config_report["config"]["method"] == config_report["method"] == name
 
 
 def test_integer_in_a_float_field_writes_the_flags_report(trained_dir, tmp_path, capsys):
@@ -404,10 +439,65 @@ def test_reports_embed_resolved_config(trained_dir):
     cmd_adapt(cfg, ["petal"])
     doc = json.loads((out / "petal" / "seed0" / "report.json").read_text())
     assert doc["experiment"] == json.loads(json.dumps(config_to_dict(cfg)))
-    assert doc["method_label"] == "petal"
+    assert doc["method"] == "petal" and "method_label" not in doc
     csv_lines = (out / "petal" / "seed0" / "steps.csv").read_text().splitlines()
     assert csv_lines[0] == "step,segment,error,nll,brier,loss,restored"
     assert len(csv_lines) == 1 + 4  # 2 segments x 2 batches
+
+
+def test_cli_cotta_restores_at_random_as_cotta_does(trained_dir, tmp_path, capsys):
+    # cotta's row restores each coordinate with probability rho, CoTTA's
+    # rule: the count varies from step to step and is never the delta share
+    # that petal's FIM restore resets on every step
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+    assert main(["adapt", "--config", str(config_path), "--out", str(run), "--method", "cotta"]) == 0
+    capsys.readouterr()
+    rows = (run / "cotta" / "seed0" / "steps.csv").read_text().splitlines()[1:]
+    restored = [int(line.split(",")[-1]) for line in rows]
+    fim_count = math.floor(cfg.adapt.delta * MlpClassifier(cfg.model.sizes).theta.size)
+    assert len(restored) == 4 and len(set(restored)) > 1
+    assert fim_count not in restored
+    doc = json.loads((run / "cotta" / "seed0" / "report.json").read_text())
+    assert doc["method"] == doc["config"]["method"] == "cotta" and "method_label" not in doc
+
+
+def test_report_groups_an_old_report_under_its_method_label(trained_dir, tmp_path, capsys):
+    # a report.json written when "method" named the row's engine method
+    # carries the name that ran in "method_label", which the report reads first
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    cmd_adapt(dataclasses.replace(cfg, out_dir=str(run)), ["petal_fim"])
+    expected = cmd_report([str(run)])
+    path = run / "petal_fim" / "seed0" / "report.json"
+    doc = json.loads(path.read_text())
+    doc["method"], doc["method_label"] = "petal", "petal_fim"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cmd_report([str(run)]) == expected
+    assert main(["report", str(run)]) == 0
+    table = capsys.readouterr().out
+    assert table == expected[0]
+    assert [line.split()[0] for line in table.splitlines()[2:]] == ["petal_fim"]
+
+
+def test_cli_report_csv_writes_the_reports_csv(trained_dir, tmp_path, capsys):
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    cmd_adapt(dataclasses.replace(cfg, out_dir=str(run)), ["source", "petal"])
+    table, csv_text = cmd_report([str(run)])
+    csv_path = tmp_path / "table.csv"
+    assert main(["report", str(run), "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().out == table
+    assert csv_path.read_text(encoding="utf-8") == csv_text
+    # a path whose directory does not exist cannot be written: exit 2, one line
+    assert main(["report", str(run), "--csv", str(tmp_path / "missing" / "table.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_report_table_single_run_has_zero_std(trained_dir):
@@ -838,7 +928,7 @@ def test_tune_regularizer_reads_the_training_config(trained_dir, tmp_path):
     model, posterior = load_checkpoints(cfg)
     schedule = build_schedule((HELD_OUT_KIND,), "continual5", 1, cfg.schedule.batch_size)
     eval_set = make_source_dataset(eval_dataset_seed(cfg), cfg.dataset.n_per_class)
-    petal_cfg = dataclasses.replace(cfg.adapt, method="petal", restore="fim", alpha=1e-6)
+    petal_cfg = dataclasses.replace(cfg.adapt, method="petal", alpha=1e-6)
     report, _ = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, 0)
     assert report.overall["count"] == cfg.schedule.batch_size
     assert lines[0].startswith(f"alpha={1e-6:8.0e}  mean error {report.overall['error']:7.4f}%")

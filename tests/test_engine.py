@@ -74,7 +74,7 @@ NO_AUGMENT = AugmentParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def fast_cfg(**overrides):
-    base = dict(method="petal", k_aug=4, alpha=1e-6, restore="fim")
+    base = dict(method="petal", k_aug=4, alpha=1e-6)
     base.update(overrides)
     return PetalConfig(**base)
 
@@ -549,7 +549,7 @@ def test_parameter_views_and_source_survive_steps(small_bundle, method):
 def test_zero_lr_no_restore_leaves_parameters_fixed(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    cfg = fast_cfg(eta=0.0, restore="none")
+    cfg = fast_cfg(method="petal_none", eta=0.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     before = state.student.flatten()
     report = adapt_step(state, images, cfg)
@@ -573,7 +573,7 @@ def test_online_predictions_precede_the_update(small_bundle):
 
 def test_fim_restore_count_is_exact_every_step(small_bundle):
     dataset, model, posterior = small_bundle
-    cfg = fast_cfg(restore="fim", delta=0.03)
+    cfg = fast_cfg(method="petal_fim", delta=0.03)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     dim = state.source_model.theta.size
     for seed in range(5):
@@ -585,7 +585,7 @@ def test_fim_restore_count_is_exact_every_step(small_bundle):
 def test_delta_one_resets_student_to_source(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
-    cfg = fast_cfg(restore="fim", delta=1.0)
+    cfg = fast_cfg(method="petal_fim", delta=1.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     adapt_step(state, images, cfg)
     assert np.array_equal(state.student.flatten(), state.source_model.theta)
@@ -593,8 +593,8 @@ def test_delta_one_resets_student_to_source(small_bundle):
 
 def test_cotta_equals_petal_with_alpha_zero(small_bundle):
     dataset, model, posterior = small_bundle
-    petal_cfg = fast_cfg(method="petal", alpha=0.0, restore="stochastic", rho=0.01)
-    cotta_cfg = fast_cfg(method="cotta", alpha=0.0, restore="stochastic", rho=0.01)
+    petal_cfg = fast_cfg(method="petal_sres", alpha=0.0, rho=0.01)
+    cotta_cfg = fast_cfg(method="cotta", alpha=0.0, rho=0.01)
     petal_state = init_adapt_state(model, posterior, petal_cfg, **seeded_generators(4))
     cotta_state = init_adapt_state(model, posterior, cotta_cfg, **seeded_generators(4))
     for seed in range(10):
@@ -641,7 +641,7 @@ def test_cotta_objective_equals_petal_at_alpha_zero(small_bundle):
 def test_non_finite_loss_aborts(small_bundle):
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset)
-    cfg = fast_cfg(eta=1e200, restore="none", alpha=1.0)
+    cfg = fast_cfg(method="petal_none", eta=1e200, alpha=1.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     with pytest.raises(NonFiniteLossError), np.errstate(over="ignore", invalid="ignore"):
         for seed in range(5):
@@ -835,7 +835,7 @@ def test_selftrain_adam_on_bn_affine_matches_full_length_reference(small_bundle,
     assert state.opt.step == (1 if reset else 5)
 
 
-@pytest.mark.parametrize("method", ["tent", "petal"])
+@pytest.mark.parametrize("method", ["tent", pytest.param("petal_none", id="petal")])
 def test_adam_step_moves_only_trained_coordinates(small_bundle, monkeypatch, method):
     # petal trains every coordinate, tent only the BN affine ones; the first
     # Adam step, from zero moments, moves those by the bias-corrected step and
@@ -844,7 +844,7 @@ def test_adam_step_moves_only_trained_coordinates(small_bundle, monkeypatch, met
 
     dataset, model, posterior = small_bundle
     images, _ = batch_from(dataset, severity=5)
-    cfg = fast_cfg(method=method, eta=0.05, restore="none", tau=2.0)
+    cfg = fast_cfg(method=method, eta=0.05, tau=2.0)
     state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
     grads = []
 
@@ -860,7 +860,7 @@ def test_adam_step_moves_only_trained_coordinates(small_bundle, monkeypatch, met
     after = state.student.theta
     trained = np.zeros(after.size, dtype=bool)
     trained[state.trained] = True
-    expected = np.ones(after.size, dtype=bool) if method == "petal" else param_mask(state.student, bn_affine_filter)
+    expected = np.ones(after.size, dtype=bool) if method == "petal_none" else param_mask(state.student, bn_affine_filter)
     assert np.array_equal(trained, expected)
     g = grad[trained]
     assert np.abs(g).max() > 0.0
@@ -955,7 +955,7 @@ def test_tent_online_resets_at_segment_boundaries(small_bundle):
     report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=0)
     # after the run the optimizer has only seen the final segment's two steps
     assert state.opt.step == 2
-    assert report.method == "tent" and report.config["method"] == "tent_online"
+    assert report.method == report.config["method"] == "tent_online"
 
 
 @pytest.mark.parametrize("name", list(METHODS))
@@ -1009,12 +1009,12 @@ def test_run_report_has_config_echo_and_segments(small_bundle):
     assert len(csv_text.splitlines()) == 3
 
 
-@pytest.mark.parametrize("method", ["source", "petal"])
+@pytest.mark.parametrize("method", ["source", pytest.param("petal_sres", id="petal")])
 def test_steps_csv_is_the_rows_under_the_column_tuple(small_bundle, method):
     # source's loss is nan; petal's stochastic restore varies per step
     dataset, model, posterior = small_bundle
     schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 3, 8)
-    cfg = fast_cfg(method=method, restore="stochastic", rho=0.05)
+    cfg = fast_cfg(method=method, rho=0.05)
     report, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=1)
     header, *lines = report.rows_to_csv().splitlines()
     assert tuple(header.split(",")) == STEP_COLUMNS
@@ -1031,7 +1031,7 @@ def test_steps_csv_is_the_rows_under_the_column_tuple(small_bundle, method):
 def test_segment_restored_mean_is_the_mean_of_its_rows(small_bundle):
     dataset, model, posterior = small_bundle
     schedule = build_schedule(("contrast", "gaussian_noise"), "continual5", 3, 8)
-    cfg = fast_cfg(restore="stochastic", rho=0.05)
+    cfg = fast_cfg(method="petal_sres", rho=0.05)
     report, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=1)
     assert [s["segment"] for s in report.segments] == [0, 1]
     for segment in report.segments:
