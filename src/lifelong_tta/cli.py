@@ -476,9 +476,9 @@ def main(argv=None) -> int:
         try:
             if args.command == "report":
                 table, csv_text = cmd_report(args.run_dirs)
-                sys.stdout.write(table)
-                if args.csv:
+                if args.csv:  # first, so an unwritable path fails before any table is printed
                     Path(args.csv).write_text(csv_text, encoding="utf-8")
+                sys.stdout.write(table)
                 return 0
             cfg = _apply_overrides(load_config(args.config), args)
             if args.dump_config:

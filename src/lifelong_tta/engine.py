@@ -32,36 +32,38 @@ textbook expressions and so with those expressions' bits; and ``petal``'s
 run state holds its anchor, the posterior with its constant log-density
 normalizer sums, so a step computes only the anchor's quadratic part.
 
-A gate-open step takes the random numbers of all K draws as one chunk
-(``draw_numbers``, one generator call per draw for its uniforms), K draws of
-B samples in draw order, whatever the images and theta. The draws then run
-in blocks of eight (``_teacher_block``): one ``augment`` call runs each
-transform once over the block's draws, and one teacher forward normalizes
-each draw by its own batch statistics. The random numbers and the sum of the
-predictions keep the draw order, so the pseudo-labels are bit-identical to
-those of K one-draw calls. A run uses a second process for them:
-``run_lifelong`` gives its teacher state a ``DrawHelper`` when K leaves the
-helper whole blocks (``_helper_share``, K >= 9), which forks (``os.fork``)
-on the run's first gate-open step and is reaped when the run ends. The helper draws the next gate-open
-step's chunk into a shared mapping while main finishes the current step, so
-main draws none of it. On a gate-open step main hands over theta and the
-images, adopts the helper's generator state, and runs the upper draws'
-blocks on the mapped numbers while the helper runs the lowest whole blocks,
-about half the draws; then it adds all K rows in draw order, so the helper
-changes no output bit. While the helper lives, both processes run one
-OpenBLAS thread; where numpy's OpenBLAS cannot be set to one thread and
-does not already run one, a run forks no helper. A state stepped outside
-``run_lifelong`` has no helper and draws each gate-open step's chunk itself,
-into its workspace, and runs every block. The blocks
-live in the run's workspace (``AdaptState.workspace``, petal/cotta only):
-the chunk's numbers and noise where main draws them, the augmentation block,
-the bilinear resampling's scratch and the teacher forward's two activation
-blocks, one set per chunk and block shape, made on the first
-gate-open step and overwritten on every later one, so a step allocates no
-block and faults no page in. ``augment``, ``_affine_batch`` and
-``MlpClassifier.forward`` write into the buffers they are given with the
-operations, in the order, of their allocating form, which is the same code
-called without a workspace.
+A gate-open step takes one chunk, ``(numbers, noise, rows)``: the random
+numbers of all K draws (``draw_numbers``, one generator call per draw for its
+uniforms), K draws of B samples in draw order whatever the images and theta,
+and ``rows``, a (K, B, C) array that receives each draw's teacher
+probabilities in draw order. ``_teacher_rows`` fills a range of ``rows`` in
+blocks of eight: one ``augment`` call runs each transform once over the
+block's draws, one teacher forward normalizes each draw by its own batch
+statistics, then a softmax. The pseudo-label average is one reduction,
+``rows.sum(axis=0) / K``, which numpy accumulates along axis 0 in draw
+order, so the pseudo-labels are bit-identical to those of K one-draw calls.
+A run uses a second process for the draws: ``run_lifelong`` gives its
+teacher state a ``DrawHelper`` when K leaves the helper whole blocks
+(``_helper_share``, K >= 9), which forks (``os.fork``) on the run's first
+gate-open step and is reaped when the run ends. The chunk then lives in a
+shared mapping: the helper draws the next gate-open step's numbers into it
+while main finishes the current step, so main draws none of them. On a
+gate-open step main hands over theta and the images, adopts the helper's
+generator state, and fills the upper draws' rows while the helper fills the
+lowest whole blocks', about half the draws; both run ``_teacher_rows``, so
+the helper changes no output bit. While the helper lives, both processes
+run one OpenBLAS thread; where numpy's OpenBLAS cannot be set to one thread
+and does not already run one, a run forks no helper. A state stepped outside
+``run_lifelong`` has no helper, draws each gate-open step's chunk itself,
+into its workspace, and fills every row. The blocks live in the run's
+workspace (``AdaptState.workspace``, petal/cotta only): the chunk where main
+draws it, the augmentation block, the bilinear resampling's scratch and the
+teacher forward's two activation blocks, one set per chunk and block shape,
+made on the first gate-open step and overwritten on every later one, so a
+step allocates no block and faults no page in. ``augment``,
+``_affine_batch`` and ``MlpClassifier.forward`` write into the buffers they
+are given with the operations, in the order, of their allocating form, which
+is the same code called without a workspace.
 
 Only the student's objective is taped, on a plain list, the model as one
 node and each loss op as its own; its one parameter input is a tensor over
@@ -567,22 +569,22 @@ def _helper_share(k_aug: int) -> int:
 
 class DrawHelper:
     """A forked process that draws a teacher run's augmentation numbers one
-    gate-open step ahead, and augments and forwards the lowest draws of each
-    such step.
+    gate-open step ahead, and fills the lowest draws' rows of each such step.
 
     ``run_lifelong`` makes one for a teacher run whose K hands the helper
     draws (``_helper_share``), with the run's K and ``AugmentParams``, and
     closes it when the run ends. The first ``submit`` forks it, with a copy
     of the run's augmentation generator, and sizes its shared mapping for
-    that step's B, once per run. After the fork, and each time main's blocks
-    of a step are done, the helper draws all K draws' numbers and noise for
-    the next gate-open step into the mapping and replies with its
-    generator's state. Main writes theta and the images into the mapping
-    (a batch of another size does not fit, and the step is refused before
-    anything is sent), adopts the state and says "go"; the helper runs its
-    share through ``_teacher_block`` and replies None, or the message of its
-    first failing block's ``FloatingPointError``. Both processes run one
-    OpenBLAS thread while the helper lives. It ignores SIGINT and leaves by
+    that step's B, once per run: theta, the images and the step's chunk
+    (numbers, noise, rows). After the fork, and each time main's rows of a
+    step are filled, the helper draws all K draws' numbers and noise for the
+    next gate-open step into the mapping and replies with its generator's
+    state. Main writes theta and the images into the mapping (a batch of
+    another size does not fit, and the step is refused before anything is
+    sent), adopts the state and says "go"; the helper fills its share of the
+    rows with ``_teacher_rows`` and replies None, or the message of its first
+    failing block's ``FloatingPointError``. Both processes run one OpenBLAS
+    thread while the helper lives. It ignores SIGINT and leaves by
     ``os._exit`` once main closes the pipe or dies.
     """
 
@@ -597,25 +599,27 @@ class DrawHelper:
         get_threads = _openblas("get") if hasattr(os, "fork") else None
         return get_threads is not None and (_openblas("set") is not None or get_threads() == 1)
 
-    def submit(self, teacher: MlpClassifier, images: Array, rng: np.random.Generator) -> tuple[Array, Array | None]:
-        """Start the helper on its share of this step's draws and move ``rng`` past all K; the
-        (numbers, noise) of the K draws, mapping views valid until ``collect``."""
+    def submit(
+        self, teacher: MlpClassifier, images: Array, rng: np.random.Generator
+    ) -> tuple[Array, Array | None, Array]:
+        """Start the helper on its share of this step's rows and move ``rng`` past all K draws;
+        the step's chunk (numbers, noise, rows), mapping views: the numbers and noise hold until
+        ``collect``, the rows until the next ``submit``."""
         if self.pid is None:
             self._fork(teacher, rng, images.shape[0])
         self.images[...] = images  # raises for a batch of another size, with the pipe untouched
         self.theta[...] = teacher.theta  # the helper reads neither until "go"
         rng.bit_generator.state = self._ask()
         self._ask("go", reply=False)
-        return self.numbers, self.noise
+        return self.chunk
 
-    def collect(self) -> Array:
-        """The helper's (draws, B, C) probability rows, a mapping view valid until the next
-        ``submit``, or the ``FloatingPointError`` of its first failing block. Main calls it once
-        its own blocks are done: the helper then draws the next step's numbers over this step's."""
+    def collect(self) -> None:
+        """Wait for the helper's rows, raising the ``FloatingPointError`` of its first failing
+        block. Main calls it once its own rows are filled: the helper then draws the next step's
+        numbers over this step's."""
         error = self._ask("done")
         if error is not None:
             raise FloatingPointError(error)
-        return self.probs
 
     def _ask(self, request=None, reply: bool = True):
         """Send ``request`` down the pipe unless it is None, then return the next reply if ``reply``."""
@@ -635,18 +639,17 @@ class DrawHelper:
         os.waitpid(self.pid, 0)
         self.pid = None
         self._set_threads(self._threads)
-        self.theta = self.images = self.numbers = self.noise = self.probs = None  # unmaps once no view is left
+        self.theta = self.images = self.chunk = None  # unmaps once no view is left
 
     def _fork(self, teacher: MlpClassifier, rng: np.random.Generator, b: int) -> None:
-        k_aug, share = self.k_aug, _helper_share(self.k_aug)
+        k_aug = self.k_aug
         noise = k_aug * b * IMAGE_SIDE**2 if self.params.noise_std else 0
-        sizes = (teacher.theta.size, b * IMAGE_SIDE**2, k_aug * len(_NUMBERS) * b, noise, share * b * teacher.sizes[-1])
+        sizes = (teacher.theta.size, b * IMAGE_SIDE**2, k_aug * len(_NUMBERS) * b, noise, k_aug * b * teacher.sizes[-1])
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64)
-        theta, images, numbers, noise, probs = np.split(flat, np.cumsum(sizes)[:-1])
+        theta, images, numbers, noise, rows = np.split(flat, np.cumsum(sizes)[:-1])
         self.theta, self.images = theta, images.reshape(b, -1)
-        self.numbers = numbers.reshape(k_aug, len(_NUMBERS), b)
-        self.noise = noise.reshape(k_aug * b, IMAGE_SIDE, IMAGE_SIDE) if self.params.noise_std else None
-        self.probs = probs.reshape(share, b, -1)
+        noise = noise.reshape(k_aug * b, IMAGE_SIDE, IMAGE_SIDE) if self.params.noise_std else None
+        self.chunk = numbers.reshape(k_aug, len(_NUMBERS), b), noise, rows.reshape(k_aug, b, -1)
         requests, self._requests = os.pipe()
         replies_in, replies = os.pipe()
         # where OpenBLAS exports no setter, ``may_fork`` saw it run one thread
@@ -680,44 +683,45 @@ class DrawHelper:
 
     def _serve(self, teacher: MlpClassifier, rng: np.random.Generator, requests, replies: int) -> None:
         workspace: dict = {}
-        share, b = self.probs.shape[:2]
-        drawn = self.numbers, self.noise
+        numbers, noise, _ = self.chunk
+        share = _helper_share(self.k_aug)
         while True:
-            draw_numbers(rng, self.params, self.numbers, self.noise)
+            draw_numbers(rng, self.params, numbers, noise)
             os.write(replies, pickle.dumps(rng.bit_generator.state))
             pickle.load(requests)  # "go": theta and the images are in the mapping
             teacher.load(self.theta)
             error = None
-            for start in range(0, share, _DRAW_BLOCK):  # the share is whole blocks
-                stop = start + _DRAW_BLOCK
-                try:
-                    probs = _teacher_block(teacher, self.images, self.params, drawn, start, stop, workspace)
-                except FloatingPointError as exc:
-                    error = str(exc)
-                    break
-                self.probs[start:stop] = probs.reshape(_DRAW_BLOCK, b, -1)
+            try:
+                _teacher_rows(teacher, self.images, self.params, self.chunk, 0, share, workspace)
+            except FloatingPointError as exc:
+                error = str(exc)
             os.write(replies, pickle.dumps(error))
             pickle.load(requests)  # "done": main reads none of this step's numbers any more
 
 
-def _teacher_block(
+def _teacher_rows(
     teacher: MlpClassifier,
     images: Array,
     params: AugmentParams,
-    drawn: tuple[Array, Array | None],
+    chunk: tuple[Array, Array | None, Array],
     start: int,
     stop: int,
     workspace: dict | None,
-) -> Array:
-    """The teacher's (draws x B, C) probability rows for draws ``start`` to
-    ``stop`` of a step's ``draw_numbers`` output ``drawn``, (numbers, noise):
-    one ``augment`` call and one ``"batch"`` forward, each draw normalized by
-    its own batch statistics."""
-    numbers, noise = drawn
-    b = numbers.shape[2]
-    noise = None if noise is None else noise[start * b : stop * b]
-    block = augment(images, params, numbers[start:stop], noise, workspace)
-    return softmax(teacher.forward(block, "batch", stop - start, workspace))
+) -> None:
+    """Fill draws ``start`` to ``stop`` of a step's ``chunk``, (numbers, noise,
+    rows), with the teacher's probability rows, in blocks of ``_DRAW_BLOCK``
+    draws from ``start`` (a multiple of it): per block one ``augment`` call,
+    one ``"batch"`` forward, each draw normalized by its own batch
+    statistics, and a softmax. The first failing block raises its
+    ``FloatingPointError``."""
+    numbers, noise, rows = chunk
+    b = images.shape[0]
+    for first in range(start, stop, _DRAW_BLOCK):
+        last = min(first + _DRAW_BLOCK, stop)
+        block_noise = None if noise is None else noise[first * b : last * b]
+        block = augment(images, params, numbers[first:last], block_noise, workspace)
+        logits = teacher.forward(block, "batch", last - first, workspace)
+        rows[first:last] = softmax(logits).reshape(last - first, b, -1)
 
 
 def _openblas(action: str):
@@ -738,18 +742,18 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     When the frozen source model's max softmax probability on a sample is
     below tau, that sample's label is the teacher's prediction averaged over
     k_aug augmentation draws; otherwise it is the direct teacher prediction.
-    A step whose gate opens takes the random numbers of all K draws as one
-    ``draw_numbers`` chunk: from ``state.rng_augment`` into
+    A step whose gate opens takes one chunk (numbers, noise, rows): from
+    ``state.rng_augment`` by one ``draw_numbers`` call into
     ``state.workspace``, or, for a state with a ``DrawHelper`` (a run's, in
-    ``run_lifelong``), from the helper, which drew them a step ahead, while
-    ``state.rng_augment`` moves as if it had drawn them. The draws run in
-    blocks of ``_DRAW_BLOCK`` through ``_teacher_block``, and the teacher's
-    running statistics stay untouched. With a helper, it runs the lowest
-    ``_helper_share`` draws while main runs the rest, and the first failing
-    block, the helper's before main's, raises. The random numbers and the
-    sum run in draw order either way, so the labels equal those of one
-    augment call and one forward per draw, bit for bit. The returned rows are
-    a new array, never a workspace or mapping buffer.
+    ``run_lifelong``), from the helper, which drew the numbers a step ahead,
+    while ``state.rng_augment`` moves as if it had drawn them.
+    ``_teacher_rows`` fills the (K, B, C) rows, and the teacher's running
+    statistics stay untouched. With a helper, it fills the lowest
+    ``_helper_share`` draws' rows while main fills the rest, and the first
+    failing block, the helper's before main's, raises. The random numbers and
+    the rows' sum run in draw order either way, so the labels equal those of
+    one augment call and one forward per draw, bit for bit. The returned rows
+    are a new array, never a workspace or mapping buffer.
     """
     source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
@@ -758,31 +762,21 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     if not needs_averaging.any():
         return direct
     if state.helper is None:
-        shared, b, noise = 0, images.shape[0], None
+        start, b, noise = 0, images.shape[0], None
         numbers = scratch(state.workspace, "augment.numbers", (cfg.k_aug, len(_NUMBERS), b))
         if cfg.augment.noise_std:
             noise = scratch(state.workspace, "augment.noise", (cfg.k_aug * b, IMAGE_SIDE, IMAGE_SIDE))
         draw_numbers(state.rng_augment, cfg.augment, numbers, noise)
-        drawn = numbers, noise
+        chunk = numbers, noise, scratch(state.workspace, "teacher.rows", (cfg.k_aug, *direct.shape))
     else:
-        shared = _helper_share(cfg.k_aug)
-        drawn = state.helper.submit(state.teacher, images, state.rng_augment)
-    blocks, error = [], None
+        start = _helper_share(cfg.k_aug)
+        chunk = state.helper.submit(state.teacher, images, state.rng_augment)
     try:
-        for start in range(shared, cfg.k_aug, _DRAW_BLOCK):
-            stop = min(start + _DRAW_BLOCK, cfg.k_aug)
-            blocks.append(_teacher_block(state.teacher, images, cfg.augment, drawn, start, stop, state.workspace))
-    except FloatingPointError as exc:  # raised once the helper, whose draws come first, has answered
-        error = exc
-    if state.helper is not None:
-        blocks.insert(0, state.helper.collect())
-    if error is not None:
-        raise error
-    total = np.zeros_like(direct)
-    for probs in blocks:
-        for rows in probs.reshape(-1, *direct.shape):
-            total += rows
-    averaged = total / cfg.k_aug
+        _teacher_rows(state.teacher, images, cfg.augment, chunk, start, cfg.k_aug, state.workspace)
+    finally:  # the helper's error, whose draws come first, replaces main's
+        if state.helper is not None:
+            state.helper.collect()
+    averaged = chunk[2].sum(axis=0) / cfg.k_aug
     return np.where(needs_averaging[:, None], averaged, direct)
 
 

@@ -35,7 +35,7 @@ def default_bundle(tmp_path_factory):
 
 
 # CLI method names, resolved as `lifelong-tta adapt --method` resolves them
-HEADLINE_METHODS = ("source", "tent", "petal_fim", "petal_sres", "petal_none")
+HEADLINE_METHODS = ("source", "bn_adapt", "tent", "cotta", "petal_fim", "petal_sres", "petal_none")
 
 
 @pytest.fixture(scope="session")

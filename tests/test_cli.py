@@ -494,9 +494,11 @@ def test_cli_report_csv_writes_the_reports_csv(trained_dir, tmp_path, capsys):
     assert main(["report", str(run), "--csv", str(csv_path)]) == 0
     assert capsys.readouterr().out == table
     assert csv_path.read_text(encoding="utf-8") == csv_text
-    # a path whose directory does not exist cannot be written: exit 2, one line
+    # a path whose directory does not exist cannot be written: exit 2, one line,
+    # and no table on stdout, which a caller could take for a successful call's
     assert main(["report", str(run), "--csv", str(tmp_path / "missing" / "table.csv")]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

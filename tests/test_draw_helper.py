@@ -187,7 +187,7 @@ def test_helper_steps_write_the_bytes_of_in_process_steps(bundle, forks):
             labels = teacher_pseudo_label(state, rows, cfg)
             assert labels.tobytes() == teacher_pseudo_label(expected, rows, cfg).tobytes()
             assert state.rng_augment.bit_generator.state == expected.rng_augment.bit_generator.state
-            assert not np.shares_memory(labels, state.helper.probs)
+            assert not np.shares_memory(labels, state.helper.chunk[2])
         assert len(forks) == 1
     finally:
         state.helper.close()

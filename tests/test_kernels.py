@@ -2,10 +2,10 @@
 
 Each reference below is the straightforward formulation the fast kernel
 replaced (3-array fancy-index gathers, a ``sliding_window_view`` mean,
-``x.var``, one augmentation draw per call, Adam and EMA expressions that
-build new arrays). The fast kernels run the same floating-point operations
-in the same order, so every comparison is exact: ``np.array_equal``, no
-tolerance.
+``x.var``, one augmentation draw per call, a sequential sum of the teacher's
+rows, Adam and EMA expressions that build new arrays). The fast kernels run
+the same floating-point operations in the same order, so every comparison is
+exact: ``np.array_equal``, no tolerance.
 """
 
 import dataclasses
@@ -336,6 +336,20 @@ def reference_adam_delta(m, v, step, grad, lr):
 
 def reference_ema(teacher_theta, student_theta, pi):
     return pi * teacher_theta + (1.0 - pi) * student_theta
+
+
+# the teacher's rows have at least the 8 classes, so B x C >= 2; a (K, 1, 1)
+# array would be one strided run, which numpy sums pairwise, not in order
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, k=st.integers(1, 40), b=st.integers(1, 70), c=st.integers(2, 12), log_scale=st.floats(-6.0, 6.0))
+def test_rows_sum_over_draws_equals_the_sequential_sum(seed, k, b, c, log_scale):
+    # non-negative rows over twelve decades, so the rounding of a sum depends on its order
+    rng = np.random.default_rng(seed)
+    rows = rng.random((k, b, c)) * 10.0 ** rng.uniform(log_scale - 6.0, log_scale, (k, b, c))
+    total = np.zeros((b, c))
+    for row in rows:
+        total += row
+    assert np.array_equal(rows.sum(axis=0), total)
 
 
 @settings(max_examples=120, deadline=None)
