@@ -23,8 +23,9 @@
 # cotta at tau 1 from a config file that zeroes the brightness and blur
 # magnitudes, so each draw skips two of its uniform rows, then source,
 # bn_adapt, tent and pseudo_label,
-# petal_fim with the gate shut (--tau 0) and petal_fim and cotta at the
-# default tau, where the gate opens and K = 32 teacher draws run, at the
+# petal_fim and cotta with the gate shut (--tau 0, at or below 1/C, so no
+# source-gate forward runs and no helper is built) and petal_fim and cotta at
+# the default tau, where the gate opens and K = 32 teacher draws run, at the
 # default 25 batches per segment, so a full stream (100 steps each) of
 # running-statistic updates, BN-affine-only backwards, Adam steps, EMA
 # updates, posterior anchors and augmented teacher blocks, whose buffers a run
@@ -32,7 +33,8 @@
 # section sets every field away from its default (epochs, swag_epochs,
 # momentum, batch_size, shuffle_seed). The resolved --dump-config of each
 # config file is compared too. Both sides write under the same relative paths,
-# so paths recorded inside the outputs compare equal. The differing files go
+# so paths recorded inside the outputs compare equal. Each side writes 110
+# files, dumped configs included. The differing files go
 # to stdout and, when set, to $GITHUB_STEP_SUMMARY. Exits 1 if any file
 # differs or exists on one side only.
 set -euo pipefail
@@ -98,8 +100,8 @@ run_side() {  # run_side TREE NAME: outputs under WORK/NAME/runs, sums in WORK/N
             --method source,bn_adapt,tent,pseudo_label > /dev/null
         mkdir -p runs/default_length_tau0
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length_tau0/
-        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length_tau0 --method petal_fim \
-            --tau 0 > /dev/null
+        python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length_tau0 \
+            --method petal_fim,cotta --tau 0 > /dev/null
         mkdir -p runs/default_length_teacher
         cp runs/main/source_model.ptta runs/main/posterior.ptta runs/default_length_teacher/
         python3 -m lifelong_tta adapt --config default_length.json --out runs/default_length_teacher \

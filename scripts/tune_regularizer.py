@@ -25,7 +25,7 @@ from lifelong_tta.cli import (  # noqa: E402
     load_checkpoints,
     load_config,
 )
-from lifelong_tta.engine import method_config, run_lifelong  # noqa: E402
+from lifelong_tta.engine import NonFiniteLossError, method_config, run_lifelong  # noqa: E402
 from lifelong_tta.streams import build_schedule, make_source_dataset  # noqa: E402
 
 GRID = (1e-6, 1e-7, 1e-9, 1e-10, 5e-10, 1e-11, 5e-11, 1e-12)
@@ -53,18 +53,24 @@ def main() -> int:
     )
     tuned = method_config(cfg.adapt, "petal_fim")  # as `adapt --method petal_fim` runs it
     best = None
-    for alpha in GRID:
-        petal_cfg = dataclasses.replace(tuned, alpha=alpha)
-        errors = []
-        for seed in cfg.seeds:
-            report = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)[0]
-            errors.append(report.overall["error"])
-        mean = float(np.mean(errors))
-        marker = ""
-        if best is None or mean < best[1]:
-            best = (alpha, mean)
-            marker = "  <- best so far"
-        print(f"alpha={alpha:8.0e}  mean error {mean:7.4f}%{marker}")
+    # as cli.main runs it: the model checks its outputs for NaN/Inf, numpy's own warnings stay off
+    with np.errstate(all="ignore"):
+        for alpha in GRID:
+            petal_cfg = dataclasses.replace(tuned, alpha=alpha)
+            errors = []
+            for seed in cfg.seeds:
+                try:
+                    report = run_lifelong(schedule, eval_set, posterior, model, petal_cfg, seed)[0]
+                except NonFiniteLossError as exc:
+                    sys.stderr.write(f"error: {exc}\n")
+                    return 3
+                errors.append(report.overall["error"])
+            mean = float(np.mean(errors))
+            marker = ""
+            if best is None or mean < best[1]:
+                best = (alpha, mean)
+                marker = "  <- best so far"
+            print(f"alpha={alpha:8.0e}  mean error {mean:7.4f}%{marker}")
     print(f"\nwinner: alpha={best[0]:g} (mean error {best[1]:.4f}%)")
     return 0
 

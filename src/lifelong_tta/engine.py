@@ -43,9 +43,9 @@ statistics, then a softmax. The pseudo-label average is one reduction,
 ``rows.sum(axis=0) / K``, which numpy accumulates along axis 0 in draw
 order, so the pseudo-labels are bit-identical to those of K one-draw calls.
 A run uses a second process for the draws: ``run_lifelong`` gives its
-teacher state a ``DrawHelper`` when K leaves the helper whole blocks
-(``_helper_share``, K >= 9), which forks (``os.fork``) on the run's first
-gate-open step and is reaped when the run ends. The chunk then lives in a
+teacher state a ``DrawHelper`` when its gate can open and K leaves the
+helper whole blocks (``_helper_share``, K >= 9), which forks (``os.fork``)
+on the run's first gate-open step and is reaped when the run ends. The chunk then lives in a
 shared mapping: the helper draws the next gate-open step's numbers into it
 while main finishes the current step, so main draws none of them. On a
 gate-open step main hands over theta and the images, adopts the helper's
@@ -74,19 +74,25 @@ forward or loss that leaves the finite range raises inside the step, which
 aborts with ``NonFiniteLossError``.
 
 One frozen, eval-BN source model holds the posterior mode theta_0: it gates
-augmentation and is the restore target. ``METHODS`` is the one table of
-methods: each name the CLI and a config's ``adapt.method`` accept is one
-``Method`` row of what the engine reads (the objective, the anchor, the
-forward-only BN mode, the restore rule, the segment reset), and
-``method_config`` turns a name into its config, which keeps the name. Only
-the methods whose row calls for a teacher, Adam moments or an anchor get
-them, and a step reads those fields and its row, not the method's name:
-moments make a gradient step, a teacher makes pseudo-labels, an EMA update
-and a restore, an anchor adds the posterior term at alpha != 0.
-``init_adapt_state`` is the one constructor of a run's state; a row's
-oracle segment reset (CoTTA's TENT-online baseline is the one row with it)
-is a second call of it at each segment boundary, on the generators the run
-already holds, so the random streams continue across the reset.
+augmentation and is the restore target. Its top softmax probability is never
+below 1/C, so a teacher run at tau <= 1/C, whose gate can never open
+(``_gate_can_open``), runs no gate forward and builds no ``DrawHelper``: each
+step's pseudo-labels are the teacher's direct prediction, the gate's answer
+on every sample.
+
+``METHODS`` is the one table of methods: each name the CLI and a config's
+``adapt.method`` accept is one ``Method`` row of what the engine reads (the
+objective, the anchor, the forward-only BN mode, the restore rule, the
+segment reset), and ``method_config`` turns a name into its config, which
+keeps the name. Only the methods whose row calls for a teacher, Adam
+moments or an anchor get them, and a step reads those fields and its row,
+not the method's name: moments make a gradient step, a teacher makes
+pseudo-labels, an EMA update and a restore, an anchor adds the posterior
+term at alpha != 0. ``init_adapt_state`` is the one constructor of a run's
+state; a row's oracle segment reset (CoTTA's TENT-online baseline is the
+one row with it) is a second call of it at each segment boundary, on the
+generators the run already holds, so the random streams continue across the
+reset.
 
 ``run_lifelong`` appends one row per step, keyed by ``STEP_COLUMNS``; the
 rows are ``steps.csv``, and the per-segment and overall summaries are the
@@ -471,8 +477,8 @@ class AdaptState:
     ``workspace``, the teacher blocks' buffers keyed by (name, shape), is
     None without a teacher; it holds nothing until the first gate-open
     step. ``helper``, the process that runs part of the teacher's draws, is
-    a ``DrawHelper`` only while ``run_lifelong`` runs a teacher state, and
-    None otherwise."""
+    a ``DrawHelper`` only while ``run_lifelong`` runs a teacher state whose
+    gate can open, and None otherwise."""
 
     method: Method
     student: MlpClassifier
@@ -571,10 +577,10 @@ class DrawHelper:
     """A forked process that draws a teacher run's augmentation numbers one
     gate-open step ahead, and fills the lowest draws' rows of each such step.
 
-    ``run_lifelong`` makes one for a teacher run whose K hands the helper
-    draws (``_helper_share``), with the run's K and ``AugmentParams``, and
-    closes it when the run ends. The first ``submit`` forks it, with a copy
-    of the run's augmentation generator, and sizes its shared mapping for
+    ``run_lifelong`` makes one for a teacher run whose gate can open and
+    whose K hands the helper draws (``_helper_share``), with the run's K
+    and ``AugmentParams``, and closes it when the run ends. The first
+    ``submit`` forks it, with a copy of the run's augmentation generator, and sizes its shared mapping for
     that step's B, once per run: theta, the images and the step's chunk
     (numbers, noise, rows). After the fork, and each time main's rows of a
     step are filled, the helper draws all K draws' numbers and noise for the
@@ -736,12 +742,24 @@ def _openblas(action: str):
     return None
 
 
+def _gate_can_open(cfg: PetalConfig, model: MlpClassifier) -> bool:
+    """Whether some sample's source confidence can fall below tau. A softmax
+    row's top entry is exp(0) = 1 over a sum of C terms each at most 1, and
+    rounding is monotone, so the computed confidence is never below 1.0 / C:
+    at tau <= 1.0 / C no sample is ever averaged."""
+    return cfg.tau > 1.0 / model.sizes[-1]
+
+
 def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> Array:
     """Per-sample soft pseudo-labels from the teacher.
 
     When the frozen source model's max softmax probability on a sample is
     below tau, that sample's label is the teacher's prediction averaged over
     k_aug augmentation draws; otherwise it is the direct teacher prediction.
+    A run whose gate cannot open (``_gate_can_open``: tau <= 1/C) runs no
+    source forward and returns the direct prediction, which is what the gate
+    would return on every step.
+
     A step whose gate opens takes one chunk (numbers, noise, rows): from
     ``state.rng_augment`` by one ``draw_numbers`` call into
     ``state.workspace``, or, for a state with a ``DrawHelper`` (a run's, in
@@ -755,6 +773,8 @@ def teacher_pseudo_label(state: AdaptState, images: Array, cfg: PetalConfig) -> 
     one augment call and one forward per draw, bit for bit. The returned rows
     are a new array, never a workspace or mapping buffer.
     """
+    if not _gate_can_open(cfg, state.source_model):
+        return softmax(state.teacher.forward(images, "batch"))
     source_probs = softmax(state.source_model.forward(images, "eval"))
     confidence = source_probs.max(axis=1)
     direct = softmax(state.teacher.forward(images, "batch"))
@@ -982,9 +1002,9 @@ def run_lifelong(
     handing it the generators it holds, so the random streams continue and
     ``step`` keeps counting. The fresh state brings its own workspace, None
     for the one reset row, which has no teacher. The report's ``method`` is
-    ``cfg.method``, the name that ran. A teacher run's state holds a
-    ``DrawHelper`` while the run lasts; its process is reaped when the run
-    returns or raises, and the returned state holds none.
+    ``cfg.method``, the name that ran. A teacher run whose gate can open
+    holds a ``DrawHelper`` while the run lasts; its process is reaped when
+    the run returns or raises, and the returned state holds none.
     """
     stream_ss, augment_ss, restore_ss = np.random.SeedSequence(seed).spawn(3)
     state = init_adapt_state(
@@ -994,8 +1014,14 @@ def run_lifelong(
         rng_augment=np.random.Generator(np.random.PCG64(augment_ss)),
         rng_restore=np.random.Generator(np.random.PCG64(restore_ss)),
     )
-    # a teacher run's helper process, forked on its first gate-open step, if its K hands the helper draws
-    if state.teacher is not None and _helper_share(cfg.k_aug) > 0 and DrawHelper.may_fork():
+    # a teacher run's helper process, forked on its first gate-open step, if its gate can open and its
+    # K hands the helper draws
+    if (
+        state.teacher is not None
+        and _gate_can_open(cfg, state.source_model)
+        and _helper_share(cfg.k_aug) > 0
+        and DrawHelper.may_fork()
+    ):
         state.helper = DrawHelper(cfg.k_aug, cfg.augment)
     stream_rng = np.random.Generator(np.random.PCG64(stream_ss))
     acc = MetricAccumulator()

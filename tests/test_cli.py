@@ -890,6 +890,33 @@ def test_tune_regularizer_fails_like_the_cli_on_an_unreadable_checkpoint(trained
     assert result.stderr == cli_err and cli_err.startswith("error: ") and cli_err.count("\n") == 1
 
 
+def test_tune_regularizer_fails_like_the_cli_on_an_overflowing_posterior_mean(trained_dir, tmp_path, capsys):
+    # a posterior mean of 1e200 overflows a layer of the first forward: one
+    # line and exit 3 from both; was: numpy's RuntimeWarning and a
+    # NonFiniteLossError traceback from the script, exit 1
+    out, cfg = trained_dir
+    shutil.copy(Path(out) / MODEL_CHECKPOINT, tmp_path / MODEL_CHECKPOINT)
+    entries = saved_entries(out, cfg, POSTERIOR_CHECKPOINT)
+    for name in entries:
+        if name.startswith("swag.mu."):
+            entries[name] = np.full_like(entries[name], 1e200)
+    write_checkpoint(tmp_path / POSTERIOR_CHECKPOINT, entries)
+    config_path = tmp_path / "tiny.json"
+    config_path.write_text(json.dumps(config_to_dict(dataclasses.replace(cfg, out_dir=str(tmp_path)))), encoding="utf-8")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "tune_regularizer.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--config", str(config_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert main(["adapt", "--config", str(config_path), "--method", "petal_fim"]) == 3
+    cli_err = capsys.readouterr().err
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == cli_err and cli_err.startswith("error: non-finite forward at step 0: ")
+    assert cli_err.count("\n") == 1
+
+
 def test_tune_regularizer_reads_seeds_like_the_cli(tmp_path, capsys):
     # --out and --seeds go through the CLI's overrides, so a bad seed list
     # gives the CLI's message, before any checkpoint is read

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lifelong_tta.engine as engine
 from lifelong_tta.autodiff import (
     backward,
     log_normalizers,
@@ -17,6 +19,7 @@ from lifelong_tta.engine import (
     METHODS,
     AdamState,
     AugmentParams,
+    DrawHelper,
     STEP_COLUMNS,
     NonFiniteLossError,
     PetalConfig,
@@ -245,6 +248,88 @@ def test_non_finite_teacher_parameter_aborts_the_step(small_bundle, name, value)
     state.teacher.params[name].flat[0] = value
     with pytest.raises(NonFiniteLossError):
         adapt_step(state, images, cfg)
+
+
+# ---------------------------------------------------------------------------
+# a gate that cannot open: tau <= 1/C
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Counts of what a run does for its gate while the test runs: source
+    forwards, ``DrawHelper`` constructions and the ``may_fork`` answers."""
+    calls = {"source_forward": 0, "helpers": 0, "may_fork": []}
+
+    def init_counted(*args, init=engine.init_adapt_state, **kwargs):
+        state = init(*args, **kwargs)
+        forward = state.source_model.forward
+
+        def counted(*f_args, **f_kwargs):
+            calls["source_forward"] += 1
+            return forward(*f_args, **f_kwargs)
+
+        state.source_model.forward = counted
+        return state
+
+    def helper_counted(self, *args, init=DrawHelper.__init__):
+        calls["helpers"] += 1
+        init(self, *args)
+
+    def may_fork_counted(may_fork=DrawHelper.may_fork):
+        calls["may_fork"].append(may_fork())
+        return calls["may_fork"][-1]
+
+    monkeypatch.setattr(engine, "init_adapt_state", init_counted)
+    monkeypatch.setattr(DrawHelper, "__init__", helper_counted)
+    monkeypatch.setattr(DrawHelper, "may_fork", staticmethod(may_fork_counted))
+    return calls
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0 / 8], ids=["zero", "one_over_c"])
+@pytest.mark.parametrize("method", ["petal_fim", "cotta"])
+def test_a_run_whose_gate_cannot_open_skips_the_gate_and_the_helper(small_bundle, gate_calls, monkeypatch, method, tau):
+    # the source confidence is never below 1/C (C = 8 here), so the run
+    # writes the bytes of a replay that runs the gate forward on every step,
+    # with no source forward and no draw helper of its own
+    dataset, model, posterior = small_bundle
+    assert model.sizes[-1] == 8
+    schedule = build_schedule(("gaussian_noise", "contrast"), "continual5", 2, 8)
+    cfg = method_config(PetalConfig(k_aug=9, tau=tau), method)  # K = 9 would hand the helper a block
+    report, state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=5)
+    assert len(report.rows) == 4
+    assert gate_calls == {"source_forward": 0, "helpers": 0, "may_fork": []}
+    monkeypatch.setattr(engine, "teacher_pseudo_label", per_draw_teacher_pseudo_label)
+    expected, expected_state = run_lifelong(schedule, dataset, posterior, model, cfg, seed=5)
+    assert gate_calls["source_forward"] == 4  # the replay's gate forwards
+    assert report.rows_to_csv() == expected.rows_to_csv()
+    assert json.dumps(report.to_document()) == json.dumps(expected.to_document())
+    for name in ("student", "teacher"):
+        assert getattr(state, name).theta.tobytes() == getattr(expected_state, name).theta.tobytes()
+
+
+def test_a_run_whose_gate_can_just_open_runs_the_gate_forward_on_every_step(small_bundle, gate_calls):
+    dataset, model, posterior = small_bundle
+    schedule = build_schedule(("gaussian_noise", "contrast"), "continual5", 2, 8)
+    cfg = method_config(PetalConfig(k_aug=9, tau=float(np.nextafter(1.0 / 8, 1.0))), "petal_fim")
+    report, _ = run_lifelong(schedule, dataset, posterior, model, cfg, seed=5)
+    assert gate_calls["source_forward"] == len(report.rows) == 4
+    assert len(gate_calls["may_fork"]) == 1  # the probe runs when a helper could fork
+    assert gate_calls["helpers"] == sum(gate_calls["may_fork"])
+
+
+@pytest.mark.parametrize("method", ["petal_fim", "cotta"])
+def test_a_closed_gate_step_on_a_batch_holding_a_nan_aborts_and_moves_nothing(small_bundle, method):
+    dataset, model, posterior = small_bundle
+    cfg = fast_cfg(method=method, tau=0.0)
+    state = init_adapt_state(model, posterior, cfg, **seeded_generators(0))
+    images, _ = batch_from(dataset)
+    images[3, 5] = np.nan
+    before = [a.tobytes() for a in (state.student.theta, state.teacher.theta, state.opt.m, state.opt.v)]
+    with pytest.raises(NonFiniteLossError) as raised:
+        adapt_step(state, images, cfg)
+    assert str(raised.value) == "non-finite forward at step 0: input contains NaN or Inf"
+    assert [a.tobytes() for a in (state.student.theta, state.teacher.theta, state.opt.m, state.opt.v)] == before
+    assert state.step == state.opt.step == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lifelong_tta.autodiff import softmax
 from lifelong_tta.engine import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -350,6 +351,29 @@ def test_rows_sum_over_draws_equals_the_sequential_sum(seed, k, b, c, log_scale)
     for row in rows:
         total += row
     assert np.array_equal(rows.sum(axis=0), total)
+
+
+# the premise of the teacher's closed gate: a row's top softmax entry is exp(0)
+# = 1 over a sum of C terms, each at most 1, and rounding is monotone, so no
+# confidence is below 1.0 / C and a gate at tau <= 1.0 / C never opens
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=SEEDS,
+    b=st.integers(1, 40),
+    c=st.integers(2, 300),
+    log_scale=st.floats(-300.0, 300.0),
+    levels=st.integers(0, 4),
+    equal_share=st.floats(0.0, 1.0),
+)
+def test_softmax_top_entry_is_never_below_one_over_c(seed, b, c, log_scale, levels, equal_share):
+    rng = np.random.default_rng(seed)
+    if levels:  # ties: every logit on a grid of a few values
+        logits = rng.integers(0, levels, (b, c)) * 10.0**log_scale
+    else:
+        logits = rng.standard_normal((b, c)) * 10.0**log_scale
+    equal = rng.random(b) < equal_share
+    logits[equal] = logits[equal, :1]  # rows whose C logits are all equal
+    assert (softmax(logits).max(axis=1) >= 1.0 / c).all()
 
 
 @settings(max_examples=120, deadline=None)
