@@ -33,9 +33,9 @@ run state holds its anchor, the posterior with its constant log-density
 normalizer sums, so a step computes only the anchor's quadratic part.
 
 A gate-open step takes one chunk, ``(numbers, noise, rows)``: the random
-numbers of all K draws (``draw_numbers``, one generator call per draw for its
-uniforms), K draws of B samples in draw order whatever the images and theta,
-and ``rows``, a (K, B, C) array that receives each draw's teacher
+numbers of all K draws (``draw_numbers``, one generator call per draw for
+its uniforms), K draws of B samples in draw order whatever the images and
+theta, and ``rows``, a (K, B, C) array that receives each draw's teacher
 probabilities in draw order. ``_teacher_rows`` fills a range of ``rows`` in
 blocks of eight: one ``augment`` call runs each transform once over the
 block's draws, one teacher forward normalizes each draw by its own batch
@@ -45,25 +45,25 @@ order, so the pseudo-labels are bit-identical to those of K one-draw calls.
 A run uses a second process for the draws: ``run_lifelong`` gives its
 teacher state a ``DrawHelper`` when its gate can open and K leaves the
 helper whole blocks (``_helper_share``, K >= 9), which forks (``os.fork``)
-on the run's first gate-open step and is reaped when the run ends. The chunk then lives in a
-shared mapping: the helper draws the next gate-open step's numbers into it
-while main finishes the current step, so main draws none of them. On a
-gate-open step main hands over theta and the images, adopts the helper's
-generator state, and fills the upper draws' rows while the helper fills the
-lowest whole blocks', about half the draws; both run ``_teacher_rows``, so
-the helper changes no output bit. While the helper lives, both processes
-run one OpenBLAS thread; where numpy's OpenBLAS cannot be set to one thread
-and does not already run one, a run forks no helper. A state stepped outside
-``run_lifelong`` has no helper, draws each gate-open step's chunk itself,
-into its workspace, and fills every row. The blocks live in the run's
-workspace (``AdaptState.workspace``, petal/cotta only): the chunk where main
-draws it, the augmentation block, the bilinear resampling's scratch and the
-teacher forward's two activation blocks, one set per chunk and block shape,
-made on the first gate-open step and overwritten on every later one, so a
-step allocates no block and faults no page in. ``augment``,
-``_affine_batch`` and ``MlpClassifier.forward`` write into the buffers they
-are given with the operations, in the order, of their allocating form, which
-is the same code called without a workspace.
+on the run's first gate-open step and is reaped when the run ends. The chunk
+then lives in a shared mapping: the helper draws the next gate-open step's
+numbers into it while main finishes the current step, so main draws none of
+them. On a gate-open step main hands over theta and the images, adopts the
+helper's generator state, and fills the upper draws' rows while the helper
+fills the lowest whole blocks', about half the draws; both run
+``_teacher_rows``, so the helper changes no output bit. While the helper
+lives, both processes run one OpenBLAS thread; where numpy's OpenBLAS cannot
+be set to one thread and does not already run one, a run forks no helper. A
+state stepped outside ``run_lifelong`` has no helper, draws each gate-open
+step's chunk itself, into its workspace, and fills every row. The blocks
+live in the run's workspace (``AdaptState.workspace``, petal/cotta only):
+the chunk where main draws it, the augmentation block, the bilinear
+resampling's scratch and the teacher forward's two activation blocks, one
+set per chunk and block shape, made on the first gate-open step and
+overwritten on every later one, so a step allocates no block and faults no
+page in. ``augment``, ``_affine_batch`` and ``MlpClassifier.forward`` write
+into the buffers they are given with the operations, in the order, of their
+allocating form, which is the same code called without a workspace.
 
 Only the student's objective is taped, on a plain list, the model as one
 node and each loss op as its own; its one parameter input is a tensor over
@@ -578,20 +578,20 @@ class DrawHelper:
     gate-open step ahead, and fills the lowest draws' rows of each such step.
 
     ``run_lifelong`` makes one for a teacher run whose gate can open and
-    whose K hands the helper draws (``_helper_share``), with the run's K
-    and ``AugmentParams``, and closes it when the run ends. The first
-    ``submit`` forks it, with a copy of the run's augmentation generator, and sizes its shared mapping for
-    that step's B, once per run: theta, the images and the step's chunk
-    (numbers, noise, rows). After the fork, and each time main's rows of a
-    step are filled, the helper draws all K draws' numbers and noise for the
-    next gate-open step into the mapping and replies with its generator's
-    state. Main writes theta and the images into the mapping (a batch of
-    another size does not fit, and the step is refused before anything is
-    sent), adopts the state and says "go"; the helper fills its share of the
-    rows with ``_teacher_rows`` and replies None, or the message of its first
-    failing block's ``FloatingPointError``. Both processes run one OpenBLAS
-    thread while the helper lives. It ignores SIGINT and leaves by
-    ``os._exit`` once main closes the pipe or dies.
+    whose K hands the helper draws (``_helper_share``), with the run's K and
+    ``AugmentParams``, and closes it when the run ends. The first ``submit``
+    forks it, with a copy of the run's augmentation generator, and sizes its
+    shared mapping for that step's B, once per run: theta, the images and
+    the step's chunk (numbers, noise, rows). After the fork, and each time
+    main's rows of a step are filled, the helper draws all K draws' numbers
+    and noise for the next gate-open step into the mapping and replies with
+    its generator's state. Main writes theta and the images into the mapping
+    (a batch of another size does not fit, and the step is refused before
+    anything is sent), adopts the state and says "go"; the helper fills its
+    share of the rows with ``_teacher_rows`` and replies None, or the
+    message of its first failing block's ``FloatingPointError``. Both
+    processes run one OpenBLAS thread while the helper lives. It ignores
+    SIGINT and leaves by ``os._exit`` once main closes the pipe or dies.
     """
 
     def __init__(self, k_aug: int, params: AugmentParams) -> None:
