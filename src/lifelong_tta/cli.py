@@ -58,8 +58,13 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    sizes: tuple = (64, 128, 128, 8)
+    hidden: tuple = ranged((128, 128), lambda v: len(v) > 0 and min(v) >= 1, "a non-empty list of widths >= 1")
     init_seed: int = at_least(0, 0)
+
+    @property
+    def sizes(self) -> tuple:
+        """The layer widths: the pixels of an image, the hidden widths, a logit per class."""
+        return (IMAGE_SIDE**2, *self.hidden, N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,8 @@ def _check_fields(section, path: str) -> None:
         elif isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{where} must be finite, got {value}")
         elif "ok" in f.metadata and not f.metadata["ok"](value):
-            raise ValueError(f"{where} must be {f.metadata['must']}, got {value!r}")
+            shown = list(value) if isinstance(value, tuple) else value  # a list, as the JSON wrote it
+            raise ValueError(f"{where} must be {f.metadata['must']}, got {shown!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -163,13 +169,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     at fault, as ``config.<section>.<field>``. ``_check_fields`` checks each
     field against its own range; the checks here span list items or fields."""
     _check_fields(cfg, "config")
-    sizes = list(cfg.model.sizes)
-    if len(sizes) < 3 or min(sizes) < 1:
-        raise ValueError(f"config.model.sizes must be (input, hidden..., classes), each >= 1, got {sizes}")
-    if sizes[0] != IMAGE_SIDE**2:
-        raise ValueError(f"config.model.sizes must start with the {IMAGE_SIDE**2} pixels of an image, got {sizes}")
-    if sizes[-1] < N_CLASSES:
-        raise ValueError(f"config.model.sizes must end with at least the {N_CLASSES} classes, got {sizes}")
     if cfg.source.swag_epochs > cfg.source.epochs:
         raise ValueError(
             f"config.source.swag_epochs must be at most config.source.epochs ({cfg.source.epochs}),"
@@ -360,11 +359,15 @@ def _check_report(doc, path: Path) -> str:
 
 def _collect_reports(run_dirs: list[str]) -> tuple[dict, list[tuple]]:
     """Reports by method label, and the (segment, kind, severity) list that
-    every one of them must share with the first."""
+    every one of them must share with the first; a directory that is missing
+    or holds no report.json is refused, never skipped."""
     by_method: dict[str, list[dict]] = {}
     first = None
     for root in run_dirs:
-        for path in sorted(Path(root).rglob("report.json")):
+        paths = sorted(Path(root).rglob("report.json"))
+        if not paths:
+            raise ValueError(f"no report.json found under {root}")
+        for path in paths:
             try:
                 doc = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
@@ -378,8 +381,6 @@ def _collect_reports(run_dirs: list[str]) -> tuple[dict, list[tuple]]:
             elif keys != first[1]:
                 raise ValueError(f"report {path} does not have the segments of the first report")
             by_method.setdefault(label, []).append(doc)
-    if first is None:
-        raise ValueError("no report.json found under the given directories")
     return by_method, first[1]
 
 
@@ -502,7 +503,7 @@ def main(argv=None) -> int:
         except NonFiniteLossError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 3
-        except (ValueError, OSError, RuntimeError) as exc:  # OSError: unusable --out paths too
+        except (ValueError, OSError, RuntimeError, MemoryError) as exc:  # also unusable --out, too wide a model
             sys.stderr.write(f"error: {exc}\n")
             return 2
     raise AssertionError("unreachable")

@@ -16,21 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import _check_rows_are_distributions
+
 Array = np.ndarray
 
 LOG_CLAMP = 1e-12
 
 
 def per_sample_scores(preds: Array, labels: Array) -> tuple[Array, Array, Array]:
-    """Per-sample (error indicator, NLL, Brier) contributions."""
+    """Per-sample (error indicator, NLL, Brier) contributions; rows that are
+    not probability distributions are refused by the soft target's rule."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels)
     if preds.ndim != 2 or preds.shape[0] == 0:
         raise ValueError("predictions must be a non-empty (N, C) array")
     if labels.shape != (preds.shape[0],):
         raise ValueError("labels must be (N,)")
-    if (preds < 0.0).any() or (np.abs(preds.sum(axis=1) - 1.0) > 1e-6).any():
-        raise ValueError("prediction rows must be probability distributions")
+    _check_rows_are_distributions(preds, "prediction")
     err = (preds.argmax(axis=1) != labels).astype(np.float64)
     picked = np.maximum(preds[np.arange(labels.size), labels], LOG_CLAMP)
     nll_values = -np.log(picked)

@@ -349,7 +349,7 @@ def test_forgetting_guard(headline_runs):
 def test_criterion_9_determinism(tmp_path):
     cfg = ExperimentConfig(
         dataset=DatasetConfig(seed=0, n_per_class=24),
-        model=ModelConfig(sizes=(64, 24, 8)),
+        model=ModelConfig(hidden=(24,)),
         source=SourceTrainConfig(epochs=6, swag_epochs=3),
         schedule=ScheduleConfig(kinds=("contrast", "gaussian_noise"),
                                 batches_per_segment=3, batch_size=16),

@@ -48,7 +48,7 @@ def tiny_config(out_dir, **adapt_overrides):
     adapt = PetalConfig(method="petal", k_aug=3, alpha=1e-6, **adapt_overrides)
     return ExperimentConfig(
         dataset=DatasetConfig(seed=0, n_per_class=20),
-        model=ModelConfig(sizes=(64, 24, 8)),
+        model=ModelConfig(hidden=(24,)),
         source=SourceTrainConfig(epochs=8, swag_epochs=4),
         schedule=ScheduleConfig(
             kinds=("gaussian_noise", "contrast"), batches_per_segment=2, batch_size=16
@@ -91,17 +91,17 @@ def test_config_rejects_unknown_keys():
 
 # config documents whose leaf values have the wrong JSON type, or values no
 # run can use: a negative seed, a stream batch larger than the eval set
-# (8 classes x dataset.n_per_class images), model sizes that do not take the
-# 64 pixels of an 8x8 image or do not give a logit per class, each half of
-# the checks that once shared one message, and an adapt value outside its
-# field's range
+# (8 classes x dataset.n_per_class images), hidden widths that are no list
+# of positive integers, each half of the checks that once shared one
+# message, and an adapt value outside its field's range
 BAD_CONFIG_TYPES = {
     "k_aug_string": {"adapt": {"k_aug": "x"}},
     "tau_string": {"adapt": {"tau": "0.5"}},
     "seeds_string": {"seeds": "abc"},
     "seed_float": {"seeds": [0, 1.5]},
     "seed_bool": {"seeds": [True]},
-    "size_string": {"model": {"sizes": [64, "24", 8]}},
+    "hidden_string": {"model": {"hidden": ["24"]}},
+    "hidden_bool": {"model": {"hidden": [True]}},
     "count_bool": {"dataset": {"n_per_class": True}},
     "order_seed_string": {"schedule": {"order_seed": "3"}},
     "out_dir_number": {"out_dir": 5},
@@ -111,15 +111,14 @@ BAD_CONFIG_TYPES = {
     "order_seed_negative": {"schedule": {"order_seed": -1}},
     "batch_above_eval_set": {"schedule": {"batch_size": 801}},
     "batch_above_small_eval_set": {"schedule": {"batch_size": 17}, "dataset": {"n_per_class": 2}},
-    "sizes_input_not_pixels": {"model": {"sizes": [32, 128, 8]}},
-    "sizes_fewer_outputs_than_classes": {"model": {"sizes": [64, 128, 4]}},
     "schedule_batch_size_one": {"schedule": {"batch_size": 1}},
     "batches_per_segment_zero": {"schedule": {"batches_per_segment": 0}},
     "source_lr_zero": {"source": {"lr": 0}},
     "source_momentum_one": {"source": {"momentum": 1.0}},
     "tau_above_one": {"adapt": {"tau": 1.5}},
     "kinds_unknown": {"schedule": {"kinds": ["fog"]}},
-    "sizes_no_hidden_layer": {"model": {"sizes": [64, 8]}},
+    "hidden_empty": {"model": {"hidden": []}},
+    "hidden_zero": {"model": {"hidden": [0]}},
     "method_unknown": {"adapt": {"method": "x"}},
     "k_aug_zero": {"adapt": {"k_aug": 0}},
     "pi_above_one": {"adapt": {"pi": 2}},
@@ -166,6 +165,38 @@ def test_cli_refuses_removed_adapt_keys(tmp_path, capsys, key, value):
     for command in ("adapt", "train-source"):
         assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: unknown keys in config.adapt: [{key!r}]\n"
+    assert not out.exists()
+
+
+def test_model_sizes_are_the_pixels_the_hidden_widths_and_the_classes():
+    assert ModelConfig().sizes == (64, 128, 128, 8)
+    assert ModelConfig(hidden=(24,)).sizes == (64, 24, 8)
+    assert "sizes" not in config_to_dict(ExperimentConfig())["model"]
+
+
+def test_cli_refuses_the_removed_model_sizes_key(tmp_path, capsys):
+    # the data fixes both ends of the network, so a config names only
+    # model.hidden; one naming model.sizes, even at its former default, is
+    # refused before --out is made
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"sizes": [64, 128, 128, 8]}}), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("adapt", "train-source"):
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown keys in config.model: ['sizes']\n"
+    assert not out.exists()
+
+
+def test_cli_train_source_of_a_model_too_wide_to_allocate_exits_2(tmp_path, capsys):
+    # 64 x 2**51 float64 weights are 1.17 EiB, past any address space, so numpy
+    # refuses before it touches memory; was: exit 1 with a MemoryError traceback
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"model": {"hidden": [2**51]}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train-source", "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
 
 
@@ -502,6 +533,23 @@ def test_cli_report_csv_writes_the_reports_csv(trained_dir, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("case", ["missing", "empty"])
+def test_cli_report_refuses_a_run_directory_with_no_report(trained_dir, tmp_path, capsys, case):
+    # was: exit 0 with the table of the other directory, the bad one dropped
+    out, cfg = trained_dir
+    run = tmp_path / "run"
+    _copy_checkpoints(out, run)
+    cmd_adapt(dataclasses.replace(cfg, out_dir=str(run)), ["source"])
+    bad = tmp_path / "typo"
+    if case == "empty":
+        bad.mkdir()
+    for args in ([str(run), str(bad)], [str(bad), str(run)]):
+        assert main(["report", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no report.json found under {bad}\n"
+
+
 def test_report_table_single_run_has_zero_std(trained_dir):
     out, cfg = trained_dir
     cmd_adapt(cfg, ["petal", "source"])
@@ -836,7 +884,7 @@ def test_cli_report_rejects_reports_with_other_segments(trained_dir, tmp_path, c
 def test_cli_rejects_posterior_of_another_model(trained_dir, tmp_path, capsys):
     out, cfg = trained_dir
     other = dataclasses.replace(
-        cfg, model=ModelConfig(sizes=(64, 16, 8)), out_dir=str(tmp_path / "other")
+        cfg, model=ModelConfig(hidden=(16,)), out_dir=str(tmp_path / "other")
     )
     cmd_train_source(other)
     run = tmp_path / "run"
@@ -1007,7 +1055,7 @@ def test_cli_rejects_stray_model_checkpoint_entry(tmp_path, capsys, case):
     # was: loaded without complaint, exit 0
     hidden, key = STRAY_MODEL_ENTRIES[case]
     cfg = tiny_config(tmp_path)
-    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, sizes=(64, *hidden, 8)))
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, hidden=hidden))
     model = MlpClassifier(cfg.model.sizes, seed=0)
     model.save(tmp_path / MODEL_CHECKPOINT)
     posterior = SwagDiagPosterior(mu=model.flatten(), sigma2=np.full(model.theta.size, 1e-4), count=1)
@@ -1027,15 +1075,15 @@ def test_cli_rejects_stray_model_checkpoint_entry(tmp_path, capsys, case):
 @pytest.mark.parametrize("config", ["default", "other_sizes"])
 def test_cli_refuses_checkpoints_of_other_model_sizes(trained_dir, tmp_path, capsys, config):
     # checkpoints of a 64-24-8 model, read under the default or another
-    # model.sizes; was: exit 0, adapting the 64-24-8 model while report.json
-    # echoed the config's sizes
+    # model.hidden; was: exit 0, adapting the 64-24-8 model while report.json
+    # echoed the config's widths
     out, cfg = trained_dir
     for name in (MODEL_CHECKPOINT, POSTERIOR_CHECKPOINT):
         shutil.copy(Path(out) / name, tmp_path / name)
     args = ["adapt", "--out", str(tmp_path), "--method", "bn_adapt", "--seeds", "0"]
     if config == "other_sizes":
         config_path = tmp_path / "other.json"
-        doc = config_to_dict(dataclasses.replace(cfg, model=ModelConfig(sizes=(64, 16, 8))))
+        doc = config_to_dict(dataclasses.replace(cfg, model=ModelConfig(hidden=(16,))))
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         args += ["--config", str(config_path)]
     assert main(args) == 2

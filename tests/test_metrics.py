@@ -72,6 +72,16 @@ def test_invalid_rows_rejected():
         brier(np.array([[-0.1, 1.1]]), np.array([0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_rejected_like_a_soft_target(bad):
+    # was: a NaN row scored NaN NLL and Brier and, through argmax, counted as
+    # correct for label 0; the scores refuse it by the soft target's rule
+    preds = np.array([[bad, 0.5], [0.5, 0.5]])
+    labels = np.array([0, 1])
+    with pytest.raises(FloatingPointError, match="prediction contains NaN or Inf"):
+        per_sample_scores(preds, labels)
+
+
 def _simplex_grid(step=0.01):
     ticks = np.arange(0, 101)
     grid = []
